@@ -8,8 +8,11 @@ proves the eigenvalue lower bound c * kappa, because each gradient square
 B_t is a nonnegative operator on a compact manifold.  Subtracting rational
 multiples of the pure-kappa identities from the operator's B-expansion
 trades B-coefficients for kappa; the optimizer maximizes the resulting
-bound (sign(kappa) * c) by exact simplex and returns the full certificate
-so the rewriting is machine-checkable.
+bound (sign(kappa) * c) and returns the full certificate so the rewriting
+is machine-checkable.  The LP is solved exactly through its dual, which has
+one row per identity; complementary slackness then recovers the multipliers,
+with an L1-smallest tie-break on the optimal face when identities are
+dependent (see lp_max_bound).
 """
 
 from __future__ import annotations
@@ -139,14 +142,37 @@ def _identity_ids(identities):
     return ids
 
 
+def _split_rows(rows, slack_rows):
+    """Rows of [A | -A | slacks] for lambda = lambda+ - lambda-, with one slack
+    column (a residual) for each row index in slack_rows."""
+    return [
+        row + [-v for v in row] + [Fraction(int(i == s)) for s in slack_rows]
+        for i, row in enumerate(rows)
+    ]
+
+
 def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertificate:
     """Best certificate bound over the span of the given pure-kappa identities.
 
-    Maximizes sign(kappa) * c subject to the residual coefficients staying
-    nonnegative.  Deterministic: exact simplex with Bland's rule over the
-    canonically ordered variables, followed by an L1-minimal cleanup of the
-    multipliers at the fixed optimum (dependent identities would otherwise
-    leave free directions).
+    The primal LP is  max sign(kappa) * kappa.lambda  s.t.  A lambda <= op,
+    lambda free, where A is the target-by-identity matrix and op - A lambda
+    are the residuals.  It is solved through its dual, which has one row per
+    identity:
+
+        max -op.y  s.t.  A^T y = sign(kappa) * kappa,  y >= 0,
+
+    and the primal optimum is minus the dual value.  Complementary slackness
+    pins the residual to zero on every target with y_i != 0; when those rows
+    fix lambda uniquely, that point is the certificate.  Otherwise (dependent
+    identities leave free directions) the tie-break is the L1-smallest
+    lambda on the optimal face, found by exact simplex with Bland's rule over
+    the canonically ordered variables, so the result is deterministic.
+
+    Raises InconsistencyError caused by LPInfeasibleError when no
+    nonnegative rewriting exists, and caused by LPUnboundedError when the
+    bound is unbounded (inconsistent identity generation).  Before it is
+    returned, the certificate's bound must equal the dual optimum and the
+    certificate must pass BoundCertificate.verify.
     """
     sign = _normalize_sign(kappa_sign)
     for ident in identities:
@@ -158,44 +184,48 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     op_vec = [c for _, c in operator.coeffs]
     m = len(identities)
     t = len(target_keys)
-    rows = [[ident.coeff_map().get(key, Fraction(0)) for ident in identities] for key in target_keys]
+    maps = [ident.coeff_map() for ident in identities]
+    rows = [[cm.get(key, Fraction(0)) for cm in maps] for key in target_keys]
     kappas = [ident.kappa_coeff for ident in identities]
+    no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
-    # Variables: lambda+ (m), lambda- (m), residuals (t).
-    def run(objective, extra_row=None, extra_rhs=None):
-        constraints = []
-        rhs = []
-        for i in range(t):
-            constraints.append(
-                rows[i] + [-v for v in rows[i]] + [Fraction(int(i == j)) for j in range(t)]
-            )
-            rhs.append(op_vec[i])
-        if extra_row is not None:
-            constraints.append(extra_row)
-            rhs.append(extra_rhs)
+    try:
+        value, y = simplex_maximize(
+            [-c for c in op_vec],
+            [[row[j] for row in rows] for j in range(m)],
+            [sign * kp for kp in kappas],
+        )
+    except LPUnboundedError as exc:
+        raise InconsistencyError(no_rewriting) from LPInfeasibleError(
+            f"the dual LP is unbounded: {exc}"
+        )
+    except LPInfeasibleError:
+        # The primal is unbounded or infeasible; a feasibility LP tells which.
         try:
-            return simplex_maximize(objective, constraints, rhs)
-        except LPUnboundedError as exc:
-            raise InconsistencyError(
-                "unbounded bound optimum; identity generation is inconsistent"
-            ) from exc
+            simplex_maximize([Fraction(0)] * (2 * m + t), _split_rows(rows, range(t)), op_vec)
         except LPInfeasibleError as exc:
-            raise InconsistencyError(
-                f"no nonnegative rewriting of {operator.name} exists over this identity span"
-            ) from exc
+            raise InconsistencyError(no_rewriting) from exc
+        raise InconsistencyError(
+            "unbounded bound optimum; identity generation is inconsistent"
+        ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
 
-    objective = (
-        [sign * kp for kp in kappas] + [-sign * kp for kp in kappas] + [Fraction(0)] * t
-    )
-    value, _ = run(objective)
-    # Cleanup pass: among optimal multipliers pick the L1-smallest, again by
-    # deterministic Bland pivoting.
-    l1_objective = [Fraction(-1)] * (2 * m) + [Fraction(0)] * t
-    _, x = run(l1_objective, extra_row=objective, extra_rhs=value)
-    lambdas = [x[j] - x[m + j] for j in range(m)]
-    residuals = [x[2 * m + i] for i in range(t)]
+    tight = [i for i in range(t) if y[i] != 0]
+    lambdas = None
+    if tight:
+        lambdas, _ = solve_linear_system([rows[i] for i in tight], [op_vec[i] for i in tight])
+    if lambdas is None:
+        slack_rows = [i for i in range(t) if y[i] == 0]
+        _, x = simplex_maximize(
+            [Fraction(-1)] * (2 * m) + [Fraction(0)] * len(slack_rows),
+            _split_rows(rows, slack_rows),
+            op_vec,
+        )
+        lambdas = [x[j] - x[m + j] for j in range(m)]
+    residuals = [op - sum(a * l for a, l in zip(row, lambdas)) for op, row in zip(op_vec, rows)]
 
     bound = operator.constant_kappa + sum(l * kp for l, kp in zip(lambdas, kappas))
+    if sign * (bound - operator.constant_kappa) != -value:
+        raise InconsistencyError("primal and dual optima differ")
     cert = BoundCertificate(
         bundle=operator.bundle,
         operator=operator.name,

@@ -56,7 +56,8 @@ __all__ = [
     "decompose_bundle",
 ]
 
-DEFAULT_Q_CAP = 12  # Casimir generators stop at c_{2n}; no practical need beyond.
+# Fixed ceiling on casimir_report's q_max for every rank n (not tied to c_{2n}).
+DEFAULT_Q_CAP = 12
 
 
 class FormulaDegeneracyError(ArithmeticError):

@@ -1,8 +1,9 @@
 """Command-line surface.  Every computation is reachable with flags only.
 
-Exit codes: 0 success, 2 parameter/validation error, 3 internal
-inconsistency (an LP went unbounded or an identity system contradicted
-itself, which signals a generator bug rather than bad user input).
+Exit codes: 0 success, 1 a `sweep` found a mismatch, 2 parameter/validation
+error, 3 internal inconsistency (an LP went unbounded or an identity system
+contradicted itself, which signals a generator bug rather than bad user
+input).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -298,6 +300,9 @@ def _sweep_case(case):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     signs = ["+", "-"] if args.kappa_sign == "both" else [args.kappa_sign]
     if args.hpn:
         signs = ["+"]
@@ -319,8 +324,8 @@ def cmd_sweep(args) -> int:
                     for sign in signs:
                         cases.append((n, k, a, b, sign, args.hpn))
     cases.sort(key=lambda c: (c[0], c[2], c[3], c[1], c[4]))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_case, cases))
     else:
         results = [_sweep_case(c) for c in cases]
@@ -336,10 +341,12 @@ def cmd_sweep(args) -> int:
         )
         if not match:
             mismatches.append((n, k, a, b, sign))
-    csv_text = "\n".join([header] + rows) + "\n"
+    body = "".join(row + "\n" for row in rows)
+    csv_text = header + "\n" + body
     if args.csv:
         with open(args.csv, "a", encoding="ascii") as fh:
-            fh.write(csv_text)
+            # the header goes only into a new or empty ledger
+            fh.write(body if fh.tell() else csv_text)
     if args.format == "csv":
         sys.stdout.write(csv_text)
     elif args.format == "json":
@@ -356,7 +363,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep ({label}): {len(results)} cases, {len(mismatches)} mismatches")
         for m in mismatches:
             print(f"  mismatch at n={m[0]} k={m[1]} a={m[2]} b={m[3]} sign {m[4]}")
-    return 0
+    return 1 if mismatches else 0
 
 
 def cmd_selftest(args) -> int:
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-sign", choices=("+", "-", "both"), default="both")
     p.add_argument("--hpn", action="store_true", help="compare against the first eigenvalue (k >= 2)")
     p.add_argument("--csv", type=str, default=None, help="append results to this CSV ledger")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from qkbw import cli
 from qkbw.cli import main
 
 
@@ -207,6 +209,55 @@ class TestSweepVerb:
         code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "9", "--format", "json")
         assert code == 0
         assert json.loads(out)["cases"] == 0
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "closed_form_bound", lambda *args: Fraction(99))
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0")
+        assert code == 1
+        assert "2 mismatches" in out
+
+    def test_csv_ledger_header_written_once(self, capsys, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_text("")
+        argv = ("sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0", "--csv", str(path))
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,k,a,b,kappa_sign,lp_bound,expected,match"
+        assert len(lines) == 5
+        assert sum(line.startswith("n,") for line in lines) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_user_error(self, capsys, jobs):
+        code, _, err = run(capsys, "sweep", "--n", "2", "--k", "1", "--jobs", jobs)
+        assert code == 2
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (None, None)])
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, cpus, workers):
+        started = []
+
+        class SerialPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0", "--jobs", "2")
+        assert code == 0
+        assert "0 mismatches" in out
+        assert started == ([] if workers is None else [workers])
 
 
 class TestSelftestVerb:

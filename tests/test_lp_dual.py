@@ -1,0 +1,160 @@
+"""The dual-LP bound against the two-LP primal it replaced, and its outcome mapping.
+
+``primal_oracle`` is the primal formulation kept as a test-only reference:
+one two-phase simplex for the optimum over split multipliers and residual
+columns, then an L1 cleanup with the objective pinned as an extra row.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qkbw.bounds
+from qkbw.bounds import lp_max_bound
+from qkbw.cli import main
+from qkbw.identities import (
+    OPERATOR_NAMES,
+    BWIdentity,
+    InconsistencyError,
+    OperatorSpec,
+    operator_coeffs,
+    pure_kappa_identities,
+)
+from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize
+from qkbw.weights import BundleLabel, SpnWeight
+
+F = Fraction
+
+
+def primal_oracle(operator, identities, sign):
+    """(bound, multipliers) of the primal LP, or InconsistencyError with the LP cause."""
+    keys = [key for key, _ in operator.coeffs]
+    op_vec = [c for _, c in operator.coeffs]
+    m, t = len(identities), len(keys)
+    rows = [[ident.coeff_map().get(key, F(0)) for ident in identities] for key in keys]
+    kappas = [ident.kappa_coeff for ident in identities]
+
+    def run(objective, extra_row=None, extra_rhs=None):
+        constraints = [
+            rows[i] + [-v for v in rows[i]] + [F(int(i == j)) for j in range(t)]
+            for i in range(t)
+        ]
+        rhs = list(op_vec)
+        if extra_row is not None:
+            constraints.append(extra_row)
+            rhs.append(extra_rhs)
+        try:
+            return simplex_maximize(objective, constraints, rhs)
+        except (LPUnboundedError, LPInfeasibleError) as exc:
+            raise InconsistencyError("primal oracle") from exc
+
+    objective = [sign * kp for kp in kappas] + [-sign * kp for kp in kappas] + [F(0)] * t
+    value, _ = run(objective)
+    _, x = run([F(-1)] * (2 * m) + [F(0)] * t, extra_row=objective, extra_rhs=value)
+    lambdas = [x[j] - x[m + j] for j in range(m)]
+    return operator.constant_kappa + sum(l * kp for l, kp in zip(lambdas, kappas)), lambdas
+
+
+def outcome(solve):
+    """('certified', bound) or ('no-certificate' | 'unbounded', None)."""
+    try:
+        return "certified", solve()
+    except InconsistencyError as exc:
+        if isinstance(exc.__cause__, LPInfeasibleError):
+            return "no-certificate", None
+        assert isinstance(exc.__cause__, LPUnboundedError)
+        return "unbounded", None
+
+
+dominant_weights = st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda e: SpnWeight(tuple(sorted(e, reverse=True)))
+    )
+)
+
+
+@given(
+    dominant_weights,
+    st.integers(0, 4),
+    st.sampled_from(OPERATOR_NAMES),
+    st.sampled_from((1, -1)),
+)
+@settings(max_examples=100, deadline=None)
+def test_dual_matches_primal_oracle(rho, k, operator_name, sign):
+    bundle = BundleLabel(k, rho)
+    operator = operator_coeffs(operator_name, bundle)
+    identities = pure_kappa_identities(bundle)
+    expected = outcome(lambda: primal_oracle(operator, identities, sign)[0])
+    got = outcome(lambda: lp_max_bound(operator, identities, sign))
+    assert got[0] == expected[0]
+    if got[0] == "certified":
+        cert = got[1]
+        assert cert.bound == expected[1]
+        cert.verify(operator, identities)
+
+
+# Hand-built LPs.  The primal is  max sign * kappa.lambda  s.t.  A lambda <= op.
+BUNDLE = BundleLabel(1, SpnWeight((0, 0)))
+KEYS = ((1, 1), (-1, 1))
+
+
+def _operator(*op):
+    return OperatorSpec("test_operator", BUNDLE, tuple(zip(KEYS, map(F, op))), F(0))
+
+
+def _identity(name, kappa, *coeffs):
+    return BWIdentity(BUNDLE, tuple(zip(KEYS, map(F, coeffs))), F(kappa), (), name)
+
+
+# 0 * lambda <= -1 has no solution, while the dual  y2 = 1  leaves y1 free
+# with a positive objective: the dual is unbounded.
+DUAL_UNBOUNDED = (_operator(-1, 1), [_identity("p", 1, 0, 1)])
+# max -lambda  s.t.  lambda <= 1: the primal is unbounded, the dual
+# y1 + y2 = -1 is infeasible.
+PRIMAL_UNBOUNDED = (_operator(1, 1), [_identity("p", -1, 1, 1)])
+# lambda1 <= -1 and lambda1 >= 1, and the dual needs 0 = 1 from the second
+# identity, which no target carries: both LPs are infeasible.
+BOTH_INFEASIBLE = (_operator(-1, -1), [_identity("p", 0, 1, -1), _identity("q", 1, 0, 0)])
+
+OUTCOMES = [
+    (DUAL_UNBOUNDED, LPInfeasibleError, "no nonnegative rewriting of test_operator"),
+    (PRIMAL_UNBOUNDED, LPUnboundedError, "unbounded bound optimum"),
+    (BOTH_INFEASIBLE, LPInfeasibleError, "no nonnegative rewriting of test_operator"),
+]
+OUTCOME_IDS = ["dual-unbounded", "primal-unbounded", "both-infeasible"]
+
+
+@pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
+def test_outcome_mapping(case, cause, message):
+    operator, identities = case
+    with pytest.raises(InconsistencyError, match=message) as info:
+        lp_max_bound(operator, identities, "+")
+    assert type(info.value.__cause__) is cause
+    # the oracle reaches the same outcome class through the primal
+    with pytest.raises(InconsistencyError) as info:
+        primal_oracle(operator, identities, 1)
+    assert type(info.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
+def test_outcome_exit_code(case, cause, message, monkeypatch, capsys):
+    operator, identities = case
+    monkeypatch.setattr(qkbw.bounds, "operator_coeffs", lambda name, bundle: operator)
+    monkeypatch.setattr(qkbw.bounds, "pure_kappa_identities", lambda bundle, hpn=False: identities)
+    code = main(["bound", "--n", "2", "--k", "1", "--rho", "0,0", "--kappa-sign", "+"])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_dependent_identities_take_the_face_cleanup():
+    # a duplicated identity leaves a free direction on the optimal face; the
+    # L1 tie-break splits nothing onto the copy
+    operator = _operator(1, 2)
+    identities = [_identity("p", 1, 1, 1), _identity("p", 1, 1, 1)]
+    cert = lp_max_bound(operator, identities, "+")
+    assert cert.bound == 1
+    assert dict(cert.multipliers) == {"p": 1, "p#1": 0}
+    assert dict(cert.residuals) == {(1, 1): 0, (-1, 1): 1}
+    assert primal_oracle(operator, identities, 1) == (1, [1, 0])
