@@ -27,7 +27,7 @@ from .identities import (
     operator_coeffs,
     pure_kappa_identities,
 )
-from .rationals import format_rational
+from .rationals import format_plain, format_rational
 from .simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from .weights import BundleLabel, SpnWeight
 
@@ -80,9 +80,10 @@ class BoundCertificate:
             if value < 0:
                 raise InconsistencyError(f"negative residual at {key}: {value}")
         by_id = dict(zip(_identity_ids(identities), identities))
+        maps = {i: by_id[i].coeff_map() for i in ids}
         for key, op_coeff in operator.coeffs:
             combined = res.get(key, Fraction(0)) + sum(
-                ids[i] * by_id[i].coeff_map().get(key, Fraction(0)) for i in ids
+                ids[i] * maps[i].get(key, Fraction(0)) for i in ids
             )
             if combined != op_coeff:
                 raise InconsistencyError(f"reconstruction fails at {key}")
@@ -112,23 +113,19 @@ class BoundCertificate:
         lines = [
             f"Lower bound on {self.operator} over {self.bundle} (kappa {sign})",
             "",
-            f"bound: ({_md(self.bound)}) * kappa",
+            f"bound: ({format_plain(self.bound)}) * kappa",
             "",
             "| identity | multiplier |",
             "|----------|-----------|",
         ]
         for ident, v in self.multipliers:
-            lines.append(f"| {ident} | {_md(v)} |")
+            lines.append(f"| {ident} | {format_plain(v)} |")
         lines += ["", "| target | residual |", "|--------|----------|"]
         for (N, nu), v in self.residuals:
-            lines.append(f"| B({N:+d},{nu:+d}) | {_md(v)} |")
+            lines.append(f"| B({N:+d},{nu:+d}) | {format_plain(v)} |")
         if self.matched_closed_form:
             lines += ["", f"matches closed form: {self.matched_closed_form}"]
         return "\n".join(lines)
-
-
-def _md(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _identity_ids(identities):
@@ -189,6 +186,9 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     kappas = [ident.kappa_coeff for ident in identities]
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
+    # LP errors lose their tracebacks before they become the cause or context
+    # of an InconsistencyError: those hold the solver's tableau, which every
+    # caller that keeps the error would keep alive.
     try:
         value, y = simplex_maximize(
             [-c for c in op_vec],
@@ -196,15 +196,17 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
             [sign * kp for kp in kappas],
         )
     except LPUnboundedError as exc:
+        exc.with_traceback(None)
         raise InconsistencyError(no_rewriting) from LPInfeasibleError(
             f"the dual LP is unbounded: {exc}"
         )
-    except LPInfeasibleError:
+    except LPInfeasibleError as dual_exc:
+        dual_exc.with_traceback(None)
         # The primal is unbounded or infeasible; a feasibility LP tells which.
         try:
             simplex_maximize([Fraction(0)] * (2 * m + t), _split_rows(rows, range(t)), op_vec)
         except LPInfeasibleError as exc:
-            raise InconsistencyError(no_rewriting) from exc
+            raise InconsistencyError(no_rewriting) from exc.with_traceback(None)
         raise InconsistencyError(
             "unbounded bound optimum; identity generation is inconsistent"
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
@@ -245,9 +247,21 @@ def bound_for(
     hpn: bool = False,
 ) -> BoundCertificate:
     """Convenience wrapper: rule-driven identity set, then lp_max_bound."""
-    operator = operator_coeffs(operator_name, bundle)
-    identities = pure_kappa_identities(bundle, hpn=hpn)
+    operator, identities = _bound_problem(operator_name, bundle, hpn)
     return lp_max_bound(operator, identities, kappa_sign)
+
+
+def _bound_problem(operator_name, bundle, hpn):
+    """The operator and the identity set of a bound, from one decomposition table.
+
+    A separate frame, so that an LP error raised through bound_for does not
+    keep the table alive in its traceback.
+    """
+    table = decompose_bundle(bundle)
+    return (
+        operator_coeffs(operator_name, bundle, table=table),
+        pure_kappa_identities(bundle, hpn=hpn, table=table),
+    )
 
 
 def closed_form_bound(k: int, a: int, b: int, n: int, kappa_sign) -> Fraction:
@@ -422,7 +436,7 @@ class KernelAnalysis:
             return "\n".join(lines)
         lines += ["", "| target | ||D phi||^2 / ||phi||^2 |", "|--------|------------|"]
         for (N, nu), v in self.solved_ratios:
-            lines.append(f"| D({N:+d},{nu:+d}) | ({_md(v)}) * kappa |")
+            lines.append(f"| D({N:+d},{nu:+d}) | ({format_plain(v)}) * kappa |")
         for s, verdict, w in self.verdicts:
             sign = "positive" if s > 0 else "negative"
             if w:
@@ -448,7 +462,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set, hpn: bool = False) -> Kerne
         if key not in valid_keys:
             raise ValueError(f"kernel target {key} is not a valid gradient target")
     unknown = [key for key in valid_keys if key not in kernel]
-    identities = pure_kappa_identities(bundle, hpn=hpn)
+    identities = pure_kappa_identities(bundle, hpn=hpn, table=table)
     matrix = [
         [ident.coeff_map().get(key, Fraction(0)) for key in unknown]
         for ident in identities

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .rationals import format_rational
+from .rationals import format_plain, format_rational
 from .weights import (
     BundleLabel,
     SpnWeight,
@@ -294,12 +294,8 @@ class CasimirReport:
             "|---|-----|---------|",
         ]
         for q, c, ch in self.values:
-            lines.append(f"| {q} | {_md_frac(c)} | {_md_frac(ch)} |")
+            lines.append(f"| {q} | {format_plain(c)} | {format_plain(ch)} |")
         return "\n".join(lines)
-
-
-def _md_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def casimir_report(rho: SpnWeight, q_max: int = 4) -> CasimirReport:
@@ -389,8 +385,8 @@ class DecompositionTable:
         for t in self.targets:
             lines.append(
                 f"| {t.N:+d} | {t.nu:+d} | ({t.target_k}, ({t.target_rho})) | "
-                f"{'yes' if t.valid else 'no'} | {_md_frac(t.w)} | {_md_frac(t.w_hat)} | "
-                f"{_md_frac(t.W)} | {_md_frac(t.reldim)} |"
+                f"{'yes' if t.valid else 'no'} | {format_plain(t.w)} | {format_plain(t.w_hat)} | "
+                f"{format_plain(t.W)} | {format_plain(t.reldim)} |"
             )
         return "\n".join(lines)
 

@@ -48,7 +48,7 @@ from .identities import (
     simplify_curvature,
     theorem_family,
 )
-from .rationals import format_rational
+from .rationals import format_plain, format_rational
 from .selfcheck import run_suites
 from .simplex import LPInfeasibleError, LPUnboundedError
 from .weights import BundleLabel, decompose_rho_tensor_E, parse_weight
@@ -136,7 +136,7 @@ def cmd_decompose(args) -> int:
             rd = relative_dimension_weyl(rho, c.nu)
             lines.append(
                 f"| {c.nu:+d} | ({c.weight}) | {'yes' if c.dominant else 'no'} | "
-                f"{rd.numerator}/{rd.denominator} |"
+                f"{format_rational(rd)} |"
             )
         csv_text = "nu,weight,dominant,reldim\n" + "".join(
             f'{c.nu},"{c.weight}",{int(c.dominant)},'
@@ -184,9 +184,7 @@ def cmd_table1(args) -> int:
     ]
     for nu, w, rd in rows:
         shift = f"rho+mu_{nu}" if nu > 0 else f"rho-mu_{-nu}"
-        w_str = str(w.numerator) if w.denominator == 1 else str(w)
-        rd_str = str(rd.numerator) if rd.denominator == 1 else str(rd)
-        lines.append(f"| {shift} | {w_str} | {rd_str} |")
+        lines.append(f"| {shift} | {format_plain(w)} | {format_plain(rd)} |")
     csv_lines = ["nu,w,reldim"] + [
         f"{nu},{format_rational(w)},{format_rational(rd)}" for nu, w, rd in rows
     ]

@@ -26,7 +26,7 @@ from .casimir import (
     decompose_bundle,
     lambda_ab_bundle,
 )
-from .rationals import format_rational
+from .rationals import format_plain, format_rational
 from .simplex import exact_rank, solve_linear_system
 from .weights import BundleLabel
 
@@ -101,11 +101,7 @@ def _fmt_coeff(c: Fraction) -> str:
         return ""
     if c == -1:
         return "-"
-    return f"{_plain(c)}*"
-
-
-def _plain(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return f"{format_plain(c)}*"
 
 
 def _merge_terms(terms):
@@ -466,7 +462,7 @@ def simplify_curvature(identity: BWIdentity, rules) -> BWIdentity:
     return identity
 
 
-def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False):
+def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     """Rule-driven inventory of identities that survive as pure-kappa rows.
 
     Candidates are the six printed identities (the Sp(1)-weighted ones only
@@ -475,7 +471,7 @@ def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False):
     row with zero coefficients but nonzero kappa side is a contradiction and
     raises.
     """
-    table = decompose_bundle(bundle)
+    table = table or decompose_bundle(bundle)
     shape = bundle.rho.lambda_ab_shape()
     candidates = [identity_bw1(bundle, table), identity_bw2(bundle, table)]
     if bundle.k != 0:
@@ -527,7 +523,7 @@ OPERATOR_NAMES = (
 )
 
 
-def operator_coeffs(name: str, bundle: BundleLabel) -> OperatorSpec:
+def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
     """Coefficient vector of a named operator over the valid targets.
 
     connection_laplacian: 1
@@ -536,7 +532,7 @@ def operator_coeffs(name: str, bundle: BundleLabel) -> OperatorSpec:
     R1_endomorphism:      w + W/n
     """
     n = bundle.n
-    table = decompose_bundle(bundle)
+    table = table or decompose_bundle(bundle)
     formulas = {
         "connection_laplacian": lambda t: Fraction(1),
         "hodge_laplacian": lambda t: 1 + t.w / 2 + t.W / (2 * n),

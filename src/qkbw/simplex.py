@@ -1,15 +1,34 @@
 """Exact linear programming and linear algebra over the rationals.
 
-The solver is a dense two-phase tableau simplex with Bland's anti-cycling
-rule, operating entirely on ``fractions.Fraction``.  Problem sizes here are
-tiny (a dozen rows, a few dozen columns), so clarity wins over speed:
-reduced costs are recomputed from the cost vector and current basis each
-iteration instead of being carried in an objective row.
+Everything here runs on one fraction-free integer pivot kernel (Edmonds
+1967; Bareiss 1968, Math. Comp. 22).  A tableau is a list of integer rows
+with one common denominator d > 0, so that the rational tableau is rows / d.
+A pivot at (r, c) with p = rows[r][c] replaces every other row by
+(p * row - row[c] * rows[r]) // d and then sets d = p; the division is exact
+because every entry is, up to sign, a minor of the starting integer matrix
+and d is the determinant of the current basis.  When p < 0 every row is
+negated so that d stays positive.  Python integers never lose precision, and
+no gcd is taken until a result is turned back into a ``Fraction``.
+
+The LP solver is a dense two-phase tableau simplex with Bland's anti-cycling
+rule.  Its tableau is [A | I | b] scaled by one common lcm L of every
+denominator in A and b, with the artificial columns kept as the identity.
+That scaling leaves each pivot choice exactly as on the rational tableau:
+it multiplies every artificial variable, and so the phase-1 objective, by
+the same L > 0, which keeps the sign of every reduced cost, and it leaves
+every ratio-test quotient in the same units.  (Scaling each row by its own
+factor would weight the artificials unevenly and could change the entering
+column.)  Reduced costs are recomputed from the cost vector and the current
+basis each iteration as c_j * d - sum c_B * rows[i][j], with the costs made
+integral by a positive lcm; the ratio test cross-multiplies.  So the pivot
+sequence, and the returned optimum, match a ``Fraction`` tableau pivot for
+pivot.  Rank and solve run Gauss-Jordan with the same kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "LPUnboundedError",
@@ -28,54 +47,73 @@ class LPInfeasibleError(ArithmeticError):
     """The LP constraint set is empty."""
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    inv = Fraction(1) / piv
-    tableau[row] = [v * inv for v in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            pivot_row = tableau[row]
-            tableau[i] = [v - factor * pv for v, pv in zip(r, pivot_row)]
-    basis[row] = col
+def _rational(v):
+    """v as an exact rational: ints and Fractions as they are."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _bland_run(tableau, basis, cost):
-    """Maximize cost over the tableau in place; Bland's rule throughout.
+def _scaled(values, scale):
+    """Fractions times a common multiple of their denominators, as ints."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
-    tableau rows are [coefficients..., rhs] with rhs >= 0 maintained.
-    Returns when no reduced cost is positive; raises LPUnboundedError if an
+
+def _pivot(rows, d, r, c):
+    """Pivot the integer tableau rows / d on (r, c) in place; return the new d."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * v // d for v in row]
+    if p < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-v for v in row]
+        p = -p
+    return p
+
+
+def _bland_run(rows, d, basis, cost):
+    """Maximize integer costs over the tableau rows / d in place; Bland's rule.
+
+    Rows are [coefficients..., rhs] with rhs >= 0 maintained.  Returns the
+    final d when no reduced cost is positive; raises LPUnboundedError if an
     improving column has no positive entry.
     """
     ncols = len(cost)
     while True:
-        # Reduced costs r_j = c_j - c_B . column_j (tableau is B^-1 A).
-        basic_cost = [cost[b] for b in basis]
-        entering = -1
-        for j in range(ncols):
-            if j in basis:
-                continue
-            rj = cost[j] - sum(cb * tableau[i][j] for i, cb in enumerate(basic_cost) if tableau[i][j])
-            if rj > 0:
-                entering = j
-                break
+        basic = set(basis)
+        weighted = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
+        # d times the reduced cost r_j = c_j - c_B . column_j.
+        entering = next(
+            (
+                j
+                for j in range(ncols)
+                if j not in basic and cost[j] * d > sum(cb * row[j] for cb, row in weighted)
+            ),
+            -1,
+        )
         if entering < 0:
-            return
+            return d
         leaving = -1
-        best_ratio = None
-        for i, r in enumerate(tableau):
-            if r[entering] > 0:
-                ratio = r[-1] / r[entering]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+        for i, row in enumerate(rows):
+            e = row[entering]
+            if e > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                best = rows[leaving]
+                lhs = row[-1] * best[entering]
+                rhs = best[-1] * e
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             raise LPUnboundedError("improving direction with no binding constraint")
-        _pivot(tableau, basis, leaving, entering)
+        d = _pivot(rows, d, leaving, entering)
+        basis[leaving] = entering
 
 
 def simplex_maximize(objective, constraints, rhs):
@@ -88,79 +126,95 @@ def simplex_maximize(objective, constraints, rhs):
     """
     m = len(constraints)
     n = len(objective)
-    objective = [Fraction(c) for c in objective]
+    objective = [_rational(c) for c in objective]
     if m == 0:
         if any(c > 0 for c in objective):
             raise LPUnboundedError("no constraints and a positive objective entry")
         return Fraction(0), [Fraction(0)] * n
 
-    tableau = []
+    problem = []
     for i in range(m):
-        row = [Fraction(v) for v in constraints[i]]
+        row = [_rational(v) for v in constraints[i]]
         if len(row) != n:
             raise ValueError("constraint row length does not match objective")
-        b = Fraction(rhs[i])
+        b = _rational(rhs[i])
         if b < 0:
             row = [-v for v in row]
             b = -b
-        tableau.append(row + [b])
+        problem.append(row + [b])
 
     # Phase 1: artificial basis, drive sum of artificials to zero.
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau[i] = tableau[i][:-1] + art + [tableau[i][-1]]
+    scale = lcm(*(v.denominator for row in problem for v in row))
+    rows = []
+    for i, row in enumerate(problem):
+        ints = _scaled(row, scale)
+        rows.append(ints[:-1] + [int(i == j) for j in range(m)] + ints[-1:])
     basis = list(range(n, n + m))
-    phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
-    _bland_run(tableau, basis, phase1_cost)
-    value1 = sum(phase1_cost[b] * tableau[i][-1] for i, b in enumerate(basis))
-    if value1 != 0:
+    d = _bland_run(rows, 1, basis, [0] * n + [-1] * m)
+    if any(b >= n and row[-1] for b, row in zip(basis, rows)):
         raise LPInfeasibleError("artificial variables cannot be driven to zero")
 
     # Remove artificials from the basis (pivot out, or drop redundant rows).
     drop_rows = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            pivot_col = next((j for j in range(n) if rows[i][j]), None)
             if pivot_col is None:
                 drop_rows.append(i)
             else:
-                _pivot(tableau, basis, i, pivot_col)
+                d = _pivot(rows, d, i, pivot_col)
+                basis[i] = pivot_col
     for i in sorted(drop_rows, reverse=True):
-        del tableau[i]
+        del rows[i]
         del basis[i]
-    tableau = [row[:n] + [row[-1]] for row in tableau]
+    rows = [row[:n] + row[-1:] for row in rows]
 
-    phase2_cost = objective
-    _bland_run(tableau, basis, phase2_cost)
+    cost_scale = lcm(*(c.denominator for c in objective))
+    d = _bland_run(rows, d, basis, _scaled(objective, cost_scale))
 
     x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        x[b] = tableau[i][-1]
+    for b, row in zip(basis, rows):
+        x[b] = Fraction(row[-1], d)
     value = sum(objective[j] * x[j] for j in range(n))
     return value, x
 
 
-def exact_rank(rows) -> int:
-    """Rank over Q of a list of Fraction rows (Gaussian elimination)."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+def _integer_rows(rows):
+    """Each row of rationals scaled by the lcm of its own denominators."""
+    out = []
+    for row in rows:
+        row = [_rational(v) for v in row]
+        out.append(_scaled(row, lcm(*(v.denominator for v in row))))
+    return out
+
+
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan on integer rows in place over the first ncols columns.
+
+    Returns (d, pivots): rows[i] / d is the reduced row whose leading column
+    is pivots[i], and the rows from len(pivots) on are zero in the first
+    ncols columns.
+    """
+    d = 1
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [v - factor * p for v, p in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        d = _pivot(rows, d, r, c)
+        pivots.append(c)
+    return d, pivots
+
+
+def exact_rank(rows) -> int:
+    """Rank over Q of a list of Fraction rows (Gaussian elimination)."""
+    work = _integer_rows(rows)
+    _, pivots = _row_reduce(work, len(work[0]) if work else 0)
+    return len(pivots)
 
 
 def solve_linear_system(matrix, rhs):
@@ -173,28 +227,14 @@ def solve_linear_system(matrix, rhs):
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    work = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(rank, m) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(m):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [v - factor * p for v, p in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if work[i][-1] != 0:
-            raise ArithmeticError("inconsistent linear system")
+    work = _integer_rows([*row, rhs[i]] for i, row in enumerate(matrix))
+    d, pivots = _row_reduce(work, n)
+    rank = len(pivots)
+    if any(row[-1] for row in work[rank:]):
+        raise ArithmeticError("inconsistent linear system")
     if rank < n:
         return None, rank
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = work[i][-1]
+    for row, col in zip(work, pivots):
+        x[col] = Fraction(row[-1], d)
     return x, rank

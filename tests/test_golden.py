@@ -4,7 +4,12 @@
 certificate (``BoundCertificate.to_json_dict``), in the order of
 ``golden_cases()``.  It was recorded with the two-LP primal solver that the
 dual solve replaced, so any multiplier drift (a different tie-break on a
-non-unique optimum) shows up here.  Regenerate only on purpose:
+non-unique optimum) shows up here.
+
+``tests/data/golden_general.jsonl.gz`` does the same for the off-shape
+bundles of ``general_cases()``: one line per case, the certificate or
+``no-certificate``.  It was recorded with the ``Fraction`` tableau simplex
+that the integer pivot kernel replaced.  Regenerate both only on purpose:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -18,8 +23,15 @@ import pytest
 
 from qkbw.bounds import bound_for
 from qkbw.casimir import lambda_ab_bundle
+from qkbw.identities import InconsistencyError
+from qkbw.simplex import LPInfeasibleError
+from qkbw.weights import BundleLabel, SpnWeight
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_certificates.jsonl.gz"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden_certificates.jsonl.gz"
+GOLDEN_GENERAL = ROOT / "tests" / "data" / "golden_general.jsonl.gz"
+GENERAL_POOL = ROOT / "perfbench" / "lp_general_expected.json"
+NO_CERTIFICATE = "no-certificate"
 
 
 def golden_cases():
@@ -44,32 +56,75 @@ def golden_cases():
     return cases
 
 
-def certificate_line(case) -> str:
-    operator, k, a, b, n, sign = case
-    cert = bound_for(operator, lambda_ab_bundle(k, a, b, n), sign)
+def general_cases():
+    """(operator, bundle, sign) for every case of the lp-general bundle pool.
+
+    140 bundles with n = 2..8 and k = 0..4, none of (2_b,1_(a-b)) shape; each
+    runs the Hodge and the connection Laplacian with both signs.
+    """
+    with open(GENERAL_POOL, encoding="utf-8") as fh:
+        pool = json.load(fh)["bundles"]
+    return [
+        (operator, BundleLabel(entry["k"], SpnWeight(tuple(entry["rho"]))), sign)
+        for entry in pool
+        for operator in ("hodge_laplacian", "connection_laplacian")
+        for sign in "+-"
+    ]
+
+
+def _cert_json(cert) -> str:
     return json.dumps(cert.to_json_dict(), separators=(",", ":"))
 
 
-def _read_golden():
-    with gzip.open(GOLDEN, "rt", encoding="ascii") as fh:
+def certificate_line(case) -> str:
+    operator, k, a, b, n, sign = case
+    return _cert_json(bound_for(operator, lambda_ab_bundle(k, a, b, n), sign))
+
+
+def general_line(case) -> str:
+    try:
+        return _cert_json(bound_for(*case))
+    except InconsistencyError as exc:
+        if not isinstance(exc.__cause__, LPInfeasibleError):
+            raise
+        return NO_CERTIFICATE
+
+
+def _read_golden(path):
+    with gzip.open(path, "rt", encoding="ascii") as fh:
         return fh.read().splitlines()
+
+
+def _write_golden(path, lines):
+    path.parent.mkdir(exist_ok=True)
+    text = "".join(line + "\n" for line in lines)
+    # mtime=0 keeps the gzip bytes reproducible.
+    with open(path, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
+        fh.write(text.encode("ascii"))
 
 
 @pytest.mark.parametrize("operator", ["hodge_laplacian", "connection_laplacian"])
 def test_certificates_byte_identical(operator):
     cases = golden_cases()
-    golden = _read_golden()
+    golden = _read_golden(GOLDEN)
     assert len(golden) == len(cases)
     for case, line in zip(cases, golden):
         if case[0] == operator:
             assert certificate_line(case) == line, case
 
 
+@pytest.mark.parametrize("operator", ["hodge_laplacian", "connection_laplacian"])
+def test_general_outcomes_byte_identical(operator):
+    cases = general_cases()
+    golden = _read_golden(GOLDEN_GENERAL)
+    assert len(golden) == len(cases) == 560
+    for case, line in zip(cases, golden):
+        if case[0] == operator:
+            assert general_line(case) == line, case
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    text = "".join(certificate_line(case) + "\n" for case in golden_cases())
-    # mtime=0 keeps the gzip bytes reproducible.
-    with open(GOLDEN, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
-        fh.write(text.encode("ascii"))
+    _write_golden(GOLDEN, map(certificate_line, golden_cases()))
+    _write_golden(GOLDEN_GENERAL, map(general_line, general_cases()))

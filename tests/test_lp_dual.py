@@ -139,10 +139,22 @@ def test_outcome_mapping(case, cause, message):
 
 
 @pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
+def test_outcome_keeps_no_solver_frames(case, cause, message):
+    # a kept error must not keep the simplex tableau alive through the
+    # traceback of its cause or context
+    operator, identities = case
+    with pytest.raises(InconsistencyError) as info:
+        lp_max_bound(operator, identities, "+")
+    chained = info.value.__cause__, info.value.__context__, info.value.__context__.__context__
+    for exc in filter(None, chained):
+        assert exc.__traceback__ is None
+
+
+@pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
 def test_outcome_exit_code(case, cause, message, monkeypatch, capsys):
     operator, identities = case
-    monkeypatch.setattr(qkbw.bounds, "operator_coeffs", lambda name, bundle: operator)
-    monkeypatch.setattr(qkbw.bounds, "pure_kappa_identities", lambda bundle, hpn=False: identities)
+    monkeypatch.setattr(qkbw.bounds, "operator_coeffs", lambda name, bundle, table=None: operator)
+    monkeypatch.setattr(qkbw.bounds, "pure_kappa_identities", lambda bundle, hpn=False, table=None: identities)
     code = main(["bound", "--n", "2", "--k", "1", "--rho", "0,0", "--kappa-sign", "+"])
     assert code == 3
     assert message in capsys.readouterr().err

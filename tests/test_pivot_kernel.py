@@ -1,0 +1,327 @@
+"""The integer pivot kernel against the ``Fraction`` tableau it replaced.
+
+``fraction_simplex``, ``fraction_rank`` and ``fraction_solve`` are the
+rational-tableau solver and the two Gauss-Jordan loops kept as a test-only
+reference.  The kernel must reach the same ``(value, x)`` or raise the same
+exception class, and ``simplex_maximize`` must pivot on the same (row,
+column) sequence, since Bland's rule over one uniformly scaled tableau makes
+every choice exactly as the rational one does.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qkbw.simplex
+from qkbw.simplex import (
+    LPInfeasibleError,
+    LPUnboundedError,
+    exact_rank,
+    simplex_maximize,
+    solve_linear_system,
+)
+
+F = Fraction
+
+
+def _fraction_pivot(tableau, basis, row, col, log):
+    log.append((row, col))
+    inv = Fraction(1) / tableau[row][col]
+    tableau[row] = [v * inv for v in tableau[row]]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            factor = r[col]
+            pivot_row = tableau[row]
+            tableau[i] = [v - factor * pv for v, pv in zip(r, pivot_row)]
+    basis[row] = col
+
+
+def _fraction_bland_run(tableau, basis, cost, log):
+    ncols = len(cost)
+    while True:
+        basic_cost = [cost[b] for b in basis]
+        entering = -1
+        for j in range(ncols):
+            if j in basis:
+                continue
+            rj = cost[j] - sum(cb * tableau[i][j] for i, cb in enumerate(basic_cost) if tableau[i][j])
+            if rj > 0:
+                entering = j
+                break
+        if entering < 0:
+            return
+        leaving = -1
+        best_ratio = None
+        for i, r in enumerate(tableau):
+            if r[entering] > 0:
+                ratio = r[-1] / r[entering]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise LPUnboundedError("improving direction with no binding constraint")
+        _fraction_pivot(tableau, basis, leaving, entering, log)
+
+
+def fraction_simplex(objective, constraints, rhs, log):
+    """The two-phase Bland-rule simplex on a Fraction tableau; pivots go to log."""
+    m = len(constraints)
+    n = len(objective)
+    objective = [Fraction(c) for c in objective]
+    if m == 0:
+        if any(c > 0 for c in objective):
+            raise LPUnboundedError("no constraints and a positive objective entry")
+        return Fraction(0), [Fraction(0)] * n
+    tableau = []
+    for i in range(m):
+        row = [Fraction(v) for v in constraints[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        tableau.append(row + [b])
+    for i in range(m):
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tableau[i] = tableau[i][:-1] + art + [tableau[i][-1]]
+    basis = list(range(n, n + m))
+    phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
+    _fraction_bland_run(tableau, basis, phase1_cost, log)
+    value1 = sum(phase1_cost[b] * tableau[i][-1] for i, b in enumerate(basis))
+    if value1 != 0:
+        raise LPInfeasibleError("artificial variables cannot be driven to zero")
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if pivot_col is None:
+                drop_rows.append(i)
+            else:
+                _fraction_pivot(tableau, basis, i, pivot_col, log)
+    for i in sorted(drop_rows, reverse=True):
+        del tableau[i]
+        del basis[i]
+    tableau = [row[:n] + [row[-1]] for row in tableau]
+    _fraction_bland_run(tableau, basis, objective, log)
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        x[b] = tableau[i][-1]
+    value = sum(objective[j] * x[j] for j in range(n))
+    return value, x
+
+
+def _fraction_gauss_jordan(work, ncols):
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = Fraction(1) / work[rank][col]
+        work[rank] = [v * inv for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [v - factor * p for v, p in zip(work[i], work[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def fraction_rank(rows):
+    work = [[Fraction(v) for v in row] for row in rows]
+    return len(_fraction_gauss_jordan(work, len(work[0]) if work else 0))
+
+
+def fraction_solve(matrix, rhs):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    work = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    pivots = _fraction_gauss_jordan(work, n)
+    rank = len(pivots)
+    if any(row[-1] != 0 for row in work[rank:]):
+        raise ArithmeticError("inconsistent linear system")
+    if rank < n:
+        return None, rank
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = work[i][-1]
+    return x, rank
+
+
+def outcome(solve):
+    """The result, or the class of the ArithmeticError raised."""
+    try:
+        return solve()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def kernel_simplex(objective, constraints, rhs):
+    """(outcome, pivots) of simplex_maximize, recording each (row, column) pivot."""
+    log = []
+    real = qkbw.simplex._pivot
+
+    def spy(rows, d, r, c):
+        log.append((r, c))
+        return real(rows, d, r, c)
+
+    with mock.patch.object(qkbw.simplex, "_pivot", spy):
+        result = outcome(lambda: simplex_maximize(objective, constraints, rhs))
+    return result, log
+
+
+def assert_same_lp(objective, constraints, rhs):
+    log = []
+    expected = outcome(lambda: fraction_simplex(objective, constraints, rhs, log))
+    got, pivots = kernel_simplex(objective, constraints, rhs)
+    assert got == expected
+    assert pivots == log
+    if isinstance(got, tuple):
+        assert type(got[0]) is type(expected[0])
+        assert all(type(v) is Fraction for v in got[1])
+    return got
+
+
+# Small numerators over mixed denominators; ties and zeros are common.
+rationals = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3, 5, 6)))
+
+
+@st.composite
+def equality_lps(draw):
+    """max c.x s.t. A x = b, x >= 0, with redundant rows and tied ratios.
+
+    Right-hand sides take either sign; half of them are A x0 for a drawn
+    x0 >= 0, so that the LP is feasible.  Some rows repeat a scaled earlier
+    row, or the sum of two, with the matching right-hand side, so phase 1
+    leaves an artificial basic at zero and drops or drives it out.
+    """
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    A = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = [abs(draw(rationals)) for _ in range(n)]
+        b = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in A]
+    else:
+        b = [draw(rationals) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(A) - 1))
+        j = draw(st.integers(0, len(A) - 1))
+        s = draw(st.sampled_from((F(1), F(-1), F(2), F(1, 3))))
+        A.append([s * (u + v) if i != j else s * u for u, v in zip(A[i], A[j])])
+        b.append(s * (b[i] + b[j]) if i != j else s * b[i])
+    c = [draw(rationals) for _ in range(n)]
+    order = draw(st.permutations(range(len(A))))
+    return c, [A[i] for i in order], [b[i] for i in order]
+
+
+@given(equality_lps())
+@settings(max_examples=300, deadline=None)
+def test_simplex_matches_fraction_oracle(problem):
+    assert_same_lp(*problem)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(rationals, min_size=n, max_size=n),
+            st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=4),
+            st.lists(st.integers(0, 2), min_size=4, max_size=4),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_inequality_lps_with_tied_ratios(problem):
+    # x = 0 is feasible, and right-hand sides from {0, 1, 2} tie the ratio
+    # test often, so Bland's smallest-index tie-break decides the pivots.
+    c, A, b = problem
+    m, n = len(A), len(c)
+    constraints = [row + [F(int(i == j)) for j in range(m)] for i, row in enumerate(A)]
+    assert_same_lp(c + [F(0)] * m, constraints, b[:m])
+
+
+def test_negative_drive_out_pivot():
+    # Phase 1 enters x2 on row 2, which leaves the first artificial basic at
+    # zero; driving it out pivots on the -1 in row 1, so the integer tableau
+    # negates every row to keep its denominator positive.
+    constraints = [[F(-1), F(0)], [F(1), F(2)]]
+    rhs = [F(0), F(2)]
+    seen = []
+    real = qkbw.simplex._pivot
+
+    def spy(rows, d, r, c):
+        seen.append(rows[r][c])
+        return real(rows, d, r, c)
+
+    with mock.patch.object(qkbw.simplex, "_pivot", spy):
+        assert simplex_maximize([F(2), F(-2)], constraints, rhs) == (-2, [F(0), F(1)])
+    assert seen == [2, -2]
+    assert assert_same_lp([F(2), F(-2)], constraints, rhs) == (-2, [F(0), F(1)])
+    # the same LP over mixed denominators, and one that is unbounded after it
+    assert_same_lp([F(2, 3), F(-1, 2)], [[F(-1, 3), F(0)], [F(1, 2), F(2, 5)]], [F(0), F(3, 7)])
+    unbounded = ([F(2), F(1), F(-1)], [[F(-1), F(1), F(1)], [F(1), F(-1), F(0)]], [F(1), F(-1)])
+    assert assert_same_lp(*unbounded) is LPUnboundedError
+
+
+@st.composite
+def linear_systems(draw):
+    """(matrix, rhs) with a chosen rank; rhs consistent or perturbed."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(m, n)))
+    base = [[draw(rationals) for _ in range(n)] for _ in range(r)]
+    matrix = []
+    for _ in range(m):
+        weights = [draw(st.integers(-2, 2)) for _ in range(r)]
+        matrix.append([sum((w * row[j] for w, row in zip(weights, base)), F(0)) for j in range(n)])
+    x0 = [draw(rationals) for _ in range(n)]
+    rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in matrix]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        rhs[i] += draw(rationals)
+    return matrix, rhs
+
+
+@given(linear_systems())
+@settings(max_examples=300, deadline=None)
+def test_rank_and_solve_match_fraction_oracle(system):
+    matrix, rhs = system
+    assert exact_rank(matrix) == fraction_rank(matrix)
+    got = outcome(lambda: solve_linear_system(matrix, rhs))
+    assert got == outcome(lambda: fraction_solve(matrix, rhs))
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs, expected",
+    [
+        # unique, over mixed denominators, with a pivot below a zero
+        ([[F(0), F(1, 2)], [F(2, 3), F(1, 5)], [F(2, 3), F(7, 10)]], [F(1), F(2), F(3)], 2),
+        # rank falls short: x is None
+        ([[F(1, 2), F(1, 3), F(0)], [F(1), F(2, 3), F(0)]], [F(1), F(2)], None),
+        # inconsistent
+        ([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]], [F(1), F(2)], ArithmeticError),
+        # inconsistent and short: the inconsistency wins
+        ([[F(1), F(1), F(1)], [F(2), F(2), F(2)]], [F(1), F(3)], ArithmeticError),
+    ],
+    ids=["unique", "rank-short", "inconsistent", "inconsistent-short"],
+)
+def test_solve_branches(matrix, rhs, expected):
+    got = outcome(lambda: solve_linear_system(matrix, rhs))
+    assert got == outcome(lambda: fraction_solve(matrix, rhs))
+    if expected is None:
+        assert got[0] is None and got[1] == exact_rank(matrix) == fraction_rank(matrix)
+    elif expected is ArithmeticError:
+        assert got is ArithmeticError
+    else:
+        x, rank = got
+        assert rank == expected == exact_rank(matrix)
+        assert all(
+            sum((a * v for a, v in zip(row, x)), F(0)) == b for row, b in zip(matrix, rhs)
+        )
