@@ -12,9 +12,20 @@ dim V_{rho+mu_nu} / dim V_rho:
     c_q     = sum_nu w_nu^q     * reldim(nu)
     c_hat_q = sum_nu w_hat_nu^q * reldim(nu)
 
+Every moment is read off one integer summand table per weight: D = dim V_rho
+and, for each shift index, the integer weight w_nu and d_nu = dim
+V_{rho+mu_nu} (0 when rho + mu_nu is not dominant).  A moment is one integer
+sum turned into one Fraction at the end,
+
+    c_q     = (sum_nu w_nu^q * d_nu) / D
+    c_hat_q = (sum_nu (2 w_nu - 2n - 1)^q * d_nu) / (2^q D),
+
+and the moments a caller needs together come from one table.
+
 Relative dimensions come from two independent routes: the Weyl dimension
 oracle (always the source of truth) and a product formula over translated
-weights whose prefactor convention is calibrated against the oracle.
+weights whose prefactor convention is calibrated against the oracle.  The
+product formula never reads the summand table, so it stays a cross-check.
 """
 
 from __future__ import annotations
@@ -74,10 +85,15 @@ def conformal_weight(rho: SpnWeight, nu: int) -> Fraction:
     n = rho.n
     if nu == 0 or abs(nu) > n:
         raise ValueError(f"shift index must satisfy 1 <= |nu| <= {n}, got {nu}")
+    return Fraction(_weight(rho, nu))
+
+
+def _weight(rho: SpnWeight, nu: int) -> int:
+    """The conformal weight w_nu as an int; nu must be a valid shift index."""
     i = abs(nu)
     if nu > 0:
-        return Fraction(-(rho.entries[i - 1] - i + 1))
-    return Fraction(rho.entries[i - 1] - i + 2 * n + 1)
+        return -(rho.entries[i - 1] - i + 1)
+    return rho.entries[i - 1] - i + 2 * rho.n + 1
 
 
 def conformal_weight_hat(rho: SpnWeight, nu: int) -> Fraction:
@@ -149,24 +165,58 @@ def relative_dimension_product(
     return value
 
 
+def _summands(rho: SpnWeight):
+    """The summand table of V_rho (x) E: (D, rows).
+
+    D = dim V_rho; rows holds one (nu, rho + mu_nu, w_nu, d_nu) per shift
+    index in canonical order, with w_nu an int and d_nu = dim V_{rho+mu_nu},
+    or 0 when rho + mu_nu is not dominant.  Raises NonDominantError for a
+    non-dominant rho.
+    """
+    rho.require_dominant()
+    rows = []
+    for nu in nu_indices(rho.n):
+        shifted = mu_shift(rho, nu)
+        dim = weyl_dim(shifted) if shifted.is_dominant else 0
+        rows.append((nu, shifted, _weight(rho, nu), dim))
+    return weyl_dim(rho), rows
+
+
+def _moments(rho: SpnWeight, q_max: int):
+    """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from one summand table."""
+    D, rows = _summands(rho)
+    shift = 2 * rho.n + 1
+    c = [0] * (q_max + 1)
+    ch = [0] * (q_max + 1)
+    for _, _, w, d in rows:
+        if d:
+            power, hat_power, hat = d, d, 2 * w - shift
+            for q in range(q_max + 1):
+                c[q] += power
+                ch[q] += hat_power
+                power *= w
+                hat_power *= hat
+    return (
+        [Fraction(s, D) for s in c],
+        [Fraction(s, D << q) for q, s in enumerate(ch)],
+    )
+
+
 def casimir_eigenvalue(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the q-th Casimir trace on V_rho (Weyl-oracle reldims)."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    return sum(
-        conformal_weight(rho, nu) ** q * relative_dimension_weyl(rho, nu)
-        for nu in nu_indices(rho.n)
-    )
+    D, rows = _summands(rho)
+    return Fraction(sum(w**q * d for _, _, w, d in rows), D)
 
 
 def casimir_hat(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the translated q-th Casimir trace on V_rho."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    return sum(
-        conformal_weight_hat(rho, nu) ** q * relative_dimension_weyl(rho, nu)
-        for nu in nu_indices(rho.n)
-    )
+    D, rows = _summands(rho)
+    shift = 2 * rho.n + 1
+    return Fraction(sum((2 * w - shift) ** q * d for _, _, w, d in rows), D << q)
 
 
 def sp1_casimir(k: int) -> Fraction:
@@ -250,8 +300,7 @@ def verify_recursion(rho: SpnWeight, q_max: int = 6):
     """
     failures = []
     n = rho.n
-    c = [casimir_eigenvalue(rho, q) for q in range(q_max + 1)]
-    ch = [casimir_hat(rho, q) for q in range(q_max + 1)]
+    c, ch = _moments(rho, q_max)
     for q in range(0, (q_max - 1) // 2 + 1):
         lhs = 2 * ch[2 * q + 1]
         rhs = -ch[2 * q] - sum((-1) ** p * ch[2 * q - p] * ch[p] for p in range(2 * q + 1))
@@ -301,10 +350,8 @@ class CasimirReport:
 def casimir_report(rho: SpnWeight, q_max: int = 4) -> CasimirReport:
     if not 0 <= q_max <= DEFAULT_Q_CAP:
         raise ValueError(f"q_max must lie in 0..{DEFAULT_Q_CAP}, got {q_max}")
-    values = tuple(
-        (q, casimir_eigenvalue(rho, q), casimir_hat(rho, q)) for q in range(q_max + 1)
-    )
-    return CasimirReport(rho, values)
+    c, ch = _moments(rho, q_max)
+    return CasimirReport(rho, tuple(zip(range(q_max + 1), c, ch)))
 
 
 @dataclass(frozen=True)
@@ -397,22 +444,27 @@ def decompose_bundle(bundle: BundleLabel) -> DecompositionTable:
     indices 1..n, -1..-n within each.
     """
     rho, k = bundle.rho, bundle.k
+    D, rows = _summands(rho)
+    half = rho.n + Fraction(1, 2)
+    shared = [
+        (nu, shifted, d > 0, Fraction(w), w - half, Fraction(d, D))
+        for nu, shifted, w, d in rows
+    ]
     targets = []
     for N in (1, -1):
-        for nu in nu_indices(rho.n):
-            shifted = mu_shift(rho, nu)
-            valid = (k + N >= 0) and shifted.is_dominant
+        W = sp1_conformal_weight(k, N)
+        for nu, shifted, dominant, w, w_hat, reldim in shared:
             targets.append(
                 GradientTarget(
                     N=N,
                     nu=nu,
                     target_k=k + N,
                     target_rho=shifted,
-                    valid=valid,
-                    w=conformal_weight(rho, nu),
-                    w_hat=conformal_weight_hat(rho, nu),
-                    W=sp1_conformal_weight(k, N),
-                    reldim=relative_dimension_weyl(rho, nu),
+                    valid=(k + N >= 0) and dominant,
+                    w=w,
+                    w_hat=w_hat,
+                    W=W,
+                    reldim=reldim,
                 )
             )
     return DecompositionTable(bundle, tuple(targets))

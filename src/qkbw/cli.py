@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 a `sweep` found a mismatch, 2 parameter/validation
 error, 3 internal inconsistency (an LP went unbounded or an identity system
 contradicted itself, which signals a generator bug rather than bad user
-input).
+input), 4 `bound` found that no certificate exists over the identity span
+(no nonnegative rewriting of the operator; a legitimate result, reported
+with `bound: null` and the reason).
 """
 
 from __future__ import annotations
@@ -228,7 +230,26 @@ def cmd_bound(args) -> int:
     rho = _rho_from_args(args)
     bundle = BundleLabel(args.k, rho)
     operator = OPERATOR_ALIASES[args.operator]
-    cert = bound_for(operator, bundle, args.kappa_sign, hpn=args.hpn)
+    try:
+        cert = bound_for(operator, bundle, args.kappa_sign, hpn=args.hpn)
+    except InconsistencyError as exc:
+        if not isinstance(exc.__cause__, LPInfeasibleError):
+            raise
+        obj = {
+            "n": bundle.n,
+            "k": bundle.k,
+            "rho": str(bundle.rho),
+            "operator": operator,
+            "kappa_sign": args.kappa_sign,
+            "bound": None,
+            "reason": str(exc),
+        }
+        markdown = (
+            f"No lower bound on {operator} over {bundle} (kappa {args.kappa_sign})\n\n"
+            f"bound: none\nreason: {exc}"
+        )
+        _emit(args, obj, markdown)
+        return 4
     shape = rho.lambda_ab_shape()
     if operator == "hodge_laplacian" and shape is not None and not args.hpn:
         a, b = shape

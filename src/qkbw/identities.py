@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .casimir import (
     DecompositionTable,
-    casimir_hat,
+    _moments,
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
     decompose_bundle,
@@ -229,7 +229,7 @@ def identity_bochner1(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
         raise ValueError(f"q must be at least 1, got {q}")
     table = table or decompose_bundle(bundle)
     rho, n = bundle.rho, bundle.n
-    ch = [casimir_hat(rho, p) for p in range(2 * q + 2)]
+    _, ch = _moments(rho, 2 * q + 1)
 
     def coeff(t):
         return sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))
@@ -251,7 +251,7 @@ def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
         raise ValueError(f"q must be nonnegative, got {q}")
     table = table or decompose_bundle(bundle)
     rho, n, k = bundle.rho, bundle.n, bundle.k
-    ch = [casimir_hat(rho, p) for p in range(2 * q + 1)]
+    _, ch = _moments(rho, 2 * q)
 
     def coeff(t):
         alternating = sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))

@@ -9,8 +9,6 @@ product formulas need to know which candidates were excluded.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -136,50 +134,8 @@ def nu_indices(n: int):
     return list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
 
 
-class _WeylDimCache:
-    """Memo for Weyl dimensions, optionally persisted to QKBW_CACHE_DIR.
-
-    The persistent file holds one ``n;rho;dim`` line per entry.  In-memory
-    reads are plain dict lookups (safe under CPython); file appends are
-    serialized with a lock.
-    """
-
-    def __init__(self):
-        self._mem: dict = {}
-        self._lock = threading.Lock()
-        self._path = None
-        cache_dir = os.environ.get("QKBW_CACHE_DIR")
-        if cache_dir:
-            self._path = os.path.join(cache_dir, "weyl_dims.txt")
-            self._load()
-
-    def _load(self):
-        try:
-            with open(self._path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    n_str, rho_str, dim_str = line.split(";")
-                    key = (int(n_str), tuple(int(e) for e in rho_str.split(",")))
-                    self._mem[key] = int(dim_str)
-        except FileNotFoundError:
-            pass
-
-    def get(self, key):
-        return self._mem.get(key)
-
-    def put(self, key, value: int):
-        self._mem[key] = value
-        if self._path is not None:
-            with self._lock:
-                os.makedirs(os.path.dirname(self._path), exist_ok=True)
-                with open(self._path, "a", encoding="ascii") as fh:
-                    n, entries = key
-                    fh.write(f"{n};{','.join(map(str, entries))};{value}\n")
-
-
-_dim_cache = _WeylDimCache()
+# Weyl dimensions computed so far in this process, keyed by weight entries.
+_dims: dict = {}
 
 
 def weyl_dim(rho: SpnWeight) -> int:
@@ -193,8 +149,7 @@ def weyl_dim(rho: SpnWeight) -> int:
     Exact; raises on non-dominant input.
     """
     rho.require_dominant()
-    key = (rho.n, rho.entries)
-    cached = _dim_cache.get(key)
+    cached = _dims.get(rho.entries)
     if cached is not None:
         return cached
     n = rho.n
@@ -207,7 +162,7 @@ def weyl_dim(rho: SpnWeight) -> int:
             dim *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
     assert dim.denominator == 1 and dim > 0
     value = dim.numerator
-    _dim_cache.put(key, value)
+    _dims[rho.entries] = value
     return value
 
 

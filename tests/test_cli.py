@@ -339,16 +339,25 @@ class TestGeneralWeightBound:
         assert data["bound"] == "1/8"
         assert data["matched_closed_form"] is None
 
-    def test_inconsistent_rewriting_is_exit_3(self, capsys):
+    def test_no_certificate_is_exit_4(self, capsys):
         # the formal Hodge expansion on a non-form weight has no
-        # nonnegative rewriting; that is reported as an inconsistency
-        code, _, err = run(
-            capsys,
-            "bound", "--n", "2", "--k", "2", "--rho", "3,1",
-            "--operator", "hodge", "--kappa-sign", "+",
-        )
-        assert code == 3
-        assert "inconsistency" in err
+        # nonnegative rewriting; that is a result, not an inconsistency
+        argv = ["bound", "--n", "2", "--k", "2", "--rho", "3,1", "--operator", "hodge", "--kappa-sign", "+"]
+        reason = "no nonnegative rewriting of hodge_laplacian exists over this identity span"
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {
+            "n": 2,
+            "k": 2,
+            "rho": "3,1",
+            "operator": "hodge_laplacian",
+            "kappa_sign": "+",
+            "bound": None,
+            "reason": reason,
+        }
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (4, "")
+        assert "bound: none" in out and reason in out
 
 
 class TestUsageErrors:

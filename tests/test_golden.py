@@ -9,7 +9,13 @@ non-unique optimum) shows up here.
 ``tests/data/golden_general.jsonl.gz`` does the same for the off-shape
 bundles of ``general_cases()``: one line per case, the certificate or
 ``no-certificate``.  It was recorded with the ``Fraction`` tableau simplex
-that the integer pivot kernel replaced.  Regenerate both only on purpose:
+that the integer pivot kernel replaced.
+
+``tests/data/golden_casimir.jsonl.gz`` pins the Casimir layer: for every
+weight of ``casimir_weights()``, one line with its ``casimir_report``, then
+for k = 0..3 one ``decompose_bundle`` line and one ``theorem_family`` line.
+It was recorded with the per-nu ``Fraction`` moment sums that the integer
+summand table replaced.  Regenerate all three only on purpose:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -22,14 +28,16 @@ from pathlib import Path
 import pytest
 
 from qkbw.bounds import bound_for
-from qkbw.casimir import lambda_ab_bundle
-from qkbw.identities import InconsistencyError
+from qkbw.casimir import casimir_report, decompose_bundle, lambda_ab_bundle
+from qkbw.identities import InconsistencyError, identities_to_json_dict, theorem_family
+from qkbw.selfcheck import dominant_weights
 from qkbw.simplex import LPInfeasibleError
 from qkbw.weights import BundleLabel, SpnWeight
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_certificates.jsonl.gz"
 GOLDEN_GENERAL = ROOT / "tests" / "data" / "golden_general.jsonl.gz"
+GOLDEN_CASIMIR = ROOT / "tests" / "data" / "golden_casimir.jsonl.gz"
 GENERAL_POOL = ROOT / "perfbench" / "lp_general_expected.json"
 NO_CERTIFICATE = "no-certificate"
 
@@ -72,8 +80,17 @@ def general_cases():
     ]
 
 
+def casimir_weights():
+    """Every dominant weight of entry sum <= 4 for n = 2..5 (44 weights)."""
+    return [rho for n in range(2, 6) for rho in dominant_weights(n, 4)]
+
+
+def _json(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
 def _cert_json(cert) -> str:
-    return json.dumps(cert.to_json_dict(), separators=(",", ":"))
+    return _json(cert.to_json_dict())
 
 
 def certificate_line(case) -> str:
@@ -88,6 +105,16 @@ def general_line(case) -> str:
         if not isinstance(exc.__cause__, LPInfeasibleError):
             raise
         return NO_CERTIFICATE
+
+
+def casimir_lines(rho):
+    """The report at q_max = min(2n, 12), then per k = 0..3 the table and the family."""
+    lines = [_json(casimir_report(rho, q_max=min(2 * rho.n, 12)).to_json_dict())]
+    for k in range(4):
+        bundle = BundleLabel(k, rho)
+        lines.append(_json(decompose_bundle(bundle).to_json_dict()))
+        lines.append(_json(identities_to_json_dict(theorem_family(bundle))))
+    return lines
 
 
 def _read_golden(path):
@@ -123,8 +150,17 @@ def test_general_outcomes_byte_identical(operator):
             assert general_line(case) == line, case
 
 
+def test_casimir_byte_identical():
+    weights = casimir_weights()
+    golden = _read_golden(GOLDEN_CASIMIR)
+    assert len(golden) == 9 * len(weights) == 396
+    for i, rho in enumerate(weights):
+        assert casimir_lines(rho) == golden[9 * i : 9 * i + 9], rho
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     _write_golden(GOLDEN, map(certificate_line, golden_cases()))
     _write_golden(GOLDEN_GENERAL, map(general_line, general_cases()))
+    _write_golden(GOLDEN_CASIMIR, [line for rho in casimir_weights() for line in casimir_lines(rho)])

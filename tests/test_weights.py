@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +19,8 @@ from qkbw.weights import (
     weyl_dim,
 )
 from qkbw.weights import lambda_ab_weight, primitive_form_dim
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def w(*entries):
@@ -211,20 +218,18 @@ class TestParsing:
         assert parse_weight(str(rho)) == rho
 
 
-def test_cache_env_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("QKBW_CACHE_DIR", str(tmp_path))
-    import importlib
-
-    import qkbw.weights as weights_mod
-
-    importlib.reload(weights_mod)
-    try:
-        assert weights_mod.weyl_dim(weights_mod.SpnWeight((2, 1))) == 16
-        content = (tmp_path / "weyl_dims.txt").read_text()
-        assert "2;2,1;16" in content
-        # A reloaded module must pick the persisted value up again.
-        importlib.reload(weights_mod)
-        assert weights_mod.weyl_dim(weights_mod.SpnWeight((2, 1))) == 16
-    finally:
-        monkeypatch.delenv("QKBW_CACHE_DIR")
-        importlib.reload(weights_mod)
+def test_cache_dir_is_ignored(tmp_path):
+    """A QKBW_CACHE_DIR file, however wrong or malformed, never reaches a result."""
+    (tmp_path / "weyl_dims.txt").write_text("2;1,0;999\nnot a cache line\n", encoding="ascii")
+    env = dict(os.environ, QKBW_CACHE_DIR=str(tmp_path), PYTHONPATH=str(SRC))
+    script = (
+        "import qkbw\n"
+        "rho = qkbw.SpnWeight((1, 0))\n"
+        "print(sum(qkbw.relative_dimension_weyl(rho, nu) for nu in (1, 2, -1, -2)))\n"
+        "print(qkbw.casimir_eigenvalue(rho, 0))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "4"]
