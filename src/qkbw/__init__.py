@@ -66,6 +66,7 @@ from .identities import (
     identity_sum,
     independence_rank,
     operator_coeffs,
+    printed_identities,
     pure_kappa_identities,
     simplify_curvature,
     theorem_family,

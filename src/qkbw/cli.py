@@ -34,20 +34,12 @@ from .casimir import (
     table1_row,
 )
 from .identities import (
-    HPN_RULES,
-    STANDARD_RULES,
     InconsistencyError,
     identities_to_csv,
     identities_to_json_dict,
-    identity_bw1,
-    identity_bw2,
-    identity_bw3,
-    identity_bw4,
-    identity_bw5,
-    identity_bw6,
     identity_sum,
     identity_to_latex,
-    simplify_curvature,
+    printed_identities,
     theorem_family,
 )
 from .rationals import format_plain, format_rational
@@ -197,21 +189,11 @@ def cmd_table1(args) -> int:
 def cmd_bw(args) -> int:
     rho = _rho_from_args(args)
     bundle = BundleLabel(args.k, rho)
-    rules = HPN_RULES if args.hpn else STANDARD_RULES
     if args.raw:
         identities = theorem_family(bundle)
     else:
-        shape = rho.lambda_ab_shape()
-        identities = [identity_sum(bundle), identity_bw1(bundle), identity_bw2(bundle)]
-        if bundle.k != 0:
-            identities += [
-                identity_bw3(bundle),
-                identity_bw4(bundle),
-                identity_bw5(bundle),
-            ]
-        if shape is not None:
-            identities.append(identity_bw6(shape[0], shape[1], bundle.k, bundle.n))
-        identities = [simplify_curvature(ident, rules) for ident in identities]
+        table = decompose_bundle(bundle)
+        identities = [identity_sum(bundle, table), *printed_identities(bundle, args.hpn, table)]
     obj = identities_to_json_dict(identities)
     lines = [f"Identities on {bundle}", ""]
     for ident in identities:
@@ -342,6 +324,8 @@ def cmd_sweep(args) -> int:
                         continue
                     for sign in signs:
                         cases.append((n, k, a, b, sign, args.hpn))
+    if not cases:
+        raise ValueError("the sweep selects no cases; check --n, --k, --a and --b")
     cases.sort(key=lambda c: (c[0], c[2], c[3], c[1], c[4]))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -10,6 +10,12 @@ scalar curvature.  Curvature terms are contractions of the trace-free
 quartic curvature part; they stay symbolic until a simplification rule
 eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
+
+Each call builds one private context for its bundle: the shape, the valid
+targets with their integer conformal weights w and W, and c_2/c_4 at most
+once.  The printed identities bw1..bw6 share one candidate inventory; the
+rules run on its curvature terms first, and pure_kappa_identities evaluates
+coefficients only for the rows that come out pure kappa.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .casimir import (
     DecompositionTable,
@@ -51,6 +58,7 @@ __all__ = [
     "theorem_family",
     "apply_rule",
     "simplify_curvature",
+    "printed_identities",
     "pure_kappa_identities",
     "operator_coeffs",
     "OPERATOR_NAMES",
@@ -130,14 +138,6 @@ class BWIdentity:
     def is_pure_kappa(self) -> bool:
         return not self.curvature_terms
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            all(c == 0 for _, c in self.coeffs)
-            and self.kappa_coeff == 0
-            and not self.curvature_terms
-        )
-
     def coeff_map(self) -> dict:
         return dict(self.coeffs)
 
@@ -163,6 +163,23 @@ class BWIdentity:
             provenance=self.provenance,
         )
 
+    def combine(self, factor, other: "BWIdentity", other_factor) -> "BWIdentity":
+        """factor * self + other_factor * other, curvature terms included."""
+        if other.bundle != self.bundle:
+            raise MixedBundleError("identities must share one bundle")
+        theirs = other.coeff_map()
+        return BWIdentity(
+            bundle=self.bundle,
+            coeffs=tuple((t, factor * c + other_factor * theirs[t]) for t, c in self.coeffs),
+            kappa_coeff=factor * self.kappa_coeff + other_factor * other.kappa_coeff,
+            curvature_terms=_merge_terms(
+                replace(t, coefficient=f * t.coefficient)
+                for f, ident in ((factor, self), (other_factor, other))
+                for t in ident.curvature_terms
+            ),
+            provenance=f"{factor}*{self.provenance}+{other_factor}*{other.provenance}",
+        )
+
     def proportionality(self, other: "BWIdentity"):
         """The single rational factor f with self = f * other, or None.
 
@@ -171,22 +188,13 @@ class BWIdentity:
         """
         if [t for t, _ in self.coeffs] != [t for t, _ in other.coeffs]:
             return None
-        mine = self.full_vector(_curvature_keys([self, other]))
-        theirs = other.full_vector(_curvature_keys([self, other]))
-        factor = None
-        for a, b in zip(mine, theirs):
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            f = a / b
-            if factor is None:
-                factor = f
-            elif f != factor:
-                return None
-        if factor is None or any(a != factor * b for a, b in zip(mine, theirs)):
+        keys = _curvature_keys([self, other])
+        mine, theirs = self.full_vector(keys), other.full_vector(keys)
+        pivot = next((i for i, b in enumerate(theirs) if b != 0), None)
+        if pivot is None:
             return None
-        return factor
+        factor = mine[pivot] / theirs[pivot]
+        return factor if all(a == factor * b for a, b in zip(mine, theirs)) else None
 
 
 def _curvature_keys(identities):
@@ -196,15 +204,59 @@ def _curvature_keys(identities):
     return sorted(keys)
 
 
-def _build(bundle, table, coeff_of, kappa, terms, provenance) -> BWIdentity:
-    coeffs = tuple(((t.N, t.nu), Fraction(coeff_of(t))) for t in table.valid_targets)
-    return BWIdentity(
-        bundle=bundle,
-        coeffs=coeffs,
-        kappa_coeff=Fraction(kappa),
-        curvature_terms=_merge_terms(terms),
-        provenance=provenance,
-    )
+class _Context:
+    """Per-call data of one bundle, shared by the identities built in that call.
+
+    Holds the (2_b,1_{a-b}) shape, the keys of the valid targets with their
+    conformal weights w and W as ints, and c_2/c_4, computed on first use:
+    closed forms on a shape, else read off the bundle's decomposition table,
+    so no second summand table is built.  Nothing outlives the call.
+    """
+
+    def __init__(self, bundle: BundleLabel, table: DecompositionTable = None):
+        self.valid = valid = (table or decompose_bundle(bundle)).valid_targets
+        self.bundle = bundle
+        self.n, self.k = bundle.n, bundle.k
+        self.shape = bundle.rho.lambda_ab_shape()
+        self.keys = tuple((t.N, t.nu) for t in valid)
+        # decompose_bundle's w and W are whole numbers
+        self.w = [t.w.numerator for t in valid]
+        self.W = [t.W.numerator for t in valid]
+        self._c2c4 = None
+
+    def c2c4(self):
+        if self._c2c4 is None:
+            if self.shape is not None:
+                a, b = self.shape
+                self._c2c4 = (
+                    closed_form_c2_lambda_ab(a, b, self.n),
+                    closed_form_c4_lambda_ab(a, b, self.n),
+                )
+            else:
+                # c_q = sum of w^q * reldim over the N = +1 targets, one per
+                # dominant shift, taken over one common denominator.
+                up = [(t.w.numerator, t.reldim) for t in self.valid if t.N == 1]
+                den = lcm(*(r.denominator for _, r in up))
+                dims = [(w * w, r.numerator * (den // r.denominator)) for w, r in up]
+                self._c2c4 = (
+                    Fraction(sum(w2 * d for w2, d in dims), den),
+                    Fraction(sum(w2 * w2 * d for w2, d in dims), den),
+                )
+        return self._c2c4
+
+    def identity(self, provenance, values, kappa, terms=(), denominator=1) -> BWIdentity:
+        """The identity with one Fraction, value / denominator, per valid target."""
+        if denominator == 1:
+            coeffs = map(Fraction, values)
+        else:
+            coeffs = (Fraction(v, denominator) for v in values)
+        return BWIdentity(
+            bundle=self.bundle,
+            coeffs=tuple(zip(self.keys, coeffs)),
+            kappa_coeff=Fraction(kappa),
+            curvature_terms=terms,
+            provenance=provenance,
+        )
 
 
 def identity_sum(bundle: BundleLabel, table: DecompositionTable = None) -> BWIdentity:
@@ -213,8 +265,8 @@ def identity_sum(bundle: BundleLabel, table: DecompositionTable = None) -> BWIde
     Encoded with kappa coefficient 0 and no curvature terms; the operator
     side (the Laplacian itself) lives in OperatorSpec, not here.
     """
-    table = table or decompose_bundle(bundle)
-    return _build(bundle, table, lambda t: 1, 0, (), "sum")
+    ctx = _Context(bundle, table)
+    return ctx.identity("sum", [1] * len(ctx.keys), 0)
 
 
 def identity_bochner1(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
@@ -227,16 +279,15 @@ def identity_bochner1(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
     """
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    table = table or decompose_bundle(bundle)
-    rho, n = bundle.rho, bundle.n
-    _, ch = _moments(rho, 2 * q + 1)
-
-    def coeff(t):
-        return sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))
-
+    ctx = _Context(bundle, table)
+    n = bundle.n
+    _, ch = _moments(bundle.rho, 2 * q + 1)
+    values = [
+        sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q)) for t in ctx.valid
+    ]
     kappa = (ch[2 * q + 1] + Fraction(2 * n + 1, 2) * ch[2 * q]) / (4 * n * (n + 2))
     terms = (CurvatureTerm(power=2 * q, hatted=True, coefficient=Fraction(2)),)
-    return _build(bundle, table, coeff, kappa, terms, f"bochner1({q})")
+    return ctx.identity(f"bochner1({q})", values, kappa, terms)
 
 
 def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
@@ -245,88 +296,103 @@ def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
     Pure kappa by construction.  Vacuous when k = 0 (W_1 = 0 and the N = -1
     targets are absent), so that case is rejected.
     """
-    if bundle.k == 0:
-        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+    _require_k(bundle)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    table = table or decompose_bundle(bundle)
-    rho, n, k = bundle.rho, bundle.n, bundle.k
-    _, ch = _moments(rho, 2 * q)
-
-    def coeff(t):
+    ctx = _Context(bundle, table)
+    n, k = bundle.n, bundle.k
+    _, ch = _moments(bundle.rho, 2 * q)
+    values = []
+    for t in ctx.valid:
         alternating = sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))
-        return t.W * (2 * t.w_hat ** (2 * q) - alternating)
-
+        values.append(t.W * (2 * t.w_hat ** (2 * q) - alternating))
     kappa = Fraction(k * (k + 2)) * ch[2 * q] / (4 * n * (n + 2))
-    return _build(bundle, table, coeff, kappa, (), f"bochner2({q})")
+    return ctx.identity(f"bochner2({q})", values, kappa)
+
+
+def _require_k(bundle):
+    if bundle.k == 0:
+        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+
+
+def _bw1(ctx, terms):
+    n = ctx.n
+    c2, _ = ctx.c2c4()
+    return ctx.identity("bw1", ctx.w, c2 / (8 * n * (n + 2)), terms)
+
+
+def _bw2(ctx, terms):
+    n = ctx.n
+    c2, c4 = ctx.c2c4()
+    p, q = c2.numerator, 2 * c2.denominator
+    lin = (n + 1) * (2 * n + 1)
+    values = [p + q * (((w - 2 * n - 1) * w + lin) * w) for w in ctx.w]
+    return ctx.identity("bw2", values, c4 / (8 * n * (n + 2)), terms, q)
+
+
+def _bw3(ctx, terms):
+    n, k = ctx.n, ctx.k
+    return ctx.identity("bw3", ctx.W, Fraction(k * (k + 2), 4 * (n + 2)), terms)
+
+
+def _bw4(ctx, terms):
+    n, k = ctx.n, ctx.k
+    c2, _ = ctx.c2c4()
+    values = [2 * W * (w - n - 1) * w for w, W in zip(ctx.w, ctx.W)]
+    return ctx.identity("bw4", values, Fraction(k * (k + 2)) * c2 / (4 * n * (n + 2)), terms)
+
+
+def _bw5(ctx, terms):
+    n, k = ctx.n, ctx.k
+    c2, c4 = ctx.c2c4()
+    p, q = c2.numerator, c2.denominator
+    values = [
+        W * (q * 2 * w * (w - n - 1) * ((w - 2 * n - 1) * w + 2 * n + 1) + (n + w) * p)
+        for w, W in zip(ctx.w, ctx.W)
+    ]
+    kappa = Fraction(k * (k + 2)) * c4 / (4 * n * (n + 2))
+    return ctx.identity("bw5", values, kappa, terms, q)
+
+
+def _bw6(ctx, terms):
+    n = ctx.n
+    c2, c4 = ctx.c2c4()
+    p, q = c2.numerator, c2.denominator
+    values = [(w + 2) * (p + q * (4 * w - 8 * n - 12) * w) for w in ctx.w]
+    kappa = (-4 * (2 * n**2 + 7 * n + 7) * c2 + c2**2 + 4 * c4) / (8 * n * (n + 2))
+    return ctx.identity("bw6", values, kappa, terms, q)
+
+
+_R1 = (CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),)
+_R3 = (CurvatureTerm(power=3, hatted=False, coefficient=Fraction(1)),)
 
 
 def identity_bw1(bundle: BundleLabel, table=None) -> BWIdentity:
     """First-moment identity: sum w B = c_2 kappa / (8n(n+2)) + R^1."""
-    table = table or decompose_bundle(bundle)
-    n, rho = bundle.n, bundle.rho
-    c2 = _c2(rho)
-    kappa = c2 / (8 * n * (n + 2))
-    terms = (CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),)
-    return _build(bundle, table, lambda t: t.w, kappa, terms, "bw1")
+    return _bw1(_Context(bundle, table), _R1)
 
 
 def identity_bw2(bundle: BundleLabel, table=None) -> BWIdentity:
     """Cubic-moment identity; right side carries c_4 and the power-3 contraction."""
-    table = table or decompose_bundle(bundle)
-    n, rho = bundle.n, bundle.rho
-    c2 = _c2(rho)
-    c4 = _c4(rho)
-
-    def coeff(t):
-        w = t.w
-        return c2 / 2 + (n + 1) * (2 * n + 1) * w - (2 * n + 1) * w**2 + w**3
-
-    kappa = c4 / (8 * n * (n + 2))
-    terms = (CurvatureTerm(power=3, hatted=False, coefficient=Fraction(1)),)
-    return _build(bundle, table, coeff, kappa, terms, "bw2")
+    return _bw2(_Context(bundle, table), _R3)
 
 
 def identity_bw3(bundle: BundleLabel, table=None) -> BWIdentity:
     """Sp(1)-weight identity: sum W_N B = k(k+2) kappa / (4(n+2))."""
-    if bundle.k == 0:
-        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
-    table = table or decompose_bundle(bundle)
-    n, k = bundle.n, bundle.k
-    kappa = Fraction(k * (k + 2), 4 * (n + 2))
-    return _build(bundle, table, lambda t: t.W, kappa, (), "bw3")
+    _require_k(bundle)
+    return _bw3(_Context(bundle, table), ())
 
 
 def identity_bw4(bundle: BundleLabel, table=None) -> BWIdentity:
     """Mixed identity: sum 2 W_N (w^2 - (n+1)w) B = k(k+2) c_2 kappa / (4n(n+2))."""
-    if bundle.k == 0:
-        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
-    table = table or decompose_bundle(bundle)
-    n, k, rho = bundle.n, bundle.k, bundle.rho
-    c2 = _c2(rho)
-    kappa = Fraction(k * (k + 2)) * c2 / (4 * n * (n + 2))
-    return _build(
-        bundle, table, lambda t: 2 * t.W * (t.w**2 - (n + 1) * t.w), kappa, (), "bw4"
-    )
+    _require_k(bundle)
+    return _bw4(_Context(bundle, table), ())
 
 
 def identity_bw5(bundle: BundleLabel, table=None) -> BWIdentity:
     """Quartic mixed identity with right side k(k+2) c_4 kappa / (4n(n+2))."""
-    if bundle.k == 0:
-        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
-    table = table or decompose_bundle(bundle)
-    n, k, rho = bundle.n, bundle.k, bundle.rho
-    c2 = _c2(rho)
-    c4 = _c4(rho)
-
-    def coeff(t):
-        w = t.w
-        return t.W * (
-            2 * w * (w - n - 1) * (w**2 - (2 * n + 1) * w + 2 * n + 1) + (n + w) * c2
-        )
-
-    kappa = Fraction(k * (k + 2)) * c4 / (4 * n * (n + 2))
-    return _build(bundle, table, coeff, kappa, (), "bw5")
+    _require_k(bundle)
+    return _bw5(_Context(bundle, table), ())
 
 
 def identity_bw6(a: int, b: int, k: int, n: int, table=None) -> BWIdentity:
@@ -335,35 +401,7 @@ def identity_bw6(a: int, b: int, k: int, n: int, table=None) -> BWIdentity:
     Degenerates to 0 = 0 when a = b (every coefficient and the kappa side
     vanish); callers drop it then.
     """
-    bundle = lambda_ab_bundle(k, a, b, n)
-    table = table or decompose_bundle(bundle)
-    c2 = closed_form_c2_lambda_ab(a, b, n)
-    c4 = closed_form_c4_lambda_ab(a, b, n)
-
-    def coeff(t):
-        w = t.w
-        return (w + 2) * (c2 + 4 * w**2 - 8 * n * w - 12 * w)
-
-    kappa = (-4 * (2 * n**2 + 7 * n + 7) * c2 + c2**2 + 4 * c4) / (8 * n * (n + 2))
-    return _build(bundle, table, coeff, kappa, (), "bw6")
-
-
-def _c2(rho):
-    shape = rho.lambda_ab_shape()
-    if shape is not None:
-        return closed_form_c2_lambda_ab(shape[0], shape[1], rho.n)
-    from .casimir import casimir_eigenvalue
-
-    return casimir_eigenvalue(rho, 2)
-
-
-def _c4(rho):
-    shape = rho.lambda_ab_shape()
-    if shape is not None:
-        return closed_form_c4_lambda_ab(shape[0], shape[1], rho.n)
-    from .casimir import casimir_eigenvalue
-
-    return casimir_eigenvalue(rho, 4)
+    return _bw6(_Context(lambda_ab_bundle(k, a, b, n), table), ())
 
 
 def theorem_family(bundle: BundleLabel):
@@ -375,17 +413,12 @@ def theorem_family(bundle: BundleLabel):
     """
     table = decompose_bundle(bundle)
     count = table.summand_count
-    out = []
-    if bundle.k != 0:
-        for q in range(1, count // 4 + 1):
-            out.append(identity_bochner1(bundle, q, table))
-        q2_max = (count - 2) // 4  # floor(N/4 - 1/2)
-        for q in range(0, q2_max + 1):
-            out.append(identity_bochner2(bundle, q, table))
-    else:
-        for q in range(1, count // 2 + 1):
-            out.append(identity_bochner1(bundle, q, table))
-    return out
+    if bundle.k == 0:
+        return [identity_bochner1(bundle, q, table) for q in range(1, count // 2 + 1)]
+    q2_max = (count - 2) // 4  # floor(N/4 - 1/2)
+    return [identity_bochner1(bundle, q, table) for q in range(1, count // 4 + 1)] + [
+        identity_bochner2(bundle, q, table) for q in range(0, q2_max + 1)
+    ]
 
 
 class Rule(enum.Enum):
@@ -402,51 +435,42 @@ class Rule(enum.Enum):
 
 STANDARD_RULES = (Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM)
 HPN_RULES = (Rule.HPN,) + STANDARD_RULES
+_RULE_ORDER = (Rule.HPN, Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM)
 
 
-def _rule_applicable(rule: Rule, bundle: BundleLabel) -> bool:
-    shape = bundle.rho.lambda_ab_shape()
+def _rule_terms(rule: Rule, terms, shape, n):
+    """The curvature terms after one rule, or None when the shape does not admit it."""
     if rule is Rule.HPN:
-        return True
+        return ()
+    if shape is None or (rule is Rule.PRIMITIVE_FORM and shape[1] != 0):
+        return None
     if rule is Rule.CUBIC_REDUCTION:
-        return shape is not None
-    if rule is Rule.PRIMITIVE_FORM:
-        return shape is not None and shape[1] == 0
-    raise ValueError(rule)
+        scalar = Fraction(2 * n**2 + 7 * n + 7) - closed_form_c2_lambda_ab(*shape, n) / 4
+        return _merge_terms(
+            CurvatureTerm(power=1, hatted=False, coefficient=t.coefficient * scalar)
+            if t.key == (False, 3)
+            else t
+            for t in terms
+        )
+    return _merge_terms(t for t in terms if t.key != (False, 1))  # PRIMITIVE_FORM
+
+
+def _simplified_terms(terms, rules, shape, n):
+    """Apply every rule of ``rules`` that the shape admits, in C, B, A order."""
+    for rule in _RULE_ORDER:
+        if terms and rule in rules:
+            new_terms = _rule_terms(rule, terms, shape, n)
+            terms = terms if new_terms is None else new_terms
+    return terms
 
 
 def apply_rule(identity: BWIdentity, rule: Rule) -> BWIdentity:
     """Apply one rule strictly; raises RuleShapeError when it does not apply."""
     bundle = identity.bundle
-    if not _rule_applicable(rule, bundle):
+    terms = _rule_terms(rule, identity.curvature_terms, bundle.rho.lambda_ab_shape(), bundle.n)
+    if terms is None:
         raise RuleShapeError(f"rule {rule.letter} does not apply to rho=({bundle.rho})")
-    terms = identity.curvature_terms
-    if rule is Rule.HPN:
-        new_terms = ()
-    elif rule is Rule.CUBIC_REDUCTION:
-        a, b = bundle.rho.lambda_ab_shape()
-        n = bundle.n
-        scalar = (
-            Fraction(2 * n**2 + 7 * n + 7)
-            - closed_form_c2_lambda_ab(a, b, n) / 4
-        )
-        new_terms = _merge_terms(
-            CurvatureTerm(power=1, hatted=False, coefficient=t.coefficient * scalar)
-            if (not t.hatted and t.power == 3)
-            else t
-            for t in terms
-        )
-    else:  # PRIMITIVE_FORM
-        new_terms = _merge_terms(
-            t for t in terms if not (not t.hatted and t.power == 1)
-        )
-    return BWIdentity(
-        bundle=bundle,
-        coeffs=identity.coeffs,
-        kappa_coeff=identity.kappa_coeff,
-        curvature_terms=new_terms,
-        provenance=identity.provenance,
-    )
+    return replace(identity, curvature_terms=terms)
 
 
 def simplify_curvature(identity: BWIdentity, rules) -> BWIdentity:
@@ -455,46 +479,53 @@ def simplify_curvature(identity: BWIdentity, rules) -> BWIdentity:
     Rules whose shape precondition fails on this bundle are skipped, so a
     fixed ruleset can be applied uniformly across a sweep.
     """
-    order = [Rule.HPN, Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM]
-    for rule in order:
-        if rule in rules and _rule_applicable(rule, identity.bundle):
-            identity = apply_rule(identity, rule)
-    return identity
+    bundle = identity.bundle
+    terms = _simplified_terms(
+        identity.curvature_terms, rules, bundle.rho.lambda_ab_shape(), bundle.n
+    )
+    return replace(identity, curvature_terms=terms)
+
+
+def _inventory(ctx, hpn):
+    """(curvature terms after the rules, builder) of each printed identity, bw1..bw6.
+
+    The Sp(1)-weighted identities exist only when k != 0, the scalar-only
+    one only on (2_b,1_{a-b}) shapes; the ruleset is B+A, plus C in hpn mode.
+    """
+    raw = [(_R1, _bw1), (_R3, _bw2)]
+    if ctx.k != 0:
+        raw += [((), _bw3), ((), _bw4), ((), _bw5)]
+    if ctx.shape is not None:
+        raw.append(((), _bw6))
+    rules = HPN_RULES if hpn else STANDARD_RULES
+    return [(_simplified_terms(terms, rules, ctx.shape, ctx.n), build) for terms, build in raw]
+
+
+def printed_identities(bundle: BundleLabel, hpn: bool = False, table=None):
+    """The printed identities bw1..bw6 on the bundle, with the rules applied."""
+    ctx = _Context(bundle, table)
+    return [build(ctx, terms) for terms, build in _inventory(ctx, hpn)]
 
 
 def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
-    """Rule-driven inventory of identities that survive as pure-kappa rows.
+    """The printed identities that survive the rules as pure-kappa rows.
 
-    Candidates are the six printed identities (the Sp(1)-weighted ones only
-    when k != 0, the scalar-only one only on (2_b,1_{a-b}) shapes); the
-    active ruleset is B+A, plus C in hpn mode.  Trivial rows are dropped; a
-    row with zero coefficients but nonzero kappa side is a contradiction and
-    raises.
+    Only those candidates are built.  Trivial rows are dropped; a row with
+    zero coefficients but nonzero kappa side is a contradiction and raises.
     """
-    table = table or decompose_bundle(bundle)
-    shape = bundle.rho.lambda_ab_shape()
-    candidates = [identity_bw1(bundle, table), identity_bw2(bundle, table)]
-    if bundle.k != 0:
-        candidates += [
-            identity_bw3(bundle, table),
-            identity_bw4(bundle, table),
-            identity_bw5(bundle, table),
-        ]
-    if shape is not None:
-        candidates.append(identity_bw6(shape[0], shape[1], bundle.k, bundle.n, table))
-    rules = HPN_RULES if hpn else STANDARD_RULES
+    ctx = _Context(bundle, table)
     out = []
-    for cand in candidates:
-        simplified = simplify_curvature(cand, rules)
-        if not simplified.is_pure_kappa:
+    for terms, build in _inventory(ctx, hpn):
+        if terms:
             continue
-        if all(c == 0 for _, c in simplified.coeffs):
-            if simplified.kappa_coeff != 0:
+        ident = build(ctx, ())
+        if all(c == 0 for _, c in ident.coeffs):
+            if ident.kappa_coeff != 0:
                 raise InconsistencyError(
-                    f"identity {simplified.provenance} reduced to 0 = kappa-multiple"
+                    f"identity {ident.provenance} reduced to 0 = kappa-multiple"
                 )
             continue
-        out.append(simplified)
+        out.append(ident)
     return out
 
 
@@ -564,13 +595,6 @@ def independence_rank(identities) -> int:
     return exact_rank(rows)
 
 
-def coefficient_rank(identities) -> int:
-    """Rank of the B-coefficient parts alone (kappa and curvature dropped)."""
-    if not identities:
-        return 0
-    return exact_rank([ident.coeff_vector() for ident in identities])
-
-
 def conformal_exponents(bundle: BundleLabel, target):
     """Conformal-covariance exponent pair of one gradient; the two entries
     always sum to -1."""
@@ -595,10 +619,9 @@ def decompose_over(identity: BWIdentity, basis):
     target = identity.full_vector(keys)
     matrix = [[col[i] for col in columns] for i in range(len(target))]
     try:
-        solution, rank = solve_linear_system(matrix, target)
+        return solve_linear_system(matrix, target)[0]
     except ArithmeticError:
         return None
-    return solution
 
 
 def identities_to_json_dict(identities):

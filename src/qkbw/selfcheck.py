@@ -24,6 +24,7 @@ from .casimir import (
     casimir_hat,
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
+    conformal_weight,
     decompose_bundle,
     lambda_ab_bundle,
     relative_dimension_product,
@@ -32,6 +33,9 @@ from .casimir import (
     verify_recursion,
 )
 from .identities import (
+    Rule,
+    apply_rule,
+    identity_bochner1,
     identity_bochner2,
     identity_bw1,
     identity_bw2,
@@ -108,8 +112,6 @@ def suite_table1(n_max: int = 6) -> SuiteResult:
                 rho = lambda_ab_bundle(0, a, b, n).rho
                 for nu in (1, b + 1, a + 1, -b, -a):
                     w_table, rd_table = table1_row(a, b, n, nu)
-                    from .casimir import conformal_weight
-
                     cases += 1
                     if w_table != conformal_weight(rho, nu):
                         failures.append(f"table w mismatch a={a} b={b} n={n} nu={nu}")
@@ -226,9 +228,6 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
     * the scalar-only identity equals 4x the cubic-reduction elimination
       between the first- and third-moment identities (vector level).
     """
-    from .casimir import casimir_hat as ch_fn
-    from .identities import Rule, apply_rule, identity_bochner1
-
     failures = []
     cases = 0
     samples = [Fraction(i) for i in range(7)]
@@ -241,7 +240,7 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                 rho = bundle.rho
                 c2 = closed_form_c2_lambda_ab(a, b, n)
                 c4 = closed_form_c4_lambda_ab(a, b, n)
-                ch = [ch_fn(rho, p) for p in range(6)]
+                ch = [casimir_hat(rho, p) for p in range(6)]
                 cases += 1
 
                 def raw_poly(q, w):
@@ -310,7 +309,7 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                 # Scalar-only identity vs the curvature elimination.
                 bw2_reduced = apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
                 scalar = Fraction(2 * n**2 + 7 * n + 7) - c2 / 4
-                eliminated = _combine(bw2_reduced, 1, bw1, -scalar)
+                eliminated = bw2_reduced.combine(1, bw1, -scalar)
                 if eliminated.curvature_terms:
                     failures.append(f"elimination left curvature at a={a} b={b} n={n}")
                 bw6 = identity_bw6(a, b, k, n)
@@ -327,31 +326,6 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                     if _nonzero(eliminated):
                         failures.append(f"elimination nonzero at a=b={a} n={n}")
     return SuiteResult("printed-form matching", cases, failures)
-
-
-def _combine(ident1, f1, ident2, f2):
-    """f1 * ident1 + f2 * ident2 over a common bundle (curvature included)."""
-    from .identities import BWIdentity, CurvatureTerm, _merge_terms
-
-    map2 = ident2.coeff_map()
-    coeffs = tuple((t, f1 * c + f2 * map2[t]) for t, c in ident1.coeffs)
-    terms = _merge_terms(
-        [
-            CurvatureTerm(t.power, t.hatted, f1 * t.coefficient)
-            for t in ident1.curvature_terms
-        ]
-        + [
-            CurvatureTerm(t.power, t.hatted, f2 * t.coefficient)
-            for t in ident2.curvature_terms
-        ]
-    )
-    return BWIdentity(
-        bundle=ident1.bundle,
-        coeffs=coeffs,
-        kappa_coeff=f1 * ident1.kappa_coeff + f2 * ident2.kappa_coeff,
-        curvature_terms=terms,
-        provenance=f"{f1}*{ident1.provenance}+{f2}*{ident2.provenance}",
-    )
 
 
 def suite_lp_agreement(n_max: int = 5) -> SuiteResult:

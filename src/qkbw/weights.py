@@ -228,17 +228,27 @@ def lambda2_decomposition(n: int):
     ]
 
 
+def _parse_int(text: str, what: str, signed: bool) -> int:
+    """An int written in ASCII digits, with a leading "-" only when signed."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be written in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def parse_weight_text(text: str, n=None) -> SpnWeight:
     """Parse a weight from "2,1,0" or the shorthand "2^b 1^(a-b) @ n".
 
     The shorthand lists value^count tokens and pads with zeros up to the
     rank given after "@" (or the ``n`` argument).  Canonical output is
-    always the explicit comma-separated list.
+    always the explicit comma-separated list.  Entries are ASCII integers
+    with an optional leading "-"; counts and the rank are ASCII digits, and
+    a count is at least 1.  Anything else raises ValueError.
     """
     text = text.strip()
     if "^" in text or "@" in text:
         body, _, rank_part = text.partition("@")
-        rank = int(rank_part.strip()) if rank_part.strip() else None
+        rank = _parse_int(rank_part.strip(), "rank", signed=False) if rank_part.strip() else None
         if rank is not None and n is not None and rank != n:
             raise ValueError(f"shorthand rank {rank} conflicts with n={n}")
         rank = rank if rank is not None else n
@@ -246,15 +256,18 @@ def parse_weight_text(text: str, n=None) -> SpnWeight:
             raise ValueError("shorthand weight needs a rank: '... @ n'")
         entries = []
         for token in body.split():
-            value_str, _, count_str = token.partition("^")
-            count_str = count_str.strip().lstrip("(").rstrip(")")
-            count = int(count_str) if count_str else 1
-            entries.extend([int(value_str)] * count)
+            value_str, caret, count_str = token.partition("^")
+            if count_str.startswith("(") and count_str.endswith(")"):
+                count_str = count_str[1:-1]
+            count = _parse_int(count_str, "count", signed=False) if caret else 1
+            if count < 1:
+                raise ValueError(f"count must be at least 1, got {count} in {token!r}")
+            entries.extend([_parse_int(value_str, "entry", signed=True)] * count)
         if len(entries) > rank:
             raise ValueError(f"shorthand expands to {len(entries)} entries > rank {rank}")
         entries.extend([0] * (rank - len(entries)))
         return SpnWeight(tuple(entries))
-    entries = tuple(int(tok) for tok in text.split(","))
+    entries = tuple(_parse_int(tok.strip(), "entry", signed=True) for tok in text.split(","))
     if n is not None:
         if len(entries) > n:
             raise ValueError(f"weight has {len(entries)} entries > rank {n}")

@@ -206,9 +206,10 @@ class TestSweepVerb:
         assert "0 mismatches" in out
 
     def test_empty_range(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "9", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["cases"] == 0
+        """An empty grid is a user error, not a passing gate of 0 cases."""
+        code, out, err = run(capsys, "sweep", "--n", "2", "--k", "9", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "selects no cases" in err
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "closed_form_bound", lambda *args: Fraction(99))
@@ -226,6 +227,17 @@ class TestSweepVerb:
         assert lines[0] == "n,k,a,b,kappa_sign,lp_bound,expected,match"
         assert len(lines) == 5
         assert sum(line.startswith("n,") for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "5..2"], ["--n", "2", "--k", "99"], ["--n", "2", "--a", "7"]],
+        ids=["empty-n-range", "k-out-of-range", "a-out-of-range"],
+    )
+    def test_empty_sweep_is_user_error(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2
+        assert out == ""
+        assert "selects no cases" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_user_error(self, capsys, jobs):
@@ -369,3 +381,11 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "harmonic", "--n", "2", "--mode", "fast")[0] == 2
+
+    def test_negative_count_weight_is_user_error(self, capsys):
+        """Once read as the zero weight and certified with exit 0."""
+        code, out, err = run(
+            capsys, "bound", "--n", "2", "--k", "0", "--rho", "1^(-3) @ 2", "--kappa-sign", "+"
+        )
+        assert (code, out) == (2, "")
+        assert "ASCII digits" in err

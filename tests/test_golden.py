@@ -15,21 +15,36 @@ that the integer pivot kernel replaced.
 weight of ``casimir_weights()``, one line with its ``casimir_report``, then
 for k = 0..3 one ``decompose_bundle`` line and one ``theorem_family`` line.
 It was recorded with the per-nu ``Fraction`` moment sums that the integer
-summand table replaced.  Regenerate all three only on purpose:
+summand table replaced.
+
+``tests/data/golden_identities.jsonl.gz`` pins the identity layer on the same
+weights: for k = 0..3, the ``pure_kappa_identities`` JSON (or its
+``InconsistencyError`` message) without and with hpn, then the
+``qkbw bw --format json`` object without and with ``--hpn``.  It was recorded
+with the per-target ``Fraction`` builders that the per-call integer context
+replaced.  Regenerate all four only on purpose:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import gzip
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from qkbw.bounds import bound_for
 from qkbw.casimir import casimir_report, decompose_bundle, lambda_ab_bundle
-from qkbw.identities import InconsistencyError, identities_to_json_dict, theorem_family
+from qkbw.cli import main as cli_main
+from qkbw.identities import (
+    InconsistencyError,
+    identities_to_json_dict,
+    pure_kappa_identities,
+    theorem_family,
+)
 from qkbw.selfcheck import dominant_weights
 from qkbw.simplex import LPInfeasibleError
 from qkbw.weights import BundleLabel, SpnWeight
@@ -38,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_certificates.jsonl.gz"
 GOLDEN_GENERAL = ROOT / "tests" / "data" / "golden_general.jsonl.gz"
 GOLDEN_CASIMIR = ROOT / "tests" / "data" / "golden_casimir.jsonl.gz"
+GOLDEN_IDENTITIES = ROOT / "tests" / "data" / "golden_identities.jsonl.gz"
 GENERAL_POOL = ROOT / "perfbench" / "lp_general_expected.json"
 NO_CERTIFICATE = "no-certificate"
 
@@ -117,6 +133,27 @@ def casimir_lines(rho):
     return lines
 
 
+def identity_lines(rho):
+    """Per k = 0..3: the pure-kappa rows without and with hpn, then ``qkbw bw`` likewise."""
+    lines = []
+    for k in range(4):
+        bundle = BundleLabel(k, rho)
+        for hpn in (False, True):
+            try:
+                obj = identities_to_json_dict(pure_kappa_identities(bundle, hpn=hpn))
+            except InconsistencyError as exc:
+                obj = {"inconsistency": str(exc)}
+            lines.append(_json(obj))
+        argv = ["bw", "--n", str(rho.n), "--k", str(k), "--rho", str(rho), "--format", "json"]
+        for extra in ([], ["--hpn"]):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli_main(argv + extra)
+            assert code == 0, (rho, k, extra)
+            lines.append(_json(json.loads(out.getvalue())))
+    return lines
+
+
 def _read_golden(path):
     with gzip.open(path, "rt", encoding="ascii") as fh:
         return fh.read().splitlines()
@@ -158,9 +195,18 @@ def test_casimir_byte_identical():
         assert casimir_lines(rho) == golden[9 * i : 9 * i + 9], rho
 
 
+def test_identities_byte_identical():
+    weights = casimir_weights()
+    golden = _read_golden(GOLDEN_IDENTITIES)
+    assert len(golden) == 16 * len(weights) == 704
+    for i, rho in enumerate(weights):
+        assert identity_lines(rho) == golden[16 * i : 16 * i + 16], rho
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     _write_golden(GOLDEN, map(certificate_line, golden_cases()))
     _write_golden(GOLDEN_GENERAL, map(general_line, general_cases()))
     _write_golden(GOLDEN_CASIMIR, [line for rho in casimir_weights() for line in casimir_lines(rho)])
+    _write_golden(GOLDEN_IDENTITIES, [line for rho in casimir_weights() for line in identity_lines(rho)])

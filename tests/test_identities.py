@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkbw.casimir import decompose_bundle, lambda_ab_bundle
+from qkbw.casimir import closed_form_c2_lambda_ab, decompose_bundle, lambda_ab_bundle
 from qkbw.identities import (
     HPN_RULES,
     STANDARD_RULES,
@@ -150,6 +150,29 @@ class TestPrintedForms:
         bw6 = identity_bw6(a, b, k, n)
         dec = decompose_over(bw6, [bw2_reduced, bw1])
         assert dec is not None and dec[0] == 4
+
+    def test_combine_eliminates_curvature(self):
+        a, b, n, k = 2, 1, 3, 1
+        bundle = lambda_ab_bundle(k, a, b, n)
+        bw1 = identity_bw1(bundle)
+        bw2_reduced = apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
+        scalar = F(2 * n**2 + 7 * n + 7) - F(closed_form_c2_lambda_ab(a, b, n)) / 4
+        eliminated = bw2_reduced.combine(1, bw1, -scalar)
+        assert eliminated.curvature_terms == ()
+        assert eliminated.provenance == f"1*bw2+{-scalar}*bw1"
+        assert identity_bw6(a, b, k, n).proportionality(eliminated) == 4
+        half = bw1.combine(F(1, 2), bw1, F(1, 2))
+        assert (half.coeffs, half.kappa_coeff, half.curvature_terms) == (
+            bw1.coeffs,
+            bw1.kappa_coeff,
+            bw1.curvature_terms,
+        )
+
+    def test_combine_rejects_mixed_bundles(self):
+        with pytest.raises(MixedBundleError):
+            identity_bw3(lambda_ab_bundle(2, 1, 0, 2)).combine(
+                1, identity_bw3(lambda_ab_bundle(4, 1, 0, 2)), 1
+            )
 
 
 class TestRules:

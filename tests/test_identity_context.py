@@ -1,0 +1,306 @@
+"""The integer identity context against the Fraction builders it replaced.
+
+``oracle_bw1`` .. ``oracle_bw6``, ``oracle_simplify`` and
+``oracle_pure_kappa`` are the identity builders as they were before the
+per-call context: every coefficient polynomial is evaluated in ``Fraction``
+arithmetic on the ``Fraction`` weights of each target, c_2 and c_4 come from
+the closed forms on (2_b,1_(a-b)) shapes and from ``casimir_eigenvalue``
+otherwise, and the curvature rules run on fully built identities.  They are
+kept here as a test-only reference.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkbw.casimir import (
+    DecompositionTable,
+    casimir_eigenvalue,
+    closed_form_c2_lambda_ab,
+    closed_form_c4_lambda_ab,
+    decompose_bundle,
+    lambda_ab_bundle,
+)
+from qkbw.identities import (
+    HPN_RULES,
+    STANDARD_RULES,
+    BWIdentity,
+    CurvatureTerm,
+    InapplicableIdentityError,
+    InconsistencyError,
+    Rule,
+    RuleShapeError,
+    apply_rule,
+    identity_bw1,
+    identity_bw2,
+    identity_bw3,
+    identity_bw4,
+    identity_bw5,
+    identity_bw6,
+    printed_identities,
+    pure_kappa_identities,
+    simplify_curvature,
+)
+from qkbw.weights import BundleLabel, SpnWeight, lambda_ab_weight
+
+F = Fraction
+
+
+def oracle_merge(terms):
+    acc = {}
+    for t in terms:
+        acc[t.key] = acc.get(t.key, F(0)) + t.coefficient
+    return tuple(
+        CurvatureTerm(power=p, hatted=h, coefficient=c) for (h, p), c in sorted(acc.items()) if c != 0
+    )
+
+
+def oracle_build(bundle, table, coeff_of, kappa, terms, provenance):
+    return BWIdentity(
+        bundle=bundle,
+        coeffs=tuple(((t.N, t.nu), F(coeff_of(t))) for t in table.valid_targets),
+        kappa_coeff=F(kappa),
+        curvature_terms=oracle_merge(terms),
+        provenance=provenance,
+    )
+
+
+def oracle_c2(rho):
+    shape = rho.lambda_ab_shape()
+    if shape is not None:
+        return closed_form_c2_lambda_ab(shape[0], shape[1], rho.n)
+    return casimir_eigenvalue(rho, 2)
+
+
+def oracle_c4(rho):
+    shape = rho.lambda_ab_shape()
+    if shape is not None:
+        return closed_form_c4_lambda_ab(shape[0], shape[1], rho.n)
+    return casimir_eigenvalue(rho, 4)
+
+
+R1 = (CurvatureTerm(power=1, hatted=False, coefficient=F(1)),)
+R3 = (CurvatureTerm(power=3, hatted=False, coefficient=F(1)),)
+
+
+def oracle_bw1(bundle, table):
+    n = bundle.n
+    kappa = oracle_c2(bundle.rho) / (8 * n * (n + 2))
+    return oracle_build(bundle, table, lambda t: t.w, kappa, R1, "bw1")
+
+
+def oracle_bw2(bundle, table):
+    n, c2, c4 = bundle.n, oracle_c2(bundle.rho), oracle_c4(bundle.rho)
+
+    def coeff(t):
+        w = t.w
+        return c2 / 2 + (n + 1) * (2 * n + 1) * w - (2 * n + 1) * w**2 + w**3
+
+    return oracle_build(bundle, table, coeff, c4 / (8 * n * (n + 2)), R3, "bw2")
+
+
+def oracle_bw3(bundle, table):
+    if bundle.k == 0:
+        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+    n, k = bundle.n, bundle.k
+    return oracle_build(bundle, table, lambda t: t.W, F(k * (k + 2), 4 * (n + 2)), (), "bw3")
+
+
+def oracle_bw4(bundle, table):
+    if bundle.k == 0:
+        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+    n, k = bundle.n, bundle.k
+    kappa = F(k * (k + 2)) * oracle_c2(bundle.rho) / (4 * n * (n + 2))
+    return oracle_build(
+        bundle, table, lambda t: 2 * t.W * (t.w**2 - (n + 1) * t.w), kappa, (), "bw4"
+    )
+
+
+def oracle_bw5(bundle, table):
+    if bundle.k == 0:
+        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+    n, k = bundle.n, bundle.k
+    c2, c4 = oracle_c2(bundle.rho), oracle_c4(bundle.rho)
+
+    def coeff(t):
+        w = t.w
+        return t.W * (2 * w * (w - n - 1) * (w**2 - (2 * n + 1) * w + 2 * n + 1) + (n + w) * c2)
+
+    kappa = F(k * (k + 2)) * c4 / (4 * n * (n + 2))
+    return oracle_build(bundle, table, coeff, kappa, (), "bw5")
+
+
+def oracle_bw6(a, b, k, n, table):
+    bundle = lambda_ab_bundle(k, a, b, n)
+    c2, c4 = closed_form_c2_lambda_ab(a, b, n), closed_form_c4_lambda_ab(a, b, n)
+
+    def coeff(t):
+        w = t.w
+        return (w + 2) * (c2 + 4 * w**2 - 8 * n * w - 12 * w)
+
+    kappa = (-4 * (2 * n**2 + 7 * n + 7) * c2 + c2**2 + 4 * c4) / (8 * n * (n + 2))
+    return oracle_build(bundle, table, coeff, kappa, (), "bw6")
+
+
+def oracle_applicable(rule, bundle):
+    shape = bundle.rho.lambda_ab_shape()
+    if rule is Rule.HPN:
+        return True
+    if rule is Rule.CUBIC_REDUCTION:
+        return shape is not None
+    return shape is not None and shape[1] == 0
+
+
+def oracle_apply(identity, rule):
+    terms = identity.curvature_terms
+    if rule is Rule.HPN:
+        new_terms = ()
+    elif rule is Rule.CUBIC_REDUCTION:
+        a, b = identity.bundle.rho.lambda_ab_shape()
+        n = identity.bundle.n
+        scalar = F(2 * n**2 + 7 * n + 7) - closed_form_c2_lambda_ab(a, b, n) / 4
+        new_terms = oracle_merge(
+            CurvatureTerm(1, False, t.coefficient * scalar) if (not t.hatted and t.power == 3) else t
+            for t in terms
+        )
+    else:
+        new_terms = oracle_merge(t for t in terms if not (not t.hatted and t.power == 1))
+    return BWIdentity(
+        identity.bundle, identity.coeffs, identity.kappa_coeff, new_terms, identity.provenance
+    )
+
+
+def oracle_simplify(identity, rules):
+    for rule in (Rule.HPN, Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM):
+        if rule in rules and oracle_applicable(rule, identity.bundle):
+            identity = oracle_apply(identity, rule)
+    return identity
+
+
+def oracle_printed(bundle, hpn, table):
+    """The candidates of ``qkbw bw`` (without the sum row), each simplified."""
+    candidates = [oracle_bw1(bundle, table), oracle_bw2(bundle, table)]
+    if bundle.k != 0:
+        candidates += [f(bundle, table) for f in (oracle_bw3, oracle_bw4, oracle_bw5)]
+    shape = bundle.rho.lambda_ab_shape()
+    if shape is not None:
+        candidates.append(oracle_bw6(shape[0], shape[1], bundle.k, bundle.n, table))
+    rules = HPN_RULES if hpn else STANDARD_RULES
+    return [oracle_simplify(cand, rules) for cand in candidates]
+
+
+def oracle_pure_kappa(bundle, hpn, table):
+    out = []
+    for ident in oracle_printed(bundle, hpn, table):
+        if not ident.is_pure_kappa:
+            continue
+        if all(c == 0 for _, c in ident.coeffs):
+            if ident.kappa_coeff != 0:
+                raise InconsistencyError(
+                    f"identity {ident.provenance} reduced to 0 = kappa-multiple"
+                )
+            continue
+        out.append(ident)
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (InapplicableIdentityError, InconsistencyError, RuleShapeError) as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_same_identity(got, want):
+    """Field by field, every coefficient a Fraction."""
+    assert type(got) is BWIdentity
+    assert got.bundle == want.bundle
+    assert got.provenance == want.provenance
+    assert [key for key, _ in got.coeffs] == [key for key, _ in want.coeffs]
+    for (key, mine), (_, theirs) in zip(got.coeffs, want.coeffs):
+        assert type(mine) is F and mine == theirs, (got.provenance, key)
+    assert type(got.kappa_coeff) is F and got.kappa_coeff == want.kappa_coeff
+    assert got.curvature_terms == want.curvature_terms
+    assert all(type(t.coefficient) is F for t in got.curvature_terms)
+    assert got == want
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            _assert_same_identity(mine, theirs)
+    else:
+        _assert_same_identity(got, want)
+
+
+general_weights = st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.integers(0, 6), min_size=n, max_size=n).map(
+        lambda entries: SpnWeight(tuple(sorted(entries, reverse=True)))
+    )
+)
+shape_weights = st.integers(2, 7).flatmap(
+    lambda n: st.integers(0, n).flatmap(
+        lambda a: st.integers(0, a).map(lambda b: lambda_ab_weight(a, b, n))
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(general_weights, shape_weights), st.integers(0, 4), st.booleans())
+def test_identities_match_oracle(rho, k, hpn):
+    bundle = BundleLabel(k, rho)
+    table = decompose_bundle(bundle)
+    _assert_same_outcome(
+        _outcome(pure_kappa_identities, bundle, hpn), _outcome(oracle_pure_kappa, bundle, hpn, table)
+    )
+    _assert_same_outcome(
+        _outcome(pure_kappa_identities, bundle, hpn, table),
+        _outcome(oracle_pure_kappa, bundle, hpn, table),
+    )
+    _assert_same_outcome(printed_identities(bundle, hpn), oracle_printed(bundle, hpn, table))
+    pairs = [
+        (identity_bw1, oracle_bw1),
+        (identity_bw2, oracle_bw2),
+        (identity_bw3, oracle_bw3),
+        (identity_bw4, oracle_bw4),
+        (identity_bw5, oracle_bw5),
+    ]
+    for public, oracle in pairs:
+        want = _outcome(oracle, bundle, table)
+        _assert_same_outcome(_outcome(public, bundle), want)
+        _assert_same_outcome(_outcome(public, bundle, table), want)
+    shape = rho.lambda_ab_shape()
+    if shape is not None:
+        a, b = shape
+        _assert_same_outcome(
+            identity_bw6(a, b, k, rho.n), oracle_bw6(a, b, k, rho.n, table)
+        )
+    rules = HPN_RULES if hpn else STANDARD_RULES
+    for raw in (oracle_bw1(bundle, table), oracle_bw2(bundle, table)):
+        _assert_same_identity(simplify_curvature(raw, rules), oracle_simplify(raw, rules))
+        for rule in Rule:
+            want = (
+                oracle_apply(raw, rule)
+                if oracle_applicable(rule, bundle)
+                else (RuleShapeError, None)
+            )
+            got = _outcome(apply_rule, raw, rule)
+            if isinstance(want, tuple):
+                assert isinstance(got, tuple) and got[0] is RuleShapeError
+            else:
+                _assert_same_identity(got, want)
+
+
+@pytest.mark.parametrize("hpn", [False, True])
+def test_zero_row_with_kappa_side_raises(hpn):
+    """A table without valid targets leaves bw3 as 0 = kappa-multiple."""
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    empty = DecompositionTable(bundle, ())
+    want = _outcome(oracle_pure_kappa, bundle, hpn, empty)
+    assert want[0] is InconsistencyError
+    assert _outcome(pure_kappa_identities, bundle, hpn, empty) == want

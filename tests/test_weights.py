@@ -213,6 +213,26 @@ class TestParsing:
     def test_canonical_output(self):
         assert str(parse_weight("2^1 1^1 @ 3")) == "2,1,0"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1^(-3) @ 2",  # a negative count once read as (0,0)
+            "2^-1 1 @ 3",  # once read as (1,0,0)
+            "1_0,0",  # int() reads the underscore as a digit separator: (10,0)
+            "\u0661,0",  # int() reads the Arabic-Indic one as 1: (1,0)
+        ],
+    )
+    def test_malformed_text_is_rejected(self, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_weight(text, n=2 if "@" not in text else None)
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            parse_weight("2^0 1 @ 3")
+
+    def test_negative_entries_still_parse(self):
+        assert parse_weight("-1,0").entries == (-1, 0)
+
     @given(dominant_weights)
     def test_round_trip(self, rho):
         assert parse_weight(str(rho)) == rho
