@@ -28,7 +28,6 @@ from .casimir import (
     DecompositionTable,
     FormulaDegeneracyError,
     GradientTarget,
-    PrefactorShift,
     casimir_eigenvalue,
     casimir_hat,
     casimir_report,

@@ -12,28 +12,26 @@ dim V_{rho+mu_nu} / dim V_rho:
     c_q     = sum_nu w_nu^q     * reldim(nu)
     c_hat_q = sum_nu w_hat_nu^q * reldim(nu)
 
-Every moment is read off one integer summand table per weight: D = dim V_rho
-and, for each shift index, the integer weight w_nu and d_nu = dim
-V_{rho+mu_nu} (0 when rho + mu_nu is not dominant).  A moment is one integer
-sum turned into one Fraction at the end,
+One integer kernel computes every moment.  It takes integer rows (w_nu,
+d_nu) with reldim(nu) = d_nu / D and turns each sum into one Fraction,
 
     c_q     = (sum_nu w_nu^q * d_nu) / D
-    c_hat_q = (sum_nu (2 w_nu - 2n - 1)^q * d_nu) / (2^q D),
+    c_hat_q = (sum_nu (2 w_nu - 2n - 1)^q * d_nu) / (2^q D).
 
-and the moments a caller needs together come from one table.
+Its rows are a weight's summand table (D = dim V_rho, d_nu = dim
+V_{rho+mu_nu} or 0 when not dominant) or a bundle's decomposition table.
 
 Relative dimensions come from two independent routes: the Weyl dimension
 oracle (always the source of truth) and a product formula over translated
-weights whose prefactor convention is calibrated against the oracle.  The
-product formula never reads the summand table, so it stays a cross-check.
+weights.  The product formula never reads the summand table, so it stays a
+cross-check.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .rationals import format_plain, format_rational
 from .weights import (
@@ -48,7 +46,6 @@ from .weights import (
 
 __all__ = [
     "FormulaDegeneracyError",
-    "PrefactorShift",
     "conformal_weight",
     "conformal_weight_hat",
     "sp1_conformal_weight",
@@ -120,37 +117,23 @@ def relative_dimension_weyl(rho: SpnWeight, nu: int) -> Fraction:
     return Fraction(weyl_dim(shifted), weyl_dim(rho))
 
 
-class PrefactorShift(enum.Enum):
-    """The two readings of the product-formula prefactor -2*(w_hat_nu - s).
-
-    FULL reads s = (-1)^N, HALF reads s = (-1)^N / 2, where N is the number
-    of dominant summands of V_rho (x) E.  HALF is the convention that
-    reproduces the Weyl oracle on the calibration corpus and is the default.
-    """
-
-    FULL = "full"
-    HALF = "half"
-
-
-def relative_dimension_product(
-    rho: SpnWeight, nu: int, convention: PrefactorShift = PrefactorShift.HALF
-) -> Fraction:
+def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
     """Relative dimension via the translated-weight product formula.
 
         reldim(nu) = -2 (w_hat_nu - s) *
                      prod over dominant nu' != nu of
                          (w_hat_nu + w_hat_nu') / (w_hat_nu - w_hat_nu')
 
-    Returns 0 for a non-dominant target.  Raises FormulaDegeneracyError if
-    two dominant summands share a translated weight (never observed for
-    dominant pairs, but guarded rather than silently dividing by zero).
+    with s = (-1)^N / 2, where N is the number of dominant summands of
+    V_rho (x) E.  Returns 0 for a non-dominant target.  Raises
+    FormulaDegeneracyError if two dominant summands share a translated
+    weight (never observed for dominant pairs, but guarded rather than
+    silently dividing by zero).
     """
     table = decompose_rho_tensor_E(rho)
     if not mu_shift(rho, nu).is_dominant:
         return Fraction(0)
-    count = table.summand_count
-    parity = Fraction(-1) ** count
-    shift = parity if convention is PrefactorShift.FULL else parity / 2
+    shift = Fraction((-1) ** table.summand_count, 2)
     wh = conformal_weight_hat(rho, nu)
     value = -2 * (wh - shift)
     for cand in table.candidates:
@@ -182,13 +165,12 @@ def _summands(rho: SpnWeight):
     return weyl_dim(rho), rows
 
 
-def _moments(rho: SpnWeight, q_max: int):
-    """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from one summand table."""
-    D, rows = _summands(rho)
-    shift = 2 * rho.n + 1
+def _moment_sums(rows, den: int, n: int, q_max: int):
+    """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from integer rows (w, d), reldim = d / den."""
+    shift = 2 * n + 1
     c = [0] * (q_max + 1)
     ch = [0] * (q_max + 1)
-    for _, _, w, d in rows:
+    for w, d in rows:
         if d:
             power, hat_power, hat = d, d, 2 * w - shift
             for q in range(q_max + 1):
@@ -197,26 +179,29 @@ def _moments(rho: SpnWeight, q_max: int):
                 power *= w
                 hat_power *= hat
     return (
-        [Fraction(s, D) for s in c],
-        [Fraction(s, D << q) for q, s in enumerate(ch)],
+        [Fraction(s, den) for s in c],
+        [Fraction(s, den << q) for q, s in enumerate(ch)],
     )
+
+
+def _moments(rho: SpnWeight, q_max: int):
+    """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from one summand table."""
+    D, rows = _summands(rho)
+    return _moment_sums([(w, d) for _, _, w, d in rows], D, rho.n, q_max)
 
 
 def casimir_eigenvalue(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the q-th Casimir trace on V_rho (Weyl-oracle reldims)."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    D, rows = _summands(rho)
-    return Fraction(sum(w**q * d for _, _, w, d in rows), D)
+    return _moments(rho, q)[0][q]
 
 
 def casimir_hat(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the translated q-th Casimir trace on V_rho."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    D, rows = _summands(rho)
-    shift = 2 * rho.n + 1
-    return Fraction(sum((2 * w - shift) ** q * d for _, _, w, d in rows), D << q)
+    return _moments(rho, q)[1][q]
 
 
 def sp1_casimir(k: int) -> Fraction:
@@ -391,6 +376,14 @@ class DecompositionTable:
     @property
     def summand_count(self) -> int:
         return len(self.valid_targets)
+
+    def moments(self, q_max: int):
+        """The moments of _moments, read off the N = +1 valid targets (one per
+        dominant shift): their integer w, their reldims over one denominator."""
+        up = [(t.w.numerator, t.reldim) for t in self.targets if t.valid and t.N == 1]
+        den = lcm(*(r.denominator for _, r in up))
+        rows = [(w, r.numerator * (den // r.denominator)) for w, r in up]
+        return _moment_sums(rows, den, self.bundle.n, q_max)
 
     def to_json_dict(self):
         return {

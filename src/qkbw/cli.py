@@ -45,7 +45,7 @@ from .identities import (
 from .rationals import format_plain, format_rational
 from .selfcheck import run_suites
 from .simplex import LPInfeasibleError, LPUnboundedError
-from .weights import BundleLabel, decompose_rho_tensor_E, parse_weight
+from .weights import BundleLabel, _parse_int, decompose_rho_tensor_E, parse_weight
 
 OPERATOR_ALIASES = {
     "hodge": "hodge_laplacian",
@@ -63,21 +63,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _int_arg(text: str) -> int:
+    """argparse type of every integer flag: ASCII digits, an optional leading "-"."""
+    try:
+        return _parse_int(text, "integer", signed=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_range(text: str, flag: str):
+    """A sweep range "lo..hi" or a single value; both ends as strict as _int_arg."""
+    lo, dots, hi = text.partition("..")
+    lo = _parse_int(lo, flag, signed=True)
+    return list(range(lo, _parse_int(hi, flag, signed=True) + 1)) if dots else [lo]
 
 
 def _rho_from_args(args):
-    if getattr(args, "rho", None) is not None:
+    if args.rho is not None:
+        if args.a is not None or args.b is not None:
+            raise ValueError("--rho conflicts with --a/--b; give one or the other")
         return parse_weight(args.rho, args.n)
-    a = getattr(args, "a", None)
-    b = getattr(args, "b", None)
-    if a is None:
+    if args.a is None:
         raise ValueError("provide --rho, or --a/--b for a (2_b,1_(a-b)) weight")
-    return lambda_ab_bundle(0, a, 0 if b is None else b, args.n).rho
+    return lambda_ab_bundle(0, args.a, 0 if args.b is None else args.b, args.n).rho
 
 
 def _emit(args, json_obj, markdown, csv_text=None):
@@ -304,21 +312,23 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
+    if args.hpn and args.kappa_sign == "-":
+        raise ValueError("--hpn compares with HP^n, where kappa > 0; drop --kappa-sign -")
     signs = ["+", "-"] if args.kappa_sign == "both" else [args.kappa_sign]
     if args.hpn:
         signs = ["+"]
     cases = []
-    for n in _parse_range(args.n):
-        a_values = _parse_range(args.a) if args.a else range(0, n + 1)
+    for n in _parse_range(args.n, "--n"):
+        a_values = _parse_range(args.a, "--a") if args.a else range(0, n + 1)
         for a in a_values:
             if a > n:
                 continue
-            b_values = _parse_range(args.b) if args.b else range(0, a + 1)
+            b_values = _parse_range(args.b, "--b") if args.b else range(0, a + 1)
             for b in b_values:
                 if b > a:
                     continue
                 k_lo = 2 if args.hpn else 0
-                k_values = _parse_range(args.k) if args.k else range(k_lo, 2 * n - a - b + 1)
+                k_values = _parse_range(args.k, "--k") if args.k else range(k_lo, 2 * n - a - b + 1)
                 for k in k_values:
                     if not k_lo <= k <= 2 * n - a - b:
                         continue
@@ -393,29 +403,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p, rho=True, k=False):
-        p.add_argument("--n", type=int, required=True, help="Sp(n) rank, n >= 2")
+        p.add_argument("--n", type=_int_arg, required=True, help="Sp(n) rank, n >= 2")
         if rho:
             p.add_argument("--rho", type=str, default=None, help="weight: '2,1,0' or '2^b 1^(a-b) @ n'")
-            p.add_argument("--a", type=int, default=None)
-            p.add_argument("--b", type=int, default=None)
+            p.add_argument("--a", type=_int_arg, default=None)
+            p.add_argument("--b", type=_int_arg, default=None)
         if k:
-            p.add_argument("--k", type=int, required=True, help="Sp(1) weight, k >= 0")
+            p.add_argument("--k", type=_int_arg, required=True, help="Sp(1) weight, k >= 0")
         p.add_argument("--format", choices=("json", "md", "csv"), default="md")
 
     p = sub.add_parser("casimir", help="Casimir eigenvalues c_q, c_hat_q on V_rho")
     add_common(p)
-    p.add_argument("--q-max", type=int, default=4, help=f"highest q (cap {DEFAULT_Q_CAP})")
+    p.add_argument("--q-max", type=_int_arg, default=4, help=f"highest q (cap {DEFAULT_Q_CAP})")
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("decompose", help="summands of V_rho (x) E, or of a full bundle with --k")
     add_common(p)
-    p.add_argument("--k", type=int, default=None, help="Sp(1) weight; omit for the nu-level table")
+    p.add_argument("--k", type=_int_arg, default=None, help="Sp(1) weight; omit for the nu-level table")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("table1", help="five-row (w, reldim) table on (2_b,1_(a-b)), 0<b<a<n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--a", type=_int_arg, required=True)
+    p.add_argument("--b", type=_int_arg, required=True)
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
     p.set_defaults(func=cmd_table1)
 
@@ -430,26 +440,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, k=True)
     p.add_argument("--operator", choices=sorted(OPERATOR_ALIASES), default="hodge")
     p.add_argument("--kappa-sign", choices=("+", "-"), required=True)
-    p.add_argument("--hpn", action="store_true")
+    p.add_argument("--hpn", action="store_true", help="no quartic curvature: HP^n (kappa>0), its dual (kappa<0)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("vanish", help="twistor kernel system on S^(k+1)(H) (x) E")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="twistor parameter, k >= 0")
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True, help="twistor parameter, k >= 0")
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
     p.set_defaults(func=cmd_vanish)
 
     p = sub.add_parser("harmonic", help="bundles whose Laplace bound is exactly zero")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--kappa-sign", choices=("+", "-", "both"), default="both")
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
     p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("hpn", help="compare LP bound with the projective-space first eigenvalue")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--a", type=_int_arg, required=True)
+    p.add_argument("--b", type=_int_arg, required=True)
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
     p.set_defaults(func=cmd_hpn)
 
@@ -459,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=str, default=None)
     p.add_argument("--b", type=str, default=None)
     p.add_argument("--kappa-sign", choices=("+", "-", "both"), default="both")
-    p.add_argument("--hpn", action="store_true", help="compare against the first eigenvalue (k >= 2)")
+    p.add_argument("--hpn", action="store_true", help="compare with the HP^n first eigenvalue (k>=2, kappa>0)")
     p.add_argument("--csv", type=str, default=None, help="append results to this CSV ledger")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--jobs", type=_int_arg, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
     p.set_defaults(func=cmd_sweep)
 

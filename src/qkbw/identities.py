@@ -12,8 +12,9 @@ eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
 
 Each call builds one private context for its bundle: the shape, the valid
-targets with their integer conformal weights w and W, and c_2/c_4 at most
-once.  The printed identities bw1..bw6 share one candidate inventory; the
+targets with integer conformal weights w and W, and the moments c_q, c_hat_q
+read once off its decomposition table.  Every identity evaluates on those
+integers over one denominator.  The printed ones share one inventory; the
 rules run on its curvature terms first, and pure_kappa_identities evaluates
 coefficients only for the rows that come out pure kappa.
 """
@@ -27,9 +28,7 @@ from math import lcm
 
 from .casimir import (
     DecompositionTable,
-    _moments,
     closed_form_c2_lambda_ab,
-    closed_form_c4_lambda_ab,
     decompose_bundle,
     lambda_ab_bundle,
 )
@@ -208,13 +207,14 @@ class _Context:
     """Per-call data of one bundle, shared by the identities built in that call.
 
     Holds the (2_b,1_{a-b}) shape, the keys of the valid targets with their
-    conformal weights w and W as ints, and c_2/c_4, computed on first use:
-    closed forms on a shape, else read off the bundle's decomposition table,
-    so no second summand table is built.  Nothing outlives the call.
+    conformal weights w and W as ints, and the moments c_q, c_hat_q for
+    q <= q_max, read once off the bundle's decomposition table, so no second
+    summand table is built.  Nothing outlives the call.
     """
 
-    def __init__(self, bundle: BundleLabel, table: DecompositionTable = None):
-        self.valid = valid = (table or decompose_bundle(bundle)).valid_targets
+    def __init__(self, bundle: BundleLabel, table: DecompositionTable = None, q_max=4):
+        table = table or decompose_bundle(bundle)
+        valid = table.valid_targets
         self.bundle = bundle
         self.n, self.k = bundle.n, bundle.k
         self.shape = bundle.rho.lambda_ab_shape()
@@ -222,27 +222,7 @@ class _Context:
         # decompose_bundle's w and W are whole numbers
         self.w = [t.w.numerator for t in valid]
         self.W = [t.W.numerator for t in valid]
-        self._c2c4 = None
-
-    def c2c4(self):
-        if self._c2c4 is None:
-            if self.shape is not None:
-                a, b = self.shape
-                self._c2c4 = (
-                    closed_form_c2_lambda_ab(a, b, self.n),
-                    closed_form_c4_lambda_ab(a, b, self.n),
-                )
-            else:
-                # c_q = sum of w^q * reldim over the N = +1 targets, one per
-                # dominant shift, taken over one common denominator.
-                up = [(t.w.numerator, t.reldim) for t in self.valid if t.N == 1]
-                den = lcm(*(r.denominator for _, r in up))
-                dims = [(w * w, r.numerator * (den // r.denominator)) for w, r in up]
-                self._c2c4 = (
-                    Fraction(sum(w2 * d for w2, d in dims), den),
-                    Fraction(sum(w2 * w2 * d for w2, d in dims), den),
-                )
-        return self._c2c4
+        self.c, self.ch = table.moments(q_max)
 
     def identity(self, provenance, values, kappa, terms=(), denominator=1) -> BWIdentity:
         """The identity with one Fraction, value / denominator, per valid target."""
@@ -279,15 +259,7 @@ def identity_bochner1(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
     """
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    ctx = _Context(bundle, table)
-    n = bundle.n
-    _, ch = _moments(bundle.rho, 2 * q + 1)
-    values = [
-        sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q)) for t in ctx.valid
-    ]
-    kappa = (ch[2 * q + 1] + Fraction(2 * n + 1, 2) * ch[2 * q]) / (4 * n * (n + 2))
-    terms = (CurvatureTerm(power=2 * q, hatted=True, coefficient=Fraction(2)),)
-    return ctx.identity(f"bochner1({q})", values, kappa, terms)
+    return _bochner1(_Context(bundle, table, 2 * q + 1), q)
 
 
 def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
@@ -299,15 +271,41 @@ def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
     _require_k(bundle)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    ctx = _Context(bundle, table)
-    n, k = bundle.n, bundle.k
-    _, ch = _moments(bundle.rho, 2 * q)
-    values = []
-    for t in ctx.valid:
-        alternating = sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))
-        values.append(t.W * (2 * t.w_hat ** (2 * q) - alternating))
-    kappa = Fraction(k * (k + 2)) * ch[2 * q] / (4 * n * (n + 2))
-    return ctx.identity(f"bochner2({q})", values, kappa)
+    return _bochner2(_Context(bundle, table, 2 * q), q)
+
+
+def _alternating(ctx, m):
+    """(M, values): sum_{p=0}^{m} (-1)^p c_hat_{m-p} w_hat^p = value / (M 2^m) per target.
+
+    With c_hat_j = B_j / (M 2^j) and x = -2 w_hat = 2n + 1 - 2w, the value
+    is the integer sum_j B_j x^(m-j).
+    """
+    ch = ctx.ch[: m + 1]
+    M = lcm(*(h.denominator for h in ch))
+    B = [(h.numerator * (M // h.denominator)) << j for j, h in enumerate(ch)]
+    xs = [2 * ctx.n + 1 - 2 * w for w in ctx.w]
+    return M, [sum(b * x ** (m - j) for j, b in enumerate(B)) for x in xs]
+
+
+def _bochner1(ctx, q):
+    n, m = ctx.n, 2 * q - 1
+    M, values = _alternating(ctx, m)
+    ch = ctx.ch
+    kappa = (ch[2 * q + 1] + Fraction(2 * n + 1, 2) * ch[2 * q]) / (4 * n * (n + 2))
+    terms = (CurvatureTerm(power=2 * q, hatted=True, coefficient=Fraction(2)),)
+    return ctx.identity(f"bochner1({q})", values, kappa, terms, M << m)
+
+
+def _bochner2(ctx, q):
+    # W (2 w_hat^(2q) - alternating) = 2 W (M x^(2q) - value) / (M 2^(2q)), x as above
+    n, k = ctx.n, ctx.k
+    M, alternating = _alternating(ctx, 2 * q - 1)
+    values = [
+        2 * W * (M * (2 * n + 1 - 2 * w) ** (2 * q) - a)
+        for w, W, a in zip(ctx.w, ctx.W, alternating)
+    ]
+    kappa = Fraction(k * (k + 2)) * ctx.ch[2 * q] / (4 * n * (n + 2))
+    return ctx.identity(f"bochner2({q})", values, kappa, (), M << 2 * q)
 
 
 def _require_k(bundle):
@@ -317,13 +315,12 @@ def _require_k(bundle):
 
 def _bw1(ctx, terms):
     n = ctx.n
-    c2, _ = ctx.c2c4()
-    return ctx.identity("bw1", ctx.w, c2 / (8 * n * (n + 2)), terms)
+    return ctx.identity("bw1", ctx.w, ctx.c[2] / (8 * n * (n + 2)), terms)
 
 
 def _bw2(ctx, terms):
     n = ctx.n
-    c2, c4 = ctx.c2c4()
+    c2, c4 = ctx.c[2], ctx.c[4]
     p, q = c2.numerator, 2 * c2.denominator
     lin = (n + 1) * (2 * n + 1)
     values = [p + q * (((w - 2 * n - 1) * w + lin) * w) for w in ctx.w]
@@ -337,14 +334,14 @@ def _bw3(ctx, terms):
 
 def _bw4(ctx, terms):
     n, k = ctx.n, ctx.k
-    c2, _ = ctx.c2c4()
+    c2 = ctx.c[2]
     values = [2 * W * (w - n - 1) * w for w, W in zip(ctx.w, ctx.W)]
     return ctx.identity("bw4", values, Fraction(k * (k + 2)) * c2 / (4 * n * (n + 2)), terms)
 
 
 def _bw5(ctx, terms):
     n, k = ctx.n, ctx.k
-    c2, c4 = ctx.c2c4()
+    c2, c4 = ctx.c[2], ctx.c[4]
     p, q = c2.numerator, c2.denominator
     values = [
         W * (q * 2 * w * (w - n - 1) * ((w - 2 * n - 1) * w + 2 * n + 1) + (n + w) * p)
@@ -356,7 +353,7 @@ def _bw5(ctx, terms):
 
 def _bw6(ctx, terms):
     n = ctx.n
-    c2, c4 = ctx.c2c4()
+    c2, c4 = ctx.c[2], ctx.c[4]
     p, q = c2.numerator, c2.denominator
     values = [(w + 2) * (p + q * (4 * w - 8 * n - 12) * w) for w in ctx.w]
     kappa = (-4 * (2 * n**2 + 7 * n + 7) * c2 + c2**2 + 4 * c4) / (8 * n * (n + 2))
@@ -409,16 +406,16 @@ def theorem_family(bundle: BundleLabel):
 
     k != 0: even family q = 1..floor(N/4) plus odd family
     q = 0..floor(N/4 - 1/2); k = 0: even family q = 1..floor(N/2).
-    Always floor(N/2) identities in total.
+    Always floor(N/2) identities in total.  One context serves the family.
     """
     table = decompose_bundle(bundle)
     count = table.summand_count
-    if bundle.k == 0:
-        return [identity_bochner1(bundle, q, table) for q in range(1, count // 2 + 1)]
-    q2_max = (count - 2) // 4  # floor(N/4 - 1/2)
-    return [identity_bochner1(bundle, q, table) for q in range(1, count // 4 + 1)] + [
-        identity_bochner2(bundle, q, table) for q in range(0, q2_max + 1)
-    ]
+    q1_max = count // 2 if bundle.k == 0 else count // 4
+    ctx = _Context(bundle, table, 2 * q1_max + 1)
+    family = [_bochner1(ctx, q) for q in range(1, q1_max + 1)]
+    if bundle.k != 0:
+        family += [_bochner2(ctx, q) for q in range((count - 2) // 4 + 1)]
+    return family
 
 
 class Rule(enum.Enum):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from qkbw.casimir import (
-    PrefactorShift,
     casimir_eigenvalue,
     casimir_hat,
     casimir_report,
@@ -84,22 +83,12 @@ class TestRelativeDimensions:
         assert relative_dimension_product(w(1, 1), 1) == Fraction(16, 5)
 
     def test_prefactor_calibration(self):
-        # The alternative convention fails immediately: on the trivial
-        # module it yields 2n - 1 instead of 2n.
+        # The prefactor shift s = (-1)^N / 2 reproduces 2n on the trivial
+        # module and the full relative-dimension sum on (1, 0).
         rho = w(0, 0)
-        assert relative_dimension_product(rho, 1, PrefactorShift.FULL) == 3
-        assert relative_dimension_product(rho, 1, PrefactorShift.HALF) == 4
+        assert relative_dimension_product(rho, 1) == 4
         rho = w(1, 0)
-        full = sum(
-            relative_dimension_product(rho, nu, PrefactorShift.FULL)
-            for nu in (1, 2, -1)
-        )
-        assert full != 4
-        half = sum(
-            relative_dimension_product(rho, nu, PrefactorShift.HALF)
-            for nu in (1, 2, -1)
-        )
-        assert half == 4
+        assert sum(relative_dimension_product(rho, nu) for nu in (1, 2, -1)) == 4
 
 
 class TestCasimirEigenvalues:

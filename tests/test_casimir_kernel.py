@@ -122,6 +122,10 @@ def test_decompose_bundle_matches_oracle(rho, k):
     for mine, theirs in zip(got.targets, want):
         for field in GradientTarget.__dataclass_fields__:
             assert _same(getattr(mine, field), getattr(theirs, field)), (mine.key, field)
+    c, ch = got.moments(6)
+    for q in range(7):
+        assert _same(c[q], oracle_eigenvalue(rho, q)), q
+        assert _same(ch[q], oracle_hat(rho, q)), q
 
 
 @pytest.mark.parametrize(

@@ -389,3 +389,50 @@ class TestUsageErrors:
         )
         assert (code, out) == (2, "")
         assert "ASCII digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "٢", "--k", "1_0", "--a", "1", "--kappa-sign", "+", "--format", "json"],
+            ["sweep", "--n", "2", "--k", "0_1", "--a", "0", "--b", "0"],
+            ["sweep", "--n", "2..３", "--k", "1"],
+            ["sweep", "--n", "2", "--k", "1", "--jobs", "1_0"],
+            ["casimir", "--n", "2", "--rho", "1,0", "--q-max", "0_4"],
+            ["table1", "--n", "4", "--a", "+2", "--b", "1"],
+        ],
+        ids=["bound-digits", "sweep-k-underscore", "sweep-range-end", "jobs", "q-max", "plus-sign"],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        """Once read through int(): the first two certified n = 2, k = 10 and ran k = 1."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "ASCII digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "2", "--k", "1", "--rho", "1,0", "--a", "2", "--kappa-sign", "+"],
+            ["casimir", "--n", "2", "--rho", "1,0", "--a", "2"],
+            ["bw", "--n", "2", "--k", "1", "--rho", "1,0", "--b", "0"],
+        ],
+        ids=["bound-a", "casimir-a", "bw-b"],
+    )
+    def test_rho_with_a_or_b_is_user_error(self, capsys, argv):
+        """--a and --b were dropped without a word when --rho was given."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--rho conflicts with --a/--b" in err
+
+    def test_hpn_sweep_with_negative_kappa_is_user_error(self, capsys):
+        """The sweep ran the + cases only and exited 0."""
+        code, out, err = run(capsys, "sweep", "--n", "2", "--hpn", "--kappa-sign", "-")
+        assert (code, out) == (2, "")
+        assert "kappa > 0" in err
+
+    def test_hpn_bound_with_negative_kappa_still_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "bound", "--n", "2", "--k", "2", "--a", "0", "--hpn", "--kappa-sign", "-",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["kappa_sign"] == "-"

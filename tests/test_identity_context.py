@@ -1,12 +1,15 @@
 """The integer identity context against the Fraction builders it replaced.
 
-``oracle_bw1`` .. ``oracle_bw6``, ``oracle_simplify`` and
-``oracle_pure_kappa`` are the identity builders as they were before the
-per-call context: every coefficient polynomial is evaluated in ``Fraction``
-arithmetic on the ``Fraction`` weights of each target, c_2 and c_4 come from
-the closed forms on (2_b,1_(a-b)) shapes and from ``casimir_eigenvalue``
-otherwise, and the curvature rules run on fully built identities.  They are
-kept here as a test-only reference.
+``oracle_bw1`` .. ``oracle_bw6``, ``oracle_bochner1``, ``oracle_bochner2``,
+``oracle_theorem_family``, ``oracle_simplify`` and ``oracle_pure_kappa`` are
+the identity builders as they were before the per-call context: every
+coefficient polynomial is evaluated in ``Fraction`` arithmetic on the
+``Fraction`` weights of each target, and the curvature rules run on fully
+built identities.  c_2 and c_4 are ``Fraction`` sums of w^q * reldim over
+the table's N = +1 targets; the property checks them against
+``casimir_eigenvalue`` and the closed forms.  The families take c_hat from
+``casimir_hat`` and evaluate on ``w_hat``.  They are kept here as a
+test-only reference.
 """
 
 from fractions import Fraction
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from qkbw.casimir import (
     DecompositionTable,
     casimir_eigenvalue,
+    casimir_hat,
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
     decompose_bundle,
@@ -33,6 +37,8 @@ from qkbw.identities import (
     Rule,
     RuleShapeError,
     apply_rule,
+    identity_bochner1,
+    identity_bochner2,
     identity_bw1,
     identity_bw2,
     identity_bw3,
@@ -42,6 +48,7 @@ from qkbw.identities import (
     printed_identities,
     pure_kappa_identities,
     simplify_curvature,
+    theorem_family,
 )
 from qkbw.weights import BundleLabel, SpnWeight, lambda_ab_weight
 
@@ -67,18 +74,9 @@ def oracle_build(bundle, table, coeff_of, kappa, terms, provenance):
     )
 
 
-def oracle_c2(rho):
-    shape = rho.lambda_ab_shape()
-    if shape is not None:
-        return closed_form_c2_lambda_ab(shape[0], shape[1], rho.n)
-    return casimir_eigenvalue(rho, 2)
-
-
-def oracle_c4(rho):
-    shape = rho.lambda_ab_shape()
-    if shape is not None:
-        return closed_form_c4_lambda_ab(shape[0], shape[1], rho.n)
-    return casimir_eigenvalue(rho, 4)
+def oracle_moment(table, q):
+    """c_q as the Fraction sum of w^q * reldim over the N = +1 valid targets."""
+    return sum((t.w**q * t.reldim for t in table.valid_targets if t.N == 1), F(0))
 
 
 R1 = (CurvatureTerm(power=1, hatted=False, coefficient=F(1)),)
@@ -87,12 +85,12 @@ R3 = (CurvatureTerm(power=3, hatted=False, coefficient=F(1)),)
 
 def oracle_bw1(bundle, table):
     n = bundle.n
-    kappa = oracle_c2(bundle.rho) / (8 * n * (n + 2))
+    kappa = oracle_moment(table, 2) / (8 * n * (n + 2))
     return oracle_build(bundle, table, lambda t: t.w, kappa, R1, "bw1")
 
 
 def oracle_bw2(bundle, table):
-    n, c2, c4 = bundle.n, oracle_c2(bundle.rho), oracle_c4(bundle.rho)
+    n, c2, c4 = bundle.n, oracle_moment(table, 2), oracle_moment(table, 4)
 
     def coeff(t):
         w = t.w
@@ -112,7 +110,7 @@ def oracle_bw4(bundle, table):
     if bundle.k == 0:
         raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
     n, k = bundle.n, bundle.k
-    kappa = F(k * (k + 2)) * oracle_c2(bundle.rho) / (4 * n * (n + 2))
+    kappa = F(k * (k + 2)) * oracle_moment(table, 2) / (4 * n * (n + 2))
     return oracle_build(
         bundle, table, lambda t: 2 * t.W * (t.w**2 - (n + 1) * t.w), kappa, (), "bw4"
     )
@@ -122,7 +120,7 @@ def oracle_bw5(bundle, table):
     if bundle.k == 0:
         raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
     n, k = bundle.n, bundle.k
-    c2, c4 = oracle_c2(bundle.rho), oracle_c4(bundle.rho)
+    c2, c4 = oracle_moment(table, 2), oracle_moment(table, 4)
 
     def coeff(t):
         w = t.w
@@ -134,7 +132,7 @@ def oracle_bw5(bundle, table):
 
 def oracle_bw6(a, b, k, n, table):
     bundle = lambda_ab_bundle(k, a, b, n)
-    c2, c4 = closed_form_c2_lambda_ab(a, b, n), closed_form_c4_lambda_ab(a, b, n)
+    c2, c4 = oracle_moment(table, 2), oracle_moment(table, 4)
 
     def coeff(t):
         w = t.w
@@ -142,6 +140,45 @@ def oracle_bw6(a, b, k, n, table):
 
     kappa = (-4 * (2 * n**2 + 7 * n + 7) * c2 + c2**2 + 4 * c4) / (8 * n * (n + 2))
     return oracle_build(bundle, table, coeff, kappa, (), "bw6")
+
+
+def oracle_bochner1(bundle, q, table):
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
+    n = bundle.n
+    ch = [casimir_hat(bundle.rho, p) for p in range(2 * q + 2)]
+
+    def coeff(t):
+        return sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))
+
+    kappa = (ch[2 * q + 1] + F(2 * n + 1, 2) * ch[2 * q]) / (4 * n * (n + 2))
+    terms = (CurvatureTerm(power=2 * q, hatted=True, coefficient=F(2)),)
+    return oracle_build(bundle, table, coeff, kappa, terms, f"bochner1({q})")
+
+
+def oracle_bochner2(bundle, q, table):
+    if bundle.k == 0:
+        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+    if q < 0:
+        raise ValueError(f"q must be nonnegative, got {q}")
+    n, k = bundle.n, bundle.k
+    ch = [casimir_hat(bundle.rho, p) for p in range(2 * q + 1)]
+
+    def coeff(t):
+        alternating = sum((-1) ** p * ch[2 * q - 1 - p] * t.w_hat**p for p in range(2 * q))
+        return t.W * (2 * t.w_hat ** (2 * q) - alternating)
+
+    kappa = F(k * (k + 2)) * ch[2 * q] / (4 * n * (n + 2))
+    return oracle_build(bundle, table, coeff, kappa, (), f"bochner2({q})")
+
+
+def oracle_theorem_family(bundle, table):
+    count = table.summand_count
+    if bundle.k == 0:
+        return [oracle_bochner1(bundle, q, table) for q in range(1, count // 2 + 1)]
+    return [oracle_bochner1(bundle, q, table) for q in range(1, count // 4 + 1)] + [
+        oracle_bochner2(bundle, q, table) for q in range((count - 2) // 4 + 1)
+    ]
 
 
 def oracle_applicable(rule, bundle):
@@ -209,7 +246,7 @@ def oracle_pure_kappa(bundle, hpn, table):
 def _outcome(call, *args):
     try:
         return call(*args)
-    except (InapplicableIdentityError, InconsistencyError, RuleShapeError) as exc:
+    except (ValueError, InconsistencyError) as exc:
         return (type(exc), str(exc))
 
 
@@ -255,6 +292,11 @@ shape_weights = st.integers(2, 7).flatmap(
 def test_identities_match_oracle(rho, k, hpn):
     bundle = BundleLabel(k, rho)
     table = decompose_bundle(bundle)
+    shape = rho.lambda_ab_shape()
+    for q, closed_form in ((2, closed_form_c2_lambda_ab), (4, closed_form_c4_lambda_ab)):
+        assert oracle_moment(table, q) == casimir_eigenvalue(rho, q)
+        if shape is not None:
+            assert oracle_moment(table, q) == closed_form(shape[0], shape[1], rho.n)
     _assert_same_outcome(
         _outcome(pure_kappa_identities, bundle, hpn), _outcome(oracle_pure_kappa, bundle, hpn, table)
     )
@@ -274,12 +316,17 @@ def test_identities_match_oracle(rho, k, hpn):
         want = _outcome(oracle, bundle, table)
         _assert_same_outcome(_outcome(public, bundle), want)
         _assert_same_outcome(_outcome(public, bundle, table), want)
-    shape = rho.lambda_ab_shape()
     if shape is not None:
         a, b = shape
         _assert_same_outcome(
             identity_bw6(a, b, k, rho.n), oracle_bw6(a, b, k, rho.n, table)
         )
+    for q in range(-1, 4):
+        for public, oracle in ((identity_bochner1, oracle_bochner1), (identity_bochner2, oracle_bochner2)):
+            want = _outcome(oracle, bundle, q, table)
+            _assert_same_outcome(_outcome(public, bundle, q), want)
+            _assert_same_outcome(_outcome(public, bundle, q, table), want)
+    _assert_same_outcome(theorem_family(bundle), oracle_theorem_family(bundle, table))
     rules = HPN_RULES if hpn else STANDARD_RULES
     for raw in (oracle_bw1(bundle, table), oracle_bw2(bundle, table)):
         _assert_same_identity(simplify_curvature(raw, rules), oracle_simplify(raw, rules))
@@ -302,5 +349,5 @@ def test_zero_row_with_kappa_side_raises(hpn):
     bundle = lambda_ab_bundle(2, 2, 1, 3)
     empty = DecompositionTable(bundle, ())
     want = _outcome(oracle_pure_kappa, bundle, hpn, empty)
-    assert want[0] is InconsistencyError
+    assert want == (InconsistencyError, "identity bw3 reduced to 0 = kappa-multiple")
     assert _outcome(pure_kappa_identities, bundle, hpn, empty) == want
