@@ -23,8 +23,8 @@ V_{rho+mu_nu} or 0 when not dominant) or a bundle's decomposition table.
 
 Relative dimensions come from two independent routes: the Weyl dimension
 oracle (always the source of truth) and a product formula over translated
-weights.  The product formula never reads the summand table, so it stays a
-cross-check.
+weights.  The product formula reads neither the summand table nor the Weyl
+oracle, only the entries of rho, so it stays a cross-check.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .rationals import format_plain, format_rational
 from .weights import (
     BundleLabel,
     SpnWeight,
-    decompose_rho_tensor_E,
     lambda_ab_weight,
     mu_shift,
     nu_indices,
@@ -79,10 +78,13 @@ def conformal_weight(rho: SpnWeight, nu: int) -> Fraction:
     non-dominant.
     """
     rho.require_dominant()
-    n = rho.n
+    _require_shift_index(rho.n, nu)
+    return Fraction(_weight(rho, nu))
+
+
+def _require_shift_index(n: int, nu: int):
     if nu == 0 or abs(nu) > n:
         raise ValueError(f"shift index must satisfy 1 <= |nu| <= {n}, got {nu}")
-    return Fraction(_weight(rho, nu))
 
 
 def _weight(rho: SpnWeight, nu: int) -> int:
@@ -120,32 +122,47 @@ def relative_dimension_weyl(rho: SpnWeight, nu: int) -> Fraction:
 def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
     """Relative dimension via the translated-weight product formula.
 
-        reldim(nu) = -2 (w_hat_nu - s) *
-                     prod over dominant nu' != nu of
-                         (w_hat_nu + w_hat_nu') / (w_hat_nu - w_hat_nu')
+    On the odd integers x_nu = 2 w_hat_nu = 2 w_nu - 2n - 1,
 
-    with s = (-1)^N / 2, where N is the number of dominant summands of
-    V_rho (x) E.  Returns 0 for a non-dominant target.  Raises
+        reldim(nu) = -(x_nu - (-1)^N) *
+                     prod over dominant nu' != nu of
+                         (x_nu + x_nu') / (x_nu - x_nu'),
+
+    where N is the number of dominant summands of V_rho (x) E.  The product
+    is one integer numerator over one integer denominator, returned as one
+    Fraction.  Dominance is read off the entries of rho: rho + mu_i is
+    dominant iff i = 1 or rho_{i-1} > rho_i, and rho - mu_i iff
+    rho_i > rho_{i+1}, with rho_{n+1} = 0.  Reads neither the summand table
+    nor the Weyl oracle.  Returns 0 for a non-dominant target.  Raises
     FormulaDegeneracyError if two dominant summands share a translated
     weight (never observed for dominant pairs, but guarded rather than
     silently dividing by zero).
     """
-    table = decompose_rho_tensor_E(rho)
-    if not mu_shift(rho, nu).is_dominant:
+    rho.require_dominant()
+    n = rho.n
+    e = rho.entries + (0,)
+    dominant = [i for i in range(1, n + 1) if i == 1 or e[i - 2] > e[i - 1]]
+    dominant += [-i for i in range(1, n + 1) if e[i - 1] > e[i]]
+    count = len(dominant)
+    assert (count % 2 == 1) == (e[n - 1] == 0), f"summand-count parity violated for {rho}"
+    _require_shift_index(n, nu)
+    if nu not in dominant:
         return Fraction(0)
-    shift = Fraction((-1) ** table.summand_count, 2)
-    wh = conformal_weight_hat(rho, nu)
-    value = -2 * (wh - shift)
-    for cand in table.candidates:
-        if cand.nu == nu or not cand.dominant:
+    shift = 2 * n + 1
+    x = 2 * _weight(rho, nu) - shift
+    num = -(x - (-1) ** count)
+    den = 1
+    for other in dominant:
+        if other == nu:
             continue
-        other = conformal_weight_hat(rho, cand.nu)
-        if other == wh:
+        y = 2 * _weight(rho, other) - shift
+        if y == x:
             raise FormulaDegeneracyError(
-                f"degenerate translated weights at nu={nu}, nu'={cand.nu} for rho={rho}"
+                f"degenerate translated weights at nu={nu}, nu'={other} for rho={rho}"
             )
-        value *= (wh + other) / (wh - other)
-    return value
+        num *= x + y
+        den *= x - y
+    return Fraction(num, den)
 
 
 def _summands(rho: SpnWeight):
@@ -281,20 +298,28 @@ def verify_recursion(rho: SpnWeight, q_max: int = 6):
     for every odd index 2q+1 <= q_max.
     Translation: c_hat_q = sum_p C(q,p) (-n-1/2)^{q-p} c_p for q <= q_max.
 
+    Both are tested in integers.  With den the common denominator of the
+    moments, C_p = c_p * den and H_q = c_hat_q * den, they read
+
+        2 H_{2q+1} den = -H_{2q} den - sum_p (-1)^p H_{2q-p} H_p,
+        2^q H_q        = sum_p C(q,p) (-(2n+1))^{q-p} 2^p C_p.
+
     Returns a list of (kind, q) failures; empty means everything holds.
     """
     failures = []
-    n = rho.n
     c, ch = _moments(rho, q_max)
+    den = lcm(*(v.denominator for v in (*c, *ch)))
+    C = [v.numerator * (den // v.denominator) for v in c]
+    H = [v.numerator * (den // v.denominator) for v in ch]
     for q in range(0, (q_max - 1) // 2 + 1):
-        lhs = 2 * ch[2 * q + 1]
-        rhs = -ch[2 * q] - sum((-1) ** p * ch[2 * q - p] * ch[p] for p in range(2 * q + 1))
-        if lhs != rhs:
-            failures.append(("recursion", 2 * q + 1))
-    m = -(n + Fraction(1, 2))
+        m = 2 * q
+        alternating = sum((-1) ** p * H[m - p] * H[p] for p in range(m + 1))
+        if 2 * H[m + 1] * den != -H[m] * den - alternating:
+            failures.append(("recursion", m + 1))
+    shift = -(2 * rho.n + 1)
     for q in range(q_max + 1):
-        translated = sum(comb(q, p) * m ** (q - p) * c[p] for p in range(q + 1))
-        if translated != ch[q]:
+        translated = sum(comb(q, p) * shift ** (q - p) * (C[p] << p) for p in range(q + 1))
+        if translated != H[q] << q:
             failures.append(("binomial", q))
     return failures
 

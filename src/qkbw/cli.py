@@ -114,18 +114,16 @@ def cmd_decompose(args) -> int:
     rho = _rho_from_args(args)
     if args.k is None:
         table = decompose_rho_tensor_E(rho)
+        rows = [
+            (c, format_rational(relative_dimension_weyl(rho, c.nu))) for c in table.candidates
+        ]
         obj = {
             "n": rho.n,
             "rho": str(rho),
             "summand_count": table.summand_count,
             "candidates": [
-                {
-                    "nu": c.nu,
-                    "weight": str(c.weight),
-                    "dominant": c.dominant,
-                    "reldim": format_rational(relative_dimension_weyl(rho, c.nu)),
-                }
-                for c in table.candidates
+                {"nu": c.nu, "weight": str(c.weight), "dominant": c.dominant, "reldim": rd}
+                for c, rd in rows
             ],
         }
         lines = [
@@ -134,16 +132,12 @@ def cmd_decompose(args) -> int:
             "| nu | weight | dominant | reldim |",
             "|----|--------|----------|--------|",
         ]
-        for c in table.candidates:
-            rd = relative_dimension_weyl(rho, c.nu)
-            lines.append(
-                f"| {c.nu:+d} | ({c.weight}) | {'yes' if c.dominant else 'no'} | "
-                f"{format_rational(rd)} |"
-            )
+        lines += [
+            f"| {c.nu:+d} | ({c.weight}) | {'yes' if c.dominant else 'no'} | {rd} |"
+            for c, rd in rows
+        ]
         csv_text = "nu,weight,dominant,reldim\n" + "".join(
-            f'{c.nu},"{c.weight}",{int(c.dominant)},'
-            f"{format_rational(relative_dimension_weyl(rho, c.nu))}\n"
-            for c in table.candidates
+            f'{c.nu},"{c.weight}",{int(c.dominant)},{rd}\n' for c, rd in rows
         )
         _emit(args, obj, "\n".join(lines), csv_text)
         return 0

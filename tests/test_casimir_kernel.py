@@ -5,27 +5,46 @@ sums and the per-(N, nu) decomposition loop as they were before every moment
 was read off one integer table: each term is a ``Fraction`` conformal weight
 times a ``Fraction`` relative dimension from the Weyl oracle, summed per q.
 They are kept here as a test-only reference.
+
+``oracle_product`` and ``oracle_verify_recursion`` are the product formula
+and the recursion check as they were before both were evaluated on
+integers: the product multiplies ``Fraction`` ratios of translated weights
+over the dominant candidates of ``decompose_rho_tensor_E``, and the check
+compares ``Fraction`` sides.  Both read the conformal weights and the moments
+through ``qkbw.casimir`` at call time, so a monkeypatch there reaches the
+oracle and the code under test alike.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkbw import casimir
 from qkbw.casimir import (
     DEFAULT_Q_CAP,
+    FormulaDegeneracyError,
     GradientTarget,
     casimir_eigenvalue,
     casimir_hat,
     casimir_report,
+    conformal_weight_hat,
     decompose_bundle,
     relative_dimension_product,
     relative_dimension_weyl,
     sp1_conformal_weight,
     verify_recursion,
 )
-from qkbw.weights import BundleLabel, NonDominantError, SpnWeight, mu_shift, nu_indices
+from qkbw.weights import (
+    BundleLabel,
+    NonDominantError,
+    SpnWeight,
+    decompose_rho_tensor_E,
+    mu_shift,
+    nu_indices,
+)
 
 F = Fraction
 
@@ -75,6 +94,52 @@ def oracle_decompose(bundle):
                 )
             )
     return tuple(targets)
+
+
+def oracle_product(rho, nu) -> Fraction:
+    """The Fraction product formula: -2 (w_hat - s) prod (w_hat + w_hat') / (w_hat - w_hat')."""
+    table = decompose_rho_tensor_E(rho)
+    if not mu_shift(rho, nu).is_dominant:
+        return F(0)
+    shift = F((-1) ** table.summand_count, 2)
+    wh = conformal_weight_hat(rho, nu)
+    value = -2 * (wh - shift)
+    for cand in table.candidates:
+        if cand.nu == nu or not cand.dominant:
+            continue
+        other = conformal_weight_hat(rho, cand.nu)
+        if other == wh:
+            raise FormulaDegeneracyError(
+                f"degenerate translated weights at nu={nu}, nu'={cand.nu} for rho={rho}"
+            )
+        value *= (wh + other) / (wh - other)
+    return value
+
+
+def oracle_verify_recursion(rho, q_max=6):
+    """The recursion and binomial checks on Fraction moments."""
+    failures = []
+    n = rho.n
+    c, ch = casimir._moments(rho, q_max)
+    for q in range(0, (q_max - 1) // 2 + 1):
+        lhs = 2 * ch[2 * q + 1]
+        rhs = -ch[2 * q] - sum((-1) ** p * ch[2 * q - p] * ch[p] for p in range(2 * q + 1))
+        if lhs != rhs:
+            failures.append(("recursion", 2 * q + 1))
+    m = -(n + F(1, 2))
+    for q in range(q_max + 1):
+        translated = sum(comb(q, p) * m ** (q - p) * c[p] for p in range(q + 1))
+        if translated != ch[q]:
+            failures.append(("binomial", q))
+    return failures
+
+
+def _outcome(fn, *args):
+    """("value", result) or ("error", exception class, message)."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
 
 
 def _same(got, want):
@@ -148,3 +213,92 @@ def test_non_dominant_weight_raises(call):
 def test_negative_q_raises(moment):
     with pytest.raises(ValueError, match="nonnegative"):
         moment(SpnWeight((1, 0)), -1)
+
+
+# Any weight of rank 2..8 with entries <= 6: sorted ones are dominant unless an
+# entry is negative, unsorted ones are mostly not.
+any_weights = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-1, 6), min_size=n, max_size=n), st.booleans()
+    ).map(lambda drawn: SpnWeight(tuple(sorted(drawn[0], reverse=True)) if drawn[1] else drawn[0]))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_weights)
+def test_product_formula_matches_fraction_oracle(rho):
+    n = rho.n
+    for nu in range(-n - 1, n + 2):
+        got = _outcome(relative_dimension_product, rho, nu)
+        want = _outcome(oracle_product, rho, nu)
+        assert got[0] == want[0], nu
+        if got[0] == "value":
+            assert _same(got[1], want[1]), nu
+        else:
+            assert got[1:] == want[1:], nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_weights)
+def test_product_formula_dominance_rule(rho):
+    # A dominant target has a positive relative dimension, any other 0.
+    for nu in nu_indices(rho.n):
+        assert (relative_dimension_product(rho, nu) > 0) == mu_shift(rho, nu).is_dominant, nu
+
+
+def test_product_formula_degeneracy(monkeypatch):
+    # On rho = (1, 0) the dominant targets are nu = 1, 2, -1; give nu = 2 the
+    # weight of nu = 1, so their translated weights coincide.
+    rho = SpnWeight((1, 0))
+    weight = casimir._weight
+    monkeypatch.setattr(casimir, "_weight", lambda r, nu: weight(r, 1 if nu == 2 else nu))
+    message = "degenerate translated weights at nu=1, nu'=2 for rho=1,0"
+    for call in (relative_dimension_product, oracle_product):
+        with pytest.raises(FormulaDegeneracyError) as info:
+            call(rho, 1)
+        assert str(info.value) == message
+    with pytest.raises(FormulaDegeneracyError, match="at nu=2, nu'=1 "):
+        relative_dimension_product(rho, 2)
+    assert _same(relative_dimension_product(rho, -1), oracle_product(rho, -1))
+    assert relative_dimension_product(rho, -2) == 0
+
+
+perturbations = st.lists(
+    st.tuples(
+        st.sampled_from((0, 1)),
+        st.integers(0, 8),
+        st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+            lambda e: SpnWeight(tuple(sorted(e, reverse=True)))
+        )
+    ),
+    st.integers(0, 8),
+    perturbations,
+)
+def test_verify_recursion_matches_oracle_on_wrong_moments(rho, q_max, changes):
+    c, ch = casimir._moments(rho, q_max)
+    moments = (list(c), list(ch))
+    for which, q, delta in changes:
+        if q <= q_max:
+            moments[which][q] += delta
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(casimir, "_moments", lambda r, q: moments)
+        assert verify_recursion(rho, q_max) == oracle_verify_recursion(rho, q_max)
+
+
+def test_verify_recursion_reports_each_wrong_moment(monkeypatch):
+    rho = SpnWeight((2, 1, 0))
+    c, ch = casimir._moments(rho, 6)
+    ch = list(ch)
+    ch[3] += 1
+    monkeypatch.setattr(casimir, "_moments", lambda r, q: (c, ch))
+    assert verify_recursion(rho, 6) == [("recursion", 3), ("recursion", 5), ("binomial", 3)]
+    assert oracle_verify_recursion(rho, 6) == verify_recursion(rho, 6)

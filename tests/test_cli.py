@@ -101,6 +101,20 @@ class TestDecomposeVerb:
         data = json.loads(out)
         assert data["summand_count"] == 3
 
+    @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+    def test_nu_level_reads_each_reldim_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        weyl = cli.relative_dimension_weyl
+
+        def counting(rho, nu):
+            calls.append(nu)
+            return weyl(rho, nu)
+
+        monkeypatch.setattr(cli, "relative_dimension_weyl", counting)
+        code, _, _ = run(capsys, "decompose", "--n", "3", "--rho", "2,1,0", "--format", fmt)
+        assert code == 0
+        assert calls == [1, 2, 3, -1, -2, -3]
+
     def test_bundle_level(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--n", "3", "--k", "2", "--rho", "1,1,0", "--format", "json"

@@ -176,3 +176,30 @@ def test_dependent_identities_take_the_face_cleanup():
     assert dict(cert.multipliers) == {"p": 1, "p#1": 0}
     assert dict(cert.residuals) == {(1, 1): 0, (-1, 1): 1}
     assert primal_oracle(operator, identities, 1) == (1, [1, 0])
+
+
+@given(
+    dominant_weights,
+    st.integers(0, 4),
+    st.sampled_from(OPERATOR_NAMES),
+    st.sampled_from((1, -1)),
+)
+@settings(max_examples=200, deadline=None)
+def test_bound_is_monotone_as_identities_are_added(rho, k, operator_name, sign):
+    # Adding identities only widens the span: whenever a subset certifies, the
+    # full set certifies too, with a bound at least as good for this sign.
+    from itertools import combinations
+
+    bundle = BundleLabel(k, rho)
+    operator = operator_coeffs(operator_name, bundle)
+    identities = pure_kappa_identities(bundle)
+    full = None
+    for size in range(len(identities) + 1):
+        for subset in combinations(identities, size):
+            try:
+                sub = lp_max_bound(operator, list(subset), sign).bound
+            except InconsistencyError:
+                continue
+            if full is None:
+                full = lp_max_bound(operator, identities, sign).bound
+            assert sign * sub <= sign * full, [ident.provenance for ident in subset]
