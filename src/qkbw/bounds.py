@@ -12,13 +12,17 @@ bound (sign(kappa) * c) and returns the full certificate so the rewriting
 is machine-checkable.  The LP is solved exactly through its dual, which has
 one row per identity; complementary slackness then recovers the multipliers,
 with an L1-smallest tie-break on the optimal face when identities are
-dependent (see lp_max_bound).
+dependent (see lp_max_bound).  The LP rows are ints over one common
+denominator, each residual is one Fraction, and BoundCertificate.verify
+checks the Fraction operator and identities by integer cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .casimir import decompose_bundle
 from .identities import (
@@ -73,24 +77,30 @@ class BoundCertificate:
     matched_closed_form: str = None
 
     def verify(self, operator: OperatorSpec, identities) -> None:
-        """Re-check the reconstruction identity and nonnegativity exactly."""
+        """Re-check the reconstruction identity and nonnegativity exactly.
+
+        Reads only the public Fraction operator, identities and certificate,
+        and cross-multiplies over P * Q, the multiplier and identity lcms."""
         ids = dict(self.multipliers)
         res = dict(self.residuals)
         for key, value in res.items():
             if value < 0:
                 raise InconsistencyError(f"negative residual at {key}: {value}")
         by_id = dict(zip(_identity_ids(identities), identities))
-        maps = {i: by_id[i].coeff_map() for i in ids}
+        used = [by_id[i] for i in ids]
+        P = lcm(*(v.denominator for v in ids.values()))
+        Q = lcm(*(v.denominator for ident in used for v in ident.full_vector()))
+        lams = _ints(ids.values(), P)
+
+        def matches(value, column):  # value == sum of multiplier * column entry
+            combined = sum(map(mul, lams, _ints(column, Q)))
+            return value.numerator * P * Q == combined * value.denominator
+
+        maps = [ident.coeff_map() for ident in used]
         for key, op_coeff in operator.coeffs:
-            combined = res.get(key, Fraction(0)) + sum(
-                ids[i] * maps[i].get(key, Fraction(0)) for i in ids
-            )
-            if combined != op_coeff:
+            if not matches(op_coeff - res.get(key, 0), [cm.get(key, 0) for cm in maps]):
                 raise InconsistencyError(f"reconstruction fails at {key}")
-        bound = operator.constant_kappa + sum(
-            ids[i] * by_id[i].kappa_coeff for i in ids
-        )
-        if bound != self.bound:
+        if not matches(self.bound - operator.constant_kappa, [i.kappa_coeff for i in used]):
             raise InconsistencyError("bound does not match multiplier combination")
 
     def to_json_dict(self):
@@ -139,11 +149,27 @@ def _identity_ids(identities):
     return ids
 
 
-def _split_rows(rows, slack_rows):
+def _ints(values, den):
+    """Rationals times a common multiple den of their denominators, as ints."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _integer_problem(operator, identities, sign):
+    """(A, op, kappa, M): the target-by-identity matrix, the operator and
+    sign * kappa of each identity, as ints over one common denominator M."""
+    maps = [ident.coeff_map() for ident in identities]
+    rows = [[cm.get(key, 0) for cm in maps] for key, _ in operator.coeffs]
+    op = [c for _, c in operator.coeffs]
+    kappas = [ident.kappa_coeff for ident in identities]
+    M = lcm(*(v.denominator for v in (*op, *kappas, *(v for row in rows for v in row))))
+    return [_ints(row, M) for row in rows], _ints(op, M), [sign * v for v in _ints(kappas, M)], M
+
+
+def _split_rows(rows, slack_rows, one):
     """Rows of [A | -A | slacks] for lambda = lambda+ - lambda-, with one slack
-    column (a residual) for each row index in slack_rows."""
+    column (a residual, entry ``one``) for each row index in slack_rows."""
     return [
-        row + [-v for v in row] + [Fraction(int(i == s)) for s in slack_rows]
+        row + [-v for v in row] + [one * (i == s) for s in slack_rows]
         for i, row in enumerate(rows)
     ]
 
@@ -177,13 +203,8 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
             raise ValueError("identities and operator must live on one bundle")
         if not ident.is_pure_kappa:
             raise ValueError(f"identity {ident.provenance} is not pure kappa")
-    target_keys = [key for key, _ in operator.coeffs]
-    op_vec = [c for _, c in operator.coeffs]
-    m = len(identities)
-    t = len(target_keys)
-    maps = [ident.coeff_map() for ident in identities]
-    rows = [[cm.get(key, Fraction(0)) for cm in maps] for key in target_keys]
-    kappas = [ident.kappa_coeff for ident in identities]
+    A, op, kappa, M = _integer_problem(operator, identities, sign)
+    m, t = len(identities), len(op)
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
     # LP errors lose their tracebacks before they become the cause or context
@@ -191,9 +212,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     # caller that keeps the error would keep alive.
     try:
         value, y = simplex_maximize(
-            [-c for c in op_vec],
-            [[row[j] for row in rows] for j in range(m)],
-            [sign * kp for kp in kappas],
+            [-o for o in op], [[row[j] for row in A] for j in range(m)], kappa
         )
     except LPUnboundedError as exc:
         exc.with_traceback(None)
@@ -204,37 +223,37 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         dual_exc.with_traceback(None)
         # The primal is unbounded or infeasible; a feasibility LP tells which.
         try:
-            simplex_maximize([Fraction(0)] * (2 * m + t), _split_rows(rows, range(t)), op_vec)
+            simplex_maximize([0] * (2 * m + t), _split_rows(A, range(t), M), op)
         except LPInfeasibleError as exc:
             raise InconsistencyError(no_rewriting) from exc.with_traceback(None)
         raise InconsistencyError(
             "unbounded bound optimum; identity generation is inconsistent"
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
+    value /= M
 
     tight = [i for i in range(t) if y[i] != 0]
     lambdas = None
     if tight:
-        lambdas, _ = solve_linear_system([rows[i] for i in tight], [op_vec[i] for i in tight])
+        lambdas, _ = solve_linear_system([A[i] for i in tight], [op[i] for i in tight])
     if lambdas is None:
         slack_rows = [i for i in range(t) if y[i] == 0]
         _, x = simplex_maximize(
-            [Fraction(-1)] * (2 * m) + [Fraction(0)] * len(slack_rows),
-            _split_rows(rows, slack_rows),
-            op_vec,
+            [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(A, slack_rows, M), op
         )
         lambdas = [x[j] - x[m + j] for j in range(m)]
-    residuals = [op - sum(a * l for a, l in zip(row, lambdas)) for op, row in zip(op_vec, rows)]
-
-    bound = operator.constant_kappa + sum(l * kp for l, kp in zip(lambdas, kappas))
-    if sign * (bound - operator.constant_kappa) != -value:
+    den = lcm(*(v.denominator for v in lambdas))
+    lams = _ints(lambdas, den)
+    residuals = [Fraction(o * den - sum(map(mul, row, lams)), M * den) for o, row in zip(op, A)]
+    gain = Fraction(sum(map(mul, lams, kappa)), M * den)
+    if gain != -value:
         raise InconsistencyError("primal and dual optima differ")
     cert = BoundCertificate(
         bundle=operator.bundle,
         operator=operator.name,
         kappa_sign=sign,
         multipliers=tuple(zip(_identity_ids(identities), lambdas)),
-        residuals=tuple(zip(target_keys, residuals)),
-        bound=bound,
+        residuals=tuple(zip((key for key, _ in operator.coeffs), residuals)),
+        bound=operator.constant_kappa + sign * gain,
     )
     cert.verify(operator, identities)
     return cert
@@ -456,7 +475,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set, hpn: bool = False) -> Kerne
     inconsistent one raises (it would signal an identity-generation bug).
     """
     table = decompose_bundle(bundle)
-    valid_keys = [(t.N, t.nu) for t in table.valid_targets]
+    valid_keys = [(N, nu) for N, nu, _, _ in table.valid_rows]
     kernel = tuple(kernel_set)
     for key in kernel:
         if key not in valid_keys:

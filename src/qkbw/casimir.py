@@ -19,7 +19,8 @@ d_nu) with reldim(nu) = d_nu / D and turns each sum into one Fraction,
     c_hat_q = (sum_nu (2 w_nu - 2n - 1)^q * d_nu) / (2^q D).
 
 Its rows are a weight's summand table (D = dim V_rho, d_nu = dim
-V_{rho+mu_nu} or 0 when not dominant) or a bundle's decomposition table.
+V_{rho+mu_nu} or 0 when not dominant).  A bundle's DecompositionTable is
+that integer table; its GradientTarget Fraction views exist for output only.
 
 Relative dimensions come from two independent routes: the Weyl dimension
 oracle (always the source of truth) and a product formula over translated
@@ -179,32 +180,28 @@ def _summands(rho: SpnWeight):
         shifted = mu_shift(rho, nu)
         dim = weyl_dim(shifted) if shifted.is_dominant else 0
         rows.append((nu, shifted, _weight(rho, nu), dim))
-    return weyl_dim(rho), rows
+    return weyl_dim(rho), tuple(rows)
 
 
-def _moment_sums(rows, den: int, n: int, q_max: int):
-    """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from integer rows (w, d), reldim = d / den."""
-    shift = 2 * n + 1
-    c = [0] * (q_max + 1)
-    ch = [0] * (q_max + 1)
-    for w, d in rows:
+def _moment_sums(rows, den: int, q_max: int, shift: int = 0):
+    """[c_0..c_{q_max}] from summand rows (nu, weight, w, d) with reldim = d / den;
+    with shift = 2n + 1 the translated [c_hat_0..c_hat_{q_max}] instead."""
+    sums = [0] * (q_max + 1)
+    for _, _, w, d in rows:
         if d:
-            power, hat_power, hat = d, d, 2 * w - shift
+            x = 2 * w - shift if shift else w
             for q in range(q_max + 1):
-                c[q] += power
-                ch[q] += hat_power
-                power *= w
-                hat_power *= hat
-    return (
-        [Fraction(s, den) for s in c],
-        [Fraction(s, den << q) for q, s in enumerate(ch)],
-    )
+                sums[q] += d
+                d *= x
+    if shift:
+        return [Fraction(s, den << q) for q, s in enumerate(sums)]
+    return [Fraction(s, den) for s in sums]
 
 
 def _moments(rho: SpnWeight, q_max: int):
     """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from one summand table."""
     D, rows = _summands(rho)
-    return _moment_sums([(w, d) for _, _, w, d in rows], D, rho.n, q_max)
+    return _moment_sums(rows, D, q_max), _moment_sums(rows, D, q_max, 2 * rho.n + 1)
 
 
 def casimir_eigenvalue(rho: SpnWeight, q: int) -> Fraction:
@@ -389,10 +386,38 @@ class GradientTarget:
 
 @dataclass(frozen=True)
 class DecompositionTable:
-    """All (N, nu) gradient targets on a bundle, valid ones flagged."""
+    """The integer summand table of a bundle: dim = D = dim V_rho and the rows
+    of _summands; target (N, nu) is valid when k + N >= 0 and d_nu > 0."""
 
     bundle: BundleLabel
-    targets: tuple
+    dim: int
+    rows: tuple
+
+    @property
+    def valid_rows(self) -> list:
+        """(N, nu, w, W) as ints per valid target, canonical order:
+        N = +1 then -1, with W = -k for N = +1 and k + 2 for N = -1."""
+        k = self.bundle.k
+        return [
+            (N, nu, w, W)
+            for N, W in ((1, -k), (-1, k + 2))
+            if k + N >= 0
+            for nu, _, w, d in self.rows
+            if d
+        ]
+
+    @property
+    def targets(self) -> tuple:
+        """The GradientTarget views of all 4n candidates, for output only."""
+        k, D, shift = self.bundle.k, self.dim, 2 * self.bundle.n + 1
+        return tuple(
+            GradientTarget(
+                N, nu, k + N, shifted, k + N >= 0 and d > 0, Fraction(w),
+                Fraction(2 * w - shift, 2), sp1_conformal_weight(k, N), Fraction(d, D),
+            )
+            for N in (1, -1)
+            for nu, shifted, w, d in self.rows
+        )
 
     @property
     def valid_targets(self) -> tuple:
@@ -400,15 +425,19 @@ class DecompositionTable:
 
     @property
     def summand_count(self) -> int:
-        return len(self.valid_targets)
+        return len(self.valid_rows)
+
+    def c_moments(self, q_max: int) -> list:
+        """[c_0..c_{q_max}] off the integer rows."""
+        return _moment_sums(self.rows, self.dim, q_max)
+
+    def c_hat_moments(self, q_max: int) -> list:
+        """[c_hat_0..c_hat_{q_max}] off the integer rows."""
+        return _moment_sums(self.rows, self.dim, q_max, 2 * self.bundle.n + 1)
 
     def moments(self, q_max: int):
-        """The moments of _moments, read off the N = +1 valid targets (one per
-        dominant shift): their integer w, their reldims over one denominator."""
-        up = [(t.w.numerator, t.reldim) for t in self.targets if t.valid and t.N == 1]
-        den = lcm(*(r.denominator for _, r in up))
-        rows = [(w, r.numerator * (den // r.denominator)) for w, r in up]
-        return _moment_sums(rows, den, self.bundle.n, q_max)
+        """The pair of lists that _moments gives."""
+        return self.c_moments(q_max), self.c_hat_moments(q_max)
 
     def to_json_dict(self):
         return {
@@ -457,35 +486,11 @@ class DecompositionTable:
 
 
 def decompose_bundle(bundle: BundleLabel) -> DecompositionTable:
-    """Enumerate all 4n candidates (N, nu); valid means k+N >= 0 and
-    rho + mu_nu dominant.  Ordering is canonical: N = +1 then -1, shift
+    """The integer table of all 4n candidates (N, nu); valid means k+N >= 0
+    and rho + mu_nu dominant.  Ordering is canonical: N = +1 then -1, shift
     indices 1..n, -1..-n within each.
     """
-    rho, k = bundle.rho, bundle.k
-    D, rows = _summands(rho)
-    half = rho.n + Fraction(1, 2)
-    shared = [
-        (nu, shifted, d > 0, Fraction(w), w - half, Fraction(d, D))
-        for nu, shifted, w, d in rows
-    ]
-    targets = []
-    for N in (1, -1):
-        W = sp1_conformal_weight(k, N)
-        for nu, shifted, dominant, w, w_hat, reldim in shared:
-            targets.append(
-                GradientTarget(
-                    N=N,
-                    nu=nu,
-                    target_k=k + N,
-                    target_rho=shifted,
-                    valid=(k + N >= 0) and dominant,
-                    w=w,
-                    w_hat=w_hat,
-                    W=W,
-                    reldim=reldim,
-                )
-            )
-    return DecompositionTable(bundle, tuple(targets))
+    return DecompositionTable(bundle, *_summands(bundle.rho))
 
 
 def lambda_ab_bundle(k: int, a: int, b: int, n: int) -> BundleLabel:

@@ -12,11 +12,12 @@ eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
 
 Each call builds one private context for its bundle: the shape, the valid
-targets with integer conformal weights w and W, and the moments c_q, c_hat_q
-read once off its decomposition table.  Every identity evaluates on those
-integers over one denominator.  The printed ones share one inventory; the
-rules run on its curvature terms first, and pure_kappa_identities evaluates
-coefficients only for the rows that come out pure kappa.
+targets with integer conformal weights w and W, and the moments c_q or c_hat_q
+once a row reads them, all off its integer decomposition table.  Every
+identity evaluates on those integers over one denominator.  The printed ones
+share one inventory; the rules run on its curvature terms first, and
+pure_kappa_identities evaluates coefficients only for the rows that come out
+pure kappa.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .casimir import (
@@ -206,23 +208,31 @@ def _curvature_keys(identities):
 class _Context:
     """Per-call data of one bundle, shared by the identities built in that call.
 
-    Holds the (2_b,1_{a-b}) shape, the keys of the valid targets with their
-    conformal weights w and W as ints, and the moments c_q, c_hat_q for
-    q <= q_max, read once off the bundle's decomposition table, so no second
-    summand table is built.  Nothing outlives the call.
+    Holds the (2_b,1_{a-b}) shape and the keys of the valid targets with
+    their conformal weights w and W as ints, read off the bundle's integer
+    decomposition table, so no second summand table is built.  The moments
+    c_q and c_hat_q for q <= q_max are computed from that table when a row
+    first reads them.  Nothing outlives the call.
     """
 
     def __init__(self, bundle: BundleLabel, table: DecompositionTable = None, q_max=4):
-        table = table or decompose_bundle(bundle)
-        valid = table.valid_targets
+        self.table = table or decompose_bundle(bundle)
+        valid = self.table.valid_rows
         self.bundle = bundle
         self.n, self.k = bundle.n, bundle.k
         self.shape = bundle.rho.lambda_ab_shape()
-        self.keys = tuple((t.N, t.nu) for t in valid)
-        # decompose_bundle's w and W are whole numbers
-        self.w = [t.w.numerator for t in valid]
-        self.W = [t.W.numerator for t in valid]
-        self.c, self.ch = table.moments(q_max)
+        self.keys = tuple((N, nu) for N, nu, _, _ in valid)
+        self.w = [w for _, _, w, _ in valid]
+        self.W = [W for _, _, _, W in valid]
+        self.q_max = q_max
+
+    @cached_property
+    def c(self):
+        return self.table.c_moments(self.q_max)
+
+    @cached_property
+    def ch(self):
+        return self.table.c_hat_moments(self.q_max)
 
     def identity(self, provenance, values, kappa, terms=(), denominator=1) -> BWIdentity:
         """The identity with one Fraction, value / denominator, per valid target."""
@@ -562,10 +572,10 @@ def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
     n = bundle.n
     table = table or decompose_bundle(bundle)
     formulas = {
-        "connection_laplacian": lambda t: Fraction(1),
-        "hodge_laplacian": lambda t: 1 + t.w / 2 + t.W / (2 * n),
-        "dirac_squared": lambda t: 1 + t.w + t.W / n,
-        "R1_endomorphism": lambda t: t.w + t.W / n,
+        "connection_laplacian": lambda w, W: Fraction(1),
+        "hodge_laplacian": lambda w, W: Fraction(2 * n + n * w + W, 2 * n),
+        "dirac_squared": lambda w, W: Fraction(n + n * w + W, n),
+        "R1_endomorphism": lambda w, W: Fraction(n * w + W, n),
     }
     if name not in formulas:
         raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
@@ -573,7 +583,7 @@ def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
     return OperatorSpec(
         name=name,
         bundle=bundle,
-        coeffs=tuple(((t.N, t.nu), coeff(t)) for t in table.valid_targets),
+        coeffs=tuple(((N, nu), coeff(w, W)) for N, nu, w, W in table.valid_rows),
         constant_kappa=Fraction(0),
     )
 

@@ -22,7 +22,9 @@ column.)  Reduced costs are recomputed from the cost vector and the current
 basis each iteration as c_j * d - sum c_B * rows[i][j], with the costs made
 integral by a positive lcm; the ratio test cross-multiplies.  So the pivot
 sequence, and the returned optimum, match a ``Fraction`` tableau pivot for
-pivot.  Rank and solve run Gauss-Jordan with the same kernel.
+pivot; the optimum is one Fraction, the basic integer costs times the final
+right-hand side over cost_scale * d.  Rank and solve run Gauss-Jordan with the
+same kernel.
 """
 
 from __future__ import annotations
@@ -170,13 +172,14 @@ def simplex_maximize(objective, constraints, rhs):
     rows = [row[:n] + row[-1:] for row in rows]
 
     cost_scale = lcm(*(c.denominator for c in objective))
-    d = _bland_run(rows, d, basis, _scaled(objective, cost_scale))
+    cost = _scaled(objective, cost_scale)
+    d = _bland_run(rows, d, basis, cost)
 
     x = [Fraction(0)] * n
     for b, row in zip(basis, rows):
         x[b] = Fraction(row[-1], d)
-    value = sum(objective[j] * x[j] for j in range(n))
-    return value, x
+    value = sum(cost[b] * row[-1] for b, row in zip(basis, rows))
+    return Fraction(value, cost_scale * d), x
 
 
 def _integer_rows(rows):

@@ -193,6 +193,18 @@ def test_decompose_bundle_matches_oracle(rho, k):
         assert _same(ch[q], oracle_hat(rho, q)), q
 
 
+@settings(max_examples=60, deadline=None)
+@given(dominant_weights, st.integers(0, 4), st.integers(0, DEFAULT_Q_CAP))
+def test_integer_table_matches_its_views(rho, k, q):
+    table = decompose_bundle(BundleLabel(k, rho))
+    views = table.valid_targets
+    assert all(t.w.denominator == 1 and t.W.denominator == 1 for t in views)
+    assert table.valid_rows == [(t.N, t.nu, t.w.numerator, t.W.numerator) for t in views]
+    assert all(type(v) is int for row in table.valid_rows for v in row)
+    assert table.summand_count == len(views)
+    assert table.moments(q) == casimir._moments(rho, q)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkbw import casimir
 from qkbw.casimir import (
     DecompositionTable,
     casimir_eigenvalue,
@@ -45,6 +46,7 @@ from qkbw.identities import (
     identity_bw4,
     identity_bw5,
     identity_bw6,
+    identity_sum,
     printed_identities,
     pure_kappa_identities,
     simplify_curvature,
@@ -347,7 +349,29 @@ def test_identities_match_oracle(rho, k, hpn):
 def test_zero_row_with_kappa_side_raises(hpn):
     """A table without valid targets leaves bw3 as 0 = kappa-multiple."""
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    empty = DecompositionTable(bundle, ())
+    empty = DecompositionTable(bundle, 1, ())
     want = _outcome(oracle_pure_kappa, bundle, hpn, empty)
     assert want == (InconsistencyError, "identity bw3 reduced to 0 = kappa-multiple")
     assert _outcome(pure_kappa_identities, bundle, hpn, empty) == want
+
+
+def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch):
+    calls = []
+    real = casimir._moment_sums
+
+    def spy(rows, den, q_max, shift=0):
+        calls.append(shift)
+        return real(rows, den, q_max, shift)
+
+    monkeypatch.setattr(casimir, "_moment_sums", spy)
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    table = decompose_bundle(bundle)
+    identity_sum(bundle, table)
+    identity_bw3(bundle, table)
+    assert calls == []
+    # bw3..bw6 survive the rules; bw4, bw5 and bw6 share one list of c_q
+    assert len(pure_kappa_identities(bundle, table=table)) == 4
+    assert calls == [0]
+    calls.clear()
+    theorem_family(bundle)  # the families read c_hat_q only
+    assert calls == [2 * bundle.n + 1]

@@ -1,0 +1,281 @@
+"""The integer LP rows and the integer certificate check against their Fraction forms.
+
+``oracle_operator``, ``oracle_lp_max_bound`` and ``oracle_verify`` are the
+operator expansion, the bound LP and ``BoundCertificate.verify`` as they
+were before the LP rows and the check ran on integers: every coefficient is
+a ``Fraction``, the LP rows are ``Fraction`` rows, and the residuals, the
+bound and the reconstruction are ``Fraction`` sums.  They are kept here as a
+test-only reference.  The integer code must give the same certificate, or
+the same error, after the same pivots.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qkbw.simplex
+from qkbw.bounds import BoundCertificate, _identity_ids, _normalize_sign, lp_max_bound
+from qkbw.casimir import decompose_bundle
+from qkbw.identities import (
+    OPERATOR_NAMES,
+    BWIdentity,
+    InconsistencyError,
+    OperatorSpec,
+    operator_coeffs,
+    pure_kappa_identities,
+)
+from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
+from qkbw.weights import BundleLabel, SpnWeight
+
+F = Fraction
+
+
+def oracle_operator(name, bundle):
+    n = bundle.n
+    formulas = {
+        "connection_laplacian": lambda t: F(1),
+        "hodge_laplacian": lambda t: 1 + t.w / 2 + t.W / (2 * n),
+        "dirac_squared": lambda t: 1 + t.w + t.W / n,
+        "R1_endomorphism": lambda t: t.w + t.W / n,
+    }
+    targets = decompose_bundle(bundle).valid_targets
+    coeffs = tuple(((t.N, t.nu), formulas[name](t)) for t in targets)
+    return OperatorSpec(name, bundle, coeffs, F(0))
+
+
+def oracle_verify(cert, operator, identities):
+    ids = dict(cert.multipliers)
+    res = dict(cert.residuals)
+    for key, value in res.items():
+        if value < 0:
+            raise InconsistencyError(f"negative residual at {key}: {value}")
+    by_id = dict(zip(_identity_ids(identities), identities))
+    maps = {i: by_id[i].coeff_map() for i in ids}
+    for key, op_coeff in operator.coeffs:
+        combined = res.get(key, F(0)) + sum(ids[i] * maps[i].get(key, F(0)) for i in ids)
+        if combined != op_coeff:
+            raise InconsistencyError(f"reconstruction fails at {key}")
+    bound = operator.constant_kappa + sum(ids[i] * by_id[i].kappa_coeff for i in ids)
+    if bound != cert.bound:
+        raise InconsistencyError("bound does not match multiplier combination")
+
+
+def _oracle_split_rows(rows, slack_rows):
+    return [
+        row + [-v for v in row] + [F(int(i == s)) for s in slack_rows]
+        for i, row in enumerate(rows)
+    ]
+
+
+def oracle_lp_max_bound(operator, identities, kappa_sign):
+    sign = _normalize_sign(kappa_sign)
+    for ident in identities:
+        if ident.bundle != operator.bundle:
+            raise ValueError("identities and operator must live on one bundle")
+        if not ident.is_pure_kappa:
+            raise ValueError(f"identity {ident.provenance} is not pure kappa")
+    target_keys = [key for key, _ in operator.coeffs]
+    op_vec = [c for _, c in operator.coeffs]
+    m = len(identities)
+    t = len(target_keys)
+    maps = [ident.coeff_map() for ident in identities]
+    rows = [[cm.get(key, F(0)) for cm in maps] for key in target_keys]
+    kappas = [ident.kappa_coeff for ident in identities]
+    no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
+    try:
+        value, y = simplex_maximize(
+            [-c for c in op_vec],
+            [[row[j] for row in rows] for j in range(m)],
+            [sign * kp for kp in kappas],
+        )
+    except LPUnboundedError as exc:
+        raise InconsistencyError(no_rewriting) from LPInfeasibleError(
+            f"the dual LP is unbounded: {exc}"
+        )
+    except LPInfeasibleError:
+        try:
+            simplex_maximize([F(0)] * (2 * m + t), _oracle_split_rows(rows, range(t)), op_vec)
+        except LPInfeasibleError as exc:
+            raise InconsistencyError(no_rewriting) from exc
+        raise InconsistencyError(
+            "unbounded bound optimum; identity generation is inconsistent"
+        ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
+    tight = [i for i in range(t) if y[i] != 0]
+    lambdas = None
+    if tight:
+        lambdas, _ = solve_linear_system([rows[i] for i in tight], [op_vec[i] for i in tight])
+    if lambdas is None:
+        slack_rows = [i for i in range(t) if y[i] == 0]
+        _, x = simplex_maximize(
+            [F(-1)] * (2 * m) + [F(0)] * len(slack_rows),
+            _oracle_split_rows(rows, slack_rows),
+            op_vec,
+        )
+        lambdas = [x[j] - x[m + j] for j in range(m)]
+    residuals = [op - sum(a * l for a, l in zip(row, lambdas)) for op, row in zip(op_vec, rows)]
+    bound = operator.constant_kappa + sum(l * kp for l, kp in zip(lambdas, kappas))
+    if sign * (bound - operator.constant_kappa) != -value:
+        raise InconsistencyError("primal and dual optima differ")
+    cert = BoundCertificate(
+        bundle=operator.bundle,
+        operator=operator.name,
+        kappa_sign=sign,
+        multipliers=tuple(zip(_identity_ids(identities), lambdas)),
+        residuals=tuple(zip(target_keys, residuals)),
+        bound=bound,
+    )
+    oracle_verify(cert, operator, identities)
+    return cert
+
+
+def outcome(solve):
+    """(("cert", json, exact values) or ("error", class, message, cause class), pivots)."""
+    pivots = []
+    real = qkbw.simplex._pivot
+
+    def spy(rows, d, r, c):
+        pivots.append((r, c))
+        return real(rows, d, r, c)
+
+    with mock.patch.object(qkbw.simplex, "_pivot", spy):
+        try:
+            cert = solve()
+        except Exception as exc:
+            return ("error", type(exc), str(exc), type(exc.__cause__)), pivots
+    exact = (cert.bound, cert.multipliers, cert.residuals)
+    assert all(type(v) is F for v in (cert.bound, *dict(cert.multipliers).values()))
+    assert all(type(v) is F for _, v in cert.residuals)
+    return ("cert", cert.to_json_dict(), exact), pivots
+
+
+def assert_same_bound(operator, identities, sign, oracle_operator_spec=None):
+    got = outcome(lambda: lp_max_bound(operator, identities, sign))
+    want = outcome(
+        lambda: oracle_lp_max_bound(oracle_operator_spec or operator, identities, sign)
+    )
+    assert got == want
+    return got[0]
+
+
+dominant_weights = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda e: SpnWeight(tuple(sorted(e, reverse=True)))
+    )
+)
+
+
+@given(
+    dominant_weights,
+    st.integers(0, 4),
+    st.sampled_from(OPERATOR_NAMES),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_real_bundles_match_fraction_oracle(rho, k, name, sign, hpn):
+    bundle = BundleLabel(k, rho)
+    operator = operator_coeffs(name, bundle)
+    want_operator = oracle_operator(name, bundle)
+    assert operator == want_operator
+    assert all(type(c) is F for _, c in operator.coeffs)
+    identities = pure_kappa_identities(bundle, hpn=hpn)
+    assert_same_bound(operator, identities, sign, want_operator)
+
+
+# Synthetic LPs over 2..6 targets: entries over denominators up to 50, zeros
+# common, and copies (exact or scaled) of drawn identities, so that the
+# identity set is often dependent and the face LP runs.
+BUNDLE = BundleLabel(1, SpnWeight((0, 0)))
+entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=50)
+)
+
+
+@st.composite
+def synthetic_problems(draw):
+    t = draw(st.integers(2, 6))
+    keys = [(1 if i % 2 == 0 else -1, i // 2 + 1) for i in range(t)]
+    op = [draw(entries) for _ in range(t)]
+    operator = OperatorSpec("synthetic", BUNDLE, tuple(zip(keys, op)), draw(entries))
+    identities = []
+    for j in range(draw(st.integers(1, 5))):
+        coeffs = tuple((key, draw(entries)) for key in keys)
+        identities.append(BWIdentity(BUNDLE, coeffs, draw(entries), (), f"i{j}"))
+    for _ in range(draw(st.integers(0, 2))):
+        source = draw(st.sampled_from(identities))
+        identities.append(source.scale(draw(st.sampled_from((1, 1, 2, F(-1, 3))))))
+    order = draw(st.permutations(range(len(identities))))
+    return operator, [identities[j] for j in order]
+
+
+@given(synthetic_problems(), st.sampled_from((1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_synthetic_problems_match_fraction_oracle(problem, sign):
+    assert_same_bound(*problem, sign)
+
+
+def verify_outcome(check, cert, operator, identities):
+    try:
+        check(cert, operator, identities)
+    except InconsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def _mutated(cert, which, index, delta):
+    """The certificate with one multiplier, one residual or the bound moved by delta."""
+    if which == "bound":
+        return replace(cert, bound=cert.bound + delta)
+    if which == "negative":
+        which, delta = "residuals", -1 - cert.residuals[index % len(cert.residuals)][1]
+    items = list(getattr(cert, which))
+    i = index % len(items)
+    items[i] = (items[i][0], items[i][1] + delta)
+    return replace(cert, **{which: tuple(items)})
+
+
+mutations = st.tuples(
+    st.sampled_from(("multipliers", "residuals", "negative", "bound")),
+    st.integers(0, 20),
+    st.one_of(st.just(F(0)), st.fractions(min_value=-2, max_value=2, max_denominator=12)),
+)
+
+
+def _assert_same_verdict(operator, identities, sign, mutation):
+    try:
+        cert = oracle_lp_max_bound(operator, identities, sign)
+    except InconsistencyError:
+        return
+    which, index, delta = mutation
+    if which == "multipliers" and not cert.multipliers:
+        which = "bound"
+    bad = _mutated(cert, which, index, delta)
+    want = verify_outcome(oracle_verify, bad, operator, identities)
+    got = verify_outcome(lambda c, o, i: c.verify(o, i), bad, operator, identities)
+    assert got == want
+    if delta == 0 and which != "negative":
+        assert got is None
+
+
+@given(
+    dominant_weights,
+    st.integers(0, 4),
+    st.sampled_from(OPERATOR_NAMES),
+    st.sampled_from((1, -1)),
+    mutations,
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_fraction_oracle_on_real_certificates(rho, k, name, sign, mutation):
+    bundle = BundleLabel(k, rho)
+    _assert_same_verdict(
+        operator_coeffs(name, bundle), pure_kappa_identities(bundle), sign, mutation
+    )
+
+
+@given(synthetic_problems(), st.sampled_from((1, -1)), mutations)
+@settings(max_examples=100, deadline=None)
+def test_verify_matches_fraction_oracle_on_synthetic_certificates(problem, sign, mutation):
+    _assert_same_verdict(*problem, sign, mutation)
