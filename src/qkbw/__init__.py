@@ -34,7 +34,6 @@ from .casimir import (
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
     conformal_weight,
-    conformal_weight_hat,
     decompose_bundle,
     lambda_ab_bundle,
     relative_dimension_product,
@@ -53,7 +52,6 @@ from .identities import (
     Rule,
     RuleShapeError,
     apply_rule,
-    conformal_exponents,
     identity_bochner1,
     identity_bochner2,
     identity_bw1,
@@ -67,7 +65,6 @@ from .identities import (
     operator_coeffs,
     printed_identities,
     pure_kappa_identities,
-    simplify_curvature,
     theorem_family,
 )
 from .rationals import format_rational, parse_rational
@@ -77,10 +74,8 @@ from .weights import (
     NonDominantError,
     SpnWeight,
     decompose_rho_tensor_E,
-    lambda2_decomposition,
     mu_shift,
     parse_weight,
-    spinor_decomposition,
     weyl_dim,
 )
 

@@ -38,16 +38,15 @@ from .rationals import format_plain, format_rational
 from .weights import (
     BundleLabel,
     SpnWeight,
+    decompose_rho_tensor_E,
     lambda_ab_weight,
     mu_shift,
-    nu_indices,
     weyl_dim,
 )
 
 __all__ = [
     "FormulaDegeneracyError",
     "conformal_weight",
-    "conformal_weight_hat",
     "sp1_conformal_weight",
     "relative_dimension_weyl",
     "relative_dimension_product",
@@ -94,11 +93,6 @@ def _weight(rho: SpnWeight, nu: int) -> int:
     if nu > 0:
         return -(rho.entries[i - 1] - i + 1)
     return rho.entries[i - 1] - i + 2 * rho.n + 1
-
-
-def conformal_weight_hat(rho: SpnWeight, nu: int) -> Fraction:
-    """Translated weight w_hat = w - (n + 1/2); always a half-integer."""
-    return conformal_weight(rho, nu) - (rho.n + Fraction(1, 2))
 
 
 def sp1_conformal_weight(k: int, N: int) -> Fraction:
@@ -170,14 +164,12 @@ def _summands(rho: SpnWeight):
     """The summand table of V_rho (x) E: (D, rows).
 
     D = dim V_rho; rows holds one (nu, rho + mu_nu, w_nu, d_nu) per shift
-    index in canonical order, with w_nu an int and d_nu = dim V_{rho+mu_nu},
-    or 0 when rho + mu_nu is not dominant.  Raises NonDominantError for a
-    non-dominant rho.
+    index of decompose_rho_tensor_E, with w_nu an int and d_nu = dim
+    V_{rho+mu_nu}, or 0 when rho + mu_nu is not dominant.  Raises
+    NonDominantError for a non-dominant rho.
     """
-    rho.require_dominant()
     rows = []
-    for nu in nu_indices(rho.n):
-        shifted = mu_shift(rho, nu)
+    for nu, shifted in decompose_rho_tensor_E(rho):
         dim = weyl_dim(shifted) if shifted.is_dominant else 0
         rows.append((nu, shifted, _weight(rho, nu), dim))
     return weyl_dim(rho), tuple(rows)
@@ -208,19 +200,16 @@ def casimir_eigenvalue(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the q-th Casimir trace on V_rho (Weyl-oracle reldims)."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    return _moments(rho, q)[0][q]
+    D, rows = _summands(rho)
+    return _moment_sums(rows, D, q)[q]
 
 
 def casimir_hat(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the translated q-th Casimir trace on V_rho."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    return _moments(rho, q)[1][q]
-
-
-def sp1_casimir(k: int) -> Fraction:
-    """Quadratic Sp(1) Casimir eigenvalue on the weight-k module: 2k(k+2)."""
-    return Fraction(2 * k * (k + 2))
+    D, rows = _summands(rho)
+    return _moment_sums(rows, D, q, 2 * rho.n + 1)[q]
 
 
 def _check_ab_range(a: int, b: int, n: int):
@@ -434,10 +423,6 @@ class DecompositionTable:
     def c_hat_moments(self, q_max: int) -> list:
         """[c_hat_0..c_hat_{q_max}] off the integer rows."""
         return _moment_sums(self.rows, self.dim, q_max, 2 * self.bundle.n + 1)
-
-    def moments(self, q_max: int):
-        """The pair of lists that _moments gives."""
-        return self.c_moments(q_max), self.c_hat_moments(q_max)
 
     def to_json_dict(self):
         return {

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from .bounds import (
     ParameterRangeError,
@@ -30,7 +31,6 @@ from .casimir import (
     casimir_report,
     decompose_bundle,
     lambda_ab_bundle,
-    relative_dimension_weyl,
     table1_row,
 )
 from .identities import (
@@ -45,7 +45,7 @@ from .identities import (
 from .rationals import format_plain, format_rational
 from .selfcheck import run_suites
 from .simplex import LPInfeasibleError, LPUnboundedError
-from .weights import BundleLabel, _parse_int, decompose_rho_tensor_E, parse_weight
+from .weights import BundleLabel, _parse_int, parse_weight
 
 OPERATOR_ALIASES = {
     "hodge": "hodge_laplacian",
@@ -113,17 +113,19 @@ def cmd_casimir(args) -> int:
 def cmd_decompose(args) -> int:
     rho = _rho_from_args(args)
     if args.k is None:
-        table = decompose_rho_tensor_E(rho)
+        # at k = 0 only the N = +1 targets are valid, so they count the dominant nu
+        table = decompose_bundle(BundleLabel(0, rho))
         rows = [
-            (c, format_rational(relative_dimension_weyl(rho, c.nu))) for c in table.candidates
+            (nu, shifted, d > 0, format_rational(Fraction(d, table.dim)))
+            for nu, shifted, _, d in table.rows
         ]
         obj = {
             "n": rho.n,
             "rho": str(rho),
             "summand_count": table.summand_count,
             "candidates": [
-                {"nu": c.nu, "weight": str(c.weight), "dominant": c.dominant, "reldim": rd}
-                for c, rd in rows
+                {"nu": nu, "weight": str(weight), "dominant": dominant, "reldim": rd}
+                for nu, weight, dominant, rd in rows
             ],
         }
         lines = [
@@ -133,11 +135,11 @@ def cmd_decompose(args) -> int:
             "|----|--------|----------|--------|",
         ]
         lines += [
-            f"| {c.nu:+d} | ({c.weight}) | {'yes' if c.dominant else 'no'} | {rd} |"
-            for c, rd in rows
+            f"| {nu:+d} | ({weight}) | {'yes' if dominant else 'no'} | {rd} |"
+            for nu, weight, dominant, rd in rows
         ]
         csv_text = "nu,weight,dominant,reldim\n" + "".join(
-            f'{c.nu},"{c.weight}",{int(c.dominant)},{rd}\n' for c, rd in rows
+            f'{nu},"{weight}",{int(dominant)},{rd}\n' for nu, weight, dominant, rd in rows
         )
         _emit(args, obj, "\n".join(lines), csv_text)
         return 0
@@ -336,7 +338,6 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_case, cases))
     else:
         results = [_sweep_case(c) for c in cases]
-    results.sort(key=lambda r: (r[0][0], r[0][2], r[0][3], r[0][1], r[0][4]))
 
     header = "n,k,a,b,kappa_sign,lp_bound,expected,match"
     rows = []

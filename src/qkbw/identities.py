@@ -35,7 +35,7 @@ from .casimir import (
     lambda_ab_bundle,
 )
 from .rationals import format_plain, format_rational
-from .simplex import exact_rank, solve_linear_system
+from .simplex import exact_rank
 from .weights import BundleLabel
 
 __all__ = [
@@ -58,14 +58,11 @@ __all__ = [
     "identity_bw6",
     "theorem_family",
     "apply_rule",
-    "simplify_curvature",
     "printed_identities",
     "pure_kappa_identities",
     "operator_coeffs",
     "OPERATOR_NAMES",
     "independence_rank",
-    "conformal_exponents",
-    "decompose_over",
     "identities_to_json_dict",
     "identities_to_csv",
     "identity_to_latex",
@@ -151,18 +148,6 @@ class BWIdentity:
         return self.coeff_vector() + [self.kappa_coeff] + [
             terms.get(key, Fraction(0)) for key in curvature_keys
         ]
-
-    def scale(self, factor) -> "BWIdentity":
-        factor = Fraction(factor)
-        return BWIdentity(
-            bundle=self.bundle,
-            coeffs=tuple((t, c * factor) for t, c in self.coeffs),
-            kappa_coeff=self.kappa_coeff * factor,
-            curvature_terms=_merge_terms(
-                replace(t, coefficient=t.coefficient * factor) for t in self.curvature_terms
-            ),
-            provenance=self.provenance,
-        )
 
     def combine(self, factor, other: "BWIdentity", other_factor) -> "BWIdentity":
         """factor * self + other_factor * other, curvature terms included."""
@@ -480,19 +465,6 @@ def apply_rule(identity: BWIdentity, rule: Rule) -> BWIdentity:
     return replace(identity, curvature_terms=terms)
 
 
-def simplify_curvature(identity: BWIdentity, rules) -> BWIdentity:
-    """Apply every applicable rule from ``rules`` (C, then B, then A order).
-
-    Rules whose shape precondition fails on this bundle are skipped, so a
-    fixed ruleset can be applied uniformly across a sweep.
-    """
-    bundle = identity.bundle
-    terms = _simplified_terms(
-        identity.curvature_terms, rules, bundle.rho.lambda_ab_shape(), bundle.n
-    )
-    return replace(identity, curvature_terms=terms)
-
-
 def _inventory(ctx, hpn):
     """(curvature terms after the rules, builder) of each printed identity, bw1..bw6.
 
@@ -600,35 +572,6 @@ def independence_rank(identities) -> int:
     keys = _curvature_keys(identities)
     rows = [ident.full_vector(keys) for ident in identities]
     return exact_rank(rows)
-
-
-def conformal_exponents(bundle: BundleLabel, target):
-    """Conformal-covariance exponent pair of one gradient; the two entries
-    always sum to -1."""
-    from .casimir import conformal_weight, sp1_conformal_weight
-
-    N, nu = (target.N, target.nu) if hasattr(target, "N") else target
-    w = conformal_weight(bundle.rho, nu)
-    W = sp1_conformal_weight(bundle.k, N)
-    inner = w / 2 + W / (2 * bundle.n)
-    return (-inner - 1, inner)
-
-
-def decompose_over(identity: BWIdentity, basis):
-    """Exact coefficients expressing ``identity`` in terms of ``basis`` rows.
-
-    Solves over the full columns (B-coefficients, kappa, curvature).
-    Returns the coefficient list, or None when the identity is not in the
-    span or the representation is not unique.
-    """
-    keys = _curvature_keys([identity, *basis])
-    columns = [b.full_vector(keys) for b in basis]
-    target = identity.full_vector(keys)
-    matrix = [[col[i] for col in columns] for i in range(len(target))]
-    try:
-        return solve_linear_system(matrix, target)[0]
-    except ArithmeticError:
-        return None
 
 
 def identities_to_json_dict(identities):

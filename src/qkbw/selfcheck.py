@@ -45,7 +45,7 @@ from .identities import (
     theorem_family,
 )
 from .simplex import solve_linear_system
-from .weights import BundleLabel, SpnWeight, decompose_rho_tensor_E
+from .weights import BundleLabel, SpnWeight
 
 __all__ = ["SuiteResult", "ALL_SUITES", "run_suites", "dominant_weights"]
 
@@ -77,27 +77,29 @@ def dominant_weights(n: int, total_max: int):
 
 
 def suite_reldim(n_max: int = 5, total_max: int = 4) -> SuiteResult:
-    """Product-formula relative dimensions equal the Weyl oracle, and the
-    relative dimensions of each decomposition sum to 2n."""
+    """Product-formula relative dimensions equal the Weyl oracle, the
+    relative dimensions of each decomposition sum to 2n, and the number N of
+    dominant summands is odd exactly when the last entry of rho is zero."""
     failures = []
     cases = 0
     for n in range(2, n_max + 1):
         for rho in dominant_weights(n, total_max):
-            table = decompose_rho_tensor_E(rho)
+            # at k = 0 the valid targets are the dominant nu, N = +1
+            table = decompose_bundle(BundleLabel(0, rho))
             total = Fraction(0)
-            for cand in table.candidates:
-                oracle = relative_dimension_weyl(rho, cand.nu)
-                product = relative_dimension_product(rho, cand.nu)
+            for nu, _, _, _ in table.rows:
+                oracle = relative_dimension_weyl(rho, nu)
+                product = relative_dimension_product(rho, nu)
                 cases += 1
                 if oracle != product:
                     failures.append(
-                        f"reldim mismatch rho=({rho}) n={n} nu={cand.nu}: "
+                        f"reldim mismatch rho=({rho}) n={n} nu={nu}: "
                         f"oracle {oracle} vs product {product}"
                     )
                 total += oracle
             if total != 2 * n:
                 failures.append(f"reldim sum != 2n for rho=({rho}) n={n}: {total}")
-            if not table.parity_consistent():
+            if (table.summand_count % 2 == 1) != (rho.entries[-1] == 0):
                 failures.append(f"summand-count parity violated for rho=({rho}) n={n}")
     return SuiteResult("relative-dimension oracle equality", cases, failures)
 

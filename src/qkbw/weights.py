@@ -2,27 +2,24 @@
 
 An Sp(n) weight is an integer tuple (r1, ..., rn); it is dominant integral
 when the entries are non-increasing and the last one is nonnegative.
-Shifted weights r + mu_nu (one entry bumped by +-1) may leave the dominant
-cone; they are kept and flagged rather than dropped, because downstream
-product formulas need to know which candidates were excluded.
+decompose_rho_tensor_E lists the 2n shifted weights rho + mu_nu (one entry
+bumped by +-1) of V_rho (x) E once, in canonical order.  A shift may leave the
+dominant cone; it is kept rather than dropped, and the summand table in
+casimir reads its dominance and Weyl dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 __all__ = [
     "NonDominantError",
     "SpnWeight",
     "BundleLabel",
-    "NuDecomposition",
     "mu_shift",
     "weyl_dim",
     "decompose_rho_tensor_E",
-    "spinor_decomposition",
-    "lambda2_decomposition",
     "parse_weight",
     "parse_weight_text",
 ]
@@ -148,10 +145,10 @@ def weyl_dim(rho: SpnWeight) -> int:
 
     Exact; raises on non-dominant input.
     """
-    rho.require_dominant()
-    cached = _dims.get(rho.entries)
+    cached = _dims.get(rho.entries)  # only dominant weights are stored
     if cached is not None:
         return cached
+    rho.require_dominant()
     n = rho.n
     l = [rho.entries[i] + n - i for i in range(n)]  # i is 0-based: n - (i+1) + 1
     m = [n - i for i in range(n)]
@@ -166,66 +163,16 @@ def weyl_dim(rho: SpnWeight) -> int:
     return value
 
 
-def primitive_form_dim(a: int, n: int) -> int:
-    """Hand-countable check value: dim of the (1_a) module is C(2n,a) - C(2n,a-2)."""
-    return comb(2 * n, a) - (comb(2 * n, a - 2) if a >= 2 else 0)
+def decompose_rho_tensor_E(rho: SpnWeight) -> tuple:
+    """The 2n pairs (nu, rho + mu_nu) of V_rho (x) E in canonical order.
 
-
-@dataclass(frozen=True)
-class NuCandidate:
-    nu: int
-    weight: SpnWeight
-    dominant: bool
-
-
-@dataclass(frozen=True)
-class NuDecomposition:
-    """Decomposition of V_rho (x) E into the 2n shift candidates rho + mu_nu."""
-
-    rho: SpnWeight
-    candidates: tuple
-
-    @property
-    def summand_count(self) -> int:
-        return sum(1 for c in self.candidates if c.dominant)
-
-    @property
-    def dominant_nus(self) -> tuple:
-        return tuple(c.nu for c in self.candidates if c.dominant)
-
-    def parity_consistent(self) -> bool:
-        """Summand count is odd exactly when the last entry of rho is zero."""
-        return (self.summand_count % 2 == 1) == (self.rho.entries[-1] == 0)
-
-
-def decompose_rho_tensor_E(rho: SpnWeight) -> NuDecomposition:
-    """List all 2n candidates rho + mu_nu with dominance flags."""
+    Shifts that leave the dominant cone are kept; raises NonDominantError
+    for a non-dominant rho.
+    """
     rho.require_dominant()
-    cands = []
-    for nu in nu_indices(rho.n):
-        w = mu_shift(rho, nu)
-        cands.append(NuCandidate(nu, w, w.is_dominant))
-    table = NuDecomposition(rho, tuple(cands))
-    assert table.parity_consistent(), f"summand-count parity violated for {rho}"
-    return table
-
-
-def spinor_decomposition(n: int):
-    """The n+1 bundle labels (k, (1_{n-k})) the spinor bundle splits into."""
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got n={n}")
-    return [BundleLabel(k, lambda_ab_weight(n - k, 0, n)) for k in range(n + 1)]
-
-
-def lambda2_decomposition(n: int):
-    """The three bundle labels of the 2-form bundle: (2,(0)), (2,(1,1)), (0,(2))."""
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got n={n}")
-    return [
-        BundleLabel(2, lambda_ab_weight(0, 0, n)),
-        BundleLabel(2, lambda_ab_weight(2, 0, n)),
-        BundleLabel(0, lambda_ab_weight(1, 1, n)),
-    ]
+    # built from a list: tuple() of a generator here ran more gc collections,
+    # which made the peak RSS of the lp-general benchmark step up a pass sooner
+    return tuple([(nu, mu_shift(rho, nu)) for nu in nu_indices(rho.n)])
 
 
 def _parse_int(text: str, what: str, signed: bool) -> int:

@@ -1,0 +1,45 @@
+"""The names the benchmark reads from the package, checked from BENCHMARK.json.
+
+The traced run wraps ``qkbw.<module>.<attr>`` for every per-layer metric
+``<module>.<attr>[.<attr>].<counter>`` and records a missing target instead
+of failing, so a renamed function silently drops its metric.  The CLI probe
+reads ``cli.import.<module>.self_ms`` off ``python -X importtime -c "import
+qkbw.cli"``, so a module that is no longer imported drops its metric too.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+LAYER = re.compile(r"(\w+)\.(\w+(?:\.\w+)?)\.(?:calls|self_ms|distinct|rows_max|cols_max)")
+IMPORT = re.compile(r"cli\.import\.([\w.]+)\.self_ms")
+
+
+def test_every_layer_metric_names_a_callable():
+    targets = [LAYER.fullmatch(name) for name in PER_LAYER if not name.startswith("cli.")]
+    targets = [m.groups() for m in targets if m]
+    assert ("weights", "decompose_rho_tensor_E") in targets
+    for module_name, attr in targets:
+        value = importlib.import_module(f"qkbw.{module_name}")
+        for part in attr.split("."):
+            value = getattr(value, part, None)
+        assert callable(value), f"qkbw.{module_name}.{attr}"
+
+
+def test_cli_import_loads_every_timed_module():
+    modules = [m.group(1) for m in map(IMPORT.fullmatch, PER_LAYER) if m]
+    assert "qkbw.selfcheck" in modules and "concurrent.futures" in modules
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import qkbw.cli"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert set(modules) <= imported, set(modules) - imported

@@ -9,7 +9,6 @@ from qkbw.casimir import (
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
     conformal_weight,
-    conformal_weight_hat,
     decompose_bundle,
     lambda_ab_bundle,
     relative_dimension_product,
@@ -23,6 +22,11 @@ from qkbw.weights import BundleLabel, SpnWeight
 
 def w(*entries):
     return SpnWeight(tuple(entries))
+
+
+def conformal_weight_hat(rho, nu):
+    """Translated weight w_hat = w - (n + 1/2); always a half-integer."""
+    return conformal_weight(rho, nu) - (rho.n + Fraction(1, 2))
 
 
 class TestConformalWeights:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qkbw import cli
+from qkbw.casimir import relative_dimension_weyl
 from qkbw.cli import main
+from qkbw.weights import SpnWeight, mu_shift, nu_indices
 
 
 def run(capsys, *argv):
@@ -102,18 +104,26 @@ class TestDecomposeVerb:
         assert data["summand_count"] == 3
 
     @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
-    def test_nu_level_reads_each_reldim_once(self, capsys, monkeypatch, fmt):
-        calls = []
-        weyl = cli.relative_dimension_weyl
-
-        def counting(rho, nu):
-            calls.append(nu)
-            return weyl(rho, nu)
-
-        monkeypatch.setattr(cli, "relative_dimension_weyl", counting)
-        code, _, _ = run(capsys, "decompose", "--n", "3", "--rho", "2,1,0", "--format", fmt)
-        assert code == 0
-        assert calls == [1, 2, 3, -1, -2, -3]
+    def test_nu_level_reldims_match_weyl_oracle(self, capsys, fmt):
+        for text in ("2,1,0", "1,1,1", "3,1,1,0"):
+            rho = SpnWeight(tuple(int(e) for e in text.split(",")))
+            code, out, _ = run(
+                capsys, "decompose", "--n", str(rho.n), "--rho", text, "--format", fmt
+            )
+            assert code == 0
+            if fmt == "json":
+                data = json.loads(out)["candidates"]
+                rows = [(c["nu"], c["dominant"], c["reldim"]) for c in data]
+            elif fmt == "csv":
+                lines = [line.split(",") for line in out.splitlines()[1:]]
+                rows = [(int(f[0]), f[-2] == "1", f[-1]) for f in lines]
+            else:
+                lines = [line.split("|") for line in out.splitlines() if line.startswith("| ")]
+                rows = [(int(f[1]), f[3].strip() == "yes", f[4].strip()) for f in lines[1:]]
+            assert [nu for nu, _, _ in rows] == nu_indices(rho.n)
+            for nu, dominant, reldim in rows:
+                assert dominant == mu_shift(rho, nu).is_dominant
+                assert Fraction(reldim) == relative_dimension_weyl(rho, nu)
 
     def test_bundle_level(self, capsys):
         code, out, _ = run(

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from qkbw.casimir import closed_form_c2_lambda_ab, decompose_bundle, lambda_ab_bundle
+from qkbw.casimir import (
+    closed_form_c2_lambda_ab,
+    conformal_weight,
+    decompose_bundle,
+    lambda_ab_bundle,
+    sp1_conformal_weight,
+)
 from qkbw.identities import (
     HPN_RULES,
     STANDARD_RULES,
@@ -11,8 +17,6 @@ from qkbw.identities import (
     Rule,
     RuleShapeError,
     apply_rule,
-    conformal_exponents,
-    decompose_over,
     identities_to_csv,
     identities_to_json_dict,
     identity_bochner1,
@@ -28,16 +32,58 @@ from qkbw.identities import (
     independence_rank,
     operator_coeffs,
     pure_kappa_identities,
-    simplify_curvature,
     theorem_family,
 )
-from qkbw.weights import BundleLabel, SpnWeight
+from qkbw.simplex import solve_linear_system
+from qkbw.weights import BundleLabel, SpnWeight, lambda_ab_weight
 
 F = Fraction
 
 
 def w(*entries):
     return SpnWeight(tuple(entries))
+
+
+def sp1_casimir(k):
+    """Quadratic Sp(1) Casimir eigenvalue on the weight-k module: 2k(k+2)."""
+    return F(2 * k * (k + 2))
+
+
+def spinor_decomposition(n):
+    """The n+1 bundle labels (k, (1_{n-k})) the spinor bundle splits into."""
+    return [BundleLabel(k, lambda_ab_weight(n - k, 0, n)) for k in range(n + 1)]
+
+
+def simplify_curvature(identity, rules):
+    """Apply every rule of ``rules`` the bundle's shape admits, in C, B, A order."""
+    for rule in (Rule.HPN, Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM):
+        if rule in rules:
+            try:
+                identity = apply_rule(identity, rule)
+            except RuleShapeError:
+                pass
+    return identity
+
+
+def conformal_exponents(bundle, target):
+    """Conformal-covariance exponent pair of one gradient; the entries sum to -1."""
+    N, nu = (target.N, target.nu) if hasattr(target, "N") else target
+    w, W = conformal_weight(bundle.rho, nu), sp1_conformal_weight(bundle.k, N)
+    inner = w / 2 + W / (2 * bundle.n)
+    return (-inner - 1, inner)
+
+
+def decompose_over(identity, basis):
+    """Exact coefficients of ``identity`` over the ``basis`` rows (B-coefficients,
+    kappa, curvature), or None when it is not in the span or not uniquely."""
+    keys = sorted({t.key for ident in (identity, *basis) for t in ident.curvature_terms})
+    columns = [b.full_vector(keys) for b in basis]
+    target = identity.full_vector(keys)
+    matrix = [[col[i] for col in columns] for i in range(len(target))]
+    try:
+        return solve_linear_system(matrix, target)[0]
+    except ArithmeticError:
+        return None
 
 
 class TestSumIdentity:
@@ -263,7 +309,7 @@ class TestOperators:
     def test_gauduchon_consistency(self):
         # R1 coefficients = first-moment coefficients + W_N / n entrywise,
         # and the combined kappa side is (2k(k+2) + c_2) / (8n(n+2))
-        from qkbw.casimir import casimir_eigenvalue, sp1_casimir
+        from qkbw.casimir import casimir_eigenvalue
 
         bundle = lambda_ab_bundle(2, 2, 0, 3)
         n, k = bundle.n, bundle.k
@@ -280,8 +326,7 @@ class TestOperators:
     def test_spinor_summand_quarter_kappa(self):
         # On every spinor summand the Gauduchon scalar is exactly 1/4, the
         # statement behind D^2 = nabla*nabla + kappa/4.
-        from qkbw.casimir import casimir_eigenvalue, sp1_casimir
-        from qkbw.weights import spinor_decomposition
+        from qkbw.casimir import casimir_eigenvalue
 
         for n in (2, 3, 4):
             for bundle in spinor_decomposition(n):

@@ -12,13 +12,14 @@ the table's N = +1 targets; the property checks them against
 test-only reference.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkbw import casimir
+from qkbw import casimir, identities
 from qkbw.casimir import (
     DecompositionTable,
     casimir_eigenvalue,
@@ -49,7 +50,6 @@ from qkbw.identities import (
     identity_sum,
     printed_identities,
     pure_kappa_identities,
-    simplify_curvature,
     theorem_family,
 )
 from qkbw.weights import BundleLabel, SpnWeight, lambda_ab_weight
@@ -209,6 +209,15 @@ def oracle_apply(identity, rule):
     return BWIdentity(
         identity.bundle, identity.coeffs, identity.kappa_coeff, new_terms, identity.provenance
     )
+
+
+def simplify_curvature(identity, rules):
+    """The identity after the rule pass that the printed inventory runs."""
+    bundle = identity.bundle
+    terms = identities._simplified_terms(
+        identity.curvature_terms, rules, bundle.rho.lambda_ab_shape(), bundle.n
+    )
+    return replace(identity, curvature_terms=terms)
 
 
 def oracle_simplify(identity, rules):

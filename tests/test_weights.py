@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,19 +13,41 @@ from qkbw.weights import (
     NonDominantError,
     SpnWeight,
     decompose_rho_tensor_E,
-    lambda2_decomposition,
     mu_shift,
     parse_weight,
-    spinor_decomposition,
     weyl_dim,
 )
-from qkbw.weights import lambda_ab_weight, primitive_form_dim
+from qkbw.weights import lambda_ab_weight
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def w(*entries):
     return SpnWeight(tuple(entries))
+
+
+def dominant_shifts(rho):
+    """The (nu, rho + mu_nu) pairs of decompose_rho_tensor_E whose weight is dominant."""
+    return [(nu, shifted) for nu, shifted in decompose_rho_tensor_E(rho) if shifted.is_dominant]
+
+
+def primitive_form_dim(a: int, n: int) -> int:
+    """Hand-countable check value: dim of the (1_a) module is C(2n,a) - C(2n,a-2)."""
+    return comb(2 * n, a) - (comb(2 * n, a - 2) if a >= 2 else 0)
+
+
+def spinor_decomposition(n: int):
+    """The n+1 bundle labels (k, (1_{n-k})) the spinor bundle splits into."""
+    return [BundleLabel(k, lambda_ab_weight(n - k, 0, n)) for k in range(n + 1)]
+
+
+def lambda2_decomposition(n: int):
+    """The three bundle labels of the 2-form bundle: (2,(0)), (2,(1,1)), (0,(2))."""
+    return [
+        BundleLabel(2, lambda_ab_weight(0, 0, n)),
+        BundleLabel(2, lambda_ab_weight(2, 0, n)),
+        BundleLabel(0, lambda_ab_weight(1, 1, n)),
+    ]
 
 
 dominant_weights = st.integers(2, 5).flatmap(
@@ -100,35 +123,43 @@ class TestWeylDim:
     def test_dimension_count(self, rho):
         # V_rho (x) E has dimension 2n * dim V_rho, so the dominant
         # summand dimensions must add up to it.
-        table = decompose_rho_tensor_E(rho)
-        total = sum(weyl_dim(c.weight) for c in table.candidates if c.dominant)
+        total = sum(weyl_dim(shifted) for _, shifted in dominant_shifts(rho))
         assert total == 2 * rho.n * weyl_dim(rho)
 
 
 class TestDecomposeRhoTensorE:
     def test_rho_10(self):
-        table = decompose_rho_tensor_E(w(1, 0))
-        dominant = {c.weight for c in table.candidates if c.dominant}
-        assert dominant == {w(2, 0), w(1, 1), w(0, 0)}
-        assert table.summand_count == 3
+        dominant = dominant_shifts(w(1, 0))
+        assert {shifted for _, shifted in dominant} == {w(2, 0), w(1, 1), w(0, 0)}
+        assert len(dominant) == 3
 
     def test_rho_11(self):
-        table = decompose_rho_tensor_E(w(1, 1))
-        dominant = {c.weight for c in table.candidates if c.dominant}
-        assert dominant == {w(2, 1), w(1, 0)}
-        assert table.summand_count == 2
+        dominant = dominant_shifts(w(1, 1))
+        assert {shifted for _, shifted in dominant} == {w(2, 1), w(1, 0)}
+        assert len(dominant) == 2
 
     def test_trivial(self):
         for n in (2, 3, 4):
-            table = decompose_rho_tensor_E(SpnWeight((0,) * n))
-            assert table.summand_count == 1
-            assert table.dominant_nus == (1,)
+            dominant = dominant_shifts(SpnWeight((0,) * n))
+            assert len(dominant) == 1
+            assert [nu for nu, _ in dominant] == [1]
 
     @given(dominant_weights)
     @settings(max_examples=60, deadline=None)
     def test_parity(self, rho):
-        table = decompose_rho_tensor_E(rho)
-        assert (table.summand_count % 2 == 1) == (rho.entries[-1] == 0)
+        assert (len(dominant_shifts(rho)) % 2 == 1) == (rho.entries[-1] == 0)
+
+    @given(dominant_weights)
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_in_canonical_order(self, rho):
+        n = rho.n
+        pairs = decompose_rho_tensor_E(rho)
+        assert [nu for nu, _ in pairs] == [*range(1, n + 1), *range(-1, -n - 1, -1)]
+        assert all(shifted == mu_shift(rho, nu) for nu, shifted in pairs)
+
+    def test_rejects_non_dominant(self):
+        with pytest.raises(NonDominantError):
+            decompose_rho_tensor_E(w(0, 1))
 
 
 class TestBundleLabel:
