@@ -31,7 +31,7 @@ from .identities import (
     operator_coeffs,
     pure_kappa_identities,
 )
-from .rationals import format_plain, format_rational
+from .rationals import format_plain, format_rational, scaled
 from .simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from .weights import BundleLabel, SpnWeight
 
@@ -90,10 +90,10 @@ class BoundCertificate:
         used = [by_id[i] for i in ids]
         P = lcm(*(v.denominator for v in ids.values()))
         Q = lcm(*(v.denominator for ident in used for v in ident.full_vector()))
-        lams = _ints(ids.values(), P)
+        lams = scaled(ids.values(), P)
 
         def matches(value, column):  # value == sum of multiplier * column entry
-            combined = sum(map(mul, lams, _ints(column, Q)))
+            combined = sum(map(mul, lams, scaled(column, Q)))
             return value.numerator * P * Q == combined * value.denominator
 
         maps = [ident.coeff_map() for ident in used]
@@ -149,11 +149,6 @@ def _identity_ids(identities):
     return ids
 
 
-def _ints(values, den):
-    """Rationals times a common multiple den of their denominators, as ints."""
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
 def _integer_problem(operator, identities, sign):
     """(A, op, kappa, M): the target-by-identity matrix, the operator and
     sign * kappa of each identity, as ints over one common denominator M."""
@@ -162,7 +157,7 @@ def _integer_problem(operator, identities, sign):
     op = [c for _, c in operator.coeffs]
     kappas = [ident.kappa_coeff for ident in identities]
     M = lcm(*(v.denominator for v in (*op, *kappas, *(v for row in rows for v in row))))
-    return [_ints(row, M) for row in rows], _ints(op, M), [sign * v for v in _ints(kappas, M)], M
+    return [scaled(row, M) for row in rows], scaled(op, M), [sign * v for v in scaled(kappas, M)], M
 
 
 def _split_rows(rows, slack_rows, one):
@@ -242,7 +237,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         )
         lambdas = [x[j] - x[m + j] for j in range(m)]
     den = lcm(*(v.denominator for v in lambdas))
-    lams = _ints(lambdas, den)
+    lams = scaled(lambdas, den)
     residuals = [Fraction(o * den - sum(map(mul, row, lams)), M * den) for o, row in zip(op, A)]
     gain = Fraction(sum(map(mul, lams, kappa)), M * den)
     if gain != -value:
@@ -467,7 +462,7 @@ class KernelAnalysis:
         return "\n".join(lines)
 
 
-def kernel_analysis(bundle: BundleLabel, kernel_set, hpn: bool = False) -> KernelAnalysis:
+def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
     """Solve the pure-kappa identities on the complement of a kernel set.
 
     The system must be exactly determined (unique solution); a rank-deficient
@@ -481,7 +476,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set, hpn: bool = False) -> Kerne
         if key not in valid_keys:
             raise ValueError(f"kernel target {key} is not a valid gradient target")
     unknown = [key for key in valid_keys if key not in kernel]
-    identities = pure_kappa_identities(bundle, hpn=hpn, table=table)
+    identities = pure_kappa_identities(bundle, table=table)
     matrix = [
         [ident.coeff_map().get(key, Fraction(0)) for key in unknown]
         for ident in identities

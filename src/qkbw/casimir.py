@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .rationals import format_plain, format_rational
+from .rationals import format_plain, format_rational, scaled
 from .weights import (
     BundleLabel,
     SpnWeight,
@@ -295,8 +295,7 @@ def verify_recursion(rho: SpnWeight, q_max: int = 6):
     failures = []
     c, ch = _moments(rho, q_max)
     den = lcm(*(v.denominator for v in (*c, *ch)))
-    C = [v.numerator * (den // v.denominator) for v in c]
-    H = [v.numerator * (den // v.denominator) for v in ch]
+    C, H = scaled(c, den), scaled(ch, den)
     for q in range(0, (q_max - 1) // 2 + 1):
         m = 2 * q
         alternating = sum((-1) ** p * H[m - p] * H[p] for p in range(m + 1))

@@ -23,7 +23,6 @@ from .bounds import (
     bound_for,
     closed_form_bound,
     harmonic_classification,
-    hpn_first_eigenvalue,
     twistor_kernel_analysis,
 )
 from .casimir import (
@@ -43,7 +42,7 @@ from .identities import (
     theorem_family,
 )
 from .rationals import format_plain, format_rational
-from .selfcheck import run_suites
+from .selfcheck import run_suites, sweep_case, sweep_cases
 from .simplex import LPInfeasibleError, LPUnboundedError
 from .weights import BundleLabel, _parse_int, parse_weight
 
@@ -271,10 +270,8 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_hpn(args) -> int:
-    lam1 = hpn_first_eigenvalue(args.k, args.a, args.b, args.n)
-    bundle = lambda_ab_bundle(args.k, args.a, args.b, args.n)
-    cert = bound_for("hodge_laplacian", bundle, "+", hpn=True)
-    bound_value = cert.bound * 2 * args.n
+    _, bound, expected = sweep_case((args.n, args.k, args.a, args.b, "+", True))
+    lam1, bound_value = expected * 2 * args.n, bound * 2 * args.n
     obj = {
         "n": args.n,
         "k": args.k,
@@ -293,51 +290,27 @@ def cmd_hpn(args) -> int:
     return 0
 
 
-def _sweep_case(case):
-    n, k, a, b, sign, hpn = case
-    bundle = lambda_ab_bundle(k, a, b, n)
-    cert = bound_for("hodge_laplacian", bundle, sign, hpn=hpn)
-    if hpn:
-        expected = hpn_first_eigenvalue(k, a, b, n) / (2 * n)
-    else:
-        expected = closed_form_bound(k, a, b, n, sign)
-    return case, cert.bound, expected
-
-
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
     if args.hpn and args.kappa_sign == "-":
         raise ValueError("--hpn compares with HP^n, where kappa > 0; drop --kappa-sign -")
-    signs = ["+", "-"] if args.kappa_sign == "both" else [args.kappa_sign]
-    if args.hpn:
-        signs = ["+"]
-    cases = []
-    for n in _parse_range(args.n, "--n"):
-        a_values = _parse_range(args.a, "--a") if args.a else range(0, n + 1)
-        for a in a_values:
-            if a > n:
-                continue
-            b_values = _parse_range(args.b, "--b") if args.b else range(0, a + 1)
-            for b in b_values:
-                if b > a:
-                    continue
-                k_lo = 2 if args.hpn else 0
-                k_values = _parse_range(args.k, "--k") if args.k else range(k_lo, 2 * n - a - b + 1)
-                for k in k_values:
-                    if not k_lo <= k <= 2 * n - a - b:
-                        continue
-                    for sign in signs:
-                        cases.append((n, k, a, b, sign, args.hpn))
+    signs = "+" if args.hpn else "+-" if args.kappa_sign == "both" else args.kappa_sign
+    ns = _parse_range(args.n, "--n")
+    filters = {
+        flag: set(_parse_range(text, f"--{flag}"))
+        for flag, text in (("a", args.a), ("b", args.b), ("k", args.k))
+        if text
+    }
+    cases = sweep_cases(ns, signs, args.hpn, **filters)
     if not cases:
         raise ValueError("the sweep selects no cases; check --n, --k, --a and --b")
-    cases.sort(key=lambda c: (c[0], c[2], c[3], c[1], c[4]))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_case, cases))
+            results = list(pool.map(sweep_case, cases))
     else:
-        results = [_sweep_case(c) for c in cases]
+        results = [sweep_case(c) for c in cases]
 
     header = "n,k,a,b,kappa_sign,lp_bound,expected,match"
     rows = []

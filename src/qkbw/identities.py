@@ -34,7 +34,7 @@ from .casimir import (
     decompose_bundle,
     lambda_ab_bundle,
 )
-from .rationals import format_plain, format_rational
+from .rationals import format_rational, scaled
 from .simplex import exact_rank
 from .weights import BundleLabel
 
@@ -96,18 +96,6 @@ class CurvatureTerm:
     @property
     def key(self):
         return (self.hatted, self.power)
-
-    def __str__(self) -> str:
-        name = f"Rhat^{self.power}" if self.hatted else f"R^{self.power}"
-        return f"{_fmt_coeff(self.coefficient)}{name}"
-
-
-def _fmt_coeff(c: Fraction) -> str:
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return f"{format_plain(c)}*"
 
 
 def _merge_terms(terms):
@@ -244,7 +232,7 @@ def identity_sum(bundle: BundleLabel, table: DecompositionTable = None) -> BWIde
     return ctx.identity("sum", [1] * len(ctx.keys), 0)
 
 
-def identity_bochner1(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
+def identity_bochner1(bundle: BundleLabel, q: int) -> BWIdentity:
     """Even-moment family member (no Sp(1) weight in the coefficients).
 
     Coefficient of B_{N,nu} is the alternating translated-Casimir sum
@@ -254,10 +242,10 @@ def identity_bochner1(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
     """
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    return _bochner1(_Context(bundle, table, 2 * q + 1), q)
+    return _bochner1(_Context(bundle, q_max=2 * q + 1), q)
 
 
-def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
+def identity_bochner2(bundle: BundleLabel, q: int) -> BWIdentity:
     """Odd family member, weighted by the Sp(1) conformal weight W_N.
 
     Pure kappa by construction.  Vacuous when k = 0 (W_1 = 0 and the N = -1
@@ -266,7 +254,7 @@ def identity_bochner2(bundle: BundleLabel, q: int, table=None) -> BWIdentity:
     _require_k(bundle)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    return _bochner2(_Context(bundle, table, 2 * q), q)
+    return _bochner2(_Context(bundle, q_max=2 * q), q)
 
 
 def _alternating(ctx, m):
@@ -277,7 +265,7 @@ def _alternating(ctx, m):
     """
     ch = ctx.ch[: m + 1]
     M = lcm(*(h.denominator for h in ch))
-    B = [(h.numerator * (M // h.denominator)) << j for j, h in enumerate(ch)]
+    B = [h << j for j, h in enumerate(scaled(ch, M))]
     xs = [2 * ctx.n + 1 - 2 * w for w in ctx.w]
     return M, [sum(b * x ** (m - j) for j, b in enumerate(B)) for x in xs]
 
@@ -359,41 +347,41 @@ _R1 = (CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),)
 _R3 = (CurvatureTerm(power=3, hatted=False, coefficient=Fraction(1)),)
 
 
-def identity_bw1(bundle: BundleLabel, table=None) -> BWIdentity:
+def identity_bw1(bundle: BundleLabel) -> BWIdentity:
     """First-moment identity: sum w B = c_2 kappa / (8n(n+2)) + R^1."""
-    return _bw1(_Context(bundle, table), _R1)
+    return _bw1(_Context(bundle), _R1)
 
 
-def identity_bw2(bundle: BundleLabel, table=None) -> BWIdentity:
+def identity_bw2(bundle: BundleLabel) -> BWIdentity:
     """Cubic-moment identity; right side carries c_4 and the power-3 contraction."""
-    return _bw2(_Context(bundle, table), _R3)
+    return _bw2(_Context(bundle), _R3)
 
 
-def identity_bw3(bundle: BundleLabel, table=None) -> BWIdentity:
+def identity_bw3(bundle: BundleLabel) -> BWIdentity:
     """Sp(1)-weight identity: sum W_N B = k(k+2) kappa / (4(n+2))."""
     _require_k(bundle)
-    return _bw3(_Context(bundle, table), ())
+    return _bw3(_Context(bundle), ())
 
 
-def identity_bw4(bundle: BundleLabel, table=None) -> BWIdentity:
+def identity_bw4(bundle: BundleLabel) -> BWIdentity:
     """Mixed identity: sum 2 W_N (w^2 - (n+1)w) B = k(k+2) c_2 kappa / (4n(n+2))."""
     _require_k(bundle)
-    return _bw4(_Context(bundle, table), ())
+    return _bw4(_Context(bundle), ())
 
 
-def identity_bw5(bundle: BundleLabel, table=None) -> BWIdentity:
+def identity_bw5(bundle: BundleLabel) -> BWIdentity:
     """Quartic mixed identity with right side k(k+2) c_4 kappa / (4n(n+2))."""
     _require_k(bundle)
-    return _bw5(_Context(bundle, table), ())
+    return _bw5(_Context(bundle), ())
 
 
-def identity_bw6(a: int, b: int, k: int, n: int, table=None) -> BWIdentity:
+def identity_bw6(a: int, b: int, k: int, n: int) -> BWIdentity:
     """Scalar-curvature-only identity on the (2_b, 1_{a-b}) bundles.
 
     Degenerates to 0 = 0 when a = b (every coefficient and the kappa side
     vanish); callers drop it then.
     """
-    return _bw6(_Context(lambda_ab_bundle(k, a, b, n), table), ())
+    return _bw6(_Context(lambda_ab_bundle(k, a, b, n)), ())
 
 
 def theorem_family(bundle: BundleLabel):

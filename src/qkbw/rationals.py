@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Fraction", "format_rational", "format_plain", "parse_rational"]
+__all__ = ["Fraction", "format_rational", "format_plain", "parse_rational", "scaled"]
 
 
 def format_rational(x) -> str:
@@ -28,3 +28,8 @@ def format_plain(x) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into a Fraction."""
     return Fraction(text.strip())
+
+
+def scaled(values, den):
+    """Rationals times a common multiple den of their denominators, as ints."""
+    return [v.numerator * (den // v.denominator) for v in values]

@@ -47,7 +47,7 @@ from .identities import (
 from .simplex import solve_linear_system
 from .weights import BundleLabel, SpnWeight
 
-__all__ = ["SuiteResult", "ALL_SUITES", "run_suites", "dominant_weights"]
+__all__ = ["SuiteResult", "run_suites", "dominant_weights", "sweep_cases", "sweep_case"]
 
 
 @dataclass
@@ -330,26 +330,54 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
     return SuiteResult("printed-form matching", cases, failures)
 
 
+def _lambda_ab_grid(n: int, k_min: int = 0):
+    """The (k, a, b) of S^k(H) (x) (2_b,1_(a-b)) at rank n with k_min <= k <= 2n-a-b,
+    in (a, b, k) order."""
+    for a in range(n + 1):
+        for b in range(a + 1):
+            for k in range(k_min, 2 * n - a - b + 1):
+                yield k, a, b
+
+
+def sweep_cases(ns, signs, hpn=False, a=None, b=None, k=None):
+    """The (n, k, a, b, sign, hpn) cases of the Hodge-Laplacian sweep over the
+    ranks ns, in (n, a, b, k, sign) order.
+
+    a, b and k, when given, are sets the grid values must lie in.  The hpn
+    comparison starts at k = 2, where the first-eigenvalue formula holds.
+    """
+    return [
+        (n, kk, aa, bb, sign, hpn)
+        for n in ns
+        for kk, aa, bb in _lambda_ab_grid(n, 2 if hpn else 0)
+        if (a is None or aa in a) and (b is None or bb in b) and (k is None or kk in k)
+        for sign in signs
+    ]
+
+
+def sweep_case(case):
+    """(case, LP bound, expected) for one sweep case on the Hodge Laplacian.
+
+    expected is the closed-form bound, or lambda_1 / (2n) with hpn.  The
+    eigenvalue formula checks k, a and b before the bundle checks the rank.
+    """
+    n, k, a, b, sign, hpn = case
+    lam1 = hpn_first_eigenvalue(k, a, b, n) if hpn else None
+    bundle = lambda_ab_bundle(k, a, b, n)
+    expected = lam1 / (2 * n) if hpn else closed_form_bound(k, a, b, n, sign)
+    return case, bound_for("hodge_laplacian", bundle, sign, hpn=hpn).bound, expected
+
+
 def suite_lp_agreement(n_max: int = 5) -> SuiteResult:
     """The LP optimum on the Hodge Laplacian equals the closed-form bound for
     every (k, a, b, n) and both signs, with a verified certificate."""
-    failures = []
-    cases = 0
-    for n in range(2, n_max + 1):
-        for a in range(n + 1):
-            for b in range(a + 1):
-                for k in range(0, 2 * n - a - b + 1):
-                    bundle = lambda_ab_bundle(k, a, b, n)
-                    for sign in ("+", "-"):
-                        cases += 1
-                        cert = bound_for("hodge_laplacian", bundle, sign)
-                        expected = closed_form_bound(k, a, b, n, sign)
-                        if cert.bound != expected:
-                            failures.append(
-                                f"LP {cert.bound} != closed form {expected} at "
-                                f"k={k} a={a} b={b} n={n} sign {sign}"
-                            )
-    return SuiteResult("LP vs closed-form bounds", cases, failures)
+    cases = sweep_cases(range(2, n_max + 1), "+-")
+    failures = [
+        f"LP {lp} != closed form {expected} at k={k} a={a} b={b} n={n} sign {sign}"
+        for (n, k, a, b, sign, _), lp, expected in map(sweep_case, cases)
+        if lp != expected
+    ]
+    return SuiteResult("LP vs closed-form bounds", len(cases), failures)
 
 
 def suite_connection_lp(n_max: int = 4) -> SuiteResult:
@@ -437,84 +465,51 @@ def suite_harmonic(n_max: int = 5) -> SuiteResult:
     for n in range(2, n_max + 1):
         for sign in ("+", "-"):
             listed = set(harmonic_classification(n, sign))
-            for a in range(n + 1):
-                for b in range(a + 1):
-                    for k in range(0, 2 * n - a - b + 1):
-                        cases += 1
-                        coeff = closed_form_bound(k, a, b, n, sign)
-                        if (k, a, b) in listed:
-                            if coeff != 0:
-                                failures.append(
-                                    f"listed triple has nonzero bound: {(k, a, b)} n={n} {sign}"
-                                )
-                        elif coeff == 0:
-                            failures.append(
-                                f"unlisted zero bound at {(k, a, b)} n={n} {sign}"
-                            )
-                        elif sign == "+" and coeff < 0:
-                            failures.append(
-                                f"negative bound for positive curvature at {(k, a, b)} n={n}"
-                            )
+            for k, a, b in _lambda_ab_grid(n):
+                cases += 1
+                coeff = closed_form_bound(k, a, b, n, sign)
+                if (k, a, b) in listed:
+                    if coeff != 0:
+                        failures.append(
+                            f"listed triple has nonzero bound: {(k, a, b)} n={n} {sign}"
+                        )
+                elif coeff == 0:
+                    failures.append(f"unlisted zero bound at {(k, a, b)} n={n} {sign}")
+                elif sign == "+" and coeff < 0:
+                    failures.append(
+                        f"negative bound for positive curvature at {(k, a, b)} n={n}"
+                    )
     return SuiteResult("harmonic classification", cases, failures)
 
 
 def suite_hpn(n_max: int = 4) -> SuiteResult:
     """With the quartic curvature part switched off and the scalar curvature
     normalized to 2n, the LP bound meets the first eigenvalue for k >= 2."""
-    failures = []
-    cases = 0
-    for n in range(2, n_max + 1):
-        for a in range(n + 1):
-            for b in range(a + 1):
-                for k in range(2, 2 * n - a - b + 1):
-                    cases += 1
-                    bundle = lambda_ab_bundle(k, a, b, n)
-                    cert = bound_for("hodge_laplacian", bundle, "+", hpn=True)
-                    lam1 = hpn_first_eigenvalue(k, a, b, n)
-                    if cert.bound * 2 * n != lam1:
-                        failures.append(
-                            f"hpn bound {cert.bound * 2 * n} != lambda_1 {lam1} at "
-                            f"k={k} a={a} b={b} n={n}"
-                        )
-    return SuiteResult("projective-space sharpness", cases, failures)
+    cases = sweep_cases(range(2, n_max + 1), "+", hpn=True)
+    failures = [
+        f"hpn bound {lp * 2 * n} != lambda_1 {expected * 2 * n} at k={k} a={a} b={b} n={n}"
+        for (n, k, a, b, _, _), lp, expected in map(sweep_case, cases)
+        if lp != expected
+    ]
+    return SuiteResult("projective-space sharpness", len(cases), failures)
 
 
-ALL_SUITES = {
-    "reldim": suite_reldim,
-    "table1": suite_table1,
-    "casimir": suite_casimir,
-    "c2c4": suite_c2c4_closed_forms,
-    "rank": suite_rank,
-    "printed": suite_printed_forms,
-    "lp": suite_lp_agreement,
-    "connection": suite_connection_lp,
-    "dirac": suite_dirac,
-    "vanishing": suite_vanishing,
-    "harmonic": suite_harmonic,
-    "hpn": suite_hpn,
-}
-
-_QUICK_LIMITS = {
-    "reldim": {"n_max": 3},
-    "table1": {"n_max": 3},
-    "casimir": {"n_max": 3},
-    "c2c4": {"n_max": 3},
-    "rank": {"n_max": 3, "k_max": 3},
-    "printed": {"n_max": 3},
-    "lp": {"n_max": 3},
-    "connection": {"n_max": 3},
-    "dirac": {"n_max": 3},
-    "vanishing": {"n_max": 3, "k_max": 4},
-    "harmonic": {"n_max": 3},
-    "hpn": {"n_max": 3},
-}
+# Every suite with the limits of its --quick run, in report order.
+_SUITES = (
+    (suite_reldim, {"n_max": 3}),
+    (suite_table1, {"n_max": 3}),
+    (suite_casimir, {"n_max": 3}),
+    (suite_c2c4_closed_forms, {"n_max": 3}),
+    (suite_rank, {"n_max": 3, "k_max": 3}),
+    (suite_printed_forms, {"n_max": 3}),
+    (suite_lp_agreement, {"n_max": 3}),
+    (suite_connection_lp, {"n_max": 3}),
+    (suite_dirac, {"n_max": 3}),
+    (suite_vanishing, {"n_max": 3, "k_max": 4}),
+    (suite_harmonic, {"n_max": 3}),
+    (suite_hpn, {"n_max": 3}),
+)
 
 
-def run_suites(quick: bool = False, names=None):
-    results = []
-    for name, suite in ALL_SUITES.items():
-        if names and name not in names:
-            continue
-        kwargs = _QUICK_LIMITS[name] if quick else {}
-        results.append(suite(**kwargs))
-    return results
+def run_suites(quick: bool = False):
+    return [suite(**limits) if quick else suite() for suite, limits in _SUITES]

@@ -32,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .rationals import scaled
+
 __all__ = [
     "LPUnboundedError",
     "LPInfeasibleError",
@@ -52,11 +54,6 @@ class LPInfeasibleError(ArithmeticError):
 def _rational(v):
     """v as an exact rational: ints and Fractions as they are."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _scaled(values, scale):
-    """Fractions times a common multiple of their denominators, as ints."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(rows, d, r, c):
@@ -149,7 +146,7 @@ def simplex_maximize(objective, constraints, rhs):
     scale = lcm(*(v.denominator for row in problem for v in row))
     rows = []
     for i, row in enumerate(problem):
-        ints = _scaled(row, scale)
+        ints = scaled(row, scale)
         rows.append(ints[:-1] + [int(i == j) for j in range(m)] + ints[-1:])
     basis = list(range(n, n + m))
     d = _bland_run(rows, 1, basis, [0] * n + [-1] * m)
@@ -172,7 +169,7 @@ def simplex_maximize(objective, constraints, rhs):
     rows = [row[:n] + row[-1:] for row in rows]
 
     cost_scale = lcm(*(c.denominator for c in objective))
-    cost = _scaled(objective, cost_scale)
+    cost = scaled(objective, cost_scale)
     d = _bland_run(rows, d, basis, cost)
 
     x = [Fraction(0)] * n
@@ -187,7 +184,7 @@ def _integer_rows(rows):
     out = []
     for row in rows:
         row = [_rational(v) for v in row]
-        out.append(_scaled(row, lcm(*(v.denominator for v in row))))
+        out.append(scaled(row, lcm(*(v.denominator for v in row))))
     return out
 
 

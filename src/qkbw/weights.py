@@ -11,7 +11,6 @@ casimir reads its dominance and Weyl dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "NonDominantError",
@@ -21,7 +20,6 @@ __all__ = [
     "weyl_dim",
     "decompose_rho_tensor_E",
     "parse_weight",
-    "parse_weight_text",
 ]
 
 
@@ -152,13 +150,15 @@ def weyl_dim(rho: SpnWeight) -> int:
     n = rho.n
     l = [rho.entries[i] + n - i for i in range(n)]  # i is 0-based: n - (i+1) + 1
     m = [n - i for i in range(n)]
-    dim = Fraction(1)
+    num = den = 1
     for i in range(n):
-        dim *= Fraction(l[i], m[i])
+        num *= l[i]
+        den *= m[i]
         for j in range(i + 1, n):
-            dim *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    assert dim.denominator == 1 and dim > 0
-    value = dim.numerator
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= m[i] ** 2 - m[j] ** 2
+    value, rest = divmod(num, den)
+    assert rest == 0 and value > 0
     _dims[rho.entries] = value
     return value
 
@@ -183,7 +183,7 @@ def _parse_int(text: str, what: str, signed: bool) -> int:
     return int(text)
 
 
-def parse_weight_text(text: str, n=None) -> SpnWeight:
+def parse_weight(text: str, n=None) -> SpnWeight:
     """Parse a weight from "2,1,0" or the shorthand "2^b 1^(a-b) @ n".
 
     The shorthand lists value^count tokens and pads with zeros up to the
@@ -220,7 +220,3 @@ def parse_weight_text(text: str, n=None) -> SpnWeight:
             raise ValueError(f"weight has {len(entries)} entries > rank {n}")
         entries = entries + (0,) * (n - len(entries))
     return SpnWeight(entries)
-
-
-# Short alias used throughout the CLI.
-parse_weight = parse_weight_text

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qkbw import cli
+from qkbw import cli, selfcheck
 from qkbw.casimir import relative_dimension_weyl
 from qkbw.cli import main
+from qkbw.selfcheck import suite_lp_agreement, sweep_cases
 from qkbw.weights import SpnWeight, mu_shift, nu_indices
 
 
@@ -236,10 +237,28 @@ class TestSweepVerb:
         assert "selects no cases" in err
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "closed_form_bound", lambda *args: Fraction(99))
+        monkeypatch.setattr(selfcheck, "closed_form_bound", lambda *args: Fraction(99))
         code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0")
         assert code == 1
         assert "2 mismatches" in out
+        assert "  mismatch at n=2 k=1 a=0 b=0 sign +" in out.splitlines()
+        failures = suite_lp_agreement(n_max=2).failures
+        assert len(failures) == 2 * len(sweep_cases([2], "+"))
+        assert "LP 7/64 != closed form 99 at k=1 a=0 b=0 n=2 sign +" in failures
+
+    def test_filters_are_parsed_before_the_grid(self, capsys):
+        """--k was read only for a in range, so a bad --k passed as "no cases"."""
+        code, out, err = run(capsys, "sweep", "--n", "2", "--a", "5", "--k", "zz")
+        assert (code, out) == (2, "")
+        assert err == "error: --k must be written in ASCII digits, got 'zz'\n"
+
+    def test_filters_select_their_cases(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n", "3", "--a", "1..2", "--b", "1", "--format", "csv")
+        assert code == 0
+        cases = [tuple(map(int, line.split(",")[:4])) for line in out.splitlines()[1:]]
+        # (n, k, a, b): a = 1 allows k <= 4, a = 2 allows k <= 3, one row per sign
+        want = [(3, k, 1, 1) for k in range(5)] + [(3, k, 2, 1) for k in range(4)]
+        assert cases == [case for case in want for _ in "+-"]
 
     def test_csv_ledger_header_written_once(self, capsys, tmp_path):
         path = tmp_path / "ledger.csv"
@@ -296,11 +315,44 @@ class TestSweepVerb:
         assert started == ([] if workers is None else [workers])
 
 
+class TestSweepGrid:
+    def test_grid_in_order(self):
+        brute = [
+            (n, k, a, b, sign, False)
+            for n in range(2, 6)
+            for a in range(n + 1)
+            for b in range(a + 1)
+            for k in range(2 * n - a - b + 1)
+            for sign in "+-"
+        ]
+        assert len(brute) == 518
+        assert sweep_cases(range(2, 6), "+-") == brute
+
+    def test_hpn_grid(self):
+        cases = sweep_cases(range(2, 5), "+", hpn=True)
+        assert len(cases) == 74
+        assert all(k >= 2 and sign == "+" and hpn for _, k, _, _, sign, hpn in cases)
+        assert cases == [c[:5] + (True,) for c in sweep_cases(range(2, 5), "+") if c[1] >= 2]
+
+
 class TestSelftestVerb:
     def test_quick_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--quick")
         assert code == 0
-        assert "[PASS]" in out and "[FAIL]" not in out
+        assert out.splitlines() == [
+            "[PASS] relative-dimension oracle equality: 102 cases, 0 failures",
+            "[PASS] five-row table reproduction: 5 cases, 0 failures",
+            "[PASS] Casimir identity suite: 180 cases, 0 failures",
+            "[PASS] degree-2/4 closed forms: 16 cases, 0 failures",
+            "[PASS] theorem rank check: 67 cases, 0 failures",
+            "[PASS] printed-form matching: 16 cases, 0 failures",
+            "[PASS] LP vs closed-form bounds: 116 cases, 0 failures",
+            "[PASS] connection-Laplacian LP agreement: 56 cases, 0 failures",
+            "[PASS] squared-Dirac bounds: 7 cases, 0 failures",
+            "[PASS] twistor vanishing system: 10 cases, 0 failures",
+            "[PASS] harmonic classification: 116 cases, 0 failures",
+            "[PASS] projective-space sharpness: 28 cases, 0 failures",
+        ]
 
 
 class TestJsonRoundTrips:
