@@ -10,11 +10,14 @@ multiples of the pure-kappa identities from the operator's B-expansion
 trades B-coefficients for kappa; the optimizer maximizes the resulting
 bound (sign(kappa) * c) and returns the full certificate so the rewriting
 is machine-checkable.  The LP is solved exactly through its dual, which has
-one row per identity; complementary slackness then recovers the multipliers,
-with an L1-smallest tie-break on the optimal face when identities are
-dependent (see lp_max_bound).  The LP rows are ints over one common
-denominator, each residual is one Fraction, and BoundCertificate.verify
-checks the Fraction operator and identities by integer cross-multiplication.
+one row per identity; complementary slackness then recovers the multipliers
+from the tight targets.  When those do not fix them, an L1-smallest
+tie-break picks them in three steps: none without identities, the
+L1-smallest solution of the tight rows alone when it keeps every residual
+nonnegative, and the L1-smallest point of the whole optimal face otherwise
+(see lp_max_bound).  The LP rows are ints over one common denominator, each
+residual is one Fraction, and BoundCertificate.verify checks the Fraction
+operator and identities by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ __all__ = [
 
 class ParameterRangeError(ValueError):
     """Arguments left the parameter range the closed form is stated for."""
+
+
+def _check_rank(n):
+    if n < 2:
+        raise ParameterRangeError(f"rank must be at least 2, got n={n}")
 
 
 def _normalize_sign(kappa_sign) -> int:
@@ -169,6 +177,23 @@ def _split_rows(rows, slack_rows, one):
     ]
 
 
+def _l1_smallest(m, rows, rhs, slack_rows, one):
+    """The L1-smallest lambda with rows . lambda = rhs on the rows outside
+    slack_rows and <= rhs on those: exact simplex, Bland's rule."""
+    _, x = simplex_maximize(
+        [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(rows, slack_rows, one), rhs
+    )
+    return [x[j] - x[m + j] for j in range(m)]
+
+
+def _residuals(A, op, lambdas):
+    """(den, lams, r): lambdas as ints lams over den, and the residuals
+    op - A lambda as ints r over M * den."""
+    den = lcm(*(v.denominator for v in lambdas))
+    lams = scaled(lambdas, den)
+    return den, lams, [o * den - sum(map(mul, row, lams)) for o, row in zip(op, A)]
+
+
 def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertificate:
     """Best certificate bound over the span of the given pure-kappa identities.
 
@@ -180,11 +205,25 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         max -op.y  s.t.  A^T y = sign(kappa) * kappa,  y >= 0,
 
     and the primal optimum is minus the dual value.  Complementary slackness
-    pins the residual to zero on every target with y_i != 0; when those rows
-    fix lambda uniquely, that point is the certificate.  Otherwise (dependent
-    identities leave free directions) the tie-break is the L1-smallest
-    lambda on the optimal face, found by exact simplex with Bland's rule over
-    the canonically ordered variables, so the result is deterministic.
+    pins the residual to zero on the tight targets T, those with y_i != 0.
+    The optimal face is every lambda with A_T lambda = op_T and the other
+    (slack) residuals nonnegative.  When the tight rows fix lambda uniquely,
+    that point is the certificate.  Otherwise the multipliers are tied, and
+    the tie-break takes the L1-smallest lambda in three steps:
+
+    1. with no identity (m = 0) lambda is empty, and no LP runs;
+    2. else the L1-smallest solution of A_T lambda = op_T alone, an LP with
+       |T| rows and 2m columns, is taken if every residual op - A lambda is
+       nonnegative.  It then lies on the optimal face and is L1-smallest on
+       a set that contains the face;
+    3. else (a slack residual went negative) the L1-smallest lambda on the
+       optimal face itself, an LP with one row per target.
+
+    So the multipliers equal those the optimal-face LP of step 3 picks on
+    its own wherever the L1-smallest point of the optimal face is unique;
+    elsewhere they are still a deterministic L1-smallest choice.  Each LP
+    is an exact simplex with Bland's rule over the canonically ordered
+    variables.
 
     Raises InconsistencyError caused by LPInfeasibleError when no
     nonnegative rewriting exists, and caused by LPUnboundedError when the
@@ -226,19 +265,18 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
     value /= M
 
-    tight = [i for i in range(t) if y[i] != 0]
-    lambdas = None
-    if tight:
-        lambdas, _ = solve_linear_system([A[i] for i in tight], [op[i] for i in tight])
-    if lambdas is None:
-        slack_rows = [i for i in range(t) if y[i] == 0]
-        _, x = simplex_maximize(
-            [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(A, slack_rows, M), op
-        )
-        lambdas = [x[j] - x[m + j] for j in range(m)]
-    den = lcm(*(v.denominator for v in lambdas))
-    lams = scaled(lambdas, den)
-    residuals = [Fraction(o * den - sum(map(mul, row, lams)), M * den) for o, row in zip(op, A)]
+    lambdas = []
+    if m:
+        tight = [i for i in range(t) if y[i] != 0]
+        A_T, op_T = [A[i] for i in tight], [op[i] for i in tight]
+        lambdas = solve_linear_system(A_T, op_T)[0] if tight else None
+        if lambdas is None:
+            lambdas = _l1_smallest(m, A_T, op_T, (), M)
+            if any(r < 0 for r in _residuals(A, op, lambdas)[2]):
+                slack_rows = [i for i in range(t) if y[i] == 0]
+                lambdas = _l1_smallest(m, A, op, slack_rows, M)
+    den, lams, residuals = _residuals(A, op, lambdas)
+    residuals = [Fraction(r, M * den) for r in residuals]
     gain = Fraction(sum(map(mul, lams, kappa)), M * den)
     if gain != -value:
         raise InconsistencyError("primal and dual optima differ")
@@ -301,6 +339,7 @@ def closed_form_bound(k: int, a: int, b: int, n: int, kappa_sign) -> Fraction:
         raise ParameterRangeError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
     if not 0 <= k <= 2 * n - a - b:
         raise ParameterRangeError(f"need 0 <= k <= 2n-a-b, got k={k}")
+    _check_rank(n)
     denom = 8 * n * (n + 2)
     if sign > 0:
         if k == 0:
@@ -332,6 +371,7 @@ def connection_laplacian_bound(k: int, a: int, n: int, kappa_sign) -> Fraction:
         raise ParameterRangeError(f"need 0 <= a <= n, got a={a}, n={n}")
     if not 0 <= k <= 2 * n - a:
         raise ParameterRangeError(f"need 0 <= k <= 2n-a, got k={k}")
+    _check_rank(n)
     if sign > 0:
         if k == 0:
             return Fraction(a, 4 * n * (n + 2))
@@ -350,6 +390,7 @@ def dirac_bound(k: int, n: int) -> Fraction:
     """
     if not 0 <= k <= n:
         raise ParameterRangeError(f"need 0 <= k <= n, got k={k}")
+    _check_rank(n)
     if k == 0:
         return Fraction(n + 3, 4 * (n + 2))
     return Fraction(n + k + 2, 4 * (n + 2))
@@ -365,6 +406,7 @@ def hpn_first_eigenvalue(k: int, a: int, b: int, n: int) -> Fraction:
         raise ParameterRangeError(f"first-eigenvalue formula is stated for k >= 2, got k={k}")
     if not 0 <= b <= a <= n:
         raise ParameterRangeError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
+    _check_rank(n)
     return Fraction(
         k * (k + 2 * n + 2) + a * (2 * n - a + 2) + b * (2 * n - b + 4), 4 * (n + 2)
     )
@@ -377,8 +419,7 @@ def harmonic_classification(n: int, kappa_sign):
     top-symmetric-power labels (2n-a-b, a, b).
     """
     sign = _normalize_sign(kappa_sign)
-    if n < 2:
-        raise ParameterRangeError(f"rank must be at least 2, got n={n}")
+    _check_rank(n)
     out = {(0, a, a) for a in range(n + 1)}
     if sign < 0:
         for a in range(n + 1):

@@ -118,7 +118,9 @@ def _bland_run(rows, d, basis, cost):
 def simplex_maximize(objective, constraints, rhs):
     """Solve  max objective . x  subject to  constraints @ x = rhs,  x >= 0.
 
-    All inputs are sequences of Fractions (or ints).  Returns
+    All inputs are sequences of Fractions (or ints).  When every constraint
+    and rhs entry is an int, the rows are the tableau as they are (L = 1);
+    otherwise they are scaled by the lcm L of their denominators.  Returns
     ``(value, x)`` with x a list of Fractions.  Raises LPInfeasibleError or
     LPUnboundedError accordingly.  Deterministic: Bland's rule with the
     given variable ordering.
@@ -132,22 +134,26 @@ def simplex_maximize(objective, constraints, rhs):
         return Fraction(0), [Fraction(0)] * n
 
     problem = []
+    integral = True
     for i in range(m):
-        row = [_rational(v) for v in constraints[i]]
-        if len(row) != n:
+        row = [*constraints[i], rhs[i]]
+        if len(row) != n + 1:
             raise ValueError("constraint row length does not match objective")
-        b = _rational(rhs[i])
-        if b < 0:
+        if not all(type(v) is int for v in row):
+            row = [_rational(v) for v in row]
+            integral = False
+        if row[-1] < 0:
             row = [-v for v in row]
-            b = -b
-        problem.append(row + [b])
+        problem.append(row)
 
-    # Phase 1: artificial basis, drive sum of artificials to zero.
-    scale = lcm(*(v.denominator for row in problem for v in row))
-    rows = []
-    for i, row in enumerate(problem):
-        ints = scaled(row, scale)
-        rows.append(ints[:-1] + [int(i == j) for j in range(m)] + ints[-1:])
+    # Phase 1: artificial basis, drive sum of artificials to zero.  All-int
+    # rows are their own scaling (L = 1).
+    if not integral:
+        scale = lcm(*(v.denominator for row in problem for v in row))
+        problem = [scaled(row, scale) for row in problem]
+    rows = [
+        row[:-1] + [int(i == j) for j in range(m)] + row[-1:] for i, row in enumerate(problem)
+    ]
     basis = list(range(n, n + m))
     d = _bland_run(rows, 1, basis, [0] * n + [-1] * m)
     if any(b >= n and row[-1] for b, row in zip(basis, rows)):

@@ -521,6 +521,27 @@ class TestProjectiveSpace:
         assert strong > plain
 
 
+# Each closed form at n = 0 and n = 1 with every other argument in range:
+# n = 0 divided by zero, n = 1 returned a value for a rank with no Sp(n) bundle.
+RANK_BELOW_TWO = {
+    "closed_form_trivial": lambda n: closed_form_bound(0, 0, 0, n, "+"),
+    "closed_form_a_n": lambda n: closed_form_bound(0, n, 0, n, "+"),
+    "closed_form_negative": lambda n: closed_form_bound(2 * n, 0, 0, n, "-"),
+    "connection": lambda n: connection_laplacian_bound(0, 0, n, "+"),
+    "connection_negative": lambda n: connection_laplacian_bound(0, n, n, "-"),
+    "dirac": lambda n: dirac_bound(0, n),
+    "hpn": lambda n: hpn_first_eigenvalue(2, n, 0, n),
+    "harmonic": lambda n: harmonic_classification(n, "+"),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("closed_form", RANK_BELOW_TWO.values(), ids=RANK_BELOW_TWO)
+def test_closed_forms_reject_rank_below_two(closed_form, n):
+    with pytest.raises(ParameterRangeError, match=f"^rank must be at least 2, got n={n}$"):
+        closed_form(n)
+
+
 class TestCertificateSerialization:
     def test_json_dict(self):
         cert = bound_for("hodge_laplacian", lambda_ab_bundle(2, 2, 0, 2), "+")

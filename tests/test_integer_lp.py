@@ -7,6 +7,13 @@ a ``Fraction``, the LP rows are ``Fraction`` rows, and the residuals, the
 bound and the reconstruction are ``Fraction`` sums.  They are kept here as a
 test-only reference.  The integer code must give the same certificate, or
 the same error, after the same pivots.
+
+``oracle_lp_max_bound`` breaks a multiplier tie in the three steps of
+``lp_max_bound``: no LP without identities, the L1-smallest multipliers on
+the tight rows, and the full face LP only when that point leaves the
+optimal face.  With ``full_face=True`` it is the tie-break those steps
+replaced, the L1-smallest multipliers over the whole optimal face, kept as a
+second reference: the certificates of the two must be equal.
 """
 
 from dataclasses import replace
@@ -70,7 +77,14 @@ def _oracle_split_rows(rows, slack_rows):
     ]
 
 
-def oracle_lp_max_bound(operator, identities, kappa_sign):
+def _oracle_l1_smallest(m, rows, rhs, slack_rows):
+    _, x = simplex_maximize(
+        [F(-1)] * (2 * m) + [F(0)] * len(slack_rows), _oracle_split_rows(rows, slack_rows), rhs
+    )
+    return [x[j] - x[m + j] for j in range(m)]
+
+
+def oracle_lp_max_bound(operator, identities, kappa_sign, full_face=False):
     sign = _normalize_sign(kappa_sign)
     for ident in identities:
         if ident.bundle != operator.bundle:
@@ -104,18 +118,24 @@ def oracle_lp_max_bound(operator, identities, kappa_sign):
             "unbounded bound optimum; identity generation is inconsistent"
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
     tight = [i for i in range(t) if y[i] != 0]
+    slack_rows = [i for i in range(t) if y[i] == 0]
+    tight_rows, tight_op = [rows[i] for i in tight], [op_vec[i] for i in tight]
+
+    def residuals_of(lambdas):
+        return [op - sum(a * l for a, l in zip(row, lambdas)) for op, row in zip(op_vec, rows)]
+
     lambdas = None
     if tight:
-        lambdas, _ = solve_linear_system([rows[i] for i in tight], [op_vec[i] for i in tight])
-    if lambdas is None:
-        slack_rows = [i for i in range(t) if y[i] == 0]
-        _, x = simplex_maximize(
-            [F(-1)] * (2 * m) + [F(0)] * len(slack_rows),
-            _oracle_split_rows(rows, slack_rows),
-            op_vec,
-        )
-        lambdas = [x[j] - x[m + j] for j in range(m)]
-    residuals = [op - sum(a * l for a, l in zip(row, lambdas)) for op, row in zip(op_vec, rows)]
+        lambdas, _ = solve_linear_system(tight_rows, tight_op)
+    if lambdas is None and full_face:
+        lambdas = _oracle_l1_smallest(m, rows, op_vec, slack_rows)
+    elif lambdas is None and m == 0:
+        lambdas = []
+    elif lambdas is None:
+        lambdas = _oracle_l1_smallest(m, tight_rows, tight_op, [])
+        if any(r < 0 for r in residuals_of(lambdas)):
+            lambdas = _oracle_l1_smallest(m, rows, op_vec, slack_rows)
+    residuals = residuals_of(lambdas)
     bound = operator.constant_kappa + sum(l * kp for l, kp in zip(lambdas, kappas))
     if sign * (bound - operator.constant_kappa) != -value:
         raise InconsistencyError("primal and dual optima differ")
@@ -160,6 +180,13 @@ def assert_same_bound(operator, identities, sign, oracle_operator_spec=None):
     return got[0]
 
 
+def assert_full_face_certificate(operator, identities, sign):
+    """The certificate (or error) equals that of the full-face tie-break."""
+    got, _ = outcome(lambda: lp_max_bound(operator, identities, sign))
+    want, _ = outcome(lambda: oracle_lp_max_bound(operator, identities, sign, full_face=True))
+    assert got == want
+
+
 dominant_weights = st.integers(2, 6).flatmap(
     lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
         lambda e: SpnWeight(tuple(sorted(e, reverse=True)))
@@ -183,6 +210,21 @@ def test_real_bundles_match_fraction_oracle(rho, k, name, sign, hpn):
     assert all(type(c) is F for _, c in operator.coeffs)
     identities = pure_kappa_identities(bundle, hpn=hpn)
     assert_same_bound(operator, identities, sign, want_operator)
+
+
+@given(
+    dominant_weights,
+    st.integers(0, 4),
+    st.sampled_from(OPERATOR_NAMES),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_real_bundles_keep_full_face_certificates(rho, k, name, sign, hpn):
+    bundle = BundleLabel(k, rho)
+    assert_full_face_certificate(
+        operator_coeffs(name, bundle), pure_kappa_identities(bundle, hpn=hpn), sign
+    )
 
 
 # Synthetic LPs over 2..6 targets: entries over denominators up to 50, zeros
@@ -225,6 +267,12 @@ def synthetic_problems(draw):
 @settings(max_examples=150, deadline=None)
 def test_synthetic_problems_match_fraction_oracle(problem, sign):
     assert_same_bound(*problem, sign)
+
+
+@given(synthetic_problems(), st.sampled_from((1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_synthetic_problems_keep_full_face_certificates(problem, sign):
+    assert_full_face_certificate(*problem, sign)
 
 
 def verify_outcome(check, cert, operator, identities):

@@ -5,14 +5,19 @@ one two-phase simplex for the optimum over split multipliers and residual
 columns, then an L1 cleanup with the objective pinned as an extra row.
 """
 
+import gzip
+import json
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkbw.bounds
-from qkbw.bounds import lp_max_bound
+from qkbw.bounds import bound_for, lp_max_bound
+from qkbw.casimir import lambda_ab_bundle
 from qkbw.cli import main
 from qkbw.identities import (
     OPERATOR_NAMES,
@@ -176,6 +181,51 @@ def test_dependent_identities_take_the_face_cleanup():
     assert dict(cert.multipliers) == {"p": 1, "p#1": 0}
     assert dict(cert.residuals) == {(1, 1): 0, (-1, 1): 1}
     assert primal_oracle(operator, identities, 1) == (1, [1, 0])
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_certificates.jsonl.gz"
+
+
+def golden_certificate(bundle, operator, sign):
+    with gzip.open(GOLDEN, "rt", encoding="ascii") as fh:
+        lines = [json.loads(line) for line in fh]
+    key = (bundle.n, bundle.k, str(bundle.rho), operator, sign)
+    fields = ("n", "k", "rho", "operator", "kappa_sign")
+    (line,) = [d for d in lines if tuple(d[f] for f in fields) == key]
+    return line
+
+
+# (k, a, b, n) of a Hodge bound with kappa +, and the simplex_maximize calls
+# it makes: the dual LP, then the tie-break steps of lp_max_bound.
+TIE_BREAK_PATHS = [
+    ((0, 0, 0, 2), 1),  # no pure-kappa identity: no face LP
+    ((0, 1, 0, 2), 2),  # the L1-smallest point on the tight rows is on the face
+    ((1, 1, 0, 2), 3),  # that point breaks a slack row: the full face LP runs
+]
+
+
+@pytest.mark.parametrize("label, calls", TIE_BREAK_PATHS, ids=["m0", "tight-rows", "full-face"])
+def test_tie_break_path(label, calls):
+    shapes = []  # (rows, columns) of each LP
+    real = qkbw.bounds.simplex_maximize
+
+    def spy(*args):
+        shapes.append((len(args[1]), len(args[0])))
+        return real(*args)
+
+    bundle = lambda_ab_bundle(*label)
+    with mock.patch.object(qkbw.bounds, "simplex_maximize", spy):
+        cert = bound_for("hodge_laplacian", bundle, "+")
+    assert len(shapes) == calls
+    assert cert.to_json_dict() == golden_certificate(bundle, "hodge_laplacian", "+")
+    m, t = len(cert.multipliers), len(cert.residuals)
+    assert shapes[0] == (m, t)  # the dual
+    if calls == 1:
+        assert m == 0
+    if calls >= 2:  # the tight rows only, in split multipliers
+        assert shapes[1][0] < t and shapes[1][1] == 2 * m
+    if calls == 3:  # every target row
+        assert shapes[2][0] == t
 
 
 @given(

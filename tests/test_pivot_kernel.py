@@ -9,6 +9,7 @@ every choice exactly as the rational one does.
 """
 
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -226,6 +227,19 @@ def equality_lps(draw):
 @settings(max_examples=300, deadline=None)
 def test_simplex_matches_fraction_oracle(problem):
     assert_same_lp(*problem)
+
+
+@given(equality_lps())
+@settings(max_examples=150, deadline=None)
+def test_int_rows_match_fraction_oracle(problem):
+    # The same LP with every row times the lcm of its denominators, as plain
+    # ints: the solver uses those rows unscaled, and pivots as on the
+    # Fraction tableau.
+    c, A, b = problem
+    rows = [[*row, rhs] for row, rhs in zip(A, b)]
+    ints = [[int(v * lcm(*(w.denominator for w in row))) for v in row] for row in rows]
+    assert all(type(v) is int for row in ints for v in row)
+    assert_same_lp(c, [row[:-1] for row in ints], [row[-1] for row in ints])
 
 
 @given(
