@@ -12,7 +12,6 @@ vanishing systems and the harmonic-form classification.
 from .bounds import (
     BoundCertificate,
     KernelAnalysis,
-    ParameterRangeError,
     bound_for,
     closed_form_bound,
     connection_laplacian_bound,
@@ -72,6 +71,7 @@ from .simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize
 from .weights import (
     BundleLabel,
     NonDominantError,
+    ParameterRangeError,
     SpnWeight,
     decompose_rho_tensor_E,
     mu_shift,

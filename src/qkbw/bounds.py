@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 from .casimir import decompose_bundle
 from .identities import (
@@ -34,9 +34,9 @@ from .identities import (
     operator_coeffs,
     pure_kappa_identities,
 )
-from .rationals import format_plain, format_rational, scaled
+from .rationals import format_rational, scaled
 from .simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
-from .weights import BundleLabel, SpnWeight
+from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_rank
 
 __all__ = [
     "ParameterRangeError",
@@ -53,15 +53,6 @@ __all__ = [
     "twistor_kernel_analysis",
     "TWISTOR_KERNEL",
 ]
-
-
-class ParameterRangeError(ValueError):
-    """Arguments left the parameter range the closed form is stated for."""
-
-
-def _check_rank(n):
-    if n < 2:
-        raise ParameterRangeError(f"rank must be at least 2, got n={n}")
 
 
 def _normalize_sign(kappa_sign) -> int:
@@ -131,16 +122,16 @@ class BoundCertificate:
         lines = [
             f"Lower bound on {self.operator} over {self.bundle} (kappa {sign})",
             "",
-            f"bound: ({format_plain(self.bound)}) * kappa",
+            f"bound: ({self.bound}) * kappa",
             "",
             "| identity | multiplier |",
             "|----------|-----------|",
         ]
         for ident, v in self.multipliers:
-            lines.append(f"| {ident} | {format_plain(v)} |")
+            lines.append(f"| {ident} | {v} |")
         lines += ["", "| target | residual |", "|--------|----------|"]
         for (N, nu), v in self.residuals:
-            lines.append(f"| B({N:+d},{nu:+d}) | {format_plain(v)} |")
+            lines.append(f"| B({N:+d},{nu:+d}) | {v} |")
         if self.matched_closed_form:
             lines += ["", f"matches closed form: {self.matched_closed_form}"]
         return "\n".join(lines)
@@ -335,8 +326,8 @@ def closed_form_bound(k: int, a: int, b: int, n: int, kappa_sign) -> Fraction:
     bound is 0 for both signs.
     """
     sign = _normalize_sign(kappa_sign)
-    if not 0 <= b <= a <= n:
-        raise ParameterRangeError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
+    k, a, b, n = index(k), index(a), index(b), index(n)
+    _check_ab(a, b, n)
     if not 0 <= k <= 2 * n - a - b:
         raise ParameterRangeError(f"need 0 <= k <= 2n-a-b, got k={k}")
     _check_rank(n)
@@ -367,6 +358,7 @@ def connection_laplacian_bound(k: int, a: int, n: int, kappa_sign) -> Fraction:
     -(-ka-a^2+2n+kn+2an)/(4n(n+2)) above.
     """
     sign = _normalize_sign(kappa_sign)
+    k, a, n = index(k), index(a), index(n)
     if not 0 <= a <= n:
         raise ParameterRangeError(f"need 0 <= a <= n, got a={a}, n={n}")
     if not 0 <= k <= 2 * n - a:
@@ -388,6 +380,7 @@ def dirac_bound(k: int, n: int) -> Fraction:
 
     Equals the connection-Laplacian bound plus 1/4.
     """
+    k, n = index(k), index(n)
     if not 0 <= k <= n:
         raise ParameterRangeError(f"need 0 <= k <= n, got k={k}")
     _check_rank(n)
@@ -402,10 +395,10 @@ def hpn_first_eigenvalue(k: int, a: int, b: int, n: int) -> Fraction:
 
         ( k(k+2n+2) + a(2n-a+2) + b(2n-b+4) ) / (4(n+2)).
     """
+    k, a, b, n = index(k), index(a), index(b), index(n)
     if k < 2:
         raise ParameterRangeError(f"first-eigenvalue formula is stated for k >= 2, got k={k}")
-    if not 0 <= b <= a <= n:
-        raise ParameterRangeError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
+    _check_ab(a, b, n)
     _check_rank(n)
     return Fraction(
         k * (k + 2 * n + 2) + a * (2 * n - a + 2) + b * (2 * n - b + 4), 4 * (n + 2)
@@ -491,7 +484,7 @@ class KernelAnalysis:
             return "\n".join(lines)
         lines += ["", "| target | ||D phi||^2 / ||phi||^2 |", "|--------|------------|"]
         for (N, nu), v in self.solved_ratios:
-            lines.append(f"| D({N:+d},{nu:+d}) | ({format_plain(v)}) * kappa |")
+            lines.append(f"| D({N:+d},{nu:+d}) | ({v}) * kappa |")
         for s, verdict, w in self.verdicts:
             sign = "positive" if s > 0 else "negative"
             if w:

@@ -33,16 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import index
 
-from .rationals import format_plain, format_rational, scaled
-from .weights import (
-    BundleLabel,
-    SpnWeight,
-    decompose_rho_tensor_E,
-    lambda_ab_weight,
-    mu_shift,
-    weyl_dim,
-)
+from .rationals import format_rational, scaled
+from .weights import BundleLabel, SpnWeight, decompose_rho_tensor_E, mu_shift, weyl_dim
+from .weights import _check_ab, _check_k, _check_shift, lambda_ab_weight
 
 __all__ = [
     "FormulaDegeneracyError",
@@ -78,13 +73,8 @@ def conformal_weight(rho: SpnWeight, nu: int) -> Fraction:
     non-dominant.
     """
     rho.require_dominant()
-    _require_shift_index(rho.n, nu)
+    _check_shift(rho.n, nu)
     return Fraction(_weight(rho, nu))
-
-
-def _require_shift_index(n: int, nu: int):
-    if nu == 0 or abs(nu) > n:
-        raise ValueError(f"shift index must satisfy 1 <= |nu| <= {n}, got {nu}")
 
 
 def _weight(rho: SpnWeight, nu: int) -> int:
@@ -97,8 +87,8 @@ def _weight(rho: SpnWeight, nu: int) -> int:
 
 def sp1_conformal_weight(k: int, N: int) -> Fraction:
     """Sp(1) conformal weight of the summand k+N:  W_1 = -k,  W_-1 = k+2."""
-    if k < 0:
-        raise ValueError(f"Sp(1) weight must be nonnegative, got k={k}")
+    k, N = index(k), index(N)
+    _check_k(k)
     if N == 1:
         return Fraction(-k)
     if N == -1:
@@ -140,7 +130,7 @@ def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
     dominant += [-i for i in range(1, n + 1) if e[i - 1] > e[i]]
     count = len(dominant)
     assert (count % 2 == 1) == (e[n - 1] == 0), f"summand-count parity violated for {rho}"
-    _require_shift_index(n, nu)
+    _check_shift(n, nu)
     if nu not in dominant:
         return Fraction(0)
     shift = 2 * n + 1
@@ -212,20 +202,17 @@ def casimir_hat(rho: SpnWeight, q: int) -> Fraction:
     return _moment_sums(rows, D, q, 2 * rho.n + 1)[q]
 
 
-def _check_ab_range(a: int, b: int, n: int):
-    if not 0 <= b <= a <= n:
-        raise ValueError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
-
-
 def closed_form_c2_lambda_ab(a: int, b: int, n: int) -> Fraction:
     """c_2 on the (2_b, 1_{a-b}) module:  2a(2n-a+2) + 2b(2n-b+4)."""
-    _check_ab_range(a, b, n)
+    a, b, n = index(a), index(b), index(n)
+    _check_ab(a, b, n)
     return Fraction(2 * a * (2 * n - a + 2) + 2 * b * (2 * n - b + 4))
 
 
 def closed_form_c4_lambda_ab(a: int, b: int, n: int) -> Fraction:
     """c_4 on the (2_b, 1_{a-b}) module (quartic closed form)."""
-    _check_ab_range(a, b, n)
+    a, b, n = index(a), index(b), index(n)
+    _check_ab(a, b, n)
     ta = 2 * a * (2 * n - a + 2)
     tb = 2 * b * (2 * n - b + 4)
     value = (
@@ -247,7 +234,8 @@ def table1_row(a: int, b: int, n: int, nu: int):
     nu must be one of 1, b+1, a+1, -b, -a.  Entries are the printed rational
     functions of (a, b, n), instantiated exactly.
     """
-    _check_ab_range(a, b, n)
+    a, b, n, nu = index(a), index(b), index(n), index(nu)
+    _check_ab(a, b, n)
     F = Fraction
     if nu == 1:
         return F(-2), F(
@@ -338,7 +326,7 @@ class CasimirReport:
             "|---|-----|---------|",
         ]
         for q, c, ch in self.values:
-            lines.append(f"| {q} | {format_plain(c)} | {format_plain(ch)} |")
+            lines.append(f"| {q} | {c} | {ch} |")
         return "\n".join(lines)
 
 
@@ -463,8 +451,7 @@ class DecompositionTable:
         for t in self.targets:
             lines.append(
                 f"| {t.N:+d} | {t.nu:+d} | ({t.target_k}, ({t.target_rho})) | "
-                f"{'yes' if t.valid else 'no'} | {format_plain(t.w)} | {format_plain(t.w_hat)} | "
-                f"{format_plain(t.W)} | {format_plain(t.reldim)} |"
+                f"{'yes' if t.valid else 'no'} | {t.w} | {t.w_hat} | {t.W} | {t.reldim} |"
             )
         return "\n".join(lines)
 

@@ -18,13 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .bounds import (
-    ParameterRangeError,
-    bound_for,
-    closed_form_bound,
-    harmonic_classification,
-    twistor_kernel_analysis,
-)
+from .bounds import bound_for, closed_form_bound, harmonic_classification, twistor_kernel_analysis
 from .casimir import (
     DEFAULT_Q_CAP,
     casimir_report,
@@ -41,10 +35,10 @@ from .identities import (
     printed_identities,
     theorem_family,
 )
-from .rationals import format_plain, format_rational
+from .rationals import format_rational
 from .selfcheck import run_suites, sweep_case, sweep_cases
 from .simplex import LPInfeasibleError, LPUnboundedError
-from .weights import BundleLabel, _parse_int, parse_weight
+from .weights import BundleLabel, ParameterRangeError, _parse_int, parse_weight
 
 OPERATOR_ALIASES = {
     "hodge": "hodge_laplacian",
@@ -181,7 +175,7 @@ def cmd_table1(args) -> int:
     ]
     for nu, w, rd in rows:
         shift = f"rho+mu_{nu}" if nu > 0 else f"rho-mu_{-nu}"
-        lines.append(f"| {shift} | {format_plain(w)} | {format_plain(rd)} |")
+        lines.append(f"| {shift} | {w} | {rd} |")
     csv_lines = ["nu,w,reldim"] + [
         f"{nu},{format_rational(w)},{format_rational(rd)}" for nu, w, rd in rows
     ]
@@ -458,7 +452,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, ParameterRangeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InconsistencyError, LPUnboundedError, LPInfeasibleError) as exc:

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Fraction", "format_rational", "format_plain", "parse_rational", "scaled"]
+__all__ = ["Fraction", "format_rational", "parse_rational", "scaled"]
 
 
 def format_rational(x) -> str:
     """Render an exact scalar as the canonical "p/q" string ("10/1" for 10)."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def format_plain(x) -> str:
-    """Render an exact scalar for reading: "p" when integral, else "p/q"."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:

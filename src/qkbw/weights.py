@@ -5,14 +5,17 @@ when the entries are non-increasing and the last one is nonnegative.
 decompose_rho_tensor_E lists the 2n shifted weights rho + mu_nu (one entry
 bumped by +-1) of V_rho (x) E once, in canonical order.  A shift may leave the
 dominant cone; it is kept rather than dropped, and the summand table in
-casimir reads its dominance and Weyl dimension.
+casimir reads its dominance and Weyl dimension.  This module owns the label
+rules, one helper each, and reads integers through operator.index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 __all__ = [
+    "ParameterRangeError",
     "NonDominantError",
     "SpnWeight",
     "BundleLabel",
@@ -23,21 +26,45 @@ __all__ = [
 ]
 
 
+class ParameterRangeError(ValueError):
+    """Arguments left the parameter range a label or closed form is stated for."""
+
+
 class NonDominantError(ValueError):
     """A dominant integral weight was required but not supplied."""
 
 
+def _check_rank(n: int) -> None:
+    if n < 2:
+        raise ParameterRangeError(f"rank must be at least 2, got n={n}")
+
+
+def _check_ab(a: int, b: int, n: int) -> None:
+    if not 0 <= b <= a <= n:
+        raise ParameterRangeError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
+
+
+def _check_shift(n: int, nu: int) -> None:
+    if nu == 0 or abs(nu) > n:
+        raise ParameterRangeError(f"shift index must satisfy 1 <= |nu| <= {n}, got {nu}")
+
+
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ParameterRangeError(f"Sp(1) weight must be nonnegative, got k={k}")
+
+
 @dataclass(frozen=True)
 class SpnWeight:
-    """Integer weight for Sp(n), n >= 2.  Immutable and hashable."""
+    """Integer weight for Sp(n), n >= 2; immutable and hashable.  Entries go through
+    operator.index: a float, str or Fraction raises TypeError, and True reads as 1."""
 
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(map(index, self.entries))
         object.__setattr__(self, "entries", entries)
-        if len(entries) < 2:
-            raise ValueError(f"rank must be at least 2, got n={len(entries)}")
+        _check_rank(len(entries))
 
     @property
     def n(self) -> int:
@@ -73,8 +100,7 @@ class SpnWeight:
 
 def lambda_ab_weight(a: int, b: int, n: int) -> SpnWeight:
     """The weight (2_b, 1_{a-b}, 0_{n-a}) labelling the primitive-form module."""
-    if not 0 <= b <= a <= n:
-        raise ValueError(f"need 0 <= b <= a <= n, got a={a}, b={b}, n={n}")
+    _check_ab(a, b, n)
     return SpnWeight((2,) * b + (1,) * (a - b) + (0,) * (n - a))
 
 
@@ -82,18 +108,18 @@ def lambda_ab_weight(a: int, b: int, n: int) -> SpnWeight:
 class BundleLabel:
     """Label (k, rho) of an irreducible Sp(1)Sp(n) bundle.
 
-    k is the Sp(1) highest weight (a nonnegative integer), rho the Sp(n)
-    one.  When k + sum(rho) is odd the label does not factor through
-    Sp(1)Sp(n) itself; that is permitted (local computations go through
-    unchanged) but flagged via ``parity_warning``.
+    k is the Sp(1) highest weight (a nonnegative integer, read through
+    operator.index), rho the Sp(n) one.  When k + sum(rho) is odd the label
+    does not factor through Sp(1)Sp(n) itself; that is permitted (local
+    computations go through unchanged) but flagged via ``parity_warning``.
     """
 
     k: int
     rho: SpnWeight
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"Sp(1) weight must be nonnegative, got k={self.k}")
+        object.__setattr__(self, "k", index(self.k))
+        _check_k(self.k)
         self.rho.require_dominant()
 
     @property
@@ -114,14 +140,13 @@ def mu_shift(rho: SpnWeight, nu: int) -> SpnWeight:
 
     The result may be non-dominant; callers test ``.is_dominant``.
     """
-    n = rho.n
-    if nu == 0 or abs(nu) > n:
-        raise ValueError(f"shift index must satisfy 1 <= |nu| <= {n}, got {nu}")
-    i = abs(nu) - 1
-    delta = 1 if nu > 0 else -1
+    nu = index(nu)
+    _check_shift(rho.n, nu)
     entries = list(rho.entries)
-    entries[i] += delta
-    return SpnWeight(tuple(entries))
+    entries[abs(nu) - 1] += 1 if nu > 0 else -1
+    shifted = object.__new__(SpnWeight)  # rho is checked, so its shift skips __post_init__
+    object.__setattr__(shifted, "entries", tuple(entries))
+    return shifted
 
 
 def nu_indices(n: int):
