@@ -12,6 +12,7 @@ vanishing systems and the harmonic-form classification.
 from .bounds import (
     BoundCertificate,
     KernelAnalysis,
+    NoCertificate,
     bound_for,
     closed_form_bound,
     connection_laplacian_bound,

@@ -17,7 +17,8 @@ L1-smallest solution of the tight rows alone when it keeps every residual
 nonnegative, and the L1-smallest point of the whole optimal face otherwise
 (see lp_max_bound).  The LP rows are ints over one common denominator, each
 residual is one Fraction, and BoundCertificate.verify checks the Fraction
-operator and identities by integer cross-multiplication.
+operator and identities by integer cross-multiplication.  When the span
+admits no rewriting at all, the result is a NoCertificate instead.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _ch
 __all__ = [
     "ParameterRangeError",
     "BoundCertificate",
+    "NoCertificate",
     "lp_max_bound",
     "bound_for",
     "closed_form_bound",
@@ -137,6 +139,18 @@ class BoundCertificate:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class NoCertificate:
+    """No nonnegative rewriting of the operator exists over the identity span:
+    a result, not an error.  bound is None, the one check a caller makes."""
+
+    bundle: BundleLabel
+    operator: str
+    kappa_sign: int
+    reason: str
+    bound = None
+
+
 def _identity_ids(identities):
     ids = []
     seen = {}
@@ -185,7 +199,7 @@ def _residuals(A, op, lambdas):
     return den, lams, [o * den - sum(map(mul, row, lams)) for o, row in zip(op, A)]
 
 
-def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertificate:
+def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertificate | NoCertificate:
     """Best certificate bound over the span of the given pure-kappa identities.
 
     The primal LP is  max sign(kappa) * kappa.lambda  s.t.  A lambda <= op,
@@ -216,11 +230,11 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     is an exact simplex with Bland's rule over the canonically ordered
     variables.
 
-    Raises InconsistencyError caused by LPInfeasibleError when no
-    nonnegative rewriting exists, and caused by LPUnboundedError when the
-    bound is unbounded (inconsistent identity generation).  Before it is
-    returned, the certificate's bound must equal the dual optimum and the
-    certificate must pass BoundCertificate.verify.
+    Returns a NoCertificate when no nonnegative rewriting exists: the dual
+    LP is unbounded, or the dual and the primal are both infeasible.  Raises
+    InconsistencyError only for a contradiction: an unbounded optimum (the
+    dual is infeasible while the primal is feasible), primal and dual optima
+    that differ, or a certificate that fails BoundCertificate.verify.
     """
     sign = _normalize_sign(kappa_sign)
     for ident in identities:
@@ -232,25 +246,20 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     m, t = len(identities), len(op)
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
-    # LP errors lose their tracebacks before they become the cause or context
-    # of an InconsistencyError: those hold the solver's tableau, which every
-    # caller that keeps the error would keep alive.
     try:
         value, y = simplex_maximize(
             [-o for o in op], [[row[j] for row in A] for j in range(m)], kappa
         )
-    except LPUnboundedError as exc:
-        exc.with_traceback(None)
-        raise InconsistencyError(no_rewriting) from LPInfeasibleError(
-            f"the dual LP is unbounded: {exc}"
-        )
+    except LPUnboundedError:
+        return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
     except LPInfeasibleError as dual_exc:
-        dual_exc.with_traceback(None)
         # The primal is unbounded or infeasible; a feasibility LP tells which.
         try:
             simplex_maximize([0] * (2 * m + t), _split_rows(A, range(t), M), op)
-        except LPInfeasibleError as exc:
-            raise InconsistencyError(no_rewriting) from exc.with_traceback(None)
+        except LPInfeasibleError:
+            return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
+        # the kept error's context must not hold the solver's tableau
+        dual_exc.with_traceback(None)
         raise InconsistencyError(
             "unbounded bound optimum; identity generation is inconsistent"
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
@@ -283,28 +292,12 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     return cert
 
 
-def bound_for(
-    operator_name: str,
-    bundle: BundleLabel,
-    kappa_sign,
-    hpn: bool = False,
-) -> BoundCertificate:
-    """Convenience wrapper: rule-driven identity set, then lp_max_bound."""
-    operator, identities = _bound_problem(operator_name, bundle, hpn)
-    return lp_max_bound(operator, identities, kappa_sign)
-
-
-def _bound_problem(operator_name, bundle, hpn):
-    """The operator and the identity set of a bound, from one decomposition table.
-
-    A separate frame, so that an LP error raised through bound_for does not
-    keep the table alive in its traceback.
-    """
+def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = False):
+    """Rule-driven identity set, then lp_max_bound: a BoundCertificate, or a
+    NoCertificate when no rewriting exists over the identity span."""
     table = decompose_bundle(bundle)
-    return (
-        operator_coeffs(operator_name, bundle, table=table),
-        pure_kappa_identities(bundle, hpn=hpn, table=table),
-    )
+    operator = operator_coeffs(operator_name, bundle, table=table)
+    return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn, table=table), kappa_sign)
 
 
 def closed_form_bound(k: int, a: int, b: int, n: int, kappa_sign) -> Fraction:
@@ -537,6 +530,7 @@ def twistor_kernel_analysis(k: int, n: int) -> KernelAnalysis:
     the three-gradient kernel set, for k >= 0."""
     if k < 0:
         raise ParameterRangeError(f"need k >= 0, got k={k}")
+    _check_rank(n)
     rho = SpnWeight((1,) + (0,) * (n - 1))
     bundle = BundleLabel(k + 1, rho)
     return kernel_analysis(bundle, TWISTOR_KERNEL)

@@ -36,8 +36,8 @@ from math import comb, lcm
 from operator import index
 
 from .rationals import format_rational, scaled
-from .weights import BundleLabel, SpnWeight, decompose_rho_tensor_E, mu_shift, weyl_dim
-from .weights import _check_ab, _check_k, _check_shift, lambda_ab_weight
+from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_k, _check_rank
+from .weights import _check_shift, decompose_rho_tensor_E, lambda_ab_weight, mu_shift, weyl_dim
 
 __all__ = [
     "FormulaDegeneracyError",
@@ -206,6 +206,7 @@ def closed_form_c2_lambda_ab(a: int, b: int, n: int) -> Fraction:
     """c_2 on the (2_b, 1_{a-b}) module:  2a(2n-a+2) + 2b(2n-b+4)."""
     a, b, n = index(a), index(b), index(n)
     _check_ab(a, b, n)
+    _check_rank(n)
     return Fraction(2 * a * (2 * n - a + 2) + 2 * b * (2 * n - b + 4))
 
 
@@ -213,6 +214,7 @@ def closed_form_c4_lambda_ab(a: int, b: int, n: int) -> Fraction:
     """c_4 on the (2_b, 1_{a-b}) module (quartic closed form)."""
     a, b, n = index(a), index(b), index(n)
     _check_ab(a, b, n)
+    _check_rank(n)
     ta = 2 * a * (2 * n - a + 2)
     tb = 2 * b * (2 * n - b + 4)
     value = (
@@ -226,16 +228,19 @@ def closed_form_c4_lambda_ab(a: int, b: int, n: int) -> Fraction:
 
 # The five-row table of (conformal weight, relative dimension) on the
 # (2_b, 1_{a-b}) module, keyed by shift index.  Valid as printed for
-# 0 < b < a < n; boundary shapes collapse rows and are handled by the
+# 0 < b < a < n only; boundary shapes collapse rows and are handled by the
 # oracle instead.
 def table1_row(a: int, b: int, n: int, nu: int):
     """Closed-form (w, reldim) for one of the five generic rows on (2_b,1_{a-b}).
 
-    nu must be one of 1, b+1, a+1, -b, -a.  Entries are the printed rational
-    functions of (a, b, n), instantiated exactly.
+    Needs 0 < b < a < n, and nu must be one of 1, b+1, a+1, -b, -a.  Entries
+    are the printed rational functions of (a, b, n), instantiated exactly.
     """
     a, b, n, nu = index(a), index(b), index(n), index(nu)
-    _check_ab(a, b, n)
+    if not 0 < b < a < n:
+        raise ParameterRangeError(
+            f"the five-row table needs 0 < b < a < n, got a={a}, b={b}, n={n}"
+        )
     F = Fraction
     if nu == 1:
         return F(-2), F(

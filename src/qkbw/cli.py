@@ -1,11 +1,11 @@
 """Command-line surface.  Every computation is reachable with flags only.
 
 Exit codes: 0 success, 1 a `sweep` found a mismatch, 2 parameter/validation
-error, 3 internal inconsistency (an LP went unbounded or an identity system
-contradicted itself, which signals a generator bug rather than bad user
-input), 4 `bound` found that no certificate exists over the identity span
-(no nonnegative rewriting of the operator; a legitimate result, reported
-with `bound: null` and the reason).
+error, 3 internal inconsistency (an InconsistencyError: an LP went unbounded
+or an identity system contradicted itself, which signals a generator bug
+rather than bad user input), 4 `bound` returned a NoCertificate: no
+nonnegative rewriting of the operator exists over the identity span, a
+legitimate result, reported with `bound: null` and the reason.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .identities import (
 from .rationals import format_rational
 from .selfcheck import run_suites, sweep_case, sweep_cases
 from .simplex import LPInfeasibleError, LPUnboundedError
-from .weights import BundleLabel, ParameterRangeError, _parse_int, parse_weight
+from .weights import BundleLabel, _parse_int, parse_weight
 
 OPERATOR_ALIASES = {
     "hodge": "hodge_laplacian",
@@ -150,10 +150,6 @@ def cmd_decompose(args) -> int:
 
 def cmd_table1(args) -> int:
     a, b, n = args.a, args.b, args.n
-    if not 0 < b < a < n:
-        raise ParameterRangeError(
-            f"the five-row table needs 0 < b < a < n, got a={a}, b={b}, n={n}"
-        )
     rows = []
     for nu in (1, b + 1, a + 1, -b, -a):
         w, rd = table1_row(a, b, n, nu)
@@ -209,11 +205,8 @@ def cmd_bound(args) -> int:
     rho = _rho_from_args(args)
     bundle = BundleLabel(args.k, rho)
     operator = OPERATOR_ALIASES[args.operator]
-    try:
-        cert = bound_for(operator, bundle, args.kappa_sign, hpn=args.hpn)
-    except InconsistencyError as exc:
-        if not isinstance(exc.__cause__, LPInfeasibleError):
-            raise
+    result = bound_for(operator, bundle, args.kappa_sign, hpn=args.hpn)
+    if result.bound is None:
         obj = {
             "n": bundle.n,
             "k": bundle.k,
@@ -221,11 +214,11 @@ def cmd_bound(args) -> int:
             "operator": operator,
             "kappa_sign": args.kappa_sign,
             "bound": None,
-            "reason": str(exc),
+            "reason": result.reason,
         }
         markdown = (
             f"No lower bound on {operator} over {bundle} (kappa {args.kappa_sign})\n\n"
-            f"bound: none\nreason: {exc}"
+            f"bound: none\nreason: {result.reason}"
         )
         _emit(args, obj, markdown)
         return 4
@@ -234,9 +227,9 @@ def cmd_bound(args) -> int:
         a, b = shape
         if 0 <= args.k <= 2 * bundle.n - a - b:
             closed = closed_form_bound(args.k, a, b, bundle.n, args.kappa_sign)
-            if closed == cert.bound:
-                cert = dataclasses.replace(cert, matched_closed_form="laplace-bound-table")
-    _emit(args, cert.to_json_dict(), cert.to_markdown())
+            if closed == result.bound:
+                result = dataclasses.replace(result, matched_closed_form="laplace-bound-table")
+    _emit(args, result.to_json_dict(), result.to_markdown())
     return 0
 
 

@@ -82,7 +82,8 @@ class MixedBundleError(ValueError):
 
 
 class InconsistencyError(RuntimeError):
-    """The generated identities contradict each other (signals a generator bug)."""
+    """A true contradiction (signals a generator bug), never a bound with no
+    certificate over the identity span: that is a bounds.NoCertificate."""
 
 
 @dataclass(frozen=True)

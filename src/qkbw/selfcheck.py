@@ -33,6 +33,7 @@ from .casimir import (
     verify_recursion,
 )
 from .identities import (
+    InconsistencyError,
     Rule,
     apply_rule,
     identity_bochner1,
@@ -365,7 +366,10 @@ def sweep_case(case):
     lam1 = hpn_first_eigenvalue(k, a, b, n) if hpn else None
     bundle = lambda_ab_bundle(k, a, b, n)
     expected = lam1 / (2 * n) if hpn else closed_form_bound(k, a, b, n, sign)
-    return case, bound_for("hodge_laplacian", bundle, sign, hpn=hpn).bound, expected
+    result = bound_for("hodge_laplacian", bundle, sign, hpn=hpn)
+    if result.bound is None:  # every grid bound has a closed form
+        raise InconsistencyError(result.reason)
+    return case, result.bound, expected
 
 
 def suite_lp_agreement(n_max: int = 5) -> SuiteResult:

@@ -17,7 +17,7 @@ from qkbw.casimir import (
     table1_row,
     verify_recursion,
 )
-from qkbw.weights import BundleLabel, SpnWeight
+from qkbw.weights import BundleLabel, ParameterRangeError, SpnWeight, decompose_rho_tensor_E
 
 
 def w(*entries):
@@ -148,12 +148,19 @@ class TestClosedForms:
 
 class TestTableRows:
     def test_adjoint_row(self):
-        # a = b = 1 at n = 2: the first row instantiates to (-2, 2)
-        assert table1_row(1, 1, 2, 1) == (Fraction(-2), Fraction(2))
+        # a = b = 1 at n = 2 is a boundary shape, outside the five-row table;
+        # the oracle gives its first row, (-2, 2)
+        with pytest.raises(ParameterRangeError, match="needs 0 < b < a < n"):
+            table1_row(1, 1, 2, 1)
+        rho = lambda_ab_bundle(0, 1, 1, 2).rho
+        assert (conformal_weight(rho, 1), relative_dimension_weyl(rho, 1)) == (-2, 2)
 
     def test_vanishing_at_a_equals_n(self):
-        w_val, rd = table1_row(3, 1, 3, 4)  # nu = a+1 row carries a factor n-a
-        assert rd == 0
+        # at a = n the nu = a+1 row (reldim factor n-a) is not a summand at all
+        with pytest.raises(ParameterRangeError, match="needs 0 < b < a < n"):
+            table1_row(3, 1, 3, 4)
+        rho = lambda_ab_bundle(0, 3, 1, 3).rho
+        assert 4 not in [nu for nu, _ in decompose_rho_tensor_E(rho)]
 
     def test_all_rows_match_oracle(self):
         a, b, n = 3, 2, 5

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qkbw import cli, selfcheck
+from qkbw.bounds import NoCertificate
 from qkbw.casimir import relative_dimension_weyl
 from qkbw.cli import main
 from qkbw.selfcheck import suite_lp_agreement, sweep_cases
@@ -245,6 +246,25 @@ class TestSweepVerb:
         failures = suite_lp_agreement(n_max=2).failures
         assert len(failures) == 2 * len(sweep_cases([2], "+"))
         assert "LP 7/64 != closed form 99 at k=1 a=0 b=0 n=2 sign +" in failures
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0"],
+            ["sweep", "--n", "2", "--k", "2", "--a", "0", "--b", "0", "--hpn"],
+            ["hpn", "--n", "2", "--k", "2", "--a", "0", "--b", "0"],
+        ],
+    )
+    def test_missing_grid_certificate_exits_3(self, capsys, monkeypatch, argv):
+        # every grid bound has a closed form, so no certificate is a contradiction
+        reason = "no nonnegative rewriting of hodge_laplacian exists over this identity span"
+
+        def missing(name, bundle, sign, hpn=False):
+            return NoCertificate(bundle, name, 1, reason)
+
+        monkeypatch.setattr(selfcheck, "bound_for", missing)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"internal inconsistency: {reason}\n")
 
     def test_filters_are_parsed_before_the_grid(self, capsys):
         """--k was read only for a in range, so a bad --k passed as "no cases"."""

@@ -46,7 +46,6 @@ from qkbw.identities import (
     theorem_family,
 )
 from qkbw.selfcheck import dominant_weights
-from qkbw.simplex import LPInfeasibleError
 from qkbw.weights import BundleLabel, SpnWeight
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,12 +114,8 @@ def certificate_line(case) -> str:
 
 
 def general_line(case) -> str:
-    try:
-        return _cert_json(bound_for(*case))
-    except InconsistencyError as exc:
-        if not isinstance(exc.__cause__, LPInfeasibleError):
-            raise
-        return NO_CERTIFICATE
+    result = bound_for(*case)
+    return NO_CERTIFICATE if result.bound is None else _cert_json(result)
 
 
 def casimir_lines(rho):

@@ -5,8 +5,8 @@ operator expansion, the bound LP and ``BoundCertificate.verify`` as they
 were before the LP rows and the check ran on integers: every coefficient is
 a ``Fraction``, the LP rows are ``Fraction`` rows, and the residuals, the
 bound and the reconstruction are ``Fraction`` sums.  They are kept here as a
-test-only reference.  The integer code must give the same certificate, or
-the same error, after the same pivots.
+test-only reference.  The integer code must give the same certificate, the
+same ``NoCertificate`` or the same error, after the same pivots.
 
 ``oracle_lp_max_bound`` breaks a multiplier tie in the three steps of
 ``lp_max_bound``: no LP without identities, the L1-smallest multipliers on
@@ -24,7 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkbw.simplex
-from qkbw.bounds import BoundCertificate, _identity_ids, _normalize_sign, lp_max_bound
+from qkbw.bounds import (
+    BoundCertificate,
+    NoCertificate,
+    _identity_ids,
+    _normalize_sign,
+    lp_max_bound,
+)
 from qkbw.casimir import decompose_bundle
 from qkbw.identities import (
     OPERATOR_NAMES,
@@ -105,15 +111,13 @@ def oracle_lp_max_bound(operator, identities, kappa_sign, full_face=False):
             [[row[j] for row in rows] for j in range(m)],
             [sign * kp for kp in kappas],
         )
-    except LPUnboundedError as exc:
-        raise InconsistencyError(no_rewriting) from LPInfeasibleError(
-            f"the dual LP is unbounded: {exc}"
-        )
+    except LPUnboundedError:
+        return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
     except LPInfeasibleError:
         try:
             simplex_maximize([F(0)] * (2 * m + t), _oracle_split_rows(rows, range(t)), op_vec)
-        except LPInfeasibleError as exc:
-            raise InconsistencyError(no_rewriting) from exc
+        except LPInfeasibleError:
+            return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
         raise InconsistencyError(
             "unbounded bound optimum; identity generation is inconsistent"
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
@@ -152,7 +156,8 @@ def oracle_lp_max_bound(operator, identities, kappa_sign, full_face=False):
 
 
 def outcome(solve):
-    """(("cert", json, exact values) or ("error", class, message, cause class), pivots)."""
+    """(("cert", json, exact values), ("no-certificate", result) or ("error", class,
+    message, cause class), pivots)."""
     pivots = []
     real = qkbw.simplex._pivot
 
@@ -165,6 +170,9 @@ def outcome(solve):
             cert = solve()
         except Exception as exc:
             return ("error", type(exc), str(exc), type(exc.__cause__)), pivots
+    if cert.bound is None:
+        assert type(cert) is NoCertificate
+        return ("no-certificate", cert), pivots
     exact = (cert.bound, cert.multipliers, cert.residuals)
     assert all(type(v) is F for v in (cert.bound, *dict(cert.multipliers).values()))
     assert all(type(v) is F for _, v in cert.residuals)
@@ -306,6 +314,8 @@ def _assert_same_verdict(operator, identities, sign, mutation):
     try:
         cert = oracle_lp_max_bound(operator, identities, sign)
     except InconsistencyError:
+        return
+    if cert.bound is None:
         return
     which, index, delta = mutation
     if which == "multipliers" and not cert.multipliers:

@@ -10,6 +10,7 @@ ParameterRangeError, a ValueError, so pytest.raises checks the subclass.
 
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,14 @@ from qkbw.bounds import (
     connection_laplacian_bound,
     dirac_bound,
     hpn_first_eigenvalue,
+    twistor_kernel_analysis,
 )
 from qkbw.casimir import (
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
+    conformal_weight,
+    lambda_ab_bundle,
+    relative_dimension_weyl,
     sp1_conformal_weight,
     table1_row,
 )
@@ -72,6 +77,10 @@ def _rank(n):
         return ParameterRangeError, f"rank must be at least 2, got n={n}"
 
 
+def _ab_rank(a, b, n):
+    return _ab(a, b, n) or _rank(n)
+
+
 def _closed_form_bound_error(k, a, b, n):
     k_range = f"need 0 <= k <= 2n-a-b, got k={k}"
     return (
@@ -103,8 +112,11 @@ def _hpn_error(k, a, b, n):
 
 
 def _table1_error(a, b, n, nu):
+    interior = f"the five-row table needs 0 < b < a < n, got a={a}, b={b}, n={n}"
     rows = f"nu={nu} is not one of the five tabulated rows for a={a}, b={b}"
-    return _ab(a, b, n) or (nu not in (1, b + 1, a + 1, -b, -a) and (ValueError, rows))
+    return (not 0 < b < a < n and (ParameterRangeError, interior)) or (
+        nu not in (1, b + 1, a + 1, -b, -a) and (ValueError, rows)
+    )
 
 
 def _sp1_error(k, N):
@@ -124,8 +136,8 @@ CLOSED_FORMS = {
     ),
     "dirac_bound": (dirac_bound, 2, _dirac_error),
     "hpn_first_eigenvalue": (hpn_first_eigenvalue, 4, _hpn_error),
-    "closed_form_c2_lambda_ab": (closed_form_c2_lambda_ab, 3, _ab),
-    "closed_form_c4_lambda_ab": (closed_form_c4_lambda_ab, 3, _ab),
+    "closed_form_c2_lambda_ab": (closed_form_c2_lambda_ab, 3, _ab_rank),
+    "closed_form_c4_lambda_ab": (closed_form_c4_lambda_ab, 3, _ab_rank),
     "table1_row": (table1_row, 4, _table1_error),
     "sp1_conformal_weight": (sp1_conformal_weight, 2, _sp1_error),
 }
@@ -237,3 +249,33 @@ def test_shifts_equal_checked_weights(n):
                 checked = SpnWeight(shifted.entries)
                 assert shifted == checked and hash(shifted) == hash(checked)
                 assert type(shifted.entries) is tuple
+
+
+@pytest.mark.parametrize("n", range(-1, 7))
+def test_table1_row_holds_on_the_interior_only(n):
+    interior = 0
+    for a in range(-1, n + 2):
+        for b in range(-1, a + 2):
+            rows = (1, b + 1, a + 1, -b, -a)
+            if 0 < b < a < n:
+                interior += 1
+                rho = lambda_ab_bundle(0, a, b, n).rho
+                for nu in rows:
+                    oracle = conformal_weight(rho, nu), relative_dimension_weyl(rho, nu)
+                    assert table1_row(a, b, n, nu) == oracle, (a, b, n, nu)
+                continue
+            message = f"the five-row table needs 0 < b < a < n, got a={a}, b={b}, n={n}"
+            for nu in (0, *rows):
+                _raises(lambda: table1_row(a, b, n, nu), (ParameterRangeError, message))
+    assert interior == comb(max(n - 1, 0), 2)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_rank_below_two_is_named(n):
+    rank = (ParameterRangeError, f"rank must be at least 2, got n={n}")
+    for a, b in ((0, 0), (n, 0), (n, n)):
+        _raises(lambda: closed_form_c2_lambda_ab(a, b, n), rank)
+        _raises(lambda: closed_form_c4_lambda_ab(a, b, n), rank)
+    _raises(lambda: twistor_kernel_analysis(0, n), rank)
+    # the k rule is checked first and keeps its message
+    _raises(lambda: twistor_kernel_analysis(-1, n), (ParameterRangeError, "need k >= 0, got k=-1"))

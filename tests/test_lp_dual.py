@@ -5,8 +5,10 @@ one two-phase simplex for the optimum over split multipliers and residual
 columns, then an L1 cleanup with the objective pinned as an extra row.
 """
 
+import gc
 import gzip
 import json
+import types
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkbw.bounds
-from qkbw.bounds import bound_for, lp_max_bound
+import qkbw.simplex
+from qkbw.bounds import BoundCertificate, NoCertificate, bound_for, lp_max_bound
 from qkbw.casimir import lambda_ab_bundle
 from qkbw.cli import main
 from qkbw.identities import (
@@ -27,6 +30,7 @@ from qkbw.identities import (
     operator_coeffs,
     pure_kappa_identities,
 )
+from qkbw.selfcheck import dominant_weights as weights_up_to
 from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize
 from qkbw.weights import BundleLabel, SpnWeight
 
@@ -62,15 +66,29 @@ def primal_oracle(operator, identities, sign):
     return operator.constant_kappa + sum(l * kp for l, kp in zip(lambdas, kappas)), lambdas
 
 
-def outcome(solve):
-    """('certified', bound) or ('no-certificate' | 'unbounded', None)."""
+def oracle_outcome(operator, identities, sign):
+    """('certified', bound) or ('no-certificate' | 'unbounded', None) of the primal oracle."""
     try:
-        return "certified", solve()
+        return "certified", primal_oracle(operator, identities, sign)[0]
     except InconsistencyError as exc:
         if isinstance(exc.__cause__, LPInfeasibleError):
             return "no-certificate", None
         assert isinstance(exc.__cause__, LPUnboundedError)
         return "unbounded", None
+
+
+def bound_outcome(operator, identities, sign):
+    """('certified', certificate) or ('no-certificate' | 'unbounded', None) of
+    lp_max_bound, which returns a NoCertificate and raises only when unbounded."""
+    try:
+        result = lp_max_bound(operator, identities, sign)
+    except InconsistencyError as exc:
+        assert type(exc.__cause__) is LPUnboundedError
+        return "unbounded", None
+    if result.bound is None:
+        assert type(result) is NoCertificate
+        return "no-certificate", None
+    return "certified", result
 
 
 dominant_weights = st.integers(2, 5).flatmap(
@@ -91,8 +109,8 @@ def test_dual_matches_primal_oracle(rho, k, operator_name, sign):
     bundle = BundleLabel(k, rho)
     operator = operator_coeffs(operator_name, bundle)
     identities = pure_kappa_identities(bundle)
-    expected = outcome(lambda: primal_oracle(operator, identities, sign)[0])
-    got = outcome(lambda: lp_max_bound(operator, identities, sign))
+    expected = oracle_outcome(operator, identities, sign)
+    got = bound_outcome(operator, identities, sign)
     assert got[0] == expected[0]
     if got[0] == "certified":
         cert = got[1]
@@ -123,10 +141,14 @@ PRIMAL_UNBOUNDED = (_operator(1, 1), [_identity("p", -1, 1, 1)])
 # identity, which no target carries: both LPs are infeasible.
 BOTH_INFEASIBLE = (_operator(-1, -1), [_identity("p", 0, 1, -1), _identity("q", 1, 0, 0)])
 
+# The cause is the LP error of the primal oracle's outcome.  lp_max_bound
+# returns a NoCertificate where it is LPInfeasibleError, and raises an
+# InconsistencyError with this cause where it is LPUnboundedError.
+NO_REWRITING = "no nonnegative rewriting of test_operator exists over this identity span"
 OUTCOMES = [
-    (DUAL_UNBOUNDED, LPInfeasibleError, "no nonnegative rewriting of test_operator"),
+    (DUAL_UNBOUNDED, LPInfeasibleError, NO_REWRITING),
     (PRIMAL_UNBOUNDED, LPUnboundedError, "unbounded bound optimum"),
-    (BOTH_INFEASIBLE, LPInfeasibleError, "no nonnegative rewriting of test_operator"),
+    (BOTH_INFEASIBLE, LPInfeasibleError, NO_REWRITING),
 ]
 OUTCOME_IDS = ["dual-unbounded", "primal-unbounded", "both-infeasible"]
 
@@ -134,20 +156,39 @@ OUTCOME_IDS = ["dual-unbounded", "primal-unbounded", "both-infeasible"]
 @pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
 def test_outcome_mapping(case, cause, message):
     operator, identities = case
-    with pytest.raises(InconsistencyError, match=message) as info:
-        lp_max_bound(operator, identities, "+")
-    assert type(info.value.__cause__) is cause
+    if cause is LPInfeasibleError:
+        result = lp_max_bound(operator, identities, "+")
+        assert result == NoCertificate(BUNDLE, "test_operator", 1, message)
+        assert result.bound is None
+    else:
+        with pytest.raises(InconsistencyError, match=message) as info:
+            lp_max_bound(operator, identities, "+")
+        assert type(info.value.__cause__) is cause
     # the oracle reaches the same outcome class through the primal
     with pytest.raises(InconsistencyError) as info:
         primal_oracle(operator, identities, 1)
     assert type(info.value.__cause__) is cause
 
 
+def _live_simplex_frames():
+    gc.collect()
+    return [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, types.FrameType) and obj.f_code.co_filename == qkbw.simplex.__file__
+    ]
+
+
 @pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
 def test_outcome_keeps_no_solver_frames(case, cause, message):
-    # a kept error must not keep the simplex tableau alive through the
-    # traceback of its cause or context
+    # a kept outcome must not keep the simplex tableau alive: an error through
+    # the traceback of its cause or context, a NoCertificate at all
     operator, identities = case
+    if cause is LPInfeasibleError:
+        result = lp_max_bound(operator, identities, "+")
+        assert [type(v) for v in vars(result).values()] == [BundleLabel, str, int, str]
+        assert _live_simplex_frames() == []
+        return
     with pytest.raises(InconsistencyError) as info:
         lp_max_bound(operator, identities, "+")
     chained = info.value.__cause__, info.value.__context__, info.value.__context__.__context__
@@ -169,6 +210,27 @@ def test_outcome_exit_code(case, cause, message, monkeypatch, capsys):
     else:
         assert code == 3
         assert message in err
+
+
+@given(
+    st.sampled_from([rho for n in range(2, 5) for rho in weights_up_to(n, 4)]),
+    st.integers(0, 4),
+    st.sampled_from(OPERATOR_NAMES),
+    st.booleans(),
+    st.sampled_from("+-"),
+)
+@settings(max_examples=300, deadline=None)
+def test_bound_for_returns_a_result_and_never_raises(rho, k, operator_name, hpn, sign):
+    # a missing certificate is a result: either kind comes back, nothing raises
+    bundle = BundleLabel(k, rho)
+    result = bound_for(operator_name, bundle, sign, hpn=hpn)
+    if result.bound is None:
+        reason = f"no nonnegative rewriting of {operator_name} exists over this identity span"
+        assert result == NoCertificate(bundle, operator_name, 1 if sign == "+" else -1, reason)
+    else:
+        assert type(result) is BoundCertificate
+        identities = pure_kappa_identities(bundle, hpn=hpn)
+        result.verify(operator_coeffs(operator_name, bundle), identities)
 
 
 def test_dependent_identities_take_the_face_cleanup():
@@ -246,9 +308,8 @@ def test_bound_is_monotone_as_identities_are_added(rho, k, operator_name, sign):
     full = None
     for size in range(len(identities) + 1):
         for subset in combinations(identities, size):
-            try:
-                sub = lp_max_bound(operator, list(subset), sign).bound
-            except InconsistencyError:
+            sub = lp_max_bound(operator, list(subset), sign).bound
+            if sub is None:
                 continue
             if full is None:
                 full = lp_max_bound(operator, identities, sign).bound
