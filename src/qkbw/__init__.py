@@ -54,16 +54,10 @@ from .identities import (
     apply_rule,
     identity_bochner1,
     identity_bochner2,
-    identity_bw1,
-    identity_bw2,
-    identity_bw3,
-    identity_bw4,
-    identity_bw5,
-    identity_bw6,
-    identity_sum,
     independence_rank,
     operator_coeffs,
     printed_identities,
+    printed_identity,
     pure_kappa_identities,
     theorem_family,
 )

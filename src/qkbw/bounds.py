@@ -31,6 +31,7 @@ from operator import index, mul
 from .casimir import decompose_bundle
 from .identities import (
     InconsistencyError,
+    MixedBundleError,
     OperatorSpec,
     operator_coeffs,
     pure_kappa_identities,
@@ -58,9 +59,9 @@ __all__ = [
 
 
 def _normalize_sign(kappa_sign) -> int:
-    if kappa_sign in (1, "+", "positive"):
+    if kappa_sign in (1, "+"):
         return 1
-    if kappa_sign in (-1, "-", "negative"):
+    if kappa_sign in (-1, "-"):
         return -1
     raise ValueError(f"kappa_sign must be '+' or '-', got {kappa_sign!r}")
 
@@ -239,7 +240,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     sign = _normalize_sign(kappa_sign)
     for ident in identities:
         if ident.bundle != operator.bundle:
-            raise ValueError("identities and operator must live on one bundle")
+            raise MixedBundleError("identities and operator must live on one bundle")
         if not ident.is_pure_kappa:
             raise ValueError(f"identity {ident.provenance} is not pure kappa")
     A, op, kappa, M = _integer_problem(operator, identities, sign)

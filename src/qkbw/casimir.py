@@ -56,6 +56,7 @@ __all__ = [
     "GradientTarget",
     "DecompositionTable",
     "decompose_bundle",
+    "lambda_ab_bundle",
 ]
 
 # Fixed ceiling on casimir_report's q_max for every rank n (not tied to c_{2n}).
@@ -359,10 +360,6 @@ class GradientTarget:
     w_hat: Fraction
     W: Fraction
     reldim: Fraction
-
-    @property
-    def key(self) -> str:
-        return f"{self.N:+d},{self.nu:+d}"
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .identities import (
     InconsistencyError,
     identities_to_csv,
     identities_to_json_dict,
-    identity_sum,
     identity_to_latex,
     printed_identities,
     theorem_family,
@@ -185,8 +184,7 @@ def cmd_bw(args) -> int:
     if args.raw:
         identities = theorem_family(bundle)
     else:
-        table = decompose_bundle(bundle)
-        identities = [identity_sum(bundle, table), *printed_identities(bundle, args.hpn, table)]
+        identities = printed_identities(bundle, args.hpn)
     obj = identities_to_json_dict(identities)
     lines = [f"Identities on {bundle}", ""]
     for ident in identities:

@@ -14,10 +14,15 @@ eliminates or rewrites them.  An identity with no curvature terms left is
 Each call builds one private context for its bundle: the shape, the valid
 targets with integer conformal weights w and W, and the moments c_q or c_hat_q
 once a row reads them, all off its integer decomposition table.  Every
-identity evaluates on those integers over one denominator.  The printed ones
-share one inventory; the rules run on its curvature terms first, and
-pure_kappa_identities evaluates coefficients only for the rows that come out
-pure kappa.
+identity evaluates on those integers over one denominator.
+
+The printed identities, the base row "sum" and bw1..bw6, are one table: per
+id, the curvature terms before any rule, the builder, and where the identity
+exists (bw3..bw5 need k != 0, bw6 a (2_b,1_(a-b)) shape).  printed_identity
+builds one row before any rule.  printed_identities (what ``qkbw bw`` prints)
+and pure_kappa_identities (what the bound LP reads) run the rules on the
+table's curvature terms first; the latter evaluates coefficients only for
+the rows that come out pure kappa.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .casimir import (
     DecompositionTable,
     closed_form_c2_lambda_ab,
     decompose_bundle,
-    lambda_ab_bundle,
 )
 from .rationals import format_rational, scaled
 from .simplex import exact_rank
@@ -47,17 +51,11 @@ __all__ = [
     "BWIdentity",
     "OperatorSpec",
     "Rule",
-    "identity_sum",
     "identity_bochner1",
     "identity_bochner2",
-    "identity_bw1",
-    "identity_bw2",
-    "identity_bw3",
-    "identity_bw4",
-    "identity_bw5",
-    "identity_bw6",
     "theorem_family",
     "apply_rule",
+    "printed_identity",
     "printed_identities",
     "pure_kappa_identities",
     "operator_coeffs",
@@ -223,16 +221,6 @@ class _Context:
         )
 
 
-def identity_sum(bundle: BundleLabel, table: DecompositionTable = None) -> BWIdentity:
-    """Base row: the sum of all gradient squares is the connection Laplacian.
-
-    Encoded with kappa coefficient 0 and no curvature terms; the operator
-    side (the Laplacian itself) lives in OperatorSpec, not here.
-    """
-    ctx = _Context(bundle, table)
-    return ctx.identity("sum", [1] * len(ctx.keys), 0)
-
-
 def identity_bochner1(bundle: BundleLabel, q: int) -> BWIdentity:
     """Even-moment family member (no Sp(1) weight in the coefficients).
 
@@ -252,10 +240,11 @@ def identity_bochner2(bundle: BundleLabel, q: int) -> BWIdentity:
     Pure kappa by construction.  Vacuous when k = 0 (W_1 = 0 and the N = -1
     targets are absent), so that case is rejected.
     """
-    _require_k(bundle)
+    ctx = _Context(bundle, q_max=2 * q)
+    _require(_k_nonzero, ctx)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    return _bochner2(_Context(bundle, q_max=2 * q), q)
+    return _bochner2(ctx, q)
 
 
 def _alternating(ctx, m):
@@ -292,9 +281,8 @@ def _bochner2(ctx, q):
     return ctx.identity(f"bochner2({q})", values, kappa, (), M << 2 * q)
 
 
-def _require_k(bundle):
-    if bundle.k == 0:
-        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
+def _sum(ctx, terms):
+    return ctx.identity("sum", [1] * len(ctx.keys), 0, terms)
 
 
 def _bw1(ctx, terms):
@@ -344,45 +332,58 @@ def _bw6(ctx, terms):
     return ctx.identity("bw6", values, kappa, terms, q)
 
 
-_R1 = (CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),)
-_R3 = (CurvatureTerm(power=3, hatted=False, coefficient=Fraction(1)),)
+def _anywhere(ctx):
+    return None
 
 
-def identity_bw1(bundle: BundleLabel) -> BWIdentity:
-    """First-moment identity: sum w B = c_2 kappa / (8n(n+2)) + R^1."""
-    return _bw1(_Context(bundle), _R1)
+def _k_nonzero(ctx):
+    return None if ctx.k else "family is vacuous on k = 0 bundles"
 
 
-def identity_bw2(bundle: BundleLabel) -> BWIdentity:
-    """Cubic-moment identity; right side carries c_4 and the power-3 contraction."""
-    return _bw2(_Context(bundle), _R3)
+def _on_shapes(ctx):
+    return None if ctx.shape is not None else "bw6 exists only on the (2_b,1_(a-b)) bundles"
 
 
-def identity_bw3(bundle: BundleLabel) -> BWIdentity:
-    """Sp(1)-weight identity: sum W_N B = k(k+2) kappa / (4(n+2))."""
-    _require_k(bundle)
-    return _bw3(_Context(bundle), ())
+def _require(exists, ctx):
+    """Raise InapplicableIdentityError where the existence rule fails on ctx's bundle."""
+    reason = exists(ctx)
+    if reason is not None:
+        raise InapplicableIdentityError(reason)
 
 
-def identity_bw4(bundle: BundleLabel) -> BWIdentity:
-    """Mixed identity: sum 2 W_N (w^2 - (n+1)w) B = k(k+2) c_2 kappa / (4n(n+2))."""
-    _require_k(bundle)
-    return _bw4(_Context(bundle), ())
+def _plain(power):
+    return (CurvatureTerm(power=power, hatted=False, coefficient=Fraction(1)),)
 
 
-def identity_bw5(bundle: BundleLabel) -> BWIdentity:
-    """Quartic mixed identity with right side k(k+2) c_4 kappa / (4n(n+2))."""
-    _require_k(bundle)
-    return _bw5(_Context(bundle), ())
+# The printed identities in print order: id -> (curvature terms before any
+# rule, builder, existence rule).  An existence rule returns why the identity
+# does not exist on a bundle, or None where it does.  The base row "sum" says
+# that the gradient squares add up to the connection Laplacian; the operator
+# side lives in OperatorSpec.  bw6 degenerates to 0 = 0 when a = b.
+_PRINTED = {
+    "sum": ((), _sum, _anywhere),
+    "bw1": (_plain(1), _bw1, _anywhere),  # sum w B = c_2 kappa / (8n(n+2)) + R^1
+    "bw2": (_plain(3), _bw2, _anywhere),  # cubic moment: c_4 kappa + R^3
+    "bw3": ((), _bw3, _k_nonzero),  # sum W_N B = k(k+2) kappa / (4(n+2))
+    "bw4": ((), _bw4, _k_nonzero),  # sum 2 W_N (w^2 - (n+1)w) B = k(k+2) c_2 kappa / (4n(n+2))
+    "bw5": ((), _bw5, _k_nonzero),  # quartic mixed: k(k+2) c_4 kappa / (4n(n+2))
+    "bw6": ((), _bw6, _on_shapes),  # scalar curvature only
+}
+_RULED = tuple(_PRINTED.values())[1:]
 
 
-def identity_bw6(a: int, b: int, k: int, n: int) -> BWIdentity:
-    """Scalar-curvature-only identity on the (2_b, 1_{a-b}) bundles.
+def printed_identity(bundle: BundleLabel, id: str) -> BWIdentity:
+    """The printed identity ``id``, "sum" or "bw1" .. "bw6", before any rule.
 
-    Degenerates to 0 = 0 when a = b (every coefficient and the kappa side
-    vanish); callers drop it then.
+    Raises InapplicableIdentityError where it does not exist (bw3..bw5 on
+    k = 0, bw6 off the (2_b,1_(a-b)) shapes) and ValueError on an unknown id.
     """
-    return _bw6(_Context(lambda_ab_bundle(k, a, b, n)), ())
+    if id not in _PRINTED:
+        raise ValueError(f"unknown printed identity {id!r}; expected one of {tuple(_PRINTED)}")
+    terms, build, exists = _PRINTED[id]
+    ctx = _Context(bundle)
+    _require(exists, ctx)
+    return build(ctx, terms)
 
 
 def theorem_family(bundle: BundleLabel):
@@ -416,7 +417,6 @@ class Rule(enum.Enum):
 
 STANDARD_RULES = (Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM)
 HPN_RULES = (Rule.HPN,) + STANDARD_RULES
-_RULE_ORDER = (Rule.HPN, Rule.CUBIC_REDUCTION, Rule.PRIMITIVE_FORM)
 
 
 def _rule_terms(rule: Rule, terms, shape, n):
@@ -437,9 +437,10 @@ def _rule_terms(rule: Rule, terms, shape, n):
 
 
 def _simplified_terms(terms, rules, shape, n):
-    """Apply every rule of ``rules`` that the shape admits, in C, B, A order."""
-    for rule in _RULE_ORDER:
-        if terms and rule in rules:
+    """Apply every rule of ``rules`` that the shape admits, in the ruleset's
+    C, B, A order."""
+    for rule in rules:
+        if terms:
             new_terms = _rule_terms(rule, terms, shape, n)
             terms = terms if new_terms is None else new_terms
     return terms
@@ -454,29 +455,26 @@ def apply_rule(identity: BWIdentity, rule: Rule) -> BWIdentity:
     return replace(identity, curvature_terms=terms)
 
 
-def _inventory(ctx, hpn):
-    """(curvature terms after the rules, builder) of each printed identity, bw1..bw6.
-
-    The Sp(1)-weighted identities exist only when k != 0, the scalar-only
-    one only on (2_b,1_{a-b}) shapes; the ruleset is B+A, plus C in hpn mode.
-    """
-    raw = [(_R1, _bw1), (_R3, _bw2)]
-    if ctx.k != 0:
-        raw += [((), _bw3), ((), _bw4), ((), _bw5)]
-    if ctx.shape is not None:
-        raw.append(((), _bw6))
+def _inventory(ctx, hpn, rows=_RULED):
+    """(curvature terms after the rules, builder) of each row that exists on
+    the bundle, bw1..bw6 by default; the ruleset is B+A, plus C in hpn mode."""
     rules = HPN_RULES if hpn else STANDARD_RULES
-    return [(_simplified_terms(terms, rules, ctx.shape, ctx.n), build) for terms, build in raw]
+    return [
+        (_simplified_terms(terms, rules, ctx.shape, ctx.n), build)
+        for terms, build, exists in rows
+        if exists(ctx) is None
+    ]
 
 
-def printed_identities(bundle: BundleLabel, hpn: bool = False, table=None):
-    """The printed identities bw1..bw6 on the bundle, with the rules applied."""
-    ctx = _Context(bundle, table)
-    return [build(ctx, terms) for terms, build in _inventory(ctx, hpn)]
+def printed_identities(bundle: BundleLabel, hpn: bool = False):
+    """The base row, then the printed identities bw1..bw6 that exist on the
+    bundle with the rules applied: what ``qkbw bw`` prints."""
+    ctx = _Context(bundle)
+    return [build(ctx, terms) for terms, build in _inventory(ctx, hpn, _PRINTED.values())]
 
 
 def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
-    """The printed identities that survive the rules as pure-kappa rows.
+    """The printed identities bw1..bw6 that survive the rules as pure-kappa rows.
 
     Only those candidates are built.  Trivial rows are dropped; a row with
     zero coefficients but nonzero kappa side is a contradiction and raises.

@@ -38,11 +38,8 @@ from .identities import (
     apply_rule,
     identity_bochner1,
     identity_bochner2,
-    identity_bw1,
-    identity_bw2,
-    identity_bw3,
-    identity_bw6,
     independence_rank,
+    printed_identity,
     theorem_family,
 )
 from .simplex import solve_linear_system
@@ -276,7 +273,8 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                     failures.append(f"q=0 polynomial mismatch at a={a} b={b} n={n}")
                 if raw_kappa[0] != 2 * printed[0][1]:
                     failures.append(f"q=0 kappa mismatch at a={a} b={b} n={n}")
-                factor = identity_bochner2(bundle, 0).proportionality(identity_bw3(bundle))
+                bw3 = printed_identity(bundle, "bw3")
+                factor = identity_bochner2(bundle, 0).proportionality(bw3)
                 if factor != 2:
                     failures.append(f"q=0 vector factor {factor} != 2 at a={a} b={b} n={n}")
                 # q = 1, 2: triangular decomposition with leading factor 1.
@@ -301,7 +299,7 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                     if combined_kappa != raw_kappa[q]:
                         failures.append(f"q={q} kappa mismatch at a={a} b={b} n={n}")
                 # Even family q=1 is -2n times the first-moment identity.
-                bw1 = identity_bw1(bundle)
+                bw1 = printed_identity(bundle, "bw1")
                 raw1 = identity_bochner1(bundle, 1)
                 coeff_ok = all(
                     raw_c == -2 * n * bw1_c
@@ -310,12 +308,12 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                 if not coeff_ok or raw1.kappa_coeff != -2 * n * bw1.kappa_coeff:
                     failures.append(f"even-family q=1 factor != -2n at a={a} b={b} n={n}")
                 # Scalar-only identity vs the curvature elimination.
-                bw2_reduced = apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
+                bw2_reduced = apply_rule(printed_identity(bundle, "bw2"), Rule.CUBIC_REDUCTION)
                 scalar = Fraction(2 * n**2 + 7 * n + 7) - c2 / 4
                 eliminated = bw2_reduced.combine(1, bw1, -scalar)
                 if eliminated.curvature_terms:
                     failures.append(f"elimination left curvature at a={a} b={b} n={n}")
-                bw6 = identity_bw6(a, b, k, n)
+                bw6 = printed_identity(bundle, "bw6")
                 if a > b:
                     factor6 = bw6.proportionality(eliminated)
                     if factor6 != 4:

@@ -52,8 +52,11 @@ class LPInfeasibleError(ArithmeticError):
 
 
 def _rational(v):
-    """v as an exact rational: ints and Fractions as they are."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    """v as it is when it is an int or a Fraction; a float, a Decimal or a
+    string is not exact input and raises TypeError."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    raise TypeError(f"exact solvers take int or Fraction entries, got {type(v).__name__} {v!r}")
 
 
 def _pivot(rows, d, r, c):

@@ -15,7 +15,7 @@ from qkbw.bounds import (
     twistor_kernel_analysis,
 )
 from qkbw.casimir import lambda_ab_bundle
-from qkbw.identities import operator_coeffs, pure_kappa_identities
+from qkbw.identities import MixedBundleError, operator_coeffs, pure_kappa_identities
 
 F = Fraction
 
@@ -146,10 +146,16 @@ class TestLP:
             assert strong <= plain
 
     def test_operator_identity_bundle_mismatch(self):
+        # the same error as independence_rank and combine, still a ValueError
         op = operator_coeffs("hodge_laplacian", lambda_ab_bundle(2, 1, 0, 2))
         idents = pure_kappa_identities(lambda_ab_bundle(2, 1, 0, 3))
-        with pytest.raises(ValueError):
+        message = "identities and operator must live on one bundle"
+        with pytest.raises(MixedBundleError, match=message):
             lp_max_bound(op, idents, "+")
+        own = pure_kappa_identities(op.bundle)
+        with pytest.raises(MixedBundleError, match=message):
+            lp_max_bound(op, own + idents[:1], "-")
+        assert issubclass(MixedBundleError, ValueError)
 
     def test_subsets_never_beat_the_full_set(self):
         # The optimum is monotone in the identity span; every subset is

@@ -195,7 +195,7 @@ def test_decompose_bundle_matches_oracle(rho, k):
     assert len(got.targets) == len(want) == 4 * rho.n
     for mine, theirs in zip(got.targets, want):
         for field in GradientTarget.__dataclass_fields__:
-            assert _same(getattr(mine, field), getattr(theirs, field)), (mine.key, field)
+            assert _same(getattr(mine, field), getattr(theirs, field)), (mine.N, mine.nu, field)
     c, ch = table_moments(got, 6)
     for q in range(7):
         assert _same(c[q], oracle_eigenvalue(rho, q)), q

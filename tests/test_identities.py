@@ -21,16 +21,10 @@ from qkbw.identities import (
     identities_to_json_dict,
     identity_bochner1,
     identity_bochner2,
-    identity_bw1,
-    identity_bw2,
-    identity_bw3,
-    identity_bw4,
-    identity_bw5,
-    identity_bw6,
-    identity_sum,
     identity_to_latex,
     independence_rank,
     operator_coeffs,
+    printed_identity,
     pure_kappa_identities,
     theorem_family,
 )
@@ -89,33 +83,33 @@ def decompose_over(identity, basis):
 class TestSumIdentity:
     def test_all_ones(self):
         bundle = lambda_ab_bundle(2, 1, 0, 2)
-        ident = identity_sum(bundle)
+        ident = printed_identity(bundle, "sum")
         assert all(c == 1 for _, c in ident.coeffs)
         assert ident.kappa_coeff == 0
         assert ident.is_pure_kappa
         assert len(ident.coeffs) == decompose_bundle(bundle).summand_count
 
     def test_k0_only_upward(self):
-        ident = identity_sum(BundleLabel(0, w(1, 0)))
+        ident = printed_identity(BundleLabel(0, w(1, 0)), "sum")
         assert all(N == 1 for (N, _), _ in ident.coeffs)
 
 
 class TestFamilies:
     def test_bochner2_q0_doubles_sp1_identity(self):
         bundle = lambda_ab_bundle(3, 2, 1, 3)
-        assert identity_bochner2(bundle, 0).proportionality(identity_bw3(bundle)) == 2
+        assert identity_bochner2(bundle, 0).proportionality(printed_identity(bundle, "bw3")) == 2
 
     def test_bochner2_rejects_k0(self):
         with pytest.raises(InapplicableIdentityError):
             identity_bochner2(BundleLabel(0, w(1, 0)), 0)
-        for gen in (identity_bw3, identity_bw4, identity_bw5):
+        for id in ("bw3", "bw4", "bw5"):
             with pytest.raises(InapplicableIdentityError):
-                gen(BundleLabel(0, w(1, 0)))
+                printed_identity(BundleLabel(0, w(1, 0)), id)
 
     def test_bochner1_q1_scales_first_moment(self):
         bundle = lambda_ab_bundle(1, 1, 0, 2)
         raw = identity_bochner1(bundle, 1)
-        bw1 = identity_bw1(bundle)
+        bw1 = printed_identity(bundle, "bw1")
         n = bundle.n
         for (_, raw_c), (_, bw1_c) in zip(raw.coeffs, bw1.coeffs):
             assert raw_c == -2 * n * bw1_c
@@ -143,7 +137,7 @@ class TestPrintedForms:
         # coefficient pattern (-1, a, 2n-a+2) on both Sp(1) shifts.
         a, n, k = 1, 2, 1
         bundle = lambda_ab_bundle(k, a, 0, n)
-        ident = identity_bw1(bundle)
+        ident = printed_identity(bundle, "bw1")
         coeffs = ident.coeff_map()
         assert coeffs[(1, 1)] == -1
         assert coeffs[(1, a + 1)] == a
@@ -156,7 +150,7 @@ class TestPrintedForms:
         # displayed six-term rewriting on S^k(H) (x) (1_a).
         for a, n, k in ((1, 2, 1), (2, 3, 2)):
             bundle = lambda_ab_bundle(k, a, 0, n)
-            ident = identity_bw4(bundle)
+            ident = printed_identity(bundle, "bw4")
             coeffs = ident.coeff_map()
             display = {
                 (1, 1): -k * (n + 2),
@@ -172,7 +166,7 @@ class TestPrintedForms:
             assert ident.kappa_coeff == 2 * rhs
 
     def test_scalar_only_identity_zero_coefficient_at_w_minus2(self):
-        ident = identity_bw6(2, 1, 1, 3)
+        ident = printed_identity(lambda_ab_bundle(1, 2, 1, 3), "bw6")
         coeffs = ident.coeff_map()
         assert coeffs[(1, 1)] == 0  # the w = -2 summand drops out
 
@@ -181,9 +175,9 @@ class TestPrintedForms:
         # are proportional, so the span test is a rank comparison there.
         a, b, n, k = 1, 0, 2, 2
         bundle = lambda_ab_bundle(k, a, b, n)
-        bw1 = simplify_curvature(identity_bw1(bundle), STANDARD_RULES)
-        bw2 = simplify_curvature(identity_bw2(bundle), STANDARD_RULES)
-        bw6 = identity_bw6(a, b, k, n)
+        bw1 = simplify_curvature(printed_identity(bundle, "bw1"), STANDARD_RULES)
+        bw2 = simplify_curvature(printed_identity(bundle, "bw2"), STANDARD_RULES)
+        bw6 = printed_identity(bundle, "bw6")
         assert independence_rank([bw1, bw2]) == independence_rank([bw1, bw2, bw6])
 
     def test_scalar_only_decomposition_generic(self):
@@ -191,22 +185,22 @@ class TestPrintedForms:
         # identity is exactly 4*(third moment) - 4*scalar*(first moment).
         a, b, n, k = 2, 1, 3, 1
         bundle = lambda_ab_bundle(k, a, b, n)
-        bw1 = identity_bw1(bundle)
-        bw2_reduced = apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
-        bw6 = identity_bw6(a, b, k, n)
+        bw1 = printed_identity(bundle, "bw1")
+        bw2_reduced = apply_rule(printed_identity(bundle, "bw2"), Rule.CUBIC_REDUCTION)
+        bw6 = printed_identity(bundle, "bw6")
         dec = decompose_over(bw6, [bw2_reduced, bw1])
         assert dec is not None and dec[0] == 4
 
     def test_combine_eliminates_curvature(self):
         a, b, n, k = 2, 1, 3, 1
         bundle = lambda_ab_bundle(k, a, b, n)
-        bw1 = identity_bw1(bundle)
-        bw2_reduced = apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
+        bw1 = printed_identity(bundle, "bw1")
+        bw2_reduced = apply_rule(printed_identity(bundle, "bw2"), Rule.CUBIC_REDUCTION)
         scalar = F(2 * n**2 + 7 * n + 7) - F(closed_form_c2_lambda_ab(a, b, n)) / 4
         eliminated = bw2_reduced.combine(1, bw1, -scalar)
         assert eliminated.curvature_terms == ()
         assert eliminated.provenance == f"1*bw2+{-scalar}*bw1"
-        assert identity_bw6(a, b, k, n).proportionality(eliminated) == 4
+        assert printed_identity(bundle, "bw6").proportionality(eliminated) == 4
         half = bw1.combine(F(1, 2), bw1, F(1, 2))
         assert (half.coeffs, half.kappa_coeff, half.curvature_terms) == (
             bw1.coeffs,
@@ -216,20 +210,20 @@ class TestPrintedForms:
 
     def test_combine_rejects_mixed_bundles(self):
         with pytest.raises(MixedBundleError):
-            identity_bw3(lambda_ab_bundle(2, 1, 0, 2)).combine(
-                1, identity_bw3(lambda_ab_bundle(4, 1, 0, 2)), 1
+            printed_identity(lambda_ab_bundle(2, 1, 0, 2), "bw3").combine(
+                1, printed_identity(lambda_ab_bundle(4, 1, 0, 2), "bw3"), 1
             )
 
 
 class TestRules:
     def test_rule_a_purifies_first_moment(self):
         bundle = lambda_ab_bundle(0, 2, 0, 3)
-        ident = apply_rule(identity_bw1(bundle), Rule.PRIMITIVE_FORM)
+        ident = apply_rule(printed_identity(bundle, "bw1"), Rule.PRIMITIVE_FORM)
         assert ident.is_pure_kappa
 
     def test_rule_b_rewrites_cubic(self):
         bundle = lambda_ab_bundle(2, 2, 2, 3)
-        ident = apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
+        ident = apply_rule(printed_identity(bundle, "bw2"), Rule.CUBIC_REDUCTION)
         assert len(ident.curvature_terms) == 1
         term = ident.curvature_terms[0]
         assert term.power == 1 and not term.hatted
@@ -248,16 +242,16 @@ class TestRules:
     def test_shape_errors(self):
         bundle = lambda_ab_bundle(2, 2, 1, 3)  # b > 0: rule A does not apply
         with pytest.raises(RuleShapeError):
-            apply_rule(identity_bw1(bundle), Rule.PRIMITIVE_FORM)
+            apply_rule(printed_identity(bundle, "bw1"), Rule.PRIMITIVE_FORM)
         bundle = BundleLabel(2, w(3, 0))
         with pytest.raises(RuleShapeError):
-            apply_rule(identity_bw2(bundle), Rule.CUBIC_REDUCTION)
+            apply_rule(printed_identity(bundle, "bw2"), Rule.CUBIC_REDUCTION)
 
     def test_simplify_skips_inapplicable(self):
         bundle = lambda_ab_bundle(2, 2, 1, 3)
-        ident = simplify_curvature(identity_bw1(bundle), STANDARD_RULES)
+        ident = simplify_curvature(printed_identity(bundle, "bw1"), STANDARD_RULES)
         assert not ident.is_pure_kappa  # b > 0: the linear contraction stays
-        ident = simplify_curvature(identity_bw1(bundle), HPN_RULES)
+        ident = simplify_curvature(printed_identity(bundle, "bw1"), HPN_RULES)
         assert ident.is_pure_kappa
 
 
@@ -314,8 +308,8 @@ class TestOperators:
         bundle = lambda_ab_bundle(2, 2, 0, 3)
         n, k = bundle.n, bundle.k
         r1 = operator_coeffs("R1_endomorphism", bundle).coeff_map()
-        ident1 = identity_bw1(bundle)
-        ident3 = identity_bw3(bundle)
+        ident1 = printed_identity(bundle, "bw1")
+        ident3 = printed_identity(bundle, "bw3")
         bw1, bw3 = ident1.coeff_map(), ident3.coeff_map()
         for key in r1:
             assert r1[key] == bw1[key] + bw3[key] / n
@@ -346,8 +340,8 @@ class TestRank:
         assert independence_rank(fam + [fam[0]]) == independence_rank(fam)
 
     def test_mixed_bundles_rejected(self):
-        a = identity_bw3(lambda_ab_bundle(2, 1, 0, 2))
-        b = identity_bw3(lambda_ab_bundle(2, 1, 0, 3))
+        a = printed_identity(lambda_ab_bundle(2, 1, 0, 2), "bw3")
+        b = printed_identity(lambda_ab_bundle(2, 1, 0, 3), "bw3")
         with pytest.raises(MixedBundleError):
             independence_rank([a, b])
 
@@ -406,7 +400,7 @@ class TestConformalExponents:
 class TestSerialization:
     def test_json_layout(self):
         bundle = lambda_ab_bundle(2, 1, 0, 2)
-        data = identities_to_json_dict([identity_bw3(bundle)])
+        data = identities_to_json_dict([printed_identity(bundle, "bw3")])
         assert data["targets"][0] == "+1,+1"
         ident = data["identities"][0]
         assert ident["provenance"] == "bw3"
@@ -414,11 +408,11 @@ class TestSerialization:
 
     def test_csv_header(self):
         bundle = lambda_ab_bundle(2, 1, 0, 2)
-        csv = identities_to_csv([identity_bw1(bundle)])
+        csv = identities_to_csv([printed_identity(bundle, "bw1")])
         assert csv.splitlines()[0].startswith("provenance,B(+1,+1)")
         assert "R^1" in csv.splitlines()[0]
 
     def test_latex_contains_terms(self):
         bundle = lambda_ab_bundle(2, 1, 0, 2)
-        tex = identity_to_latex(identity_bw3(bundle))
+        tex = identity_to_latex(printed_identity(bundle, "bw3"))
         assert "B_{+1,+1}" in tex and "\\kappa" in tex

@@ -41,14 +41,8 @@ from qkbw.identities import (
     apply_rule,
     identity_bochner1,
     identity_bochner2,
-    identity_bw1,
-    identity_bw2,
-    identity_bw3,
-    identity_bw4,
-    identity_bw5,
-    identity_bw6,
-    identity_sum,
     printed_identities,
+    printed_identity,
     pure_kappa_identities,
     theorem_family,
 )
@@ -286,20 +280,24 @@ def _assert_same_outcome(got, want):
         _assert_same_identity(got, want)
 
 
-general_weights = st.integers(2, 7).flatmap(
-    lambda n: st.lists(st.integers(0, 6), min_size=n, max_size=n).map(
-        lambda entries: SpnWeight(tuple(sorted(entries, reverse=True)))
+def weights(n_max, entry_max):
+    """Dominant weights with n = 2..n_max: general ones with entries <= entry_max,
+    and the (2_b,1_(a-b)) shapes."""
+    general = st.integers(2, n_max).flatmap(
+        lambda n: st.lists(st.integers(0, entry_max), min_size=n, max_size=n).map(
+            lambda entries: SpnWeight(tuple(sorted(entries, reverse=True)))
+        )
     )
-)
-shape_weights = st.integers(2, 7).flatmap(
-    lambda n: st.integers(0, n).flatmap(
-        lambda a: st.integers(0, a).map(lambda b: lambda_ab_weight(a, b, n))
+    shapes = st.integers(2, n_max).flatmap(
+        lambda n: st.integers(0, n).flatmap(
+            lambda a: st.integers(0, a).map(lambda b: lambda_ab_weight(a, b, n))
+        )
     )
-)
+    return st.one_of(general, shapes)
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(general_weights, shape_weights), st.integers(0, 4), st.booleans())
+@given(weights(7, 6), st.integers(0, 4), st.booleans())
 def test_identities_match_oracle(rho, k, hpn):
     bundle = BundleLabel(k, rho)
     table = decompose_bundle(bundle)
@@ -315,21 +313,21 @@ def test_identities_match_oracle(rho, k, hpn):
         _outcome(pure_kappa_identities, bundle, hpn, table),
         _outcome(oracle_pure_kappa, bundle, hpn, table),
     )
-    _assert_same_outcome(printed_identities(bundle, hpn), oracle_printed(bundle, hpn, table))
+    _assert_same_outcome(printed_identities(bundle, hpn)[1:], oracle_printed(bundle, hpn, table))
     pairs = [
-        (identity_bw1, oracle_bw1),
-        (identity_bw2, oracle_bw2),
-        (identity_bw3, oracle_bw3),
-        (identity_bw4, oracle_bw4),
-        (identity_bw5, oracle_bw5),
+        ("bw1", oracle_bw1),
+        ("bw2", oracle_bw2),
+        ("bw3", oracle_bw3),
+        ("bw4", oracle_bw4),
+        ("bw5", oracle_bw5),
     ]
-    for public, oracle in pairs:
+    for id, oracle in pairs:
         want = _outcome(oracle, bundle, table)
-        _assert_same_outcome(_outcome(public, bundle), want)
+        _assert_same_outcome(_outcome(printed_identity, bundle, id), want)
     if shape is not None:
         a, b = shape
         _assert_same_outcome(
-            identity_bw6(a, b, k, rho.n), oracle_bw6(a, b, k, rho.n, table)
+            printed_identity(bundle, "bw6"), oracle_bw6(a, b, k, rho.n, table)
         )
     for q in range(-1, 4):
         for public, oracle in ((identity_bochner1, oracle_bochner1), (identity_bochner2, oracle_bochner2)):
@@ -350,6 +348,46 @@ def test_identities_match_oracle(rho, k, hpn):
                 assert isinstance(got, tuple) and got[0] is RuleShapeError
             else:
                 _assert_same_identity(got, want)
+
+
+PRINT_ORDER = ("sum", "bw1", "bw2", "bw3", "bw4", "bw5", "bw6")
+
+
+def oracle_exists(bundle, id):
+    """bw3..bw5 need k != 0, bw6 a (2_b,1_(a-b)) shape; the rest always exist."""
+    if id in ("bw3", "bw4", "bw5"):
+        return bundle.k != 0
+    if id == "bw6":
+        return bundle.rho.lambda_ab_shape() is not None
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights(5, 4), st.integers(0, 4), st.booleans())
+def test_printed_table_follows_the_existence_rules(rho, k, hpn):
+    bundle = BundleLabel(k, rho)
+    printed = printed_identities(bundle, hpn)
+    assert [ident.provenance for ident in printed] == [
+        id for id in PRINT_ORDER if oracle_exists(bundle, id)
+    ]
+    rules = HPN_RULES if hpn else STANDARD_RULES
+    for ident in printed:
+        raw = printed_identity(bundle, ident.provenance)
+        _assert_same_identity(ident, oracle_simplify(raw, rules))
+    pure = [
+        ident
+        for ident in printed[1:]
+        if ident.is_pure_kappa and any(c != 0 for _, c in ident.coeffs)
+    ]
+    _assert_same_outcome(pure_kappa_identities(bundle, hpn), pure)
+    for id in PRINT_ORDER:
+        if not oracle_exists(bundle, id):
+            message = "vacuous on k = 0" if id != "bw6" else "only on the"
+            with pytest.raises(InapplicableIdentityError, match=message):
+                printed_identity(bundle, id)
+    for id in ("bw7", "bochner1(1)", "BW1"):
+        with pytest.raises(ValueError, match="unknown printed identity"):
+            printed_identity(bundle, id)
 
 
 @pytest.mark.parametrize("hpn", [False, True])
@@ -373,8 +411,8 @@ def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch):
     monkeypatch.setattr(casimir, "_moment_sums", spy)
     bundle = lambda_ab_bundle(2, 2, 1, 3)
     table = decompose_bundle(bundle)
-    identity_sum(bundle, table)
-    identity_bw3(bundle)
+    printed_identity(bundle, "sum")
+    printed_identity(bundle, "bw3")
     assert calls == []
     # bw3..bw6 survive the rules; bw4, bw5 and bw6 share one list of c_q
     assert len(pure_kappa_identities(bundle, table=table)) == 4

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,24 @@ class TestSolve:
         assert x is None  # one equation, two unknowns
         x, _ = solve_linear_system([[F(1, 3)]], [F(1)])
         assert x == [F(3)]
+
+
+@pytest.mark.parametrize("bad", [0.1, Decimal("0.1"), "1/10"], ids=["float", "Decimal", "str"])
+def test_inexact_entries_raise_type_error(bad):
+    # Fraction(0.1) is the binary double, not 1/10: the rank, the "unique"
+    # solution and the optimum would all come out exactly wrong.
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        exact_rank([[bad, 3 * F(1, 10)], [1, 3]])
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        solve_linear_system([[F(1, 10), F(3, 10)], [1, 3]], [bad, 1])
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        simplex_maximize([1], [[3]], [bad])
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        simplex_maximize([bad], [[3]], [1])
+
+
+def test_ints_bools_and_fractions_stay_exact():
+    assert exact_rank([[F(1, 10), F(3, 10)], [1, 3]]) == 1
+    assert solve_linear_system([[F(1, 10), F(3, 10)], [1, 3]], [F(1, 10), 1]) == (None, 1)
+    assert simplex_maximize([1], [[3]], [F(3, 10)]) == (F(1, 10), [F(1, 10)])
+    assert exact_rank([[True, 2], [1, 2]]) == 1
