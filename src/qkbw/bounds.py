@@ -23,7 +23,6 @@ admits no rewriting at all, the result is a NoCertificate instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import index, mul
@@ -37,6 +36,7 @@ from .identities import (
     pure_kappa_identities,
 )
 from .rationals import format_rational, scaled
+from .record import Record
 from .simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_rank
 
@@ -66,17 +66,26 @@ def _normalize_sign(kappa_sign) -> int:
     raise ValueError(f"kappa_sign must be '+' or '-', got {kappa_sign!r}")
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     """Multipliers and nonnegative residuals witnessing a bound c * kappa."""
 
-    bundle: BundleLabel
-    operator: str
-    kappa_sign: int
-    multipliers: tuple  # of (identity_id, Fraction)
-    residuals: tuple  # of ((N, nu), Fraction)
-    bound: Fraction
-    matched_closed_form: str = None
+    def __init__(
+        self,
+        bundle: BundleLabel,
+        operator: str,
+        kappa_sign: int,
+        multipliers: tuple,  # of (identity_id, Fraction)
+        residuals: tuple,  # of ((N, nu), Fraction)
+        bound: Fraction,
+        matched_closed_form: str = None,
+    ):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "kappa_sign", kappa_sign)
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "matched_closed_form", matched_closed_form)
 
     def verify(self, operator: OperatorSpec, identities) -> None:
         """Re-check the reconstruction identity and nonnegativity exactly.
@@ -140,16 +149,17 @@ class BoundCertificate:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NoCertificate:
+class NoCertificate(Record):
     """No nonnegative rewriting of the operator exists over the identity span:
     a result, not an error.  bound is None, the one check a caller makes."""
 
-    bundle: BundleLabel
-    operator: str
-    kappa_sign: int
-    reason: str
     bound = None
+
+    def __init__(self, bundle: BundleLabel, operator: str, kappa_sign: int, reason: str):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "kappa_sign", kappa_sign)
+        object.__setattr__(self, "reason", reason)
 
 
 def _identity_ids(identities):
@@ -419,8 +429,7 @@ def harmonic_classification(n: int, kappa_sign):
 TWISTOR_KERNEL = ((1, 2), (1, -1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class KernelAnalysis:
+class KernelAnalysis(Record):
     """Solved norm ratios on the complement of an assumed kernel.
 
     solved_ratios maps each remaining target to the coefficient c with
@@ -429,11 +438,19 @@ class KernelAnalysis:
     space vanishes for that sign of the scalar curvature.
     """
 
-    bundle: BundleLabel
-    kernel_set: tuple
-    solved_ratios: tuple  # of ((N, nu), Fraction); empty when undetermined
-    rank_deficit: int
-    verdicts: tuple  # of (sign, verdict, witness-or-None)
+    def __init__(
+        self,
+        bundle: BundleLabel,
+        kernel_set: tuple,
+        solved_ratios: tuple,  # of ((N, nu), Fraction); empty when undetermined
+        rank_deficit: int,
+        verdicts: tuple,  # of (sign, verdict, witness-or-None)
+    ):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "kernel_set", kernel_set)
+        object.__setattr__(self, "solved_ratios", solved_ratios)
+        object.__setattr__(self, "rank_deficit", rank_deficit)
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def determined(self) -> bool:

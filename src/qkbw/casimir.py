@@ -30,12 +30,12 @@ oracle, only the entries of rho, so it stays a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import index
 
 from .rationals import format_rational, scaled
+from .record import Record
 from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_k, _check_rank
 from .weights import _check_shift, decompose_rho_tensor_E, lambda_ab_weight, mu_shift, weyl_dim
 
@@ -303,12 +303,12 @@ def verify_recursion(rho: SpnWeight, q_max: int = 6):
     return failures
 
 
-@dataclass(frozen=True)
-class CasimirReport:
+class CasimirReport(Record):
     """Casimir eigenvalues c_q, c_hat_q for one module, q = 0..q_max."""
 
-    rho: SpnWeight
-    values: tuple  # of (q, c_q, c_hat_q)
+    def __init__(self, rho: SpnWeight, values: tuple):  # values holds (q, c_q, c_hat_q) per q
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -343,33 +343,44 @@ def casimir_report(rho: SpnWeight, q_max: int = 4) -> CasimirReport:
     return CasimirReport(rho, tuple(zip(range(q_max + 1), c, ch)))
 
 
-@dataclass(frozen=True)
-class GradientTarget:
+class GradientTarget(Record):
     """One summand (N, nu) of V_{k,rho} (x) (H (x) E) with its scalar data.
 
     reldim is the nu-level relative dimension: positive exactly when
     rho + mu_nu is dominant, regardless of whether k + N >= 0.
     """
 
-    N: int
-    nu: int
-    target_k: int
-    target_rho: SpnWeight
-    valid: bool
-    w: Fraction
-    w_hat: Fraction
-    W: Fraction
-    reldim: Fraction
+    def __init__(
+        self,
+        N: int,
+        nu: int,
+        target_k: int,
+        target_rho: SpnWeight,
+        valid: bool,
+        w: Fraction,
+        w_hat: Fraction,
+        W: Fraction,
+        reldim: Fraction,
+    ):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "target_k", target_k)
+        object.__setattr__(self, "target_rho", target_rho)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w_hat", w_hat)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "reldim", reldim)
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
+class DecompositionTable(Record):
     """The integer summand table of a bundle: dim = D = dim V_rho and the rows
     of _summands; target (N, nu) is valid when k + N >= 0 and d_nu > 0."""
 
-    bundle: BundleLabel
-    dim: int
-    rows: tuple
+    def __init__(self, bundle: BundleLabel, dim: int, rows: tuple):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def valid_rows(self) -> list:

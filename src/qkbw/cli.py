@@ -11,11 +11,10 @@ legitimate result, reported with `bound: null` and the reason.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import concurrent.futures
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .bounds import bound_for, closed_form_bound, harmonic_classification, twistor_kernel_analysis
@@ -31,6 +30,8 @@ from .identities import (
     identities_to_csv,
     identities_to_json_dict,
     identity_to_latex,
+    Rule,
+    apply_rule,
     printed_identities,
     theorem_family,
 )
@@ -183,6 +184,8 @@ def cmd_bw(args) -> int:
     bundle = BundleLabel(args.k, rho)
     if args.raw:
         identities = theorem_family(bundle)
+        if args.hpn:
+            identities = [apply_rule(ident, Rule.HPN) for ident in identities]
     else:
         identities = printed_identities(bundle, args.hpn)
     obj = identities_to_json_dict(identities)
@@ -226,7 +229,7 @@ def cmd_bound(args) -> int:
         if 0 <= args.k <= 2 * bundle.n - a - b:
             closed = closed_form_bound(args.k, a, b, bundle.n, args.kappa_sign)
             if closed == result.bound:
-                result = dataclasses.replace(result, matched_closed_form="laplace-bound-table")
+                result = result.replace(matched_closed_form="laplace-bound-table")
     _emit(args, result.to_json_dict(), result.to_markdown())
     return 0
 
@@ -292,7 +295,8 @@ def cmd_sweep(args) -> int:
     if not cases:
         raise ValueError("the sweep selects no cases; check --n, --k, --a and --b")
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the attribute loads the pool module, which the other verbs never need
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(sweep_case, cases))
     else:
         results = [sweep_case(c) for c in cases]

@@ -28,7 +28,6 @@ the rows that come out pure kappa.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -39,6 +38,7 @@ from .casimir import (
     decompose_bundle,
 )
 from .rationals import format_rational, scaled
+from .record import Record
 from .simplex import exact_rank
 from .weights import BundleLabel
 
@@ -84,13 +84,13 @@ class InconsistencyError(RuntimeError):
     certificate over the identity span: that is a bounds.NoCertificate."""
 
 
-@dataclass(frozen=True)
-class CurvatureTerm:
+class CurvatureTerm(Record):
     """coefficient times the power-q curvature contraction (hatted or plain)."""
 
-    power: int
-    hatted: bool
-    coefficient: Fraction
+    def __init__(self, power: int, hatted: bool, coefficient: Fraction):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "hatted", hatted)
+        object.__setattr__(self, "coefficient", coefficient)
 
     @property
     def key(self):
@@ -109,15 +109,22 @@ def _merge_terms(terms):
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class BWIdentity:
+class BWIdentity(Record):
     """One exact identity over the valid gradient targets of a bundle."""
 
-    bundle: BundleLabel
-    coeffs: tuple  # of ((N, nu), Fraction), canonical target order, valid targets only
-    kappa_coeff: Fraction
-    curvature_terms: tuple
-    provenance: str
+    def __init__(
+        self,
+        bundle: BundleLabel,
+        coeffs: tuple,  # of ((N, nu), Fraction), canonical target order, valid targets only
+        kappa_coeff: Fraction,
+        curvature_terms: tuple,
+        provenance: str,
+    ):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "kappa_coeff", kappa_coeff)
+        object.__setattr__(self, "curvature_terms", curvature_terms)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def is_pure_kappa(self) -> bool:
@@ -146,7 +153,7 @@ class BWIdentity:
             coeffs=tuple((t, factor * c + other_factor * theirs[t]) for t, c in self.coeffs),
             kappa_coeff=factor * self.kappa_coeff + other_factor * other.kappa_coeff,
             curvature_terms=_merge_terms(
-                replace(t, coefficient=f * t.coefficient)
+                t.replace(coefficient=f * t.coefficient)
                 for f, ident in ((factor, self), (other_factor, other))
                 for t in ident.curvature_terms
             ),
@@ -452,7 +459,7 @@ def apply_rule(identity: BWIdentity, rule: Rule) -> BWIdentity:
     terms = _rule_terms(rule, identity.curvature_terms, bundle.rho.lambda_ab_shape(), bundle.n)
     if terms is None:
         raise RuleShapeError(f"rule {rule.letter} does not apply to rho=({bundle.rho})")
-    return replace(identity, curvature_terms=terms)
+    return identity.replace(curvature_terms=terms)
 
 
 def _inventory(ctx, hpn, rows=_RULED):
@@ -495,18 +502,24 @@ def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     return out
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Record):
     """Second-order operator as an exact combination of gradient squares.
 
     constant_kappa is an additive kappa-multiple on the operator side; the
     four built-ins are complete B-expansions, so it is zero for them.
     """
 
-    name: str
-    bundle: BundleLabel
-    coeffs: tuple  # of ((N, nu), Fraction)
-    constant_kappa: Fraction
+    def __init__(
+        self,
+        name: str,
+        bundle: BundleLabel,
+        coeffs: tuple,  # of ((N, nu), Fraction)
+        constant_kappa: Fraction,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "constant_kappa", constant_kappa)
 
     def coeff_map(self) -> dict:
         return dict(self.coeffs)

@@ -7,7 +7,6 @@ exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -42,17 +41,24 @@ from .identities import (
     printed_identity,
     theorem_family,
 )
+from .record import Record
 from .simplex import solve_linear_system
 from .weights import BundleLabel, SpnWeight
 
 __all__ = ["SuiteResult", "run_suites", "dominant_weights", "sweep_cases", "sweep_case"]
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list
+class SuiteResult(Record):
+    """One suite's outcome; mutable, so unhashable."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, cases: int, failures: list):
+        self.name = name
+        self.cases = cases
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

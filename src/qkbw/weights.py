@@ -11,8 +11,9 @@ rules, one helper each, and reads integers through operator.index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
+
+from .record import Record
 
 __all__ = [
     "ParameterRangeError",
@@ -54,17 +55,14 @@ def _check_k(k: int) -> None:
         raise ParameterRangeError(f"Sp(1) weight must be nonnegative, got k={k}")
 
 
-@dataclass(frozen=True)
-class SpnWeight:
+class SpnWeight(Record):
     """Integer weight for Sp(n), n >= 2; immutable and hashable.  Entries go through
     operator.index: a float, str or Fraction raises TypeError, and True reads as 1."""
 
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(map(index, self.entries))
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple):
+        entries = tuple(map(index, entries))
         _check_rank(len(entries))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -104,8 +102,7 @@ def lambda_ab_weight(a: int, b: int, n: int) -> SpnWeight:
     return SpnWeight((2,) * b + (1,) * (a - b) + (0,) * (n - a))
 
 
-@dataclass(frozen=True)
-class BundleLabel:
+class BundleLabel(Record):
     """Label (k, rho) of an irreducible Sp(1)Sp(n) bundle.
 
     k is the Sp(1) highest weight (a nonnegative integer, read through
@@ -114,13 +111,12 @@ class BundleLabel:
     computations go through unchanged) but flagged via ``parity_warning``.
     """
 
-    k: int
-    rho: SpnWeight
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", index(self.k))
-        _check_k(self.k)
-        self.rho.require_dominant()
+    def __init__(self, k: int, rho: SpnWeight):
+        k = index(k)
+        _check_k(k)
+        rho.require_dominant()
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rho", rho)
 
     @property
     def n(self) -> int:
@@ -144,7 +140,7 @@ def mu_shift(rho: SpnWeight, nu: int) -> SpnWeight:
     _check_shift(rho.n, nu)
     entries = list(rho.entries)
     entries[abs(nu) - 1] += 1 if nu > 0 else -1
-    shifted = object.__new__(SpnWeight)  # rho is checked, so its shift skips __post_init__
+    shifted = object.__new__(SpnWeight)  # rho is checked, so its shift skips __init__
     object.__setattr__(shifted, "entries", tuple(entries))
     return shifted
 

@@ -32,14 +32,30 @@ def test_every_layer_metric_names_a_callable():
         assert callable(value), f"qkbw.{module_name}.{attr}"
 
 
-def test_cli_import_loads_every_timed_module():
-    modules = [m.group(1) for m in map(IMPORT.fullmatch, PER_LAYER) if m]
-    assert "qkbw.selfcheck" in modules and "concurrent.futures" in modules
+def run_importtime(*args):
+    """The finished `python -X importtime <args>` process and the modules it imported."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import qkbw.cli"],
+        [sys.executable, "-X", "importtime", *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return proc, {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def test_cli_import_loads_every_timed_module():
+    modules = [m.group(1) for m in map(IMPORT.fullmatch, PER_LAYER) if m]
+    assert "qkbw.selfcheck" in modules and "concurrent.futures" in modules
+    _, imported = run_importtime("-c", "import qkbw.cli")
     assert set(modules) <= imported, set(modules) - imported
+
+
+def test_one_bound_process_loads_neither_dataclasses_nor_the_process_pool():
+    """A cold `qkbw bound` imports only what a bound needs, plus the two eager
+    imports whose `cli.import.*` metrics must not read 0."""
+    argv = ["bound", "--n", "2", "--k", "2", "--a", "2", "--b", "0", "--kappa-sign", "+", "--format", "json"]
+    proc, imported = run_importtime("-m", "qkbw.cli", *argv)
+    assert json.loads(proc.stdout)["bound"] == "3/8"
+    assert {"qkbw.selfcheck", "concurrent.futures"} <= imported
+    unwanted = {"dataclasses", "inspect", "concurrent.futures.process", "multiprocessing"}
+    assert not unwanted & imported, unwanted & imported

@@ -194,7 +194,7 @@ def test_decompose_bundle_matches_oracle(rho, k):
     assert got.bundle == bundle
     assert len(got.targets) == len(want) == 4 * rho.n
     for mine, theirs in zip(got.targets, want):
-        for field in GradientTarget.__dataclass_fields__:
+        for field in GradientTarget._fields:
             assert _same(getattr(mine, field), getattr(theirs, field)), (mine.N, mine.nu, field)
     c, ch = table_moments(got, 6)
     for q in range(7):

@@ -156,6 +156,24 @@ class TestBwVerb:
         tags = [i["provenance"] for i in data["identities"]]
         assert tags == ["bochner1(1)", "bochner1(2)", "bochner2(0)", "bochner2(1)", "bochner2(2)"]
 
+    @pytest.mark.parametrize("rho", ["1,0", "2,1,0", "3,1"])
+    def test_raw_hpn_drops_every_curvature_term(self, capsys, rho):
+        argv = ["bw", "--n", str(len(rho.split(","))), "--k", "1", "--rho", rho, "--raw"]
+        _, raw, _ = run(capsys, *argv, "--format", "json")
+        code, out, _ = run(capsys, *argv, "--hpn", "--format", "json")
+        assert code == 0
+        raw, hpn = json.loads(raw), json.loads(out)
+        assert any(i["curvature"] for i in raw["identities"])
+        assert all(i["curvature"] == [] for i in hpn["identities"])
+        for ident in raw["identities"]:
+            ident["curvature"] = []
+        assert hpn == raw
+        code, out, _ = run(capsys, *argv, "--hpn")
+        tags = [line for line in out.splitlines() if line.startswith("[")]
+        assert code == 0 and len(tags) == len(hpn["identities"])
+        assert all(line.endswith("] (pure-kappa)") for line in tags)
+        assert "mathfrak{R}" not in out
+
     def test_emit_latex(self, capsys):
         code, out, _ = run(
             capsys, "bw", "--n", "2", "--k", "1", "--a", "0", "--b", "0", "--emit-latex"
@@ -328,7 +346,7 @@ class TestSweepVerb:
                 return map(fn, items)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
         code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0", "--jobs", "2")
         assert code == 0
         assert "0 mismatches" in out

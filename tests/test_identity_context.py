@@ -12,7 +12,6 @@ the table's N = +1 targets; the property checks them against
 test-only reference.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -211,7 +210,7 @@ def simplify_curvature(identity, rules):
     terms = identities._simplified_terms(
         identity.curvature_terms, rules, bundle.rho.lambda_ab_shape(), bundle.n
     )
-    return replace(identity, curvature_terms=terms)
+    return identity.replace(curvature_terms=terms)
 
 
 def oracle_simplify(identity, rules):

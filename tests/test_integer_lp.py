@@ -16,7 +16,6 @@ replaced, the L1-smallest multipliers over the whole optimal face, kept as a
 second reference: the certificates of the two must be equal.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -247,8 +246,7 @@ entries = st.one_of(
 def scaled(identity, factor):
     """factor times a pure-kappa identity."""
     factor = F(factor)
-    return replace(
-        identity,
+    return identity.replace(
         coeffs=tuple((t, c * factor) for t, c in identity.coeffs),
         kappa_coeff=identity.kappa_coeff * factor,
     )
@@ -294,13 +292,13 @@ def verify_outcome(check, cert, operator, identities):
 def _mutated(cert, which, index, delta):
     """The certificate with one multiplier, one residual or the bound moved by delta."""
     if which == "bound":
-        return replace(cert, bound=cert.bound + delta)
+        return cert.replace(bound=cert.bound + delta)
     if which == "negative":
         which, delta = "residuals", -1 - cert.residuals[index % len(cert.residuals)][1]
     items = list(getattr(cert, which))
     i = index % len(items)
     items[i] = (items[i][0], items[i][1] + delta)
-    return replace(cert, **{which: tuple(items)})
+    return cert.replace(**{which: tuple(items)})
 
 
 mutations = st.tuples(

@@ -1,0 +1,199 @@
+"""The value contract of every record class in the package.
+
+Each record compares and hashes by field value, only against its own class;
+is frozen (SuiteResult alone is mutable and unhashable); rebuilds through its
+constructor on ``replace``, so the label rules run again; survives pickle
+(``sweep --jobs`` sends results between processes) and copy; and prints as
+``Name(field=value, ...)``.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from qkbw.bounds import BoundCertificate, KernelAnalysis, NoCertificate, bound_for, twistor_kernel_analysis
+from qkbw.casimir import CasimirReport, DecompositionTable, GradientTarget, casimir_report, decompose_bundle
+from qkbw.identities import BWIdentity, CurvatureTerm, OperatorSpec, operator_coeffs, printed_identity
+from qkbw.selfcheck import SuiteResult
+from qkbw.weights import BundleLabel, NonDominantError, ParameterRangeError, SpnWeight
+
+ZERO = BundleLabel(0, SpnWeight((0, 0)))
+ZERO_REPR = "BundleLabel(k=0, rho=SpnWeight((0,0)))"
+
+# class -> (builder of a fresh instance, its field names, one field change)
+RECORDS = {
+    SpnWeight: (lambda: SpnWeight((2, 1, 0)), ("entries",), {"entries": (2, 2, 0)}),
+    BundleLabel: (lambda: BundleLabel(2, SpnWeight((2, 1, 0))), ("k", "rho"), {"k": 4}),
+    CasimirReport: (lambda: casimir_report(SpnWeight((1, 0)), q_max=1), ("rho", "values"), {"values": ()}),
+    GradientTarget: (
+        lambda: decompose_bundle(ZERO).targets[0],
+        ("N", "nu", "target_k", "target_rho", "valid", "w", "w_hat", "W", "reldim"),
+        {"valid": False},
+    ),
+    DecompositionTable: (lambda: decompose_bundle(ZERO), ("bundle", "dim", "rows"), {"dim": 2}),
+    CurvatureTerm: (
+        lambda: CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),
+        ("power", "hatted", "coefficient"),
+        {"hatted": True},
+    ),
+    BWIdentity: (
+        lambda: printed_identity(ZERO, "bw1"),
+        ("bundle", "coeffs", "kappa_coeff", "curvature_terms", "provenance"),
+        {"provenance": "bw2"},
+    ),
+    OperatorSpec: (
+        lambda: operator_coeffs("connection_laplacian", ZERO),
+        ("name", "bundle", "coeffs", "constant_kappa"),
+        {"constant_kappa": Fraction(1)},
+    ),
+    BoundCertificate: (
+        lambda: bound_for("hodge_laplacian", ZERO, "+"),
+        ("bundle", "operator", "kappa_sign", "multipliers", "residuals", "bound", "matched_closed_form"),
+        {"matched_closed_form": "laplace-bound-table"},
+    ),
+    NoCertificate: (
+        lambda: bound_for("hodge_laplacian", BundleLabel(2, SpnWeight((3, 1))), "+"),
+        ("bundle", "operator", "kappa_sign", "reason"),
+        {"kappa_sign": -1},
+    ),
+    KernelAnalysis: (
+        lambda: twistor_kernel_analysis(0, 2),
+        ("bundle", "kernel_set", "solved_ratios", "rank_deficit", "verdicts"),
+        {"rank_deficit": 1},
+    ),
+    SuiteResult: (lambda: SuiteResult("suite", 3, ["f"]), ("name", "cases", "failures"), {"cases": 4}),
+}
+FROZEN = [cls for cls in RECORDS if cls is not SuiteResult]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_equality_by_value_within_one_class(cls):
+    make, fields, change = RECORDS[cls]
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert list(vars(a)) == list(fields)
+    assert a == b and not a != b
+    assert a != a.replace(**change)
+    twin = type("Twin", (cls,), {})
+    other = object.__new__(twin)
+    vars(other).update(vars(a))
+    assert vars(other) == vars(a)
+    assert a != other and other != a
+    assert a != tuple(vars(a).values())
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_hash_by_value_and_refuse_assignment(cls):
+    make, fields, change = RECORDS[cls]
+    a = make()
+    assert hash(a) == hash(make()) == hash(tuple(getattr(a, f) for f in fields))
+    assert len({a, make(), a.replace(**change)}) == 2
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert a == make()
+
+
+def test_suite_result_is_mutable_and_unhashable():
+    result = SuiteResult("suite", 3, [])
+    assert SuiteResult.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(result)
+    result.failures.append("f")
+    result.cases = 4
+    assert result == SuiteResult("suite", 4, ["f"])
+    assert not result.ok
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_replace_builds_a_changed_copy(cls):
+    make, fields, change = RECORDS[cls]
+    a = make()
+    (name, value), = change.items()
+    b = a.replace(**change)
+    assert type(b) is cls and getattr(b, name) == value
+    assert all(getattr(b, f) == getattr(a, f) for f in fields if f != name)
+    assert a.replace() == a and a.replace() is not a
+    with pytest.raises(TypeError):
+        a.replace(no_such_field=1)
+
+
+def test_replace_runs_the_label_rules_again():
+    w = SpnWeight((2, 1))
+    with pytest.raises(TypeError):
+        w.replace(entries=(2.5, 1))
+    with pytest.raises(ParameterRangeError):
+        w.replace(entries=(2,))
+    assert w.replace(entries=(True, 0)).entries == (1, 0)
+    assert type(w.replace(entries=[3, 1]).entries) is tuple
+    label = BundleLabel(2, w)
+    with pytest.raises(ParameterRangeError):
+        label.replace(k=-1)
+    with pytest.raises(TypeError):
+        label.replace(k=Fraction(5, 2))
+    with pytest.raises(NonDominantError):
+        label.replace(rho=SpnWeight((1, 2)))
+    assert label.replace(k=True).k == 1 and type(label.replace(k=True).k) is int
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_pickle_and_copy_round_trips(cls):
+    a = RECORDS[cls][0]()
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert type(b) is cls and b == a and repr(b) == repr(a)
+    for b in (copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is cls and b == a and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: SpnWeight((2, 1, 0)), "SpnWeight((2,1,0))"),
+        (lambda: BundleLabel(2, SpnWeight((2, 1, 0))), "BundleLabel(k=2, rho=SpnWeight((2,1,0)))"),
+        (
+            lambda: CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),
+            "CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1, 1))",
+        ),
+        (
+            lambda: casimir_report(SpnWeight((1, 0)), q_max=1),
+            "CasimirReport(rho=SpnWeight((1,0)), values=((0, Fraction(4, 1), Fraction(4, 1)),"
+            " (1, Fraction(0, 1), Fraction(-10, 1))))",
+        ),
+        (
+            lambda: decompose_bundle(ZERO).targets[0],
+            "GradientTarget(N=1, nu=1, target_k=1, target_rho=SpnWeight((1,0)), valid=True,"
+            " w=Fraction(0, 1), w_hat=Fraction(-5, 2), W=Fraction(0, 1), reldim=Fraction(4, 1))",
+        ),
+        (
+            lambda: printed_identity(ZERO, "bw1"),
+            f"BWIdentity(bundle={ZERO_REPR}, coeffs=(((1, 1), Fraction(0, 1)),),"
+            " kappa_coeff=Fraction(0, 1), curvature_terms=(CurvatureTerm(power=1, hatted=False,"
+            " coefficient=Fraction(1, 1)),), provenance='bw1')",
+        ),
+        (
+            lambda: bound_for("hodge_laplacian", ZERO, "+"),
+            f"BoundCertificate(bundle={ZERO_REPR}, operator='hodge_laplacian', kappa_sign=1,"
+            " multipliers=(), residuals=(((1, 1), Fraction(1, 1)),), bound=Fraction(0, 1),"
+            " matched_closed_form=None)",
+        ),
+        (
+            lambda: bound_for("hodge_laplacian", BundleLabel(2, SpnWeight((3, 1))), "+"),
+            "NoCertificate(bundle=BundleLabel(k=2, rho=SpnWeight((3,1))), operator='hodge_laplacian',"
+            " kappa_sign=1, reason='no nonnegative rewriting of hodge_laplacian exists over this"
+            " identity span')",
+        ),
+        (lambda: SuiteResult("suite", 3, ["f"]), "SuiteResult(name='suite', cases=3, failures=['f'])"),
+    ],
+)
+def test_repr(make, text):
+    assert repr(make()) == text
+
+
+def test_no_certificate_bound_is_not_a_field():
+    result = RECORDS[NoCertificate][0]()
+    assert result.bound is None and "bound" not in vars(result)
