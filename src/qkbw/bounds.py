@@ -15,10 +15,11 @@ from the tight targets.  When those do not fix them, an L1-smallest
 tie-break picks them in three steps: none without identities, the
 L1-smallest solution of the tight rows alone when it keeps every residual
 nonnegative, and the L1-smallest point of the whole optimal face otherwise
-(see lp_max_bound).  The LP rows are ints over one common denominator, each
-residual is one Fraction, and BoundCertificate.verify checks the Fraction
-operator and identities by integer cross-multiplication.  When the span
-admits no rewriting at all, the result is a NoCertificate instead.
+(see lp_max_bound).  The LP reads the integer rows of the operator and the
+identities, brought to their one common denominator.  The certificate holds
+Fractions, and BoundCertificate.verify checks it against those integer rows
+by cross-multiplication.  When the span admits no rewriting at all, the
+result is a NoCertificate instead.
 """
 
 from __future__ import annotations
@@ -88,30 +89,39 @@ class BoundCertificate(Record):
         object.__setattr__(self, "matched_closed_form", matched_closed_form)
 
     def verify(self, operator: OperatorSpec, identities) -> None:
-        """Re-check the reconstruction identity and nonnegativity exactly.
-
-        Reads only the public Fraction operator, identities and certificate,
-        and cross-multiplies over P * Q, the multiplier and identity lcms."""
-        ids = dict(self.multipliers)
-        res = dict(self.residuals)
-        for key, value in res.items():
+        """Re-check the certificate exactly against the public operator and
+        identity rows: distinct multiplier ids, the residuals on the targets
+        of the operator and of those identities in order, and nonnegativity.
+        With the operator over D, the residuals over R, the multipliers over P
+        and the identities over Q, op - residual = sum of multiplier * identity
+        at each target, and the kappa side, hold by integer cross-multiplication."""
+        ids = [i for i, _ in self.multipliers]
+        if len(set(ids)) != len(ids):
+            raise InconsistencyError(f"a multiplier id repeats in {ids}")
+        by_id = dict(zip(_identity_ids(identities), identities))
+        if not by_id.keys() >= set(ids):
+            unknown = sorted(set(ids) - by_id.keys())
+            raise InconsistencyError(f"multipliers name unknown identities {unknown}")
+        used = [by_id[i] for i in ids]
+        keys = tuple(key for key, _ in self.residuals)
+        if any(row.targets != keys for row in (operator, *used)):
+            raise InconsistencyError("residual targets differ from the operator's or an identity's")
+        for key, value in self.residuals:
             if value < 0:
                 raise InconsistencyError(f"negative residual at {key}: {value}")
-        by_id = dict(zip(_identity_ids(identities), identities))
-        used = [by_id[i] for i in ids]
-        P = lcm(*(v.denominator for v in ids.values()))
-        Q = lcm(*(v.denominator for ident in used for v in ident.full_vector()))
-        lams = scaled(ids.values(), P)
-
-        def matches(value, column):  # value == sum of multiplier * column entry
-            combined = sum(map(mul, lams, scaled(column, Q)))
-            return value.numerator * P * Q == combined * value.denominator
-
-        maps = [ident.coeff_map() for ident in used]
-        for key, op_coeff in operator.coeffs:
-            if not matches(op_coeff - res.get(key, 0), [cm.get(key, 0) for cm in maps]):
+        lams, res = [v for _, v in self.multipliers], [v for _, v in self.residuals]
+        P, R = lcm(*(v.denominator for v in lams)), lcm(*(v.denominator for v in res))
+        D, Q = operator.denominator, lcm(*(ident.denominator for ident in used))
+        weights = [lam * (Q // ident.denominator) for lam, ident in zip(scaled(lams, P), used)]
+        combined = [0] * len(res)
+        for weight, ident in zip(weights, used):
+            combined = [c + weight * v for c, v in zip(combined, ident.values)]
+        for key, c, o, r in zip(keys, combined, operator.values, scaled(res, R)):
+            if c * D * R != (o * R - r * D) * P * Q:  # o / D - r / R == c / (P * Q)
                 raise InconsistencyError(f"reconstruction fails at {key}")
-        if not matches(self.bound - operator.constant_kappa, [i.kappa_coeff for i in used]):
+        value = self.bound - operator.constant_kappa
+        kappa = sum(map(mul, weights, (ident.kappa for ident in used)))
+        if kappa * value.denominator != value.numerator * P * Q:
             raise InconsistencyError("bound does not match multiplier combination")
 
     def to_json_dict(self):
@@ -175,13 +185,15 @@ def _identity_ids(identities):
 
 def _integer_problem(operator, identities, sign):
     """(A, op, kappa, M): the target-by-identity matrix, the operator and
-    sign * kappa of each identity, as ints over one common denominator M."""
-    maps = [ident.coeff_map() for ident in identities]
-    rows = [[cm.get(key, 0) for cm in maps] for key, _ in operator.coeffs]
-    op = [c for _, c in operator.coeffs]
-    kappas = [ident.kappa_coeff for ident in identities]
-    M = lcm(*(v.denominator for v in (*op, *kappas, *(v for row in rows for v in row))))
-    return [scaled(row, M) for row in rows], scaled(op, M), [sign * v for v in scaled(kappas, M)], M
+    sign * kappa of each identity, as ints over one common denominator M.
+    Every row is in lowest terms, so M, the lcm of the row denominators, is
+    the lcm of the denominators of all the entries."""
+    M = lcm(operator.denominator, *(ident.denominator for ident in identities))
+    scales = [M // ident.denominator for ident in identities]
+    columns = [[s * v for v in ident.values] for s, ident in zip(scales, identities)]
+    A = [[column[i] for column in columns] for i in range(len(operator.values))]
+    op = [M // operator.denominator * v for v in operator.values]
+    return A, op, [sign * s * ident.kappa for s, ident in zip(scales, identities)], M
 
 
 def _split_rows(rows, slack_rows, one):
@@ -249,7 +261,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     """
     sign = _normalize_sign(kappa_sign)
     for ident in identities:
-        if ident.bundle != operator.bundle:
+        if ident.bundle != operator.bundle or ident.targets != operator.targets:
             raise MixedBundleError("identities and operator must live on one bundle")
         if not ident.is_pure_kappa:
             raise ValueError(f"identity {ident.provenance} is not pure kappa")
@@ -296,7 +308,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         operator=operator.name,
         kappa_sign=sign,
         multipliers=tuple(zip(_identity_ids(identities), lambdas)),
-        residuals=tuple(zip((key for key, _ in operator.coeffs), residuals)),
+        residuals=tuple(zip(operator.targets, residuals)),
         bound=operator.constant_kappa + sign * gain,
     )
     cert.verify(operator, identities)
@@ -520,13 +532,11 @@ def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
     for key in kernel:
         if key not in valid_keys:
             raise ValueError(f"kernel target {key} is not a valid gradient target")
-    unknown = [key for key in valid_keys if key not in kernel]
+    unknown = [i for i, key in enumerate(valid_keys) if key not in kernel]
     identities = pure_kappa_identities(bundle, table=table)
-    matrix = [
-        [ident.coeff_map().get(key, Fraction(0)) for key in unknown]
-        for ident in identities
-    ]
-    rhs = [ident.kappa_coeff for ident in identities]
+    # each identity times its denominator: values . ratios = kappa
+    matrix = [[ident.values[i] for i in unknown] for ident in identities]
+    rhs = [ident.kappa for ident in identities]
     try:
         solution, rank = solve_linear_system(matrix, rhs)
     except ArithmeticError as exc:
@@ -535,7 +545,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
         deficit = len(unknown) - rank
         verdicts = ((1, "undetermined", None), (-1, "undetermined", None))
         return KernelAnalysis(bundle, kernel, (), deficit, verdicts)
-    ratios = tuple(zip(unknown, solution))
+    ratios = tuple(zip((valid_keys[i] for i in unknown), solution))
     verdicts = []
     for s in (1, -1):
         witness = next((key for key, v in ratios if s * v < 0), None)

@@ -409,10 +409,6 @@ class DecompositionTable(Record):
         )
 
     @property
-    def valid_targets(self) -> tuple:
-        return tuple(t for t in self.targets if t.valid)
-
-    @property
     def summand_count(self) -> int:
         return len(self.valid_rows)
 

@@ -14,7 +14,9 @@ eliminates or rewrites them.  An identity with no curvature terms left is
 Each call builds one private context for its bundle: the shape, the valid
 targets with integer conformal weights w and W, and the moments c_q or c_hat_q
 once a row reads them, all off its integer decomposition table.  Every
-identity evaluates on those integers over one denominator.
+identity evaluates on those integers into one integer row over one positive
+denominator in lowest terms, as an OperatorSpec holds one; the Fraction views
+coeffs, coeff_map() and kappa_coeff are built on each read.
 
 The printed identities, the base row "sum" and bw1..bw6, are one table: per
 id, the curvature terms before any rule, the builder, and where the identity
@@ -30,7 +32,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .casimir import (
     DecompositionTable,
@@ -109,20 +111,42 @@ def _merge_terms(terms):
     return tuple(merged)
 
 
-class BWIdentity(Record):
-    """One exact identity over the valid gradient targets of a bundle."""
+def _lowest_terms(row, denominator):
+    """The ints row / denominator in lowest terms; gcd rejects non-integers."""
+    if denominator <= 0:
+        raise ValueError(f"denominator must be positive, got {denominator}")
+    g = gcd(*row, denominator)
+    return (tuple(v // g for v in row) if g > 1 else tuple(row)), denominator // g
 
-    def __init__(
-        self,
-        bundle: BundleLabel,
-        coeffs: tuple,  # of ((N, nu), Fraction), canonical target order, valid targets only
-        kappa_coeff: Fraction,
-        curvature_terms: tuple,
-        provenance: str,
-    ):
+
+class _Row:
+    """The Fraction views of an integer row values / denominator over targets."""
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self) -> tuple:
+        """((N, nu), Fraction) per target, built on each read."""
+        den = self.denominator
+        return tuple(zip(self.targets, (Fraction(v, den) for v in self.values)))
+
+    def coeff_map(self) -> dict:
+        return dict(self.coeffs)
+
+
+class BWIdentity(_Row, Record):
+    """One exact identity over the valid gradient targets (N, nu) of a bundle in
+    canonical order, sum values[i] B_{targets[i]} = kappa * (scalar curvature)
+    + curvature terms, with the ints values and kappa over one denominator in
+    lowest terms."""
+
+    def __init__(self, bundle, targets, values, kappa, denominator, curvature_terms, provenance):
+        row, denominator = _lowest_terms((*values, kappa), denominator)
         object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "kappa_coeff", kappa_coeff)
+        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "values", row[:-1])
+        object.__setattr__(self, "kappa", row[-1])
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "curvature_terms", curvature_terms)
         object.__setattr__(self, "provenance", provenance)
 
@@ -130,34 +154,36 @@ class BWIdentity(Record):
     def is_pure_kappa(self) -> bool:
         return not self.curvature_terms
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
+    @property
+    def kappa_coeff(self) -> Fraction:
+        return Fraction(self.kappa, self.denominator)
 
-    def coeff_vector(self):
-        return [c for _, c in self.coeffs]
+    def integer_row(self, curvature_keys=()):
+        """full_vector times the denominator."""
+        terms = {t.key: t.coefficient for t in self.curvature_terms}
+        den = self.denominator
+        return [*self.values, self.kappa] + [den * terms.get(key, 0) for key in curvature_keys]
 
     def full_vector(self, curvature_keys=()):
         """B-coefficients, then kappa, then the given curvature columns."""
-        terms = {t.key: t.coefficient for t in self.curvature_terms}
-        return self.coeff_vector() + [self.kappa_coeff] + [
-            terms.get(key, Fraction(0)) for key in curvature_keys
-        ]
+        return [Fraction(v, self.denominator) for v in self.integer_row(curvature_keys)]
 
     def combine(self, factor, other: "BWIdentity", other_factor) -> "BWIdentity":
         """factor * self + other_factor * other, curvature terms included."""
         if other.bundle != self.bundle:
             raise MixedBundleError("identities must share one bundle")
-        theirs = other.coeff_map()
+        mine, theirs = Fraction(factor, self.denominator), Fraction(other_factor, other.denominator)
+        den = lcm(mine.denominator, theirs.denominator)
+        f, g = scaled((mine, theirs), den)
+        values = [f * a + g * b for a, b in zip(self.values, other.values)]
         return BWIdentity(
-            bundle=self.bundle,
-            coeffs=tuple((t, factor * c + other_factor * theirs[t]) for t, c in self.coeffs),
-            kappa_coeff=factor * self.kappa_coeff + other_factor * other.kappa_coeff,
-            curvature_terms=_merge_terms(
-                t.replace(coefficient=f * t.coefficient)
-                for f, ident in ((factor, self), (other_factor, other))
+            self.bundle, self.targets, values, f * self.kappa + g * other.kappa, den,
+            _merge_terms(
+                t.replace(coefficient=c * t.coefficient)
+                for c, ident in ((factor, self), (other_factor, other))
                 for t in ident.curvature_terms
             ),
-            provenance=f"{factor}*{self.provenance}+{other_factor}*{other.provenance}",
+            f"{factor}*{self.provenance}+{other_factor}*{other.provenance}",
         )
 
     def proportionality(self, other: "BWIdentity"):
@@ -166,7 +192,7 @@ class BWIdentity(Record):
         Compares B-coefficients and the kappa coefficient; curvature columns
         must match after scaling as well.
         """
-        if [t for t, _ in self.coeffs] != [t for t, _ in other.coeffs]:
+        if self.targets != other.targets:
             return None
         keys = _curvature_keys([self, other])
         mine, theirs = self.full_vector(keys), other.full_vector(keys)
@@ -214,18 +240,12 @@ class _Context:
         return self.table.c_hat_moments(self.q_max)
 
     def identity(self, provenance, values, kappa, terms=(), denominator=1) -> BWIdentity:
-        """The identity with one Fraction, value / denominator, per valid target."""
-        if denominator == 1:
-            coeffs = map(Fraction, values)
-        else:
-            coeffs = (Fraction(v, denominator) for v in values)
-        return BWIdentity(
-            bundle=self.bundle,
-            coeffs=tuple(zip(self.keys, coeffs)),
-            kappa_coeff=Fraction(kappa),
-            curvature_terms=terms,
-            provenance=provenance,
-        )
+        """sum values / denominator * B = kappa * (scalar curvature), kappa an int
+        or a Fraction, as one integer row over the valid targets."""
+        s = kappa.denominator // gcd(kappa.denominator, denominator)
+        values = values if s == 1 else [v * s for v in values]
+        kappa = kappa.numerator * (denominator * s // kappa.denominator)
+        return BWIdentity(self.bundle, self.keys, values, kappa, denominator * s, terms, provenance)
 
 
 def identity_bochner1(bundle: BundleLabel, q: int) -> BWIdentity:
@@ -492,8 +512,8 @@ def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
         if terms:
             continue
         ident = build(ctx, ())
-        if all(c == 0 for _, c in ident.coeffs):
-            if ident.kappa_coeff != 0:
+        if not any(ident.values):
+            if ident.kappa:
                 raise InconsistencyError(
                     f"identity {ident.provenance} reduced to 0 = kappa-multiple"
                 )
@@ -502,62 +522,45 @@ def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     return out
 
 
-class OperatorSpec(Record):
-    """Second-order operator as an exact combination of gradient squares.
+class OperatorSpec(_Row, Record):
+    """Second-order operator as an exact combination of gradient squares,
+    the int values[i] / denominator times B_{targets[i]}, in lowest terms.
 
     constant_kappa is an additive kappa-multiple on the operator side; the
     four built-ins are complete B-expansions, so it is zero for them.
     """
 
-    def __init__(
-        self,
-        name: str,
-        bundle: BundleLabel,
-        coeffs: tuple,  # of ((N, nu), Fraction)
-        constant_kappa: Fraction,
-    ):
+    def __init__(self, name, bundle, targets, values, denominator, constant_kappa: Fraction):
+        values, denominator = _lowest_terms(values, denominator)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "constant_kappa", constant_kappa)
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
 
-
-OPERATOR_NAMES = (
-    "connection_laplacian",
-    "hodge_laplacian",
-    "dirac_squared",
-    "R1_endomorphism",
-)
+# 2n times the coefficient of each built-in operator on B at a target with
+# conformal weights w and W.
+_OPERATORS = {
+    "connection_laplacian": lambda n, w, W: 2 * n,  # 1
+    "hodge_laplacian": lambda n, w, W: 2 * n + n * w + W,  # 1 + w/2 + W/(2n)
+    "dirac_squared": lambda n, w, W: 2 * (n + n * w + W),  # 1 + w + W/n
+    "R1_endomorphism": lambda n, w, W: 2 * (n * w + W),  # w + W/n
+}
+OPERATOR_NAMES = tuple(_OPERATORS)
 
 
 def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
-    """Coefficient vector of a named operator over the valid targets.
-
-    connection_laplacian: 1
-    hodge_laplacian:      1 + w/2 + W/(2n)
-    dirac_squared:        1 + w + W/n
-    R1_endomorphism:      w + W/n
-    """
-    n = bundle.n
-    table = table or decompose_bundle(bundle)
-    formulas = {
-        "connection_laplacian": lambda w, W: Fraction(1),
-        "hodge_laplacian": lambda w, W: Fraction(2 * n + n * w + W, 2 * n),
-        "dirac_squared": lambda w, W: Fraction(n + n * w + W, n),
-        "R1_endomorphism": lambda w, W: Fraction(n * w + W, n),
-    }
-    if name not in formulas:
+    """Coefficient vector of a named operator over the valid targets: one
+    integer row over 2n, in lowest terms over 1, n or 2n."""
+    if name not in _OPERATORS:
         raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
-    coeff = formulas[name]
-    return OperatorSpec(
-        name=name,
-        bundle=bundle,
-        coeffs=tuple(((N, nu), coeff(w, W)) for N, nu, w, W in table.valid_rows),
-        constant_kappa=Fraction(0),
-    )
+    n, value = bundle.n, _OPERATORS[name]
+    rows = (table or decompose_bundle(bundle)).valid_rows
+    targets = tuple((N, nu) for N, nu, _, _ in rows)
+    values = [value(n, w, W) for _, _, w, W in rows]
+    return OperatorSpec(name, bundle, targets, values, 2 * n, Fraction(0))
 
 
 def independence_rank(identities) -> int:
@@ -570,15 +573,14 @@ def independence_rank(identities) -> int:
         if ident.bundle != first:
             raise MixedBundleError("identities must share one bundle")
     keys = _curvature_keys(identities)
-    rows = [ident.full_vector(keys) for ident in identities]
-    return exact_rank(rows)
+    return exact_rank([ident.integer_row(keys) for ident in identities])
 
 
 def identities_to_json_dict(identities):
     if not identities:
         return {"targets": [], "identities": []}
     first = identities[0]
-    targets = [f"{N:+d},{nu:+d}" for (N, nu), _ in first.coeffs]
+    targets = [f"{N:+d},{nu:+d}" for N, nu in first.targets]
     out = {
         "n": first.bundle.n,
         "k": first.bundle.k,
@@ -612,7 +614,7 @@ def identities_to_csv(identities) -> str:
     keys = _curvature_keys(identities)
     header = (
         ["provenance"]
-        + [f"B({N:+d},{nu:+d})" for (N, nu), _ in identities[0].coeffs]
+        + [f"B({N:+d},{nu:+d})" for N, nu in identities[0].targets]
         + ["kappa"]
         + [("Rhat^" if h else "R^") + str(p) for (h, p) in keys]
     )

@@ -211,11 +211,7 @@ def suite_rank(n_max: int = 4, k_max: int = 4, total_max: int = 4) -> SuiteResul
 
 
 def _nonzero(ident) -> bool:
-    return (
-        any(c != 0 for _, c in ident.coeffs)
-        or ident.kappa_coeff != 0
-        or bool(ident.curvature_terms)
-    )
+    return any(ident.values) or bool(ident.kappa or ident.curvature_terms)
 
 
 def suite_printed_forms(n_max: int = 5) -> SuiteResult:
@@ -307,11 +303,7 @@ def suite_printed_forms(n_max: int = 5) -> SuiteResult:
                 # Even family q=1 is -2n times the first-moment identity.
                 bw1 = printed_identity(bundle, "bw1")
                 raw1 = identity_bochner1(bundle, 1)
-                coeff_ok = all(
-                    raw_c == -2 * n * bw1_c
-                    for (_, raw_c), (_, bw1_c) in zip(raw1.coeffs, bw1.coeffs)
-                )
-                if not coeff_ok or raw1.kappa_coeff != -2 * n * bw1.kappa_coeff:
+                if raw1.full_vector() != [-2 * n * v for v in bw1.full_vector()]:
                     failures.append(f"even-family q=1 factor != -2n at a={a} b={b} n={n}")
                 # Scalar-only identity vs the curvature elimination.
                 bw2_reduced = apply_rule(printed_identity(bundle, "bw2"), Rule.CUBIC_REDUCTION)

@@ -15,7 +15,13 @@ from qkbw.bounds import (
     twistor_kernel_analysis,
 )
 from qkbw.casimir import lambda_ab_bundle
-from qkbw.identities import MixedBundleError, operator_coeffs, pure_kappa_identities
+from qkbw.identities import (
+    InconsistencyError,
+    MixedBundleError,
+    operator_coeffs,
+    pure_kappa_identities,
+)
+from qkbw.weights import BundleLabel, SpnWeight
 
 F = Fraction
 
@@ -172,6 +178,38 @@ class TestLP:
                     sub = lp_max_bound(operator, list(subset), sign).bound
                     if sub is not None:  # a subset may leave no feasible rewriting
                         assert direction * sub <= direction * full
+
+
+class TestVerifyRejectsMalformedCertificates:
+    """n = 3, k = 2, rho = (2,1,0), Hodge, kappa > 0: a valid certificate
+    with one field changed so that the values still add up."""
+
+    bundle = BundleLabel(2, SpnWeight((2, 1, 0)))
+
+    def _verify(self, field, change):
+        operator = operator_coeffs("hodge_laplacian", self.bundle)
+        identities = pure_kappa_identities(self.bundle)
+        cert = lp_max_bound(operator, identities, "+")
+        cert.verify(operator, identities)
+        assert cert.multipliers[0] == ("bw3", F(49, 60))
+        cert.replace(**{field: change(getattr(cert, field))}).verify(operator, identities)
+
+    def test_extra_residual(self):
+        with pytest.raises(InconsistencyError, match="residual targets differ"):
+            self._verify("residuals", lambda residuals: residuals + (((1, 99), F(5)),))
+
+    def test_missing_or_reordered_residuals(self):
+        for change in (lambda residuals: residuals[1:], lambda residuals: residuals[::-1]):
+            with pytest.raises(InconsistencyError, match="residual targets differ"):
+                self._verify("residuals", change)
+
+    def test_repeated_multiplier_id(self):
+        with pytest.raises(InconsistencyError, match="multiplier id repeats"):
+            self._verify("multipliers", lambda multipliers: multipliers + multipliers[:1])
+
+    def test_unknown_multiplier_id(self):
+        with pytest.raises(InconsistencyError, match=r"unknown identities \['bw9'\]"):
+            self._verify("multipliers", lambda multipliers: multipliers + (("bw9", F(0)),))
 
 
 def _assert_rewriting(bundle, operator_name, residuals, bound):

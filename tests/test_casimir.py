@@ -207,14 +207,14 @@ class TestDecomposeBundle:
         table = decompose_bundle(bundle)
         assert len(table.targets) == 12
         assert table.summand_count == 6
-        assert {(t.N, t.nu) for t in table.valid_targets} == {
+        assert {(t.N, t.nu) for t in table.targets if t.valid} == {
             (N, nu) for N in (1, -1) for nu in (1, 3, -2)
         }
 
     def test_k0_kills_lower(self):
         bundle = BundleLabel(0, w(1, 0))
         table = decompose_bundle(bundle)
-        assert all(t.N == 1 for t in table.valid_targets)
+        assert all(t.N == 1 for t in table.targets if t.valid)
         assert table.summand_count == 3
 
     def test_ten_gradients(self):

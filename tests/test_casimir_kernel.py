@@ -206,7 +206,7 @@ def test_decompose_bundle_matches_oracle(rho, k):
 @given(dominant_weights, st.integers(0, 4), st.integers(0, DEFAULT_Q_CAP))
 def test_integer_table_matches_its_views(rho, k, q):
     table = decompose_bundle(BundleLabel(k, rho))
-    views = table.valid_targets
+    views = [t for t in table.targets if t.valid]
     assert all(t.w.denominator == 1 and t.W.denominator == 1 for t in views)
     assert table.valid_rows == [(t.N, t.nu, t.w.numerator, t.W.numerator) for t in views]
     assert all(type(v) is int for row in table.valid_rows for v in row)

@@ -381,7 +381,7 @@ class TestRankExtensionExperiment:
 class TestConformalExponents:
     def test_pair_sums_to_minus_one(self):
         bundle = lambda_ab_bundle(2, 2, 1, 3)
-        for t in decompose_bundle(bundle).valid_targets:
+        for t in [t for t in decompose_bundle(bundle).targets if t.valid]:
             left, right = conformal_exponents(bundle, t)
             assert left + right == -1
 

@@ -9,10 +9,15 @@ built identities.  c_2 and c_4 are ``Fraction`` sums of w^q * reldim over
 the table's N = +1 targets; the property checks them against
 ``casimir_eigenvalue`` and the closed forms.  The families take c_hat from
 ``casimir_hat`` and evaluate on ``w_hat``.  They are kept here as a
-test-only reference.
+test-only reference, and they build ``Reference`` tuples of Fractions, not
+``BWIdentity`` records, so that no integer row of the package is involved.
+Each ``BWIdentity`` must be an integer row in lowest terms whose Fraction
+views equal the reference.
 """
 
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -45,9 +50,28 @@ from qkbw.identities import (
     pure_kappa_identities,
     theorem_family,
 )
+from qkbw.selfcheck import dominant_weights
 from qkbw.weights import BundleLabel, SpnWeight, lambda_ab_weight
 
 F = Fraction
+
+
+class Reference(NamedTuple):
+    """An identity as the Fraction data that the oracles build."""
+
+    bundle: BundleLabel
+    coeffs: tuple  # of ((N, nu), Fraction)
+    kappa_coeff: Fraction
+    curvature_terms: tuple
+    provenance: str
+
+    @property
+    def is_pure_kappa(self):
+        return not self.curvature_terms
+
+
+def valid_targets(table):
+    return [t for t in table.targets if t.valid]
 
 
 def oracle_merge(terms):
@@ -60,22 +84,26 @@ def oracle_merge(terms):
 
 
 def oracle_build(bundle, table, coeff_of, kappa, terms, provenance):
-    return BWIdentity(
-        bundle=bundle,
-        coeffs=tuple(((t.N, t.nu), F(coeff_of(t))) for t in table.valid_targets),
-        kappa_coeff=F(kappa),
-        curvature_terms=oracle_merge(terms),
-        provenance=provenance,
+    return Reference(
+        bundle,
+        tuple(((t.N, t.nu), F(coeff_of(t))) for t in valid_targets(table)),
+        F(kappa),
+        oracle_merge(terms),
+        provenance,
     )
 
 
 def oracle_moment(table, q):
     """c_q as the Fraction sum of w^q * reldim over the N = +1 valid targets."""
-    return sum((t.w**q * t.reldim for t in table.valid_targets if t.N == 1), F(0))
+    return sum((t.w**q * t.reldim for t in valid_targets(table) if t.N == 1), F(0))
 
 
 R1 = (CurvatureTerm(power=1, hatted=False, coefficient=F(1)),)
 R3 = (CurvatureTerm(power=3, hatted=False, coefficient=F(1)),)
+
+
+def oracle_sum(bundle, table):
+    return oracle_build(bundle, table, lambda t: 1, 0, (), "sum")
 
 
 def oracle_bw1(bundle, table):
@@ -199,7 +227,7 @@ def oracle_apply(identity, rule):
         )
     else:
         new_terms = oracle_merge(t for t in terms if not (not t.hatted and t.power == 1))
-    return BWIdentity(
+    return Reference(
         identity.bundle, identity.coeffs, identity.kappa_coeff, new_terms, identity.provenance
     )
 
@@ -254,22 +282,30 @@ def _outcome(call, *args):
         return (type(exc), str(exc))
 
 
+def assert_lowest_terms(*row, denominator):
+    """An integer row over a positive denominator that no common factor divides."""
+    assert all(type(v) is int for v in (*row, denominator))
+    assert denominator > 0 and gcd(*row, denominator) == 1
+
+
 def _assert_same_identity(got, want):
-    """Field by field, every coefficient a Fraction."""
+    """An integer row in lowest terms whose views equal want field by field,
+    every coefficient a Fraction."""
     assert type(got) is BWIdentity
+    assert_lowest_terms(*got.values, got.kappa, denominator=got.denominator)
     assert got.bundle == want.bundle
     assert got.provenance == want.provenance
-    assert [key for key, _ in got.coeffs] == [key for key, _ in want.coeffs]
+    assert list(got.targets) == [key for key, _ in want.coeffs]
     for (key, mine), (_, theirs) in zip(got.coeffs, want.coeffs):
         assert type(mine) is F and mine == theirs, (got.provenance, key)
+    assert got.coeff_map() == dict(want.coeffs)
     assert type(got.kappa_coeff) is F and got.kappa_coeff == want.kappa_coeff
     assert got.curvature_terms == want.curvature_terms
     assert all(type(t.coefficient) is F for t in got.curvature_terms)
-    assert got == want
 
 
 def _assert_same_outcome(got, want):
-    if isinstance(want, tuple):
+    if type(want) is tuple:  # (error class, message)
         assert got == want
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want)
@@ -334,17 +370,18 @@ def test_identities_match_oracle(rho, k, hpn):
             _assert_same_outcome(_outcome(public, bundle, q), want)
     _assert_same_outcome(theorem_family(bundle), oracle_theorem_family(bundle, table))
     rules = HPN_RULES if hpn else STANDARD_RULES
-    for raw in (oracle_bw1(bundle, table), oracle_bw2(bundle, table)):
-        _assert_same_identity(simplify_curvature(raw, rules), oracle_simplify(raw, rules))
+    for id, oracle in (("bw1", oracle_bw1), ("bw2", oracle_bw2)):
+        raw, want_raw = printed_identity(bundle, id), oracle(bundle, table)
+        _assert_same_identity(simplify_curvature(raw, rules), oracle_simplify(want_raw, rules))
         for rule in Rule:
             want = (
-                oracle_apply(raw, rule)
+                oracle_apply(want_raw, rule)
                 if oracle_applicable(rule, bundle)
                 else (RuleShapeError, None)
             )
             got = _outcome(apply_rule, raw, rule)
-            if isinstance(want, tuple):
-                assert isinstance(got, tuple) and got[0] is RuleShapeError
+            if type(want) is tuple:
+                assert type(got) is tuple and got[0] is RuleShapeError
             else:
                 _assert_same_identity(got, want)
 
@@ -419,3 +456,38 @@ def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch):
     calls.clear()
     theorem_family(bundle)  # the families read c_hat_q only
     assert calls == [2 * bundle.n + 1]
+
+
+SMALL_WEIGHTS = [rho for n in range(2, 6) for rho in dominant_weights(n, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_WEIGHTS), st.integers(0, 4), st.booleans())
+def test_integer_rows_are_in_lowest_terms_and_match_the_reference(rho, k, hpn):
+    """sum, bw1..bw6 and both families over every dominant rho of entry sum
+    <= 4: each row has a positive denominator, shares no factor with it, and
+    its Fraction views equal the reference, with and without the hpn rules."""
+    bundle = BundleLabel(k, rho)
+    table = decompose_bundle(bundle)
+    oracles = {
+        "sum": oracle_sum,
+        "bw1": oracle_bw1,
+        "bw2": oracle_bw2,
+        "bw3": oracle_bw3,
+        "bw4": oracle_bw4,
+        "bw5": oracle_bw5,
+    }
+    shape = rho.lambda_ab_shape()
+    if shape is not None:
+        oracles["bw6"] = lambda bundle, table: oracle_bw6(*shape, k, rho.n, table)
+    raw = {id: oracle(bundle, table) for id, oracle in oracles.items() if oracle_exists(bundle, id)}
+    for id, want in raw.items():
+        _assert_same_identity(printed_identity(bundle, id), want)
+    rules = HPN_RULES if hpn else STANDARD_RULES
+    want_printed = [oracle_simplify(want, rules) for want in raw.values()]
+    _assert_same_outcome(printed_identities(bundle, hpn), want_printed)
+    _assert_same_outcome(pure_kappa_identities(bundle, hpn), oracle_pure_kappa(bundle, hpn, table))
+    for q in range(1, 4):
+        _assert_same_identity(identity_bochner1(bundle, q), oracle_bochner1(bundle, q, table))
+    for q in range(4 if k else 0):
+        _assert_same_identity(identity_bochner2(bundle, q), oracle_bochner2(bundle, q, table))

@@ -17,6 +17,8 @@ second reference: the certificates of the two must be equal.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from qkbw.identities import (
     operator_coeffs,
     pure_kappa_identities,
 )
+from qkbw.selfcheck import dominant_weights as weights_up_to
 from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from qkbw.weights import BundleLabel, SpnWeight
 
@@ -46,6 +49,7 @@ F = Fraction
 
 
 def oracle_operator(name, bundle):
+    """The operator as Fraction data, built apart from OperatorSpec."""
     n = bundle.n
     formulas = {
         "connection_laplacian": lambda t: F(1),
@@ -53,9 +57,16 @@ def oracle_operator(name, bundle):
         "dirac_squared": lambda t: 1 + t.w + t.W / n,
         "R1_endomorphism": lambda t: t.w + t.W / n,
     }
-    targets = decompose_bundle(bundle).valid_targets
+    targets = [t for t in decompose_bundle(bundle).targets if t.valid]
     coeffs = tuple(((t.N, t.nu), formulas[name](t)) for t in targets)
-    return OperatorSpec(name, bundle, coeffs, F(0))
+    return SimpleNamespace(name=name, bundle=bundle, coeffs=coeffs, constant_kappa=F(0))
+
+
+def over_lcm(values):
+    """(ints, den): the rationals as ints over the lcm of their denominators."""
+    values = [F(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def oracle_verify(cert, operator, identities):
@@ -213,7 +224,7 @@ def test_real_bundles_match_fraction_oracle(rho, k, name, sign, hpn):
     bundle = BundleLabel(k, rho)
     operator = operator_coeffs(name, bundle)
     want_operator = oracle_operator(name, bundle)
-    assert operator == want_operator
+    assert operator.coeffs == want_operator.coeffs
     assert all(type(c) is F for _, c in operator.coeffs)
     identities = pure_kappa_identities(bundle, hpn=hpn)
     assert_same_bound(operator, identities, sign, want_operator)
@@ -234,6 +245,23 @@ def test_real_bundles_keep_full_face_certificates(rho, k, name, sign, hpn):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([rho for n in range(2, 6) for rho in weights_up_to(n, 4)]),
+    st.integers(0, 4),
+)
+def test_operator_rows_are_in_lowest_terms_and_match_the_reference(rho, k):
+    """Each built-in operator over every dominant rho of entry sum <= 4 is one
+    integer row over a positive denominator that shares no factor with it."""
+    bundle = BundleLabel(k, rho)
+    for name in OPERATOR_NAMES:
+        operator, want = operator_coeffs(name, bundle), oracle_operator(name, bundle)
+        assert all(type(v) is int for v in (*operator.values, operator.denominator))
+        assert operator.denominator > 0 and gcd(*operator.values, operator.denominator) == 1
+        assert operator.coeffs == want.coeffs and operator.coeff_map() == dict(want.coeffs)
+        assert operator.constant_kappa == want.constant_kappa
+
+
 # Synthetic LPs over 2..6 targets: entries over denominators up to 50, zeros
 # common, and copies (exact or scaled) of drawn identities, so that the
 # identity set is often dependent and the face LP runs.
@@ -247,8 +275,9 @@ def scaled(identity, factor):
     """factor times a pure-kappa identity."""
     factor = F(factor)
     return identity.replace(
-        coeffs=tuple((t, c * factor) for t, c in identity.coeffs),
-        kappa_coeff=identity.kappa_coeff * factor,
+        values=[v * factor.numerator for v in identity.values],
+        kappa=identity.kappa * factor.numerator,
+        denominator=identity.denominator * factor.denominator,
     )
 
 
@@ -256,12 +285,13 @@ def scaled(identity, factor):
 def synthetic_problems(draw):
     t = draw(st.integers(2, 6))
     keys = [(1 if i % 2 == 0 else -1, i // 2 + 1) for i in range(t)]
-    op = [draw(entries) for _ in range(t)]
-    operator = OperatorSpec("synthetic", BUNDLE, tuple(zip(keys, op)), draw(entries))
+    op, den = over_lcm(draw(entries) for _ in range(t))
+    operator = OperatorSpec("synthetic", BUNDLE, keys, op, den, draw(entries))
     identities = []
     for j in range(draw(st.integers(1, 5))):
-        coeffs = tuple((key, draw(entries)) for key in keys)
-        identities.append(BWIdentity(BUNDLE, coeffs, draw(entries), (), f"i{j}"))
+        coeffs = [draw(entries) for _ in keys]
+        (*values, kappa), den = over_lcm([*coeffs, draw(entries)])
+        identities.append(BWIdentity(BUNDLE, keys, values, kappa, den, (), f"i{j}"))
     for _ in range(draw(st.integers(0, 2))):
         source = draw(st.sampled_from(identities))
         identities.append(scaled(source, draw(st.sampled_from((1, 1, 2, F(-1, 3))))))

@@ -124,11 +124,11 @@ KEYS = ((1, 1), (-1, 1))
 
 
 def _operator(*op):
-    return OperatorSpec("test_operator", BUNDLE, tuple(zip(KEYS, map(F, op))), F(0))
+    return OperatorSpec("test_operator", BUNDLE, KEYS, op, 1, F(0))
 
 
 def _identity(name, kappa, *coeffs):
-    return BWIdentity(BUNDLE, tuple(zip(KEYS, map(F, coeffs))), F(kappa), (), name)
+    return BWIdentity(BUNDLE, KEYS, coeffs, kappa, 1, (), name)
 
 
 # 0 * lambda <= -1 has no solution, while the dual  y2 = 1  leaves y1 free

@@ -40,12 +40,12 @@ RECORDS = {
     ),
     BWIdentity: (
         lambda: printed_identity(ZERO, "bw1"),
-        ("bundle", "coeffs", "kappa_coeff", "curvature_terms", "provenance"),
+        ("bundle", "targets", "values", "kappa", "denominator", "curvature_terms", "provenance"),
         {"provenance": "bw2"},
     ),
     OperatorSpec: (
         lambda: operator_coeffs("connection_laplacian", ZERO),
-        ("name", "bundle", "coeffs", "constant_kappa"),
+        ("name", "bundle", "targets", "values", "denominator", "constant_kappa"),
         {"constant_kappa": Fraction(1)},
     ),
     BoundCertificate: (
@@ -171,9 +171,14 @@ def test_pickle_and_copy_round_trips(cls):
         ),
         (
             lambda: printed_identity(ZERO, "bw1"),
-            f"BWIdentity(bundle={ZERO_REPR}, coeffs=(((1, 1), Fraction(0, 1)),),"
-            " kappa_coeff=Fraction(0, 1), curvature_terms=(CurvatureTerm(power=1, hatted=False,"
+            f"BWIdentity(bundle={ZERO_REPR}, targets=((1, 1),), values=(0,), kappa=0,"
+            " denominator=1, curvature_terms=(CurvatureTerm(power=1, hatted=False,"
             " coefficient=Fraction(1, 1)),), provenance='bw1')",
+        ),
+        (
+            lambda: operator_coeffs("hodge_laplacian", ZERO),
+            f"OperatorSpec(name='hodge_laplacian', bundle={ZERO_REPR}, targets=((1, 1),),"
+            " values=(1,), denominator=1, constant_kappa=Fraction(0, 1))",
         ),
         (
             lambda: bound_for("hodge_laplacian", ZERO, "+"),
