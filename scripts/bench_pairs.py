@@ -4,8 +4,8 @@
         --workload lp-general --seed 5 --pairs 10 --label integer_rows \\
         --claim "cases_per_s rises" --parent-commit 2f2d086 --traced
 
-Each side runs perfbench/run.py in a fresh process from its own checkout, with
---seconds (8 by default) and --trace 0.  Pair i runs the parent first when i is
+Each side runs the recorded command, perfbench/run.py with --seconds 8 and
+--trace 0, in a fresh process from its own checkout.  Pair i runs the parent first when i is
 even and the change first when i is odd.  With --traced, one --trace 1 run per
 side follows the pairs.  Every entry under "runs" and "traced" is the last line
 of run.py's standard output, parsed and otherwise unmodified.
@@ -29,20 +29,19 @@ from pathlib import Path
 
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
+SECONDS = 8
 
 
-def run_command(workload, seed, seconds, trace):
+def run_command(workload, seed, trace):
     return [
         "python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(SECONDS), "--trace", str(trace),
     ]
 
 
 def run_side(checkout, command):
     """The parsed last line of one run.py process started in checkout."""
-    out = subprocess.run(
-        [sys.executable, *command[1:]], cwd=checkout, capture_output=True, text=True, check=True
-    ).stdout
+    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -102,7 +101,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--label", required=True)
     parser.add_argument("--claim", required=True)
     parser.add_argument("--parent-commit", required=True)
@@ -112,9 +110,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
-    seconds = f"{args.seconds:g}"
     checkouts = {"parent": args.parent, "change": args.change}
-    command = run_command(args.workload, args.seed, seconds, 0)
+    command = run_command(args.workload, args.seed, 0)
 
     def run(side, command):
         result = run_side(checkouts[side], command)
@@ -129,7 +126,7 @@ def main(argv=None):
         "parent_commit": args.parent_commit,
         "command": " ".join(command),
     }
-    traced_command = run_command(args.workload, args.seed, seconds, 1)
+    traced_command = run_command(args.workload, args.seed, 1)
     if args.traced:
         record["traced_command"] = " ".join(traced_command)
     record["method"] = (

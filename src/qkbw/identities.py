@@ -170,8 +170,8 @@ class BWIdentity(_Row, Record):
 
     def combine(self, factor, other: "BWIdentity", other_factor) -> "BWIdentity":
         """factor * self + other_factor * other, curvature terms included."""
-        if other.bundle != self.bundle:
-            raise MixedBundleError("identities must share one bundle")
+        if other.bundle != self.bundle or other.targets != self.targets:
+            raise MixedBundleError("identities must share one bundle and its targets")
         mine, theirs = Fraction(factor, self.denominator), Fraction(other_factor, other.denominator)
         den = lcm(mine.denominator, theirs.denominator)
         f, g = scaled((mine, theirs), den)

@@ -1,8 +1,10 @@
-"""scripts/bench_pairs.py: its summary of a committed BENCH file, and the pair order."""
+"""scripts/bench_pairs.py: its summary of each committed BENCH file, and the pair order."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,8 +16,9 @@ def load_script():
     return module
 
 
-def test_summary_of_the_cold_start_runs_is_the_committed_summary():
-    bench = json.loads((ROOT / "BENCH_cold_start.json").read_text())
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_summary_of_the_committed_runs_is_the_committed_summary(path):
+    bench = json.loads(path.read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert load_script().summarise(bench["runs"], end_to_end) == bench["summary"]
 

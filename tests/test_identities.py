@@ -10,6 +10,7 @@ from qkbw.casimir import (
     sp1_conformal_weight,
 )
 from qkbw.identities import (
+    BWIdentity,
     HPN_RULES,
     STANDARD_RULES,
     InapplicableIdentityError,
@@ -213,6 +214,16 @@ class TestPrintedForms:
             printed_identity(lambda_ab_bundle(2, 1, 0, 2), "bw3").combine(
                 1, printed_identity(lambda_ab_bundle(4, 1, 0, 2), "bw3"), 1
             )
+
+    def test_combine_rejects_other_targets(self):
+        bw3 = printed_identity(lambda_ab_bundle(2, 2, 1, 3), "bw3")
+        shorter = BWIdentity(
+            bw3.bundle, bw3.targets[:-1], bw3.values[:-1], bw3.kappa, bw3.denominator, (), "cut"
+        )
+        with pytest.raises(MixedBundleError):
+            bw3.combine(1, shorter, 1)
+        with pytest.raises(MixedBundleError):
+            bw3.combine(1, bw3.replace(targets=bw3.targets[::-1]), 1)
 
 
 class TestRules:
