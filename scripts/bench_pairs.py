@@ -14,7 +14,8 @@ The "summary" block gives, for each end-to-end metric of BENCHMARK.json, the
 median and the quartiles of each side (statistics.quantiles with n=4, the
 default exclusive method), rounded to four decimals, and the number of pairs
 in which the change was better.  The file goes to the current directory, or
-to --out.  Standard library only.
+to --out.  A run that reports "correct" false or failed cases stops the
+script with an error, and no file is written.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,9 +41,15 @@ def run_command(workload, seed, trace):
 
 
 def run_side(checkout, command):
-    """The parsed last line of one run.py process started in checkout."""
+    """The parsed last line of one run.py process started in checkout.
+
+    run.py exits 0 even when cases fail, so a line with "correct" false or
+    "failed" above 0 raises RuntimeError, before any file is written."""
     out = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"wrong run in {checkout}: {' '.join(command)}: {json.dumps(result)}")
+    return result
 
 
 def pair_order(pair):

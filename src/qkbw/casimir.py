@@ -13,13 +13,15 @@ dim V_{rho+mu_nu} / dim V_rho:
     c_hat_q = sum_nu w_hat_nu^q * reldim(nu)
 
 One integer kernel computes every moment.  It takes integer rows (w_nu,
-d_nu) with reldim(nu) = d_nu / D and turns each sum into one Fraction,
+d_nu) with reldim(nu) = d_nu / D and returns the integer sums
 
-    c_q     = (sum_nu w_nu^q * d_nu) / D
-    c_hat_q = (sum_nu (2 w_nu - 2n - 1)^q * d_nu) / (2^q D).
+    S_q = sum_nu w_nu^q * d_nu,                  c_q     = S_q / D,
+    T_q = sum_nu (2 w_nu - 2n - 1)^q * d_nu,     c_hat_q = T_q / (2^q D).
 
 Its rows are a weight's summand table (D = dim V_rho, d_nu = dim
-V_{rho+mu_nu} or 0 when not dominant).  A bundle's DecompositionTable is
+V_{rho+mu_nu} or 0 when not dominant).  The identities and the recursion
+check read S_q, T_q and D as they are; only casimir_eigenvalue, casimir_hat
+and casimir_report turn them into Fractions.  A bundle's DecompositionTable is
 that integer table; its GradientTarget Fraction views exist for output only.
 
 Relative dimensions come from two independent routes: the Weyl dimension
@@ -31,10 +33,10 @@ oracle, only the entries of rho, so it stays a cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import index
 
-from .rationals import format_rational, scaled
+from .rationals import format_rational
 from .record import Record
 from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_k, _check_rank
 from .weights import _check_shift, decompose_rho_tensor_E, lambda_ab_weight, mu_shift, weyl_dim
@@ -166,9 +168,9 @@ def _summands(rho: SpnWeight):
     return weyl_dim(rho), tuple(rows)
 
 
-def _moment_sums(rows, den: int, q_max: int, shift: int = 0):
-    """[c_0..c_{q_max}] from summand rows (nu, weight, w, d) with reldim = d / den;
-    with shift = 2n + 1 the translated [c_hat_0..c_hat_{q_max}] instead."""
+def _moment_sums(rows, q_max: int, shift: int = 0):
+    """[S_0..S_{q_max}], S_q = sum w^q d over summand rows (nu, weight, w, d);
+    with shift = 2n + 1 the translated [T_0..T_{q_max}], T_q = sum (2w - 2n - 1)^q d."""
     sums = [0] * (q_max + 1)
     for _, _, w, d in rows:
         if d:
@@ -176,31 +178,36 @@ def _moment_sums(rows, den: int, q_max: int, shift: int = 0):
             for q in range(q_max + 1):
                 sums[q] += d
                 d *= x
-    if shift:
-        return [Fraction(s, den << q) for q, s in enumerate(sums)]
-    return [Fraction(s, den) for s in sums]
+    return sums
 
 
 def _moments(rho: SpnWeight, q_max: int):
-    """([c_0..c_{q_max}], [c_hat_0..c_hat_{q_max}]) from one summand table."""
+    """(D, [S_0..S_{q_max}], [T_0..T_{q_max}]) from one summand table, so that
+    c_q = S_q / D and c_hat_q = T_q / (2^q D)."""
     D, rows = _summands(rho)
-    return _moment_sums(rows, D, q_max), _moment_sums(rows, D, q_max, 2 * rho.n + 1)
+    return D, _moment_sums(rows, q_max), _moment_sums(rows, q_max, 2 * rho.n + 1)
+
+
+def _nonnegative(value, name):
+    """value as an int through operator.index; ValueError when it is negative."""
+    value = index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def casimir_eigenvalue(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the q-th Casimir trace on V_rho (Weyl-oracle reldims)."""
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
+    q = _nonnegative(q, "q")
     D, rows = _summands(rho)
-    return _moment_sums(rows, D, q)[q]
+    return Fraction(_moment_sums(rows, q)[q], D)
 
 
 def casimir_hat(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the translated q-th Casimir trace on V_rho."""
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
+    q = _nonnegative(q, "q")
     D, rows = _summands(rho)
-    return _moment_sums(rows, D, q, 2 * rho.n + 1)[q]
+    return Fraction(_moment_sums(rows, q, 2 * rho.n + 1)[q], D << q)
 
 
 def closed_form_c2_lambda_ab(a: int, b: int, n: int) -> Fraction:
@@ -278,27 +285,26 @@ def verify_recursion(rho: SpnWeight, q_max: int = 6):
     for every odd index 2q+1 <= q_max.
     Translation: c_hat_q = sum_p C(q,p) (-n-1/2)^{q-p} c_p for q <= q_max.
 
-    Both are tested in integers.  With den the common denominator of the
-    moments, C_p = c_p * den and H_q = c_hat_q * den, they read
+    Both are tested on the integer sums, c_p = S_p / D and
+    c_hat_q = T_q / (2^q D), where they read
 
-        2 H_{2q+1} den = -H_{2q} den - sum_p (-1)^p H_{2q-p} H_p,
-        2^q H_q        = sum_p C(q,p) (-(2n+1))^{q-p} 2^p C_p.
+        T_{2q+1} D = -T_{2q} D - sum_p (-1)^p T_{2q-p} T_p,
+        T_q        = sum_p C(q,p) (-(2n+1))^{q-p} 2^p S_p.
 
     Returns a list of (kind, q) failures; empty means everything holds.
+    Raises ValueError for a negative q_max.
     """
+    q_max = _nonnegative(q_max, "q_max")
     failures = []
-    c, ch = _moments(rho, q_max)
-    den = lcm(*(v.denominator for v in (*c, *ch)))
-    C, H = scaled(c, den), scaled(ch, den)
+    D, S, T = _moments(rho, q_max)
     for q in range(0, (q_max - 1) // 2 + 1):
         m = 2 * q
-        alternating = sum((-1) ** p * H[m - p] * H[p] for p in range(m + 1))
-        if 2 * H[m + 1] * den != -H[m] * den - alternating:
+        alternating = sum((-1) ** p * T[m - p] * T[p] for p in range(m + 1))
+        if T[m + 1] * D != -T[m] * D - alternating:
             failures.append(("recursion", m + 1))
     shift = -(2 * rho.n + 1)
     for q in range(q_max + 1):
-        translated = sum(comb(q, p) * shift ** (q - p) * (C[p] << p) for p in range(q + 1))
-        if translated != H[q] << q:
+        if T[q] != sum(comb(q, p) * shift ** (q - p) * (S[p] << p) for p in range(q + 1)):
             failures.append(("binomial", q))
     return failures
 
@@ -337,10 +343,14 @@ class CasimirReport(Record):
 
 
 def casimir_report(rho: SpnWeight, q_max: int = 4) -> CasimirReport:
+    q_max = index(q_max)
     if not 0 <= q_max <= DEFAULT_Q_CAP:
         raise ValueError(f"q_max must lie in 0..{DEFAULT_Q_CAP}, got {q_max}")
-    c, ch = _moments(rho, q_max)
-    return CasimirReport(rho, tuple(zip(range(q_max + 1), c, ch)))
+    D, S, T = _moments(rho, q_max)
+    return CasimirReport(
+        rho,
+        tuple((q, Fraction(S[q], D), Fraction(T[q], D << q)) for q in range(q_max + 1)),
+    )
 
 
 class GradientTarget(Record):
@@ -412,13 +422,13 @@ class DecompositionTable(Record):
     def summand_count(self) -> int:
         return len(self.valid_rows)
 
-    def c_moments(self, q_max: int) -> list:
-        """[c_0..c_{q_max}] off the integer rows."""
-        return _moment_sums(self.rows, self.dim, q_max)
+    def c_sums(self, q_max: int) -> list:
+        """[S_0..S_{q_max}] off the integer rows: c_q = S_q / dim."""
+        return _moment_sums(self.rows, q_max)
 
-    def c_hat_moments(self, q_max: int) -> list:
-        """[c_hat_0..c_hat_{q_max}] off the integer rows."""
-        return _moment_sums(self.rows, self.dim, q_max, 2 * self.bundle.n + 1)
+    def c_hat_sums(self, q_max: int) -> list:
+        """[T_0..T_{q_max}] off the integer rows: c_hat_q = T_q / (2^q dim)."""
+        return _moment_sums(self.rows, q_max, 2 * self.bundle.n + 1)
 
     def to_json_dict(self):
         return {

@@ -12,11 +12,13 @@ eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
 
 Each call builds one private context for its bundle: the shape, the valid
-targets with integer conformal weights w and W, and the moments c_q or c_hat_q
+targets with integer conformal weights w and W, D = dim V_rho, and the
+integer moment sums S_q (c_q = S_q / D) or T_q (c_hat_q = T_q / (2^q D))
 once a row reads them, all off its integer decomposition table.  Every
-identity evaluates on those integers into one integer row over one positive
-denominator in lowest terms, as an OperatorSpec holds one; the Fraction views
-coeffs, coeff_map() and kappa_coeff are built on each read.
+builder writes its B side as ints over one denominator and its kappa side as
+one int over another; the context puts both over their lcm, and the identity
+keeps that integer row in lowest terms, as an OperatorSpec holds one.  The
+Fraction views coeffs, coeff_map() and kappa_coeff are built on each read.
 
 The printed identities, the base row "sum" and bw1..bw6, are one table: per
 id, the curvature terms before any rule, the builder, and where the identity
@@ -33,6 +35,7 @@ import enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 
 from .casimir import (
     DecompositionTable,
@@ -213,18 +216,18 @@ def _curvature_keys(identities):
 class _Context:
     """Per-call data of one bundle, shared by the identities built in that call.
 
-    Holds the (2_b,1_{a-b}) shape and the keys of the valid targets with
-    their conformal weights w and W as ints, read off the bundle's integer
-    decomposition table, so no second summand table is built.  The moments
-    c_q and c_hat_q for q <= q_max are computed from that table when a row
-    first reads them.  Nothing outlives the call.
+    Holds the (2_b,1_{a-b}) shape, D = dim V_rho and the keys of the valid
+    targets with their conformal weights w and W as ints, read off the
+    bundle's integer decomposition table, so no second summand table is
+    built.  The integer sums S_q and T_q for q <= q_max are computed from
+    that table when a row first reads them.  Nothing outlives the call.
     """
 
     def __init__(self, bundle: BundleLabel, table: DecompositionTable = None, q_max=4):
         self.table = table or decompose_bundle(bundle)
         valid = self.table.valid_rows
         self.bundle = bundle
-        self.n, self.k = bundle.n, bundle.k
+        self.n, self.k, self.D = bundle.n, bundle.k, self.table.dim
         self.shape = bundle.rho.lambda_ab_shape()
         self.keys = tuple((N, nu) for N, nu, _, _ in valid)
         self.w = [w for _, _, w, _ in valid]
@@ -232,20 +235,21 @@ class _Context:
         self.q_max = q_max
 
     @cached_property
-    def c(self):
-        return self.table.c_moments(self.q_max)
+    def S(self):
+        return self.table.c_sums(self.q_max)
 
     @cached_property
-    def ch(self):
-        return self.table.c_hat_moments(self.q_max)
+    def T(self):
+        return self.table.c_hat_sums(self.q_max)
 
-    def identity(self, provenance, values, kappa, terms=(), denominator=1) -> BWIdentity:
-        """sum values / denominator * B = kappa * (scalar curvature), kappa an int
-        or a Fraction, as one integer row over the valid targets."""
-        s = kappa.denominator // gcd(kappa.denominator, denominator)
-        values = values if s == 1 else [v * s for v in values]
-        kappa = kappa.numerator * (denominator * s // kappa.denominator)
-        return BWIdentity(self.bundle, self.keys, values, kappa, denominator * s, terms, provenance)
+    def identity(self, provenance, values, denominator, kappa, kappa_den, terms=()) -> BWIdentity:
+        """sum values / denominator * B = kappa / kappa_den * (scalar curvature),
+        all ints, as one integer row over the valid targets."""
+        den = lcm(denominator, kappa_den)
+        values = [v * (den // denominator) for v in values]
+        return BWIdentity(
+            self.bundle, self.keys, values, kappa * (den // kappa_den), den, terms, provenance
+        )
 
 
 def identity_bochner1(bundle: BundleLabel, q: int) -> BWIdentity:
@@ -256,6 +260,7 @@ def identity_bochner1(bundle: BundleLabel, q: int) -> BWIdentity:
     kappa times (c_hat_{2q+1} + (2n+1)/2 c_hat_{2q}) / (4n(n+2)) plus twice
     the hatted power-2q curvature contraction.
     """
+    q = index(q)
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     return _bochner1(_Context(bundle, q_max=2 * q + 1), q)
@@ -267,6 +272,7 @@ def identity_bochner2(bundle: BundleLabel, q: int) -> BWIdentity:
     Pure kappa by construction.  Vacuous when k = 0 (W_1 = 0 and the N = -1
     targets are absent), so that case is rejected.
     """
+    q = index(q)
     ctx = _Context(bundle, q_max=2 * q)
     _require(_k_nonzero, ctx)
     if q < 0:
@@ -275,88 +281,79 @@ def identity_bochner2(bundle: BundleLabel, q: int) -> BWIdentity:
 
 
 def _alternating(ctx, m):
-    """(M, values): sum_{p=0}^{m} (-1)^p c_hat_{m-p} w_hat^p = value / (M 2^m) per target.
+    """sum_{p=0}^{m} (-1)^p c_hat_{m-p} w_hat^p = value / (D 2^m) per target.
 
-    With c_hat_j = B_j / (M 2^j) and x = -2 w_hat = 2n + 1 - 2w, the value
-    is the integer sum_j B_j x^(m-j).
+    With c_hat_j = T_j / (D 2^j) and x = -2 w_hat = 2n + 1 - 2w, the value
+    is the integer sum_j T_j x^(m-j).
     """
-    ch = ctx.ch[: m + 1]
-    M = lcm(*(h.denominator for h in ch))
-    B = [h << j for j, h in enumerate(scaled(ch, M))]
+    T = ctx.T
     xs = [2 * ctx.n + 1 - 2 * w for w in ctx.w]
-    return M, [sum(b * x ** (m - j) for j, b in enumerate(B)) for x in xs]
+    return [sum(T[j] * x ** (m - j) for j in range(m + 1)) for x in xs]
 
 
 def _bochner1(ctx, q):
-    n, m = ctx.n, 2 * q - 1
-    M, values = _alternating(ctx, m)
-    ch = ctx.ch
-    kappa = (ch[2 * q + 1] + Fraction(2 * n + 1, 2) * ch[2 * q]) / (4 * n * (n + 2))
+    # kappa side (c_hat_{2q+1} + (2n+1)/2 c_hat_{2q}) / (4n(n+2))
+    n, m, D, T = ctx.n, 2 * q - 1, ctx.D, ctx.T
+    kappa, kappa_den = T[2 * q + 1] + (2 * n + 1) * T[2 * q], (4 * n * (n + 2) * D) << 2 * q + 1
     terms = (CurvatureTerm(power=2 * q, hatted=True, coefficient=Fraction(2)),)
-    return ctx.identity(f"bochner1({q})", values, kappa, terms, M << m)
+    return ctx.identity(f"bochner1({q})", _alternating(ctx, m), D << m, kappa, kappa_den, terms)
 
 
 def _bochner2(ctx, q):
-    # W (2 w_hat^(2q) - alternating) = 2 W (M x^(2q) - value) / (M 2^(2q)), x as above
-    n, k = ctx.n, ctx.k
-    M, alternating = _alternating(ctx, 2 * q - 1)
+    # W (2 w_hat^(2q) - alternating) = 2 W (D x^(2q) - value) / (D 2^(2q)), x as above;
+    # kappa side k(k+2) c_hat_{2q} / (4n(n+2))
+    n, k, D = ctx.n, ctx.k, ctx.D
     values = [
-        2 * W * (M * (2 * n + 1 - 2 * w) ** (2 * q) - a)
-        for w, W, a in zip(ctx.w, ctx.W, alternating)
+        2 * W * (D * (2 * n + 1 - 2 * w) ** (2 * q) - a)
+        for w, W, a in zip(ctx.w, ctx.W, _alternating(ctx, 2 * q - 1))
     ]
-    kappa = Fraction(k * (k + 2)) * ctx.ch[2 * q] / (4 * n * (n + 2))
-    return ctx.identity(f"bochner2({q})", values, kappa, (), M << 2 * q)
+    kappa_den = (4 * n * (n + 2) * D) << 2 * q
+    return ctx.identity(f"bochner2({q})", values, D << 2 * q, k * (k + 2) * ctx.T[2 * q], kappa_den)
 
 
 def _sum(ctx, terms):
-    return ctx.identity("sum", [1] * len(ctx.keys), 0, terms)
+    return ctx.identity("sum", [1] * len(ctx.keys), 1, 0, 1, terms)
 
 
 def _bw1(ctx, terms):
     n = ctx.n
-    return ctx.identity("bw1", ctx.w, ctx.c[2] / (8 * n * (n + 2)), terms)
+    return ctx.identity("bw1", ctx.w, 1, ctx.S[2], 8 * n * (n + 2) * ctx.D, terms)
 
 
 def _bw2(ctx, terms):
-    n = ctx.n
-    c2, c4 = ctx.c[2], ctx.c[4]
-    p, q = c2.numerator, 2 * c2.denominator
+    # sum (c_2/2 + ((w - 2n - 1) w + (n+1)(2n+1)) w) B = c_4 kappa / (8n(n+2))
+    n, D, S = ctx.n, ctx.D, ctx.S
     lin = (n + 1) * (2 * n + 1)
-    values = [p + q * (((w - 2 * n - 1) * w + lin) * w) for w in ctx.w]
-    return ctx.identity("bw2", values, c4 / (8 * n * (n + 2)), terms, q)
+    values = [S[2] + 2 * D * (((w - 2 * n - 1) * w + lin) * w) for w in ctx.w]
+    return ctx.identity("bw2", values, 2 * D, S[4], 8 * n * (n + 2) * D, terms)
 
 
 def _bw3(ctx, terms):
     n, k = ctx.n, ctx.k
-    return ctx.identity("bw3", ctx.W, Fraction(k * (k + 2), 4 * (n + 2)), terms)
+    return ctx.identity("bw3", ctx.W, 1, k * (k + 2), 4 * (n + 2), terms)
 
 
 def _bw4(ctx, terms):
     n, k = ctx.n, ctx.k
-    c2 = ctx.c[2]
     values = [2 * W * (w - n - 1) * w for w, W in zip(ctx.w, ctx.W)]
-    return ctx.identity("bw4", values, Fraction(k * (k + 2)) * c2 / (4 * n * (n + 2)), terms)
+    return ctx.identity("bw4", values, 1, k * (k + 2) * ctx.S[2], 4 * n * (n + 2) * ctx.D, terms)
 
 
 def _bw5(ctx, terms):
-    n, k = ctx.n, ctx.k
-    c2, c4 = ctx.c[2], ctx.c[4]
-    p, q = c2.numerator, c2.denominator
+    n, k, D, S = ctx.n, ctx.k, ctx.D, ctx.S
     values = [
-        W * (q * 2 * w * (w - n - 1) * ((w - 2 * n - 1) * w + 2 * n + 1) + (n + w) * p)
+        W * (D * 2 * w * (w - n - 1) * ((w - 2 * n - 1) * w + 2 * n + 1) + (n + w) * S[2])
         for w, W in zip(ctx.w, ctx.W)
     ]
-    kappa = Fraction(k * (k + 2)) * c4 / (4 * n * (n + 2))
-    return ctx.identity("bw5", values, kappa, terms, q)
+    return ctx.identity("bw5", values, D, k * (k + 2) * S[4], 4 * n * (n + 2) * D, terms)
 
 
 def _bw6(ctx, terms):
-    n = ctx.n
-    c2, c4 = ctx.c[2], ctx.c[4]
-    p, q = c2.numerator, c2.denominator
-    values = [(w + 2) * (p + q * (4 * w - 8 * n - 12) * w) for w in ctx.w]
-    kappa = (-4 * (2 * n**2 + 7 * n + 7) * c2 + c2**2 + 4 * c4) / (8 * n * (n + 2))
-    return ctx.identity("bw6", values, kappa, terms, q)
+    # kappa side (-4 (2n^2 + 7n + 7) c_2 + c_2^2 + 4 c_4) / (8n(n+2))
+    n, D, S = ctx.n, ctx.D, ctx.S
+    values = [(w + 2) * (S[2] + D * (4 * w - 8 * n - 12) * w) for w in ctx.w]
+    kappa = (4 * S[4] - 4 * (2 * n**2 + 7 * n + 7) * S[2]) * D + S[2] ** 2
+    return ctx.identity("bw6", values, D, kappa, 8 * n * (n + 2) * D * D, terms)
 
 
 def _anywhere(ctx):

@@ -1,7 +1,9 @@
-"""scripts/bench_pairs.py: its summary of each committed BENCH file, and the pair order."""
+"""scripts/bench_pairs.py: its summary of each committed BENCH file, the pair
+order, and its refusal of a run that reports wrong results."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,31 @@ def test_pairs_alternate_and_keep_each_result_as_returned():
         (2, "change", "parent"),
     ]
     assert [r["result"] for r in runs] == [{"side": s, "call": i + 1} for i, s in enumerate(calls)]
+
+
+WRONG_RUNS = {
+    "incorrect": {"correct": False, "attempted": 10, "failed": 0, "metrics": {}},
+    "failed-cases": {"correct": True, "attempted": 10, "failed": 2, "metrics": {}},
+}
+
+
+def printing(line):
+    """A command that prints one JSON line, as perfbench/run.py ends its output."""
+    return [sys.executable, "-c", f"print('setup'); print({json.dumps(line)!r})"]
+
+
+@pytest.mark.parametrize("line", WRONG_RUNS.values(), ids=WRONG_RUNS)
+def test_a_wrong_run_raises_and_writes_no_file(line, tmp_path, monkeypatch):
+    script = load_script()
+    good = {"correct": True, "attempted": 10, "failed": 0, "metrics": {}}
+    assert script.run_side(tmp_path, printing(good)) == good
+    with pytest.raises(RuntimeError, match="wrong run"):
+        script.run_side(tmp_path, printing(line))
+    monkeypatch.setattr(script, "run_command", lambda workload, seed, trace: printing(line))
+    out = tmp_path / "BENCH_wrong.json"
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "lp-grid",
+            "--seed", "1", "--pairs", "2", "--label", "wrong", "--claim", "none",
+            "--parent-commit", "0", "--out", str(out)]
+    with pytest.raises(RuntimeError, match="wrong run"):
+        script.main(args)
+    assert not out.exists()

@@ -10,7 +10,8 @@ They are kept here as a test-only reference.
 and the recursion check as they were before both were evaluated on
 integers: the product multiplies ``Fraction`` ratios of translated weights
 over the dominant pairs of ``decompose_rho_tensor_E``, and the check
-compares ``Fraction`` sides.  Both read the conformal weights and the moments
+compares ``Fraction`` sides, c_q = S_q / D and c_hat_q = T_q / (2^q D) built
+from the integer sums.  Both read the conformal weights and the moment sums
 through ``qkbw.casimir`` at call time, so a monkeypatch there reaches the
 oracle and the code under test alike.
 """
@@ -101,8 +102,13 @@ def conformal_weight_hat(rho, nu) -> Fraction:
 
 
 def table_moments(table, q_max):
-    """The pair of lists that ``casimir._moments`` gives, off a decomposition table."""
-    return table.c_moments(q_max), table.c_hat_moments(q_max)
+    """[c_0..c_q_max] and [c_hat_0..c_hat_q_max] as Fractions, off the integer
+    sums of a decomposition table: c_q = S_q / D, c_hat_q = T_q / (2^q D)."""
+    D = table.dim
+    return (
+        [F(s, D) for s in table.c_sums(q_max)],
+        [F(t, D << q) for q, t in enumerate(table.c_hat_sums(q_max))],
+    )
 
 
 def oracle_product(rho, nu) -> Fraction:
@@ -129,7 +135,9 @@ def oracle_verify_recursion(rho, q_max=6):
     """The recursion and binomial checks on Fraction moments."""
     failures = []
     n = rho.n
-    c, ch = casimir._moments(rho, q_max)
+    D, S, T = casimir._moments(rho, q_max)
+    c = [F(s, D) for s in S]
+    ch = [F(t, D << q) for q, t in enumerate(T)]
     for q in range(0, (q_max - 1) // 2 + 1):
         lhs = 2 * ch[2 * q + 1]
         rhs = -ch[2 * q] - sum((-1) ** p * ch[2 * q - p] * ch[p] for p in range(2 * q + 1))
@@ -211,7 +219,7 @@ def test_integer_table_matches_its_views(rho, k, q):
     assert table.valid_rows == [(t.N, t.nu, t.w.numerator, t.W.numerator) for t in views]
     assert all(type(v) is int for row in table.valid_rows for v in row)
     assert table.summand_count == len(views)
-    assert table_moments(table, q) == casimir._moments(rho, q)
+    assert (table.dim, table.c_sums(q), table.c_hat_sums(q)) == casimir._moments(rho, q)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +242,12 @@ def test_non_dominant_weight_raises(call):
 def test_negative_q_raises(moment):
     with pytest.raises(ValueError, match="nonnegative"):
         moment(SpnWeight((1, 0)), -1)
+
+
+@pytest.mark.parametrize("q_max", [-1, -5])
+def test_verify_recursion_rejects_negative_q_max(q_max):
+    with pytest.raises(ValueError, match=f"q_max must be nonnegative, got {q_max}"):
+        verify_recursion(SpnWeight((2, 1, 0)), q_max)
 
 
 # Any weight of rank 2..8 with entries <= 6: sorted ones are dominant unless an
@@ -288,7 +302,7 @@ perturbations = st.lists(
     st.tuples(
         st.sampled_from((0, 1)),
         st.integers(0, 8),
-        st.fractions(min_value=-3, max_value=3, max_denominator=8),
+        st.integers(-3, 3),
     ),
     max_size=3,
 )
@@ -305,21 +319,20 @@ perturbations = st.lists(
     perturbations,
 )
 def test_verify_recursion_matches_oracle_on_wrong_moments(rho, q_max, changes):
-    c, ch = casimir._moments(rho, q_max)
-    moments = (list(c), list(ch))
+    D, S, T = casimir._moments(rho, q_max)
+    sums = (S, T)
     for which, q, delta in changes:
         if q <= q_max:
-            moments[which][q] += delta
+            sums[which][q] += delta
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(casimir, "_moments", lambda r, q: moments)
+        mp.setattr(casimir, "_moments", lambda r, q: (D, S, T))
         assert verify_recursion(rho, q_max) == oracle_verify_recursion(rho, q_max)
 
 
 def test_verify_recursion_reports_each_wrong_moment(monkeypatch):
     rho = SpnWeight((2, 1, 0))
-    c, ch = casimir._moments(rho, 6)
-    ch = list(ch)
-    ch[3] += 1
-    monkeypatch.setattr(casimir, "_moments", lambda r, q: (c, ch))
+    D, S, T = casimir._moments(rho, 6)
+    T[3] += 1
+    monkeypatch.setattr(casimir, "_moments", lambda r, q: (D, S, T))
     assert verify_recursion(rho, 6) == [("recursion", 3), ("recursion", 5), ("binomial", 3)]
     assert oracle_verify_recursion(rho, 6) == verify_recursion(rho, 6)

@@ -440,9 +440,9 @@ def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch):
     calls = []
     real = casimir._moment_sums
 
-    def spy(rows, den, q_max, shift=0):
+    def spy(rows, q_max, shift=0):
         calls.append(shift)
-        return real(rows, den, q_max, shift)
+        return real(rows, q_max, shift)
 
     monkeypatch.setattr(casimir, "_moment_sums", spy)
     bundle = lambda_ab_bundle(2, 2, 1, 3)

@@ -1,6 +1,7 @@
 """The label rules owned by qkbw.weights, as seen through every public entry.
 
-Bundle labels and the closed forms take true integers only (operator.index):
+Bundle labels, the closed forms and the moment orders q and q_max take true
+integers only (operator.index):
 a float, str or Fraction raises TypeError, even when it is integral.  An
 integer out of range raises the message each entry has always raised, with
 its checks in the same order.  The oracles below name the class each entry
@@ -26,6 +27,9 @@ from qkbw.bounds import (
     twistor_kernel_analysis,
 )
 from qkbw.casimir import (
+    casimir_eigenvalue,
+    casimir_hat,
+    casimir_report,
     closed_form_c2_lambda_ab,
     closed_form_c4_lambda_ab,
     conformal_weight,
@@ -33,7 +37,9 @@ from qkbw.casimir import (
     relative_dimension_weyl,
     sp1_conformal_weight,
     table1_row,
+    verify_recursion,
 )
+from qkbw.identities import identity_bochner1, identity_bochner2
 from qkbw.selfcheck import dominant_weights
 from qkbw.weights import (
     BundleLabel,
@@ -234,6 +240,25 @@ def test_bool_reads_as_int():
     label = BundleLabel(True, SpnWeight((1, 0)))
     assert label.k == 1 and type(label.k) is int
     assert str(label) == "S^1(H) (x) V_(1,0) [n=2]"
+
+
+ORDER_BUNDLE = BundleLabel(1, SpnWeight((1, 0)))
+MOMENT_ORDERS = {
+    "identity_bochner1": lambda q: identity_bochner1(ORDER_BUNDLE, q),
+    "identity_bochner2": lambda q: identity_bochner2(ORDER_BUNDLE, q),
+    "casimir_eigenvalue": lambda q: casimir_eigenvalue(ORDER_BUNDLE.rho, q),
+    "casimir_hat": lambda q: casimir_hat(ORDER_BUNDLE.rho, q),
+    "casimir_report": lambda q_max: casimir_report(ORDER_BUNDLE.rho, q_max),
+    "verify_recursion": lambda q_max: verify_recursion(ORDER_BUNDLE.rho, q_max),
+}
+
+
+@pytest.mark.parametrize("call", MOMENT_ORDERS.values(), ids=MOMENT_ORDERS)
+def test_moment_orders_read_true_integers(call):
+    assert call(True) == call(1)
+    for q in (1.0, Fraction(1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(q)
 
 
 def test_parameter_range_error_has_one_home():
