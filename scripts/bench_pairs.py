@@ -1,21 +1,27 @@
 """Alternating parent/change pairs of perfbench/run.py, summarised as one BENCH_<label>.json.
 
     python3 scripts/bench_pairs.py --parent ../qkbw-parent --change . \\
-        --workload lp-general --seed 5 --pairs 10 --label integer_rows \\
-        --claim "cases_per_s rises" --parent-commit 2f2d086 --traced
+        --workload algebra --workload lp-grid --seed 5 --pairs 10 \\
+        --label summand_table --claim "cases_per_s rises" \\
+        --parent-commit e76b550 --traced
 
 Each side runs the recorded command, perfbench/run.py with --seconds 8 and
---trace 0, in a fresh process from its own checkout.  Pair i runs the parent first when i is
-even and the change first when i is odd.  With --traced, one --trace 1 run per
-side follows the pairs.  Every entry under "runs" and "traced" is the last line
-of run.py's standard output, parsed and otherwise unmodified.
+--trace 0, in a fresh process from its own checkout.  Pair i runs the parent
+first when i is even and the change first when i is odd.  --workload may be
+given more than once; the workloads run one after another, each with --pairs
+pairs, and each gets its own section under "workloads".  With --traced, one
+--trace 1 run per side follows the pairs of each workload.  Every entry under
+"runs" and "traced" is the last line of run.py's standard output, parsed and
+otherwise unmodified.
 
-The "summary" block gives, for each end-to-end metric of BENCHMARK.json, the
-median and the quartiles of each side (statistics.quantiles with n=4, the
-default exclusive method), rounded to four decimals, and the number of pairs
-in which the change was better.  The file goes to the current directory, or
-to --out.  A run that reports "correct" false or failed cases stops the
-script with an error, and no file is written.  Standard library only.
+A section's "summary" block gives, for each end-to-end metric of
+BENCHMARK.json, the median and the quartiles of each side
+(statistics.quantiles with n=4, the default exclusive method), rounded to four
+decimals, and the number of pairs in which the change was better.  The file
+goes to the current directory, or to --out.  A run that reports "correct"
+false or failed cases stops the script with an error, and no file is written.
+(Files written before --workload could repeat hold one workload's command,
+summary and runs at the top level.)  Standard library only.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append", help="repeat for more workloads")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True)
@@ -118,42 +124,46 @@ def main(argv=None):
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     checkouts = {"parent": args.parent, "change": args.change}
-    command = run_command(args.workload, args.seed, 0)
+    end_to_end = json.loads(SPEC.read_text())["end_to_end"]
 
     def run(side, command):
         result = run_side(checkouts[side], command)
         print(f"{side}: {json.dumps(result)}", file=sys.stderr)
         return result
 
-    runs = collect(args.pairs, lambda side: run(side, command))
     record = {
         "label": args.label,
-        "workload": args.workload,
         "claim": args.claim,
         "parent_commit": args.parent_commit,
-        "command": " ".join(command),
+        "method": (
+            "each side runs from its own checkout; pairs alternate which side runs first"
+            " (even pairs parent first); every entry under runs and traced is the unmodified"
+            " last line of perfbench/run.py"
+        ),
+        "machine": args.machine,
+        "workloads": {},
     }
-    traced_command = run_command(args.workload, args.seed, 1)
-    if args.traced:
-        record["traced_command"] = " ".join(traced_command)
-    record["method"] = (
-        "each side runs from its own checkout; pairs alternate which side runs first"
-        " (even pairs parent first); every entry under runs and traced is the unmodified"
-        " last line of perfbench/run.py"
-    )
-    record["machine"] = args.machine
-    record["summary"] = summarise(runs, json.loads(SPEC.read_text())["end_to_end"])
-    record["runs"] = runs
-    if args.traced:
-        record["traced"] = [{"side": side, "result": run(side, traced_command)} for side in SIDES]
+    for workload in args.workload:
+        command = run_command(workload, args.seed, 0)
+        traced_command = run_command(workload, args.seed, 1)
+        runs = collect(args.pairs, lambda side: run(side, command))
+        section = {"command": " ".join(command)}
+        if args.traced:
+            section["traced_command"] = " ".join(traced_command)
+        section["summary"] = summarise(runs, end_to_end)
+        section["runs"] = runs
+        if args.traced:
+            section["traced"] = [{"side": side, "result": run(side, traced_command)} for side in SIDES]
+        record["workloads"][workload] = section
     out = Path(args.out or f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
-    for name, s in record["summary"].items():
-        print(
-            f"{name:<12} parent {s['parent_median']} {s['parent_quartiles']}"
-            f"  change {s['change_median']} {s['change_quartiles']}"
-            f"  better in {s['change_better_pairs']}/{s['pairs']} pairs"
-        )
+    for workload, section in record["workloads"].items():
+        for name, s in section["summary"].items():
+            print(
+                f"{workload:<10} {name:<12} parent {s['parent_median']} {s['parent_quartiles']}"
+                f"  change {s['change_median']} {s['change_quartiles']}"
+                f"  better in {s['change_better_pairs']}/{s['pairs']} pairs"
+            )
     print(f"wrote {out}")
     return 0
 

@@ -19,15 +19,17 @@ d_nu) with reldim(nu) = d_nu / D and returns the integer sums
     T_q = sum_nu (2 w_nu - 2n - 1)^q * d_nu,     c_hat_q = T_q / (2^q D).
 
 Its rows are a weight's summand table (D = dim V_rho, d_nu = dim
-V_{rho+mu_nu} or 0 when not dominant).  The identities and the recursion
-check read S_q, T_q and D as they are; only casimir_eigenvalue, casimir_hat
-and casimir_report turn them into Fractions.  A bundle's DecompositionTable is
-that integer table; its GradientTarget Fraction views exist for output only.
+V_{rho+mu_nu} or 0 when not dominant; w_nu and dominance are read off the
+entries of rho, so only dominant shifts reach the Weyl oracle).  The
+identities and the recursion check read S_q, T_q and D as they are; only
+casimir_eigenvalue, casimir_hat and casimir_report make Fractions.  A
+bundle's DecompositionTable is that integer table; its GradientTarget
+Fraction views exist for output only.
 
-Relative dimensions come from two independent routes: the Weyl dimension
-oracle (always the source of truth) and a product formula over translated
-weights.  The product formula reads neither the summand table nor the Weyl
-oracle, only the entries of rho, so it stays a cross-check.
+Relative dimensions come from two routes: the Weyl dimension oracle (the
+source of truth, which tests each shifted weight's own dominance) and a
+product formula over translated weights, which reads only the entries of rho
+(with the table's dominance rule), so it stays a cross-check.
 """
 
 from __future__ import annotations
@@ -99,8 +101,20 @@ def sp1_conformal_weight(k: int, N: int) -> Fraction:
     raise ValueError(f"N must be +1 or -1, got {N}")
 
 
+def _dominant_shifts(rho: SpnWeight) -> list:
+    """The shift indices nu with rho + mu_nu dominant, in canonical order, read
+    off e = rho.entries + (0,): rho + mu_i is dominant iff i = 1 or
+    e_{i-1} > e_i, and rho - mu_i iff e_i > e_{i+1}.  rho must be dominant."""
+    e = rho.entries + (0,)
+    return [1] + [i + 1 for i in range(1, rho.n) if e[i - 1] > e[i]] + [
+        -i - 1 for i in range(rho.n) if e[i] > e[i + 1]
+    ]
+
+
 def relative_dimension_weyl(rho: SpnWeight, nu: int) -> Fraction:
-    """dim V_{rho+mu_nu} / dim V_rho via the Weyl oracle; 0 if non-dominant."""
+    """dim V_{rho+mu_nu} / dim V_rho via the Weyl oracle; 0 if rho + mu_nu is
+    not dominant.  Raises NonDominantError for a non-dominant rho."""
+    rho.require_dominant()
     shifted = mu_shift(rho, nu)
     if not shifted.is_dominant:
         return Fraction(0)
@@ -118,21 +132,18 @@ def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
 
     where N is the number of dominant summands of V_rho (x) E.  The product
     is one integer numerator over one integer denominator, returned as one
-    Fraction.  Dominance is read off the entries of rho: rho + mu_i is
-    dominant iff i = 1 or rho_{i-1} > rho_i, and rho - mu_i iff
-    rho_i > rho_{i+1}, with rho_{n+1} = 0.  Reads neither the summand table
-    nor the Weyl oracle.  Returns 0 for a non-dominant target.  Raises
+    Fraction.  Dominance is read off the entries of rho by the rule the
+    summand table uses too (_dominant_shifts).  Reads neither the summand
+    table nor the Weyl oracle.  Returns 0 for a non-dominant target.  Raises
     FormulaDegeneracyError if two dominant summands share a translated
     weight (never observed for dominant pairs, but guarded rather than
     silently dividing by zero).
     """
     rho.require_dominant()
     n = rho.n
-    e = rho.entries + (0,)
-    dominant = [i for i in range(1, n + 1) if i == 1 or e[i - 2] > e[i - 1]]
-    dominant += [-i for i in range(1, n + 1) if e[i - 1] > e[i]]
+    dominant = _dominant_shifts(rho)
     count = len(dominant)
-    assert (count % 2 == 1) == (e[n - 1] == 0), f"summand-count parity violated for {rho}"
+    assert (count % 2 == 1) == (rho.entries[-1] == 0), f"summand-count parity violated for {rho}"
     _check_shift(n, nu)
     if nu not in dominant:
         return Fraction(0)
@@ -158,13 +169,16 @@ def _summands(rho: SpnWeight):
 
     D = dim V_rho; rows holds one (nu, rho + mu_nu, w_nu, d_nu) per shift
     index of decompose_rho_tensor_E, with w_nu an int and d_nu = dim
-    V_{rho+mu_nu}, or 0 when rho + mu_nu is not dominant.  Raises
-    NonDominantError for a non-dominant rho.
+    V_{rho+mu_nu}, or 0 when rho + mu_nu is not dominant; w_nu and dominance
+    are read off the entries of rho.  Raises NonDominantError for a
+    non-dominant rho.
     """
-    rows = []
-    for nu, shifted in decompose_rho_tensor_E(rho):
-        dim = weyl_dim(shifted) if shifted.is_dominant else 0
-        rows.append((nu, shifted, _weight(rho, nu), dim))
+    e, n, dominant = rho.entries, rho.n, _dominant_shifts(rho)
+    weights = [i - r for i, r in enumerate(e)] + [r - i + 2 * n for i, r in enumerate(e)]
+    rows = [  # decompose_rho_tensor_E raises for a non-dominant rho before any weyl_dim
+        (nu, shifted, w, weyl_dim(shifted) if nu in dominant else 0)
+        for (nu, shifted), w in zip(decompose_rho_tensor_E(rho), weights)
+    ]
     return weyl_dim(rho), tuple(rows)
 
 

@@ -24,9 +24,10 @@ The printed identities, the base row "sum" and bw1..bw6, are one table: per
 id, the curvature terms before any rule, the builder, and where the identity
 exists (bw3..bw5 need k != 0, bw6 a (2_b,1_(a-b)) shape).  printed_identity
 builds one row before any rule.  printed_identities (what ``qkbw bw`` prints)
-and pure_kappa_identities (what the bound LP reads) run the rules on the
-table's curvature terms first; the latter evaluates coefficients only for
-the rows that come out pure kappa.
+runs the rules on the table's curvature terms.  pure_kappa_identities (what
+the bound LP reads) runs none: only bw1 and bw2 carry terms, which the rules
+drop exactly under hpn or on a (1_a) shape, so it chooses its rows by that
+and evaluates only them.
 """
 
 from __future__ import annotations
@@ -162,10 +163,10 @@ class BWIdentity(_Row, Record):
         return Fraction(self.kappa, self.denominator)
 
     def integer_row(self, curvature_keys=()):
-        """full_vector times the denominator."""
-        terms = {t.key: t.coefficient for t in self.curvature_terms}
-        den = self.denominator
-        return [*self.values, self.kappa] + [den * terms.get(key, 0) for key in curvature_keys]
+        """full_vector times the denominator, an int wherever that is integral."""
+        terms = {t.key: self.denominator * t.coefficient for t in self.curvature_terms}
+        extra = [terms.get(key, 0) for key in curvature_keys]
+        return [*self.values, self.kappa, *(v.numerator if v.denominator == 1 else v for v in extra)]
 
     def full_vector(self, curvature_keys=()):
         """B-coefficients, then kappa, then the given curvature columns."""
@@ -394,6 +395,10 @@ _PRINTED = {
     "bw6": ((), _bw6, _on_shapes),  # scalar curvature only
 }
 _RULED = tuple(_PRINTED.values())[1:]
+# The rows of _RULED with no curvature term before any rule: bw1 (R^1) and bw2
+# (R^3) lose theirs only under rule C or on a (1_a) shape, where rule B makes
+# R^3 a positive multiple (2n^2 + 7n + 7 - c_2/4) R^1 and rule A drops R^1.
+_TERMLESS = tuple(row for row in _RULED if not row[0])
 
 
 def printed_identity(bundle: BundleLabel, id: str) -> BWIdentity:
@@ -479,34 +484,31 @@ def apply_rule(identity: BWIdentity, rule: Rule) -> BWIdentity:
     return identity.replace(curvature_terms=terms)
 
 
-def _inventory(ctx, hpn, rows=_RULED):
-    """(curvature terms after the rules, builder) of each row that exists on
-    the bundle, bw1..bw6 by default; the ruleset is B+A, plus C in hpn mode."""
-    rules = HPN_RULES if hpn else STANDARD_RULES
-    return [
-        (_simplified_terms(terms, rules, ctx.shape, ctx.n), build)
-        for terms, build, exists in rows
-        if exists(ctx) is None
-    ]
-
-
 def printed_identities(bundle: BundleLabel, hpn: bool = False):
     """The base row, then the printed identities bw1..bw6 that exist on the
-    bundle with the rules applied: what ``qkbw bw`` prints."""
+    bundle, the rules (B+A, plus C in hpn mode) applied to the table's terms
+    before any coefficient is evaluated: what ``qkbw bw`` prints."""
     ctx = _Context(bundle)
-    return [build(ctx, terms) for terms, build in _inventory(ctx, hpn, _PRINTED.values())]
+    rules = HPN_RULES if hpn else STANDARD_RULES
+    return [
+        build(ctx, _simplified_terms(terms, rules, ctx.shape, ctx.n))
+        for terms, build, exists in _PRINTED.values()
+        if exists(ctx) is None
+    ]
 
 
 def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     """The printed identities bw1..bw6 that survive the rules as pure-kappa rows.
 
-    Only those candidates are built.  Trivial rows are dropped; a row with
-    zero coefficients but nonzero kappa side is a contradiction and raises.
+    No rule runs: the rows are all of bw1..bw6 under hpn or on a (1_a) shape,
+    else _TERMLESS, and only those that exist on the bundle are built.
+    Trivial rows are dropped; a row with zero coefficients but nonzero kappa
+    side is a contradiction and raises.
     """
     ctx = _Context(bundle, table)
     out = []
-    for terms, build in _inventory(ctx, hpn):
-        if terms:
+    for _, build, exists in _RULED if hpn or (ctx.shape and ctx.shape[1] == 0) else _TERMLESS:
+        if exists(ctx) is not None:
             continue
         ident = build(ctx, ())
         if not any(ident.values):

@@ -24,7 +24,8 @@ integral by a positive lcm; the ratio test cross-multiplies.  So the pivot
 sequence, and the returned optimum, match a ``Fraction`` tableau pivot for
 pivot; the optimum is one Fraction, the basic integer costs times the final
 right-hand side over cost_scale * d.  Rank and solve run Gauss-Jordan with the
-same kernel.
+same kernel on each row scaled to ints (an all-int row as it is).  Rows of
+unequal length, or a rhs of another length than the rows, raise ValueError.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def simplex_maximize(objective, constraints, rhs):
     """
     m = len(constraints)
     n = len(objective)
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match the constraint rows")
     objective = [_rational(c) for c in objective]
     if m == 0:
         if any(c > 0 for c in objective):
@@ -189,11 +192,16 @@ def simplex_maximize(objective, constraints, rhs):
 
 
 def _integer_rows(rows):
-    """Each row of rationals scaled by the lcm of its own denominators."""
+    """Each row of rationals scaled by the lcm of its own denominators, an
+    all-int row as it is; ValueError for rows of unequal length."""
     out = []
     for row in rows:
-        row = [_rational(v) for v in row]
-        out.append(scaled(row, lcm(*(v.denominator for v in row))))
+        if not all(type(v) is int for v in row):
+            row = [_rational(v) for v in row]
+            row = scaled(row, lcm(*(v.denominator for v in row)))
+        out.append(row)
+    if any(len(row) != len(out[0]) for row in out):
+        raise ValueError("row length does not match the first row")
     return out
 
 
@@ -236,7 +244,9 @@ def solve_linear_system(matrix, rhs):
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    work = _integer_rows([*row, rhs[i]] for i, row in enumerate(matrix))
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match the matrix rows")
+    work = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
     d, pivots = _row_reduce(work, n)
     rank = len(pivots)
     if any(row[-1] for row in work[rank:]):

@@ -3,10 +3,11 @@
 An Sp(n) weight is an integer tuple (r1, ..., rn); it is dominant integral
 when the entries are non-increasing and the last one is nonnegative.
 decompose_rho_tensor_E lists the 2n shifted weights rho + mu_nu (one entry
-bumped by +-1) of V_rho (x) E once, in canonical order.  A shift may leave the
-dominant cone; it is kept rather than dropped, and the summand table in
-casimir reads its dominance and Weyl dimension.  This module owns the label
-rules, one helper each, and reads integers through operator.index.
+bumped by +-1) of V_rho (x) E once, in canonical order (nu = 1..n, -1..-n),
+without mu_shift's checks.  A shift may leave the dominant cone; it is kept,
+and the summand table in casimir reads its dominance off the entries of rho.
+This module owns the label rules, one helper each, and reads integers
+through operator.index.
 """
 
 from __future__ import annotations
@@ -138,16 +139,17 @@ def mu_shift(rho: SpnWeight, nu: int) -> SpnWeight:
     """
     nu = index(nu)
     _check_shift(rho.n, nu)
-    entries = list(rho.entries)
-    entries[abs(nu) - 1] += 1 if nu > 0 else -1
-    shifted = object.__new__(SpnWeight)  # rho is checked, so its shift skips __init__
-    object.__setattr__(shifted, "entries", tuple(entries))
-    return shifted
+    return _shifted(rho.entries, abs(nu) - 1, 1 if nu > 0 else -1)
 
 
-def nu_indices(n: int):
-    """Canonical ordering of the shift indices: 1..n then -1..-n."""
-    return list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
+def _shifted(entries: tuple, i: int, step: int) -> SpnWeight:
+    """entries with step added at 0-based position i, built without __init__:
+    they are the entries of a checked weight."""
+    shifted = list(entries)
+    shifted[i] += step
+    weight = object.__new__(SpnWeight)
+    object.__setattr__(weight, "entries", tuple(shifted))
+    return weight
 
 
 # Weyl dimensions computed so far in this process, keyed by weight entries.
@@ -188,12 +190,14 @@ def decompose_rho_tensor_E(rho: SpnWeight) -> tuple:
     """The 2n pairs (nu, rho + mu_nu) of V_rho (x) E in canonical order.
 
     Shifts that leave the dominant cone are kept; raises NonDominantError
-    for a non-dominant rho.
+    for a non-dominant rho.  rho is checked once, so its shifts skip the
+    index and range checks of mu_shift.
     """
     rho.require_dominant()
     # built from a list: tuple() of a generator here ran more gc collections,
     # which made the peak RSS of the lp-general benchmark step up a pass sooner
-    return tuple([(nu, mu_shift(rho, nu)) for nu in nu_indices(rho.n)])
+    e, n = rho.entries, rho.n
+    return tuple([(s * (i + 1), _shifted(e, i, s)) for s in (1, -1) for i in range(n)])
 
 
 def _parse_int(text: str, what: str, signed: bool) -> int:

@@ -20,9 +20,13 @@ def load_script():
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_summary_of_the_committed_runs_is_the_committed_summary(path):
+    """Each workload section, or the top level of a one-workload file."""
     bench = json.loads(path.read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    assert load_script().summarise(bench["runs"], end_to_end) == bench["summary"]
+    sections = list(bench["workloads"].values()) if "workloads" in bench else [bench]
+    assert sections
+    for section in sections:
+        assert load_script().summarise(section["runs"], end_to_end) == section["summary"]
 
 
 def test_pairs_alternate_and_keep_each_result_as_returned():
@@ -72,3 +76,26 @@ def test_a_wrong_run_raises_and_writes_no_file(line, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="wrong run"):
         script.main(args)
     assert not out.exists()
+
+
+def test_each_workload_gets_its_own_section(tmp_path, monkeypatch):
+    script = load_script()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def line(workload):
+        value = {"lp-grid": 1.0, "algebra": 2.0}[workload]
+        metrics = {m["name"]: {"value": value} for m in end_to_end}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(script, "run_command", lambda workload, seed, trace: printing(line(workload)))
+    out = tmp_path / "BENCH_two.json"
+    script.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "lp-grid",
+                 "--workload", "algebra", "--seed", "1", "--pairs", "2", "--label", "two",
+                 "--claim", "none", "--parent-commit", "0", "--out", str(out)])
+    bench = json.loads(out.read_text())
+    assert list(bench["workloads"]) == ["lp-grid", "algebra"]
+    for workload, section in bench["workloads"].items():
+        assert [r["result"] for r in section["runs"]] == [line(workload)] * 4
+        assert section["summary"] == script.summarise(section["runs"], end_to_end)
+        value = line(workload)["metrics"]["cases_per_s"]["value"]
+        assert section["summary"]["cases_per_s"]["parent_median"] == value

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkbw import casimir
+from qkbw import casimir, selfcheck
 from qkbw.casimir import (
     DEFAULT_Q_CAP,
     FormulaDegeneracyError,
@@ -43,10 +43,15 @@ from qkbw.weights import (
     SpnWeight,
     decompose_rho_tensor_E,
     mu_shift,
-    nu_indices,
+    weyl_dim,
 )
 
 F = Fraction
+
+
+def nu_indices(n):
+    """The shift indices in canonical order: 1..n then -1..-n."""
+    return list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
 
 
 def oracle_weight(rho, nu) -> Fraction:
@@ -238,6 +243,17 @@ def test_non_dominant_weight_raises(call):
             call(SpnWeight(entries))
 
 
+@pytest.mark.parametrize("reldim", [relative_dimension_weyl, relative_dimension_product])
+def test_relative_dimensions_reject_a_non_dominant_weight(reldim):
+    """Both routes raise for every shift of a non-dominant rho, the shifts whose
+    target is dominant ((0, 1) + mu_2, (0, 1) - mu_1) included."""
+    for entries in ((0, 1), (1, 2, 0), (1, -1)):
+        rho = SpnWeight(entries)
+        for nu in nu_indices(rho.n):
+            with pytest.raises(NonDominantError):
+                reldim(rho, nu)
+
+
 @pytest.mark.parametrize("moment", [casimir_eigenvalue, casimir_hat])
 def test_negative_q_raises(moment):
     with pytest.raises(ValueError, match="nonnegative"):
@@ -336,3 +352,23 @@ def test_verify_recursion_reports_each_wrong_moment(monkeypatch):
     monkeypatch.setattr(casimir, "_moments", lambda r, q: (D, S, T))
     assert verify_recursion(rho, 6) == [("recursion", 3), ("recursion", 5), ("binomial", 3)]
     assert oracle_verify_recursion(rho, 6) == verify_recursion(rho, 6)
+
+
+def test_summand_table_matches_the_object_route():
+    """Over every dominant rho of entry sum <= 6 with n = 2..7, the dominance
+    flags, the weights w and the dimensions d that the summand table reads off
+    the entries of rho equal those of each shifted weight: its is_dominant,
+    casimir._weight and the Weyl oracle."""
+    for n in range(2, 8):
+        for rho in selfcheck.dominant_weights(n, 6):
+            dominant = casimir._dominant_shifts(rho)
+            flags = [nu in dominant for nu in nu_indices(n)]
+            want = []
+            for nu in nu_indices(n):
+                shifted = mu_shift(rho, nu)
+                dim = weyl_dim(shifted) if shifted.is_dominant else 0
+                want.append((nu, shifted, casimir._weight(rho, nu), dim))
+            assert flags == [mu_shift(rho, nu).is_dominant for nu in nu_indices(n)], rho
+            D, rows = casimir._summands(rho)
+            assert D == weyl_dim(rho) and list(rows) == want, rho
+            assert all(type(w) is int and type(d) is int for _, _, w, d in rows), rho

@@ -8,7 +8,12 @@ from qkbw.bounds import NoCertificate
 from qkbw.casimir import relative_dimension_weyl
 from qkbw.cli import main
 from qkbw.selfcheck import suite_lp_agreement, sweep_cases
-from qkbw.weights import SpnWeight, mu_shift, nu_indices
+from qkbw.weights import SpnWeight, mu_shift
+
+
+def nu_indices(n):
+    """The shift indices in canonical order: 1..n then -1..-n."""
+    return list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
 
 
 def run(capsys, *argv):

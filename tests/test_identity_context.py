@@ -491,3 +491,55 @@ def test_integer_rows_are_in_lowest_terms_and_match_the_reference(rho, k, hpn):
         _assert_same_identity(identity_bochner1(bundle, q), oracle_bochner1(bundle, q, table))
     for q in range(4 if k else 0):
         _assert_same_identity(identity_bochner2(bundle, q), oracle_bochner2(bundle, q, table))
+
+
+# Every dominant rho of entry sum <= 4 with n = 2..6, and every (2_b,1_(a-b))
+# shape with n = 2..7.
+RULE_GRID = [rho for n in range(2, 7) for rho in dominant_weights(n, 4)] + [
+    lambda_ab_weight(a, b, n) for n in range(2, 8) for a in range(n + 1) for b in range(a + 1)
+]
+
+
+def rule_pass_pure_kappa(bundle, hpn):
+    """The rows the CurvatureTerm route leaves pure: the printed identities
+    bw1..bw6 after the rule pass, those with no curvature term left, trivial
+    rows dropped."""
+    printed = printed_identities(bundle, hpn)[1:]
+    return [ident for ident in printed if ident.is_pure_kappa and any(ident.values)]
+
+
+def row_data(rows):
+    return [(ident.provenance, ident.values, ident.kappa, ident.denominator) for ident in rows]
+
+
+@pytest.mark.parametrize("hpn", [False, True])
+def test_rule_table_matches_the_rule_pass(hpn):
+    """pure_kappa_identities chooses its rows without running a rule; on every
+    bundle of the grid, k = 0..4, they are the rows the rule pass leaves pure.
+    Rule B's scalar 2n^2 + 7n + 7 - c_2/4 is positive on every shape, so on the
+    (1_a) shapes it never cancels the R^3 of bw2 by itself."""
+    for rho in RULE_GRID:
+        shape = rho.lambda_ab_shape()
+        if shape is not None:
+            n = rho.n
+            assert 2 * n**2 + 7 * n + 7 - closed_form_c2_lambda_ab(*shape, n) / 4 > 0, rho
+        for k in range(5):
+            bundle = BundleLabel(k, rho)
+            got = row_data(pure_kappa_identities(bundle, hpn))
+            assert got == row_data(rule_pass_pure_kappa(bundle, hpn)), (rho, k)
+
+
+@pytest.mark.parametrize("rho", [SpnWeight((3, 1, 0)), SpnWeight((2, 2, 1)), SpnWeight((4, 0))])
+def test_family_rows_reach_the_rank_as_ints(rho):
+    """The theorem family's integer rows, hatted curvature columns included,
+    are ints, and their Fraction views are unchanged."""
+    for k in (0, 2):
+        family = theorem_family(BundleLabel(k, rho))
+        keys = identities._curvature_keys(family)
+        assert keys
+        for ident in family:
+            row = ident.integer_row(keys)
+            assert all(type(v) is int for v in row), ident.provenance
+            terms = {t.key: t.coefficient for t in ident.curvature_terms}
+            want = [*ident.coeff_map().values(), ident.kappa_coeff] + [terms.get(key, 0) for key in keys]
+            assert ident.full_vector(keys) == want

@@ -174,3 +174,31 @@ def test_ints_bools_and_fractions_stay_exact():
     assert solve_linear_system([[F(1, 10), F(3, 10)], [1, 3]], [F(1, 10), 1]) == (None, 1)
     assert simplex_maximize([1], [[3]], [F(3, 10)]) == (F(1, 10), [F(1, 10)])
     assert exact_rank([[True, 2], [1, 2]]) == 1
+
+
+RAGGED = {
+    "rank-short-first-row": lambda: exact_rank([[1], [0, 1]]),
+    "rank-short-second-row": lambda: exact_rank([[0, 1], [1]]),
+    "rank-fraction-row": lambda: exact_rank([[F(1, 2), 1], [F(1, 3)]]),
+    "solve-short-row": lambda: solve_linear_system([[1, 0], [0]], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("call", RAGGED.values(), ids=RAGGED)
+def test_rows_of_unequal_length_raise(call):
+    with pytest.raises(ValueError, match="row length does not match the first row"):
+        call()
+
+
+RHS_MISMATCH = {
+    "solve-long-rhs": lambda: solve_linear_system([[1], [1]], [1, 1, 5]),
+    "solve-short-rhs": lambda: solve_linear_system([[1], [1]], [1]),
+    "simplex-long-rhs": lambda: simplex_maximize([1], [[1]], [1, 5]),
+    "simplex-short-rhs": lambda: simplex_maximize([1], [[1], [2]], [1]),
+}
+
+
+@pytest.mark.parametrize("call", RHS_MISMATCH.values(), ids=RHS_MISMATCH)
+def test_rhs_of_another_length_than_the_rows_raises(call):
+    with pytest.raises(ValueError, match="rhs length does not match the"):
+        call()
