@@ -90,11 +90,15 @@ class BoundCertificate(Record):
 
     def verify(self, operator: OperatorSpec, identities) -> None:
         """Re-check the certificate exactly against the public operator and
-        identity rows: distinct multiplier ids, the residuals on the targets
-        of the operator and of those identities in order, and nonnegativity.
-        With the operator over D, the residuals over R, the multipliers over P
-        and the identities over Q, op - residual = sum of multiplier * identity
-        at each target, and the kappa side, hold by integer cross-multiplication."""
+        identity rows: its bundle and operator name are the operator row's,
+        the multiplier ids are distinct and name identities on that bundle,
+        the residuals lie on the targets of the operator and of those
+        identities in order, and are nonnegative.  With the operator over D,
+        the residuals over R, the multipliers over P and the identities over
+        Q, op - residual = sum of multiplier * identity at each target, and
+        bound = the kappa side, hold by integer cross-multiplication."""
+        if self.bundle != operator.bundle or self.operator != operator.name:
+            raise InconsistencyError("the certificate is labelled for another bundle or operator")
         ids = [i for i, _ in self.multipliers]
         if len(set(ids)) != len(ids):
             raise InconsistencyError(f"a multiplier id repeats in {ids}")
@@ -103,6 +107,8 @@ class BoundCertificate(Record):
             unknown = sorted(set(ids) - by_id.keys())
             raise InconsistencyError(f"multipliers name unknown identities {unknown}")
         used = [by_id[i] for i in ids]
+        if any(ident.bundle != self.bundle for ident in used):
+            raise InconsistencyError("a multiplier names an identity on another bundle")
         keys = tuple(key for key, _ in self.residuals)
         if any(row.targets != keys for row in (operator, *used)):
             raise InconsistencyError("residual targets differ from the operator's or an identity's")
@@ -119,9 +125,8 @@ class BoundCertificate(Record):
         for key, c, o, r in zip(keys, combined, operator.values, scaled(res, R)):
             if c * D * R != (o * R - r * D) * P * Q:  # o / D - r / R == c / (P * Q)
                 raise InconsistencyError(f"reconstruction fails at {key}")
-        value = self.bound - operator.constant_kappa
         kappa = sum(map(mul, weights, (ident.kappa for ident in used)))
-        if kappa * value.denominator != value.numerator * P * Q:
+        if kappa * self.bound.denominator != self.bound.numerator * P * Q:
             raise InconsistencyError("bound does not match multiplier combination")
 
     def to_json_dict(self):
@@ -196,20 +201,21 @@ def _integer_problem(operator, identities, sign):
     return A, op, [sign * s * ident.kappa for s, ident in zip(scales, identities)], M
 
 
-def _split_rows(rows, slack_rows, one):
+def _split_rows(rows, slack_rows):
     """Rows of [A | -A | slacks] for lambda = lambda+ - lambda-, with one slack
-    column (a residual, entry ``one``) for each row index in slack_rows."""
+    column (a residual, entry 1) for each row index in slack_rows; scaling a
+    column by a positive factor changes no Bland pivot and no lambda."""
     return [
-        row + [-v for v in row] + [one * (i == s) for s in slack_rows]
+        row + [-v for v in row] + [int(i == s) for s in slack_rows]
         for i, row in enumerate(rows)
     ]
 
 
-def _l1_smallest(m, rows, rhs, slack_rows, one):
+def _l1_smallest(m, rows, rhs, slack_rows):
     """The L1-smallest lambda with rows . lambda = rhs on the rows outside
     slack_rows and <= rhs on those: exact simplex, Bland's rule."""
     _, x = simplex_maximize(
-        [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(rows, slack_rows, one), rhs
+        [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(rows, slack_rows), rhs
     )
     return [x[j] - x[m + j] for j in range(m)]
 
@@ -278,7 +284,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     except LPInfeasibleError as dual_exc:
         # The primal is unbounded or infeasible; a feasibility LP tells which.
         try:
-            simplex_maximize([0] * (2 * m + t), _split_rows(A, range(t), M), op)
+            simplex_maximize([0] * (2 * m + t), _split_rows(A, range(t)), op)
         except LPInfeasibleError:
             return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
         # the kept error's context must not hold the solver's tableau
@@ -294,10 +300,10 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         A_T, op_T = [A[i] for i in tight], [op[i] for i in tight]
         lambdas = solve_linear_system(A_T, op_T)[0] if tight else None
         if lambdas is None:
-            lambdas = _l1_smallest(m, A_T, op_T, (), M)
+            lambdas = _l1_smallest(m, A_T, op_T, ())
             if any(r < 0 for r in _residuals(A, op, lambdas)[2]):
                 slack_rows = [i for i in range(t) if y[i] == 0]
-                lambdas = _l1_smallest(m, A, op, slack_rows, M)
+                lambdas = _l1_smallest(m, A, op, slack_rows)
     den, lams, residuals = _residuals(A, op, lambdas)
     residuals = [Fraction(r, M * den) for r in residuals]
     gain = Fraction(sum(map(mul, lams, kappa)), M * den)
@@ -309,7 +315,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         kappa_sign=sign,
         multipliers=tuple(zip(_identity_ids(identities), lambdas)),
         residuals=tuple(zip(operator.targets, residuals)),
-        bound=operator.constant_kappa + sign * gain,
+        bound=sign * gain,
     )
     cert.verify(operator, identities)
     return cert
@@ -447,7 +453,8 @@ class KernelAnalysis(Record):
     solved_ratios maps each remaining target to the coefficient c with
     ||D phi||^2 = c * kappa * ||phi||^2 for sections killed by the kernel
     set.  A ratio that forces a squared norm negative proves the section
-    space vanishes for that sign of the scalar curvature.
+    space vanishes for that sign of the scalar curvature: the verdicts
+    name the first such target as witness, computed from the ratios.
     """
 
     def __init__(
@@ -456,17 +463,21 @@ class KernelAnalysis(Record):
         kernel_set: tuple,
         solved_ratios: tuple,  # of ((N, nu), Fraction); empty when undetermined
         rank_deficit: int,
-        verdicts: tuple,  # of (sign, verdict, witness-or-None)
     ):
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "kernel_set", kernel_set)
         object.__setattr__(self, "solved_ratios", solved_ratios)
         object.__setattr__(self, "rank_deficit", rank_deficit)
-        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def determined(self) -> bool:
         return self.rank_deficit == 0
+
+    @property
+    def verdicts(self) -> tuple:
+        """(sign, verdict, witness-or-None) for kappa > 0, then kappa < 0."""
+        first = {s: next((t for t, v in self.solved_ratios if s * v < 0), None) for s in (1, -1)}
+        return tuple((s, "undetermined" if w is None else "vanishes", w) for s, w in first.items())
 
     def nabla_ratio(self) -> Fraction:
         """Expectation of the connection Laplacian implied by the base row."""
@@ -542,15 +553,9 @@ def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
     except ArithmeticError as exc:
         raise InconsistencyError("kernel system is inconsistent") from exc
     if solution is None:
-        deficit = len(unknown) - rank
-        verdicts = ((1, "undetermined", None), (-1, "undetermined", None))
-        return KernelAnalysis(bundle, kernel, (), deficit, verdicts)
+        return KernelAnalysis(bundle, kernel, (), len(unknown) - rank)
     ratios = tuple(zip((valid_keys[i] for i in unknown), solution))
-    verdicts = []
-    for s in (1, -1):
-        witness = next((key for key, v in ratios if s * v < 0), None)
-        verdicts.append((s, "vanishes" if witness else "undetermined", witness))
-    return KernelAnalysis(bundle, kernel, ratios, 0, tuple(verdicts))
+    return KernelAnalysis(bundle, kernel, ratios, 0)
 
 
 def twistor_kernel_analysis(k: int, n: int) -> KernelAnalysis:

@@ -123,6 +123,21 @@ def _lowest_terms(row, denominator):
     return (tuple(v // g for v in row) if g > 1 else tuple(row)), denominator // g
 
 
+def _check_length(targets, values):
+    if len(values) != len(targets):
+        raise ValueError(f"{len(values)} values for {len(targets)} targets")
+
+
+def _own_table(bundle, table):
+    """The bundle's decomposition table: ``table`` when given, which must be
+    the bundle's own, else a new one."""
+    if table is None:
+        return decompose_bundle(bundle)
+    if table.bundle != bundle:
+        raise MixedBundleError(f"the table is of {table.bundle}, not of {bundle}")
+    return table
+
+
 class _Row:
     """The Fraction views of an integer row values / denominator over targets."""
 
@@ -145,9 +160,11 @@ class BWIdentity(_Row, Record):
     lowest terms."""
 
     def __init__(self, bundle, targets, values, kappa, denominator, curvature_terms, provenance):
+        targets = tuple(targets)
         row, denominator = _lowest_terms((*values, kappa), denominator)
+        _check_length(targets, row[:-1])
         object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "values", row[:-1])
         object.__setattr__(self, "kappa", row[-1])
         object.__setattr__(self, "denominator", denominator)
@@ -225,7 +242,7 @@ class _Context:
     """
 
     def __init__(self, bundle: BundleLabel, table: DecompositionTable = None, q_max=4):
-        self.table = table or decompose_bundle(bundle)
+        self.table = _own_table(bundle, table)
         valid = self.table.valid_rows
         self.bundle = bundle
         self.n, self.k, self.D = bundle.n, bundle.k, self.table.dim
@@ -525,18 +542,21 @@ class OperatorSpec(_Row, Record):
     """Second-order operator as an exact combination of gradient squares,
     the int values[i] / denominator times B_{targets[i]}, in lowest terms.
 
-    constant_kappa is an additive kappa-multiple on the operator side; the
-    four built-ins are complete B-expansions, so it is zero for them.
+    Every built-in operator is a complete B-expansion, so the operator side
+    carries no kappa-multiple: constant_kappa is the class constant 0.
     """
 
-    def __init__(self, name, bundle, targets, values, denominator, constant_kappa: Fraction):
+    constant_kappa = Fraction(0)
+
+    def __init__(self, name, bundle, targets, values, denominator):
+        targets = tuple(targets)
         values, denominator = _lowest_terms(values, denominator)
+        _check_length(targets, values)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "constant_kappa", constant_kappa)
 
 
 # 2n times the coefficient of each built-in operator on B at a target with
@@ -552,14 +572,15 @@ OPERATOR_NAMES = tuple(_OPERATORS)
 
 def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
     """Coefficient vector of a named operator over the valid targets: one
-    integer row over 2n, in lowest terms over 1, n or 2n."""
+    integer row over 2n, in lowest terms over 1, n or 2n.  A given table
+    must be the bundle's own."""
     if name not in _OPERATORS:
         raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
     n, value = bundle.n, _OPERATORS[name]
-    rows = (table or decompose_bundle(bundle)).valid_rows
+    rows = _own_table(bundle, table).valid_rows
     targets = tuple((N, nu) for N, nu, _, _ in rows)
     values = [value(n, w, W) for _, _, w, W in rows]
-    return OperatorSpec(name, bundle, targets, values, 2 * n, Fraction(0))
+    return OperatorSpec(name, bundle, targets, values, 2 * n)
 
 
 def independence_rank(identities) -> int:

@@ -1,7 +1,7 @@
 """Corpus verification suites shared by the CLI selftest and the test suite.
 
 Each suite returns a SuiteResult with the number of cases checked and a
-list of failure descriptions (empty on success).  All comparisons are
+tuple of failure descriptions (empty on success).  All comparisons are
 exact; there are no tolerances anywhere.
 """
 
@@ -49,16 +49,13 @@ __all__ = ["SuiteResult", "run_suites", "dominant_weights", "sweep_cases", "swee
 
 
 class SuiteResult(Record):
-    """One suite's outcome; mutable, so unhashable."""
+    """One suite's outcome: its name, the number of cases checked and the
+    failure descriptions as a tuple, empty on success."""
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, name: str, cases: int, failures: list):
-        self.name = name
-        self.cases = cases
-        self.failures = failures
+    def __init__(self, name: str, cases: int, failures):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "failures", tuple(failures))
 
     @property
     def ok(self) -> bool:

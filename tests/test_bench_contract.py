@@ -5,15 +5,22 @@ The traced run wraps ``qkbw.<module>.<attr>`` for every per-layer metric
 of failing, so a renamed function silently drops its metric.  The CLI probe
 reads ``cli.import.<module>.self_ms`` off ``python -X importtime -c "import
 qkbw.cli"``, so a module that is no longer imported drops its metric too.
+The workloads' own checks read package names as well (``constant_kappa`` of
+an operator, the ``verdicts`` of a kernel analysis), so a sample of each
+workload's cases runs through its build, run and check here.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
@@ -59,3 +66,33 @@ def test_one_bound_process_loads_neither_dataclasses_nor_the_process_pool():
     assert {"qkbw.selfcheck", "concurrent.futures"} <= imported
     unwanted = {"dataclasses", "inspect", "concurrent.futures.process", "multiprocessing"}
     assert not unwanted & imported, unwanted & imported
+
+
+def load_workloads():
+    """perfbench/bench_workloads.py as a module, read without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "bench_workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}), mock.patch.object(
+        sys, "dont_write_bytecode", True
+    ):
+        spec.loader.exec_module(module)
+    return module
+
+
+# every step-th case of the seed-1 pass: about 60 in process, one cli-cold process
+STEPS = {"lp-grid": 10, "lp-general": 10, "algebra": 10, "cli-cold": 144}
+
+
+@pytest.mark.parametrize("name", STEPS)
+def test_workload_cases_pass_their_own_check(name):
+    workload = load_workloads().WORKLOADS[name]
+    cases = workload.build(1)[:: STEPS[name]]
+    outcomes = set()
+    for case in cases:
+        checked = workload.check(case, workload.run(case))
+        assert checked.ok, (case.ident, checked.problem)
+        outcomes.add(checked.outcome.split("\t")[1].split()[0])
+    if name == "lp-general":
+        assert outcomes == {"certified", "no-certificate"}

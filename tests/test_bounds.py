@@ -211,6 +211,20 @@ class TestVerifyRejectsMalformedCertificates:
         with pytest.raises(InconsistencyError, match=r"unknown identities \['bw9'\]"):
             self._verify("multipliers", lambda multipliers: multipliers + (("bw9", F(0)),))
 
+    def test_label_of_another_bundle_or_operator(self):
+        other = BundleLabel(4, SpnWeight((3, 3, 1)))
+        for field, value in (("bundle", other), ("operator", "dirac_squared")):
+            with pytest.raises(InconsistencyError, match="labelled for another"):
+                self._verify(field, lambda _: value)
+
+    def test_identity_on_another_bundle(self):
+        operator = operator_coeffs("hodge_laplacian", self.bundle)
+        identities = pure_kappa_identities(self.bundle)
+        cert = lp_max_bound(operator, identities, "+")
+        moved = [i.replace(bundle=BundleLabel(4, SpnWeight((3, 3, 1)))) for i in identities]
+        with pytest.raises(InconsistencyError, match="identity on another bundle"):
+            cert.verify(operator, moved)
+
 
 def _assert_rewriting(bundle, operator_name, residuals, bound):
     """A displayed rewriting is valid iff operator - residuals lies in the

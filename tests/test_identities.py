@@ -225,6 +225,13 @@ class TestPrintedForms:
         with pytest.raises(MixedBundleError):
             bw3.combine(1, bw3.replace(targets=bw3.targets[::-1]), 1)
 
+    def test_values_must_match_the_targets_in_length(self):
+        bw3 = printed_identity(lambda_ab_bundle(2, 2, 1, 3), "bw3")
+        assert len(bw3.targets) == 10
+        for values in (bw3.values[:-1], bw3.values + (1,)):
+            with pytest.raises(ValueError, match="values for 10 targets"):
+                bw3.replace(values=values)
+
 
 class TestRules:
     def test_rule_a_purifies_first_moment(self):
@@ -342,6 +349,27 @@ class TestOperators:
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
             operator_coeffs("laplace_beltrami", lambda_ab_bundle(1, 1, 0, 2))
+
+    def test_values_must_match_the_targets_in_length(self):
+        spec = operator_coeffs("hodge_laplacian", lambda_ab_bundle(2, 2, 1, 3))
+        assert len(spec.targets) == 10
+        for values in (spec.values[:-1], spec.values + (1,)):
+            with pytest.raises(ValueError, match="values for 10 targets"):
+                spec.replace(values=values)
+
+    def test_a_table_of_another_bundle_is_refused(self):
+        # both bundles have n = 2: rows of the one would silently stand for the other
+        bundle, other = BundleLabel(2, SpnWeight((1, 0))), BundleLabel(1, SpnWeight((2, 1)))
+        table = decompose_bundle(other)
+        for build in (
+            lambda: operator_coeffs("hodge_laplacian", bundle, table=table),
+            lambda: pure_kappa_identities(bundle, table=table),
+        ):
+            with pytest.raises(MixedBundleError, match="the table is of"):
+                build()
+        own = operator_coeffs("hodge_laplacian", other, table=table)
+        assert own == operator_coeffs("hodge_laplacian", other)
+        assert pure_kappa_identities(other, table=table) == pure_kappa_identities(other)
 
 
 class TestRank:

@@ -287,7 +287,7 @@ def synthetic_problems(draw):
     t = draw(st.integers(2, 6))
     keys = [(1 if i % 2 == 0 else -1, i // 2 + 1) for i in range(t)]
     op, den = over_lcm(draw(entries) for _ in range(t))
-    operator = OperatorSpec("synthetic", BUNDLE, keys, op, den, draw(entries))
+    operator = OperatorSpec("synthetic", BUNDLE, keys, op, den)
     identities = []
     for j in range(draw(st.integers(1, 5))):
         coeffs = [draw(entries) for _ in keys]

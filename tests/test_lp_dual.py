@@ -124,7 +124,7 @@ KEYS = ((1, 1), (-1, 1))
 
 
 def _operator(*op):
-    return OperatorSpec("test_operator", BUNDLE, KEYS, op, 1, F(0))
+    return OperatorSpec("test_operator", BUNDLE, KEYS, op, 1)
 
 
 def _identity(name, kappa, *coeffs):
