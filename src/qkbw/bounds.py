@@ -176,6 +176,24 @@ class NoCertificate(Record):
         object.__setattr__(self, "kappa_sign", kappa_sign)
         object.__setattr__(self, "reason", reason)
 
+    def to_json_dict(self):
+        return {
+            "n": self.bundle.n,
+            "k": self.bundle.k,
+            "rho": str(self.bundle.rho),
+            "operator": self.operator,
+            "kappa_sign": "+" if self.kappa_sign > 0 else "-",
+            "bound": None,
+            "reason": self.reason,
+        }
+
+    def to_markdown(self) -> str:
+        sign = "+" if self.kappa_sign > 0 else "-"
+        return (
+            f"No lower bound on {self.operator} over {self.bundle} (kappa {sign})\n\n"
+            f"bound: none\nreason: {self.reason}"
+        )
+
 
 def _identity_ids(identities):
     ids = []
@@ -189,16 +207,17 @@ def _identity_ids(identities):
 
 
 def _integer_problem(operator, identities, sign):
-    """(A, op, kappa, M): the target-by-identity matrix, the operator and
-    sign * kappa of each identity, as ints over one common denominator M.
-    Every row is in lowest terms, so M, the lcm of the row denominators, is
-    the lcm of the denominators of all the entries."""
+    """(rows, A, op, kappa, M): the identity rows, their transpose A (one row
+    per target, each empty when there is no identity), the operator and sign
+    * kappa of each identity, as ints over one common denominator M.  Every
+    row is in lowest terms, so M, the lcm of the row denominators, is the lcm
+    of the denominators of all the entries."""
     M = lcm(operator.denominator, *(ident.denominator for ident in identities))
     scales = [M // ident.denominator for ident in identities]
-    columns = [[s * v for v in ident.values] for s, ident in zip(scales, identities)]
-    A = [[column[i] for column in columns] for i in range(len(operator.values))]
+    rows = [[s * v for v in ident.values] for s, ident in zip(scales, identities)]
+    A = [[row[i] for row in rows] for i in range(len(operator.values))]
     op = [M // operator.denominator * v for v in operator.values]
-    return A, op, [sign * s * ident.kappa for s, ident in zip(scales, identities)], M
+    return rows, A, op, [sign * s * ident.kappa for s, ident in zip(scales, identities)], M
 
 
 def _split_rows(rows, slack_rows):
@@ -271,14 +290,12 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
             raise MixedBundleError("identities and operator must live on one bundle")
         if not ident.is_pure_kappa:
             raise ValueError(f"identity {ident.provenance} is not pure kappa")
-    A, op, kappa, M = _integer_problem(operator, identities, sign)
+    rows, A, op, kappa, M = _integer_problem(operator, identities, sign)
     m, t = len(identities), len(op)
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
     try:
-        value, y = simplex_maximize(
-            [-o for o in op], [[row[j] for row in A] for j in range(m)], kappa
-        )
+        value, y = simplex_maximize([-o for o in op], rows, kappa)
     except LPUnboundedError:
         return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
     except LPInfeasibleError as dual_exc:
@@ -552,7 +569,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
         solution, rank = solve_linear_system(matrix, rhs)
     except ArithmeticError as exc:
         raise InconsistencyError("kernel system is inconsistent") from exc
-    if solution is None:
+    if rank < len(unknown):
         return KernelAnalysis(bundle, kernel, (), len(unknown) - rank)
     ratios = tuple(zip((valid_keys[i] for i in unknown), solution))
     return KernelAnalysis(bundle, kernel, ratios, 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .identities import (
     Rule,
     apply_rule,
     printed_identities,
+    printed_identity,
     theorem_family,
 )
 from .rationals import format_rational
@@ -188,7 +190,12 @@ def cmd_bw(args) -> int:
             identities = [apply_rule(ident, Rule.HPN) for ident in identities]
     else:
         identities = printed_identities(bundle, args.hpn)
-    obj = identities_to_json_dict(identities)
+    obj, csv_text = identities_to_json_dict(identities), identities_to_csv(identities)
+    if not identities:
+        # an empty theorem family still names its bundle and targets: the base row's
+        base = [printed_identity(bundle, "sum")]
+        obj = {**identities_to_json_dict(base), "identities": []}
+        csv_text = identities_to_csv(base).partition("\n")[0] + "\n"
     lines = [f"Identities on {bundle}", ""]
     for ident in identities:
         tag = "pure-kappa" if ident.is_pure_kappa else "carries curvature"
@@ -198,7 +205,7 @@ def cmd_bw(args) -> int:
         for ident in identities:
             print(identity_to_latex(ident))
         return 0
-    _emit(args, obj, "\n".join(lines), identities_to_csv(identities))
+    _emit(args, obj, "\n".join(lines), csv_text)
     return 0
 
 
@@ -207,31 +214,16 @@ def cmd_bound(args) -> int:
     bundle = BundleLabel(args.k, rho)
     operator = OPERATOR_ALIASES[args.operator]
     result = bound_for(operator, bundle, args.kappa_sign, hpn=args.hpn)
-    if result.bound is None:
-        obj = {
-            "n": bundle.n,
-            "k": bundle.k,
-            "rho": str(bundle.rho),
-            "operator": operator,
-            "kappa_sign": args.kappa_sign,
-            "bound": None,
-            "reason": result.reason,
-        }
-        markdown = (
-            f"No lower bound on {operator} over {bundle} (kappa {args.kappa_sign})\n\n"
-            f"bound: none\nreason: {result.reason}"
-        )
-        _emit(args, obj, markdown)
-        return 4
     shape = rho.lambda_ab_shape()
-    if operator == "hodge_laplacian" and shape is not None and not args.hpn:
+    certified = result.bound is not None
+    if certified and operator == "hodge_laplacian" and shape is not None and not args.hpn:
         a, b = shape
         if 0 <= args.k <= 2 * bundle.n - a - b:
             closed = closed_form_bound(args.k, a, b, bundle.n, args.kappa_sign)
             if closed == result.bound:
                 result = result.replace(matched_closed_form="laplace-bound-table")
     _emit(args, result.to_json_dict(), result.to_markdown())
-    return 0
+    return 0 if certified else 4
 
 
 def cmd_vanish(args) -> int:
@@ -294,29 +286,34 @@ def cmd_sweep(args) -> int:
     cases = sweep_cases(ns, signs, args.hpn, **filters)
     if not cases:
         raise ValueError("the sweep selects no cases; check --n, --k, --a and --b")
-    if jobs > 1:
-        # the attribute loads the pool module, which the other verbs never need
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(sweep_case, cases))
-    else:
-        results = [sweep_case(c) for c in cases]
+    try:
+        ledger = open(args.csv, "a", encoding="ascii") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot open the --csv ledger: {exc}") from None
+    with ledger:
+        if jobs > 1:
+            # the attribute loads the pool module, which the other verbs never need
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(sweep_case, cases))
+        else:
+            results = [sweep_case(c) for c in cases]
 
-    header = "n,k,a,b,kappa_sign,lp_bound,expected,match"
-    rows = []
-    mismatches = []
-    for (n, k, a, b, sign, _), lp, expected in results:
-        match = lp == expected
-        rows.append(
-            f"{n},{k},{a},{b},{sign},{format_rational(lp)},{format_rational(expected)},{int(match)}"
-        )
-        if not match:
-            mismatches.append((n, k, a, b, sign))
-    body = "".join(row + "\n" for row in rows)
-    csv_text = header + "\n" + body
-    if args.csv:
-        with open(args.csv, "a", encoding="ascii") as fh:
+        header = "n,k,a,b,kappa_sign,lp_bound,expected,match"
+        rows = []
+        mismatches = []
+        for (n, k, a, b, sign, _), lp, expected in results:
+            match = lp == expected
+            rows.append(
+                f"{n},{k},{a},{b},{sign},"
+                f"{format_rational(lp)},{format_rational(expected)},{int(match)}"
+            )
+            if not match:
+                mismatches.append((n, k, a, b, sign))
+        body = "".join(row + "\n" for row in rows)
+        csv_text = header + "\n" + body
+        if args.csv:
             # the header goes only into a new or empty ledger
-            fh.write(body if fh.tell() else csv_text)
+            ledger.write(body if ledger.tell() else csv_text)
     if args.format == "csv":
         sys.stdout.write(csv_text)
     elif args.format == "json":

@@ -11,14 +11,15 @@ quartic curvature part; they stay symbolic until a simplification rule
 eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
 
-Each call builds one private context for its bundle: the shape, the valid
-targets with integer conformal weights w and W, D = dim V_rho, and the
-integer moment sums S_q (c_q = S_q / D) or T_q (c_hat_q = T_q / (2^q D))
-once a row reads them, all off its integer decomposition table.  Every
-builder writes its B side as ints over one denominator and its kappa side as
-one int over another; the context puts both over their lcm, and the identity
-keeps that integer row in lowest terms, as an OperatorSpec holds one.  The
-Fraction views coeffs, coeff_map() and kappa_coeff are built on each read.
+Each call builds one private context for its bundle, which the operator
+rows read as well: the valid targets with integer conformal weights w and W,
+D = dim V_rho, and, once a row reads them, the shape and the integer moment
+sums S_q (c_q = S_q / D) or T_q (c_hat_q = T_q / (2^q D)), all off its
+integer decomposition table.  Every builder writes its B side as ints over
+one denominator and its kappa side as one int over another; the context puts
+both over their lcm, and the identity keeps that integer row in lowest
+terms, as an OperatorSpec holds one.  The Fraction views coeffs,
+coeff_map() and kappa_coeff are built on each read.
 
 The printed identities, the base row "sum" and bw1..bw6, are one table: per
 id, the curvature terms before any rule, the builder, and where the identity
@@ -128,16 +129,6 @@ def _check_length(targets, values):
         raise ValueError(f"{len(values)} values for {len(targets)} targets")
 
 
-def _own_table(bundle, table):
-    """The bundle's decomposition table: ``table`` when given, which must be
-    the bundle's own, else a new one."""
-    if table is None:
-        return decompose_bundle(bundle)
-    if table.bundle != bundle:
-        raise MixedBundleError(f"the table is of {table.bundle}, not of {bundle}")
-    return table
-
-
 class _Row:
     """The Fraction views of an integer row values / denominator over targets."""
 
@@ -232,25 +223,32 @@ def _curvature_keys(identities):
 
 
 class _Context:
-    """Per-call data of one bundle, shared by the identities built in that call.
+    """Per-call data of one bundle, shared by the rows built in that call.
 
-    Holds the (2_b,1_{a-b}) shape, D = dim V_rho and the keys of the valid
-    targets with their conformal weights w and W as ints, read off the
-    bundle's integer decomposition table, so no second summand table is
-    built.  The integer sums S_q and T_q for q <= q_max are computed from
-    that table when a row first reads them.  Nothing outlives the call.
+    Holds D = dim V_rho and the keys of the valid targets with their
+    conformal weights w and W as ints, read off the bundle's integer
+    decomposition table: ``table`` when given, which must be the bundle's
+    own, else a new one.  The (2_b,1_{a-b}) shape and the integer sums S_q
+    and T_q for q <= q_max are computed when a row first reads them.
+    Nothing outlives the call.
     """
 
     def __init__(self, bundle: BundleLabel, table: DecompositionTable = None, q_max=4):
-        self.table = _own_table(bundle, table)
-        valid = self.table.valid_rows
-        self.bundle = bundle
-        self.n, self.k, self.D = bundle.n, bundle.k, self.table.dim
-        self.shape = bundle.rho.lambda_ab_shape()
+        if table is None:
+            table = decompose_bundle(bundle)
+        elif table.bundle != bundle:
+            raise MixedBundleError(f"the table is of {table.bundle}, not of {bundle}")
+        valid = table.valid_rows
+        self.bundle, self.table = bundle, table
+        self.n, self.k, self.D = bundle.n, bundle.k, table.dim
         self.keys = tuple((N, nu) for N, nu, _, _ in valid)
         self.w = [w for _, _, w, _ in valid]
         self.W = [W for _, _, _, W in valid]
         self.q_max = q_max
+
+    @cached_property
+    def shape(self):
+        return self.bundle.rho.lambda_ab_shape()
 
     @cached_property
     def S(self):
@@ -571,16 +569,14 @@ OPERATOR_NAMES = tuple(_OPERATORS)
 
 
 def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
-    """Coefficient vector of a named operator over the valid targets: one
-    integer row over 2n, in lowest terms over 1, n or 2n.  A given table
-    must be the bundle's own."""
+    """Coefficient vector of a named operator over the valid targets of the
+    identities' context: one integer row over 2n, in lowest terms over 1, n
+    or 2n.  A given table must be the bundle's own."""
     if name not in _OPERATORS:
         raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
-    n, value = bundle.n, _OPERATORS[name]
-    rows = _own_table(bundle, table).valid_rows
-    targets = tuple((N, nu) for N, nu, _, _ in rows)
-    values = [value(n, w, W) for _, _, w, W in rows]
-    return OperatorSpec(name, bundle, targets, values, 2 * n)
+    n, value, ctx = bundle.n, _OPERATORS[name], _Context(bundle, table)
+    values = [value(n, w, W) for w, W in zip(ctx.w, ctx.W)]
+    return OperatorSpec(name, bundle, ctx.keys, values, 2 * n)
 
 
 def independence_rank(identities) -> int:

@@ -62,6 +62,10 @@ class SuiteResult(Record):
         return not self.failures
 
 
+# The suites read every dominant weight with entry sum at most this.
+_TOTAL_MAX = 4
+
+
 def dominant_weights(n: int, total_max: int):
     """All dominant weights of rank n with entry sum at most total_max."""
     out = []
@@ -77,14 +81,14 @@ def dominant_weights(n: int, total_max: int):
     return out
 
 
-def suite_reldim(n_max: int = 5, total_max: int = 4) -> SuiteResult:
+def suite_reldim(n_max: int = 5) -> SuiteResult:
     """Product-formula relative dimensions equal the Weyl oracle, the
     relative dimensions of each decomposition sum to 2n, and the number N of
     dominant summands is odd exactly when the last entry of rho is zero."""
     failures = []
     cases = 0
     for n in range(2, n_max + 1):
-        for rho in dominant_weights(n, total_max):
+        for rho in dominant_weights(n, _TOTAL_MAX):
             # at k = 0 the valid targets are the dominant nu, N = +1
             table = decompose_bundle(BundleLabel(0, rho))
             total = Fraction(0)
@@ -125,14 +129,14 @@ def suite_table1(n_max: int = 6) -> SuiteResult:
     return SuiteResult("five-row table reproduction", cases, failures)
 
 
-def suite_casimir(n_max: int = 5, total_max: int = 4) -> SuiteResult:
+def suite_casimir(n_max: int = 5) -> SuiteResult:
     """Closed-form values, the odd-index recursion, and the binomial
     translation of Casimir eigenvalues, exactly, over the corpus."""
     failures = []
     cases = 0
     for n in range(2, n_max + 1):
         m = n + Fraction(1, 2)
-        for rho in dominant_weights(n, total_max):
+        for rho in dominant_weights(n, _TOTAL_MAX):
             c0 = casimir_eigenvalue(rho, 0)
             c1 = casimir_eigenvalue(rho, 1)
             c2 = casimir_eigenvalue(rho, 2)
@@ -180,13 +184,13 @@ def suite_c2c4_closed_forms(n_max: int = 5) -> SuiteResult:
     return SuiteResult("degree-2/4 closed forms", cases, failures)
 
 
-def suite_rank(n_max: int = 4, k_max: int = 4, total_max: int = 4) -> SuiteResult:
+def suite_rank(n_max: int = 4, k_max: int = 4) -> SuiteResult:
     """The theorem family has rank exactly floor(N/2) (kappa and curvature
     contractions counted as extra coordinates)."""
     failures = []
     cases = 0
     for n in range(2, n_max + 1):
-        for rho in dominant_weights(n, total_max):
+        for rho in dominant_weights(n, _TOTAL_MAX):
             for k in range(0, k_max + 1):
                 if k == 0 and not all(e <= 1 for e in rho.entries):
                     continue  # k = 0 criterion covers the primitive-form shapes

@@ -10,22 +10,27 @@ and d is the determinant of the current basis.  When p < 0 every row is
 negated so that d stays positive.  Python integers never lose precision, and
 no gcd is taken until a result is turned back into a ``Fraction``.
 
+Every solver turns its rows of ints and Fractions into int rows by one rule,
+_integer_rows: all rows times one common lcm L of their denominators, or the
+rows as they are when every entry is an int (L = 1).  Scaling every row by
+one positive number changes no rank, no solution and no Bland pivot.  Rows
+of unequal length, or a rhs of another length than the rows, raise
+ValueError.
+
 The LP solver is a dense two-phase tableau simplex with Bland's anti-cycling
-rule.  Its tableau is [A | I | b] scaled by one common lcm L of every
-denominator in A and b, with the artificial columns kept as the identity.
-That scaling leaves each pivot choice exactly as on the rational tableau:
-it multiplies every artificial variable, and so the phase-1 objective, by
-the same L > 0, which keeps the sign of every reduced cost, and it leaves
-every ratio-test quotient in the same units.  (Scaling each row by its own
-factor would weight the artificials unevenly and could change the entering
+rule over the tableau [A | I | b], the artificial columns kept as the
+identity.  L leaves each pivot choice exactly as on the rational tableau: it
+multiplies every artificial variable, and so the phase-1 objective, by the
+same L > 0, which keeps the sign of every reduced cost, and it leaves every
+ratio-test quotient in the same units.  (Scaling each row by its own factor
+would weight the artificials unevenly and could change the entering
 column.)  Reduced costs are recomputed from the cost vector and the current
 basis each iteration as c_j * d - sum c_B * rows[i][j], with the costs made
 integral by a positive lcm; the ratio test cross-multiplies.  So the pivot
 sequence, and the returned optimum, match a ``Fraction`` tableau pivot for
 pivot; the optimum is one Fraction, the basic integer costs times the final
-right-hand side over cost_scale * d.  Rank and solve run Gauss-Jordan with the
-same kernel on each row scaled to ints (an all-int row as it is).  Rows of
-unequal length, or a rhs of another length than the rows, raise ValueError.
+right-hand side over cost_scale * d.  Rank and solve run Gauss-Jordan with
+the same kernel.
 """
 
 from __future__ import annotations
@@ -122,9 +127,8 @@ def _bland_run(rows, d, basis, cost):
 def simplex_maximize(objective, constraints, rhs):
     """Solve  max objective . x  subject to  constraints @ x = rhs,  x >= 0.
 
-    All inputs are sequences of Fractions (or ints).  When every constraint
-    and rhs entry is an int, the rows are the tableau as they are (L = 1);
-    otherwise they are scaled by the lcm L of their denominators.  Returns
+    All inputs are sequences of Fractions (or ints); the constraint rows and
+    rhs become the tableau through _integer_rows.  Returns
     ``(value, x)`` with x a list of Fractions.  Raises LPInfeasibleError or
     LPUnboundedError accordingly.  Deterministic: Bland's rule with the
     given variable ordering.
@@ -139,27 +143,14 @@ def simplex_maximize(objective, constraints, rhs):
             raise LPUnboundedError("no constraints and a positive objective entry")
         return Fraction(0), [Fraction(0)] * n
 
-    problem = []
-    integral = True
-    for i in range(m):
-        row = [*constraints[i], rhs[i]]
-        if len(row) != n + 1:
-            raise ValueError("constraint row length does not match objective")
-        if not all(type(v) is int for v in row):
-            row = [_rational(v) for v in row]
-            integral = False
+    if any(len(row) != n for row in constraints):
+        raise ValueError("constraint row length does not match objective")
+    # Phase 1: artificial basis, drive sum of artificials to zero.
+    rows = []
+    for i, row in enumerate(_integer_rows([[*row, b] for row, b in zip(constraints, rhs)])):
         if row[-1] < 0:
             row = [-v for v in row]
-        problem.append(row)
-
-    # Phase 1: artificial basis, drive sum of artificials to zero.  All-int
-    # rows are their own scaling (L = 1).
-    if not integral:
-        scale = lcm(*(v.denominator for row in problem for v in row))
-        problem = [scaled(row, scale) for row in problem]
-    rows = [
-        row[:-1] + [int(i == j) for j in range(m)] + row[-1:] for i, row in enumerate(problem)
-    ]
+        rows.append(row[:-1] + [int(i == j) for j in range(m)] + row[-1:])
     basis = list(range(n, n + m))
     d = _bland_run(rows, 1, basis, [0] * n + [-1] * m)
     if any(b >= n and row[-1] for b, row in zip(basis, rows)):
@@ -192,17 +183,16 @@ def simplex_maximize(objective, constraints, rhs):
 
 
 def _integer_rows(rows):
-    """Each row of rationals scaled by the lcm of its own denominators, an
-    all-int row as it is; ValueError for rows of unequal length."""
-    out = []
-    for row in rows:
-        if not all(type(v) is int for v in row):
-            row = [_rational(v) for v in row]
-            row = scaled(row, lcm(*(v.denominator for v in row)))
-        out.append(row)
-    if any(len(row) != len(out[0]) for row in out):
+    """The rows of rationals times one common lcm of all their denominators, as
+    a new list of int rows; all-int rows go in as they are, not copied.
+    ValueError for rows of unequal length."""
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("row length does not match the first row")
-    return out
+    if all(type(v) is int for row in rows for v in row):
+        return list(rows)
+    rows = [[_rational(v) for v in row] for row in rows]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [scaled(row, scale) for row in rows]
 
 
 def _row_reduce(rows, ncols):

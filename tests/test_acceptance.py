@@ -35,7 +35,7 @@ def _report(num, description, result):
 def test_criterion_01_relative_dimension_oracle():
     """Product-formula relative dimensions equal the Weyl oracle exactly and
     sum to 2n, for all dominant weights with entry sum <= 4 and 2 <= n <= 5."""
-    _report(1, "relative-dimension oracle equality", suite_reldim(n_max=5, total_max=4))
+    _report(1, "relative-dimension oracle equality", suite_reldim(n_max=5))
 
 
 def test_criterion_02_table_reproduction():
@@ -47,7 +47,7 @@ def test_criterion_02_table_reproduction():
 def test_criterion_03_casimir_identities():
     """Low-degree closed forms, the odd-index recursion, and the binomial
     translation hold exactly over the criterion-1 corpus."""
-    _report(3, "Casimir identity suite", suite_casimir(n_max=5, total_max=4))
+    _report(3, "Casimir identity suite", suite_casimir(n_max=5))
 
 
 def test_criterion_04_c2_c4_closed_forms():
@@ -61,7 +61,7 @@ def test_criterion_04_c2_c4_closed_forms():
 def test_criterion_05_independence_rank():
     """The stated identity families have rank exactly floor(N/2) over the
     bundle corpus (n <= 4, k <= 4, entry sum <= 4)."""
-    _report(5, "independence rank", suite_rank(n_max=4, k_max=4, total_max=4))
+    _report(5, "independence rank", suite_rank(n_max=4, k_max=4))
 
 
 def test_criterion_06_printed_form_matching():

@@ -521,6 +521,13 @@ class TestKernelAnalysis:
         assert analysis.rank_deficit == 1
         assert all(v == "undetermined" for _, v, _ in analysis.verdicts)
 
+    def test_a_system_with_no_equations_is_undetermined(self):
+        # one unknown target and no pure-kappa identity: nothing pins it down
+        analysis = kernel_analysis(BundleLabel(0, SpnWeight((0, 0))), ())
+        assert (analysis.determined, analysis.rank_deficit) == (False, 1)
+        data = analysis.to_json_dict()
+        assert (data["determined"], data["nabla_ratio"]) == (False, None)
+
     def test_invalid_kernel_target(self):
         bundle = lambda_ab_bundle(1, 1, 0, 2)
         with pytest.raises(ValueError):

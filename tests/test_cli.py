@@ -186,6 +186,16 @@ class TestBwVerb:
         assert code == 0
         assert "B_{+1,+1}" in out and "\\kappa" in out
 
+    def test_empty_raw_family_keeps_its_bundle_and_targets(self, capsys):
+        argv = ["bw", "--n", "2", "--k", "0", "--rho", "0,0", "--raw"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 2, "k": 0, "rho": "0,0", "targets": ["+1,+1"], "identities": []
+        }
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (0, "provenance,B(+1,+1),kappa\n")
+
     def test_csv(self, capsys):
         code, out, _ = run(
             capsys, "bw", "--n", "2", "--k", "1", "--a", "1", "--b", "0", "--format", "csv"
@@ -248,6 +258,15 @@ class TestSweepVerb:
         )
         assert code == 0
         assert path.read_text().startswith("n,k,a,b")
+
+    @pytest.mark.parametrize("ledger", [".", "missing/ledger.csv"], ids=["directory", "no-parent"])
+    def test_unopenable_ledger_is_user_error(self, capsys, monkeypatch, tmp_path, ledger):
+        # refused before any case runs
+        monkeypatch.setattr(cli, "sweep_case", None)
+        argv = ["sweep", "--n", "2", "--kappa-sign", "+", "--csv", str(tmp_path / ledger)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot open the --csv ledger: ")
 
     def test_hpn_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "2", "--hpn")
