@@ -67,6 +67,12 @@ def _normalize_sign(kappa_sign) -> int:
     raise ValueError(f"kappa_sign must be '+' or '-', got {kappa_sign!r}")
 
 
+def _outcome_header(outcome):
+    """The JSON header that a certificate and a NoCertificate share."""
+    sign = "+" if outcome.kappa_sign > 0 else "-"
+    return {**outcome.bundle.to_json_dict(), "operator": outcome.operator, "kappa_sign": sign}
+
+
 class BoundCertificate(Record):
     """Multipliers and nonnegative residuals witnessing a bound c * kappa."""
 
@@ -131,11 +137,7 @@ class BoundCertificate(Record):
 
     def to_json_dict(self):
         return {
-            "n": self.bundle.n,
-            "k": self.bundle.k,
-            "rho": str(self.bundle.rho),
-            "operator": self.operator,
-            "kappa_sign": "+" if self.kappa_sign > 0 else "-",
+            **_outcome_header(self),
             "bound": format_rational(self.bound),
             "multipliers": {i: format_rational(v) for i, v in self.multipliers},
             "residuals": {
@@ -177,15 +179,7 @@ class NoCertificate(Record):
         object.__setattr__(self, "reason", reason)
 
     def to_json_dict(self):
-        return {
-            "n": self.bundle.n,
-            "k": self.bundle.k,
-            "rho": str(self.bundle.rho),
-            "operator": self.operator,
-            "kappa_sign": "+" if self.kappa_sign > 0 else "-",
-            "bound": None,
-            "reason": self.reason,
-        }
+        return {**_outcome_header(self), "bound": None, "reason": self.reason}
 
     def to_markdown(self) -> str:
         sign = "+" if self.kappa_sign > 0 else "-"
@@ -502,9 +496,7 @@ class KernelAnalysis(Record):
 
     def to_json_dict(self):
         return {
-            "n": self.bundle.n,
-            "k": self.bundle.k,
-            "rho": str(self.bundle.rho),
+            **self.bundle.to_json_dict(),
             "kernel": [f"{N:+d},{nu:+d}" for N, nu in self.kernel_set],
             "determined": self.determined,
             "rank_deficit": self.rank_deficit,
@@ -523,6 +515,11 @@ class KernelAnalysis(Record):
                 for s, verdict, w in self.verdicts
             },
         }
+
+    def to_csv(self) -> str:
+        return "target,ratio\n" + "".join(
+            f"{N:+d};{nu:+d},{format_rational(v)}\n" for (N, nu), v in self.solved_ratios
+        )
 
     def to_markdown(self) -> str:
         lines = [f"Kernel analysis on {self.bundle}"]

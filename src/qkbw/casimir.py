@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 from operator import index
 
-from .rationals import format_rational
+from .rationals import csv_table, format_rational
 from .record import Record
 from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_k, _check_rank
 from .weights import _check_shift, decompose_rho_tensor_E, lambda_ab_weight, mu_shift, weyl_dim
@@ -344,6 +344,9 @@ class CasimirReport(Record):
             ],
         }
 
+    def to_csv(self) -> str:
+        return csv_table(self.to_json_dict()["values"])
+
     def to_markdown(self) -> str:
         lines = [
             f"Casimir eigenvalues on V_({self.rho}), n={self.n}",
@@ -446,9 +449,7 @@ class DecompositionTable(Record):
 
     def to_json_dict(self):
         return {
-            "n": self.bundle.n,
-            "k": self.bundle.k,
-            "rho": str(self.bundle.rho),
+            **self.bundle.to_json_dict(),
             "parity_warning": self.bundle.parity_warning,
             "summand_count": self.summand_count,
             "targets": [
@@ -466,6 +467,9 @@ class DecompositionTable(Record):
                 for t in self.targets
             ],
         }
+
+    def to_csv(self) -> str:
+        return csv_table(self.to_json_dict()["targets"])
 
     def to_markdown(self) -> str:
         b = self.bundle

@@ -1,5 +1,10 @@
 """Command-line surface.  Every computation is reachable with flags only.
 
+Every verb but selftest writes one output form through _emit, which builds
+only that form: md (the default) or json; csv for every verb but bound and
+hpn; and for bw, --emit-latex, which excludes --format.  casimir, decompose
+and table1 write their CSV from their JSON rows.
+
 Exit codes: 0 success, 1 a `sweep` found a mismatch, 2 parameter/validation
 error, 3 internal inconsistency (an InconsistencyError: an LP went unbounded
 or an identity system contradicted itself, which signals a generator bug
@@ -37,7 +42,7 @@ from .identities import (
     printed_identity,
     theorem_family,
 )
-from .rationals import format_rational
+from .rationals import csv_table, format_rational
 from .selfcheck import run_suites, sweep_case, sweep_cases
 from .simplex import LPInfeasibleError, LPUnboundedError
 from .weights import BundleLabel, _parse_int, parse_weight
@@ -52,10 +57,6 @@ OPERATOR_ALIASES = {
     "r1": "R1_endomorphism",
     "R1_endomorphism": "R1_endomorphism",
 }
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _int_arg(text: str) -> int:
@@ -83,129 +84,91 @@ def _rho_from_args(args):
     return lambda_ab_bundle(0, args.a, 0 if args.b is None else args.b, args.n).rho
 
 
-def _emit(args, json_obj, markdown, csv_text=None):
-    fmt = args.format
-    if fmt == "json":
-        sys.stdout.write(canonical_json(json_obj))
-    elif fmt == "csv":
-        if csv_text is None:
-            raise ValueError("csv output is not available for this command")
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(markdown + "\n")
+def _emit(fmt, to_json, to_md, to_csv=None, to_latex=None) -> None:
+    """Write the one form that fmt names (None is md), built by its zero-argument callable."""
+    forms = {"json": lambda: json.dumps(to_json(), indent=2) + "\n", "csv": to_csv, "latex": to_latex}
+    build = forms.get(fmt, lambda: to_md() + "\n")
+    if build is None:
+        raise ValueError(f"{fmt} output is not available for this command")
+    sys.stdout.write(build())
 
 
 def cmd_casimir(args) -> int:
-    rho = _rho_from_args(args)
-    report = casimir_report(rho, args.q_max)
-    csv_text = "q,c,c_hat\n" + "".join(
-        f"{q},{format_rational(c)},{format_rational(ch)}\n" for q, c, ch in report.values
-    )
-    _emit(args, report.to_json_dict(), report.to_markdown(), csv_text)
+    report = casimir_report(_rho_from_args(args), args.q_max)
+    _emit(args.format, report.to_json_dict, report.to_markdown, report.to_csv)
     return 0
 
 
 def cmd_decompose(args) -> int:
     rho = _rho_from_args(args)
-    if args.k is None:
-        # at k = 0 only the N = +1 targets are valid, so they count the dominant nu
-        table = decompose_bundle(BundleLabel(0, rho))
-        rows = [
-            (nu, shifted, d > 0, format_rational(Fraction(d, table.dim)))
-            for nu, shifted, _, d in table.rows
-        ]
-        obj = {
-            "n": rho.n,
-            "rho": str(rho),
-            "summand_count": table.summand_count,
-            "candidates": [
-                {"nu": nu, "weight": str(weight), "dominant": dominant, "reldim": rd}
-                for nu, weight, dominant, rd in rows
-            ],
-        }
-        lines = [
-            f"V_({rho}) (x) E, n={rho.n}: {table.summand_count} dominant summands",
-            "",
-            "| nu | weight | dominant | reldim |",
-            "|----|--------|----------|--------|",
-        ]
-        lines += [
-            f"| {nu:+d} | ({weight}) | {'yes' if dominant else 'no'} | {rd} |"
-            for nu, weight, dominant, rd in rows
-        ]
-        csv_text = "nu,weight,dominant,reldim\n" + "".join(
-            f'{nu},"{weight}",{int(dominant)},{rd}\n' for nu, weight, dominant, rd in rows
-        )
-        _emit(args, obj, "\n".join(lines), csv_text)
+    # without --k, k = 0: only the N = +1 targets are valid, so they count the dominant nu
+    table = decompose_bundle(BundleLabel(args.k or 0, rho))
+    if args.k is not None:
+        _emit(args.format, table.to_json_dict, table.to_markdown, table.to_csv)
         return 0
-    bundle = BundleLabel(args.k, rho)
-    table = decompose_bundle(bundle)
-    csv_text = "N,nu,k,rho,valid,w,w_hat,W,reldim\n" + "".join(
-        f'{t.N},{t.nu},{t.target_k},"{t.target_rho}",{int(t.valid)},'
-        f"{format_rational(t.w)},{format_rational(t.w_hat)},"
-        f"{format_rational(t.W)},{format_rational(t.reldim)}\n"
-        for t in table.targets
-    )
-    _emit(args, table.to_json_dict(), table.to_markdown(), csv_text)
+    rows = [
+        {"nu": nu, "weight": str(shifted), "dominant": d > 0,
+         "reldim": format_rational(Fraction(d, table.dim))}
+        for nu, shifted, _, d in table.rows
+    ]
+
+    def to_md():
+        lines = [f"V_({rho}) (x) E, n={rho.n}: {table.summand_count} dominant summands", ""]
+        lines += ["| nu | weight | dominant | reldim |", "|----|--------|----------|--------|"]
+        for nu, weight, dominant, rd in map(dict.values, rows):
+            lines.append(f"| {nu:+d} | ({weight}) | {'yes' if dominant else 'no'} | {rd} |")
+        return "\n".join(lines)
+
+    obj = {"n": rho.n, "rho": str(rho), "summand_count": table.summand_count, "candidates": rows}
+    _emit(args.format, lambda: obj, to_md, lambda: csv_table(rows))
     return 0
 
 
 def cmd_table1(args) -> int:
     a, b, n = args.a, args.b, args.n
-    rows = []
-    for nu in (1, b + 1, a + 1, -b, -a):
-        w, rd = table1_row(a, b, n, nu)
-        rows.append((nu, w, rd))
-    obj = {
-        "n": n,
-        "a": a,
-        "b": b,
-        "rows": [
-            {"nu": nu, "w": format_rational(w), "reldim": format_rational(rd)}
-            for nu, w, rd in rows
-        ],
-    }
-    lines = [
-        f"Summands of V_(2_{b},1_{a - b}) (x) E at n={n}",
-        "",
-        "| shift | w | relative dimension |",
-        "|-------|---|--------------------|",
-    ]
-    for nu, w, rd in rows:
-        shift = f"rho+mu_{nu}" if nu > 0 else f"rho-mu_{-nu}"
-        lines.append(f"| {shift} | {w} | {rd} |")
-    csv_lines = ["nu,w,reldim"] + [
-        f"{nu},{format_rational(w)},{format_rational(rd)}" for nu, w, rd in rows
-    ]
-    _emit(args, obj, "\n".join(lines), "\n".join(csv_lines) + "\n")
+    rows = [(nu, *table1_row(a, b, n, nu)) for nu in (1, b + 1, a + 1, -b, -a)]
+    json_rows = [{"nu": nu, "w": format_rational(w), "reldim": format_rational(rd)} for nu, w, rd in rows]
+
+    def to_md():
+        lines = [f"Summands of V_(2_{b},1_{a - b}) (x) E at n={n}", ""]
+        lines += ["| shift | w | relative dimension |", "|-------|---|--------------------|"]
+        lines += [f"| rho{'-' if nu < 0 else '+'}mu_{abs(nu)} | {w} | {rd} |" for nu, w, rd in rows]
+        return "\n".join(lines)
+
+    _emit(args.format, lambda: {"n": n, "a": a, "b": b, "rows": json_rows}, to_md, lambda: csv_table(json_rows))
     return 0
 
 
 def cmd_bw(args) -> int:
-    rho = _rho_from_args(args)
-    bundle = BundleLabel(args.k, rho)
+    bundle = BundleLabel(args.k, _rho_from_args(args))
     if args.raw:
         identities = theorem_family(bundle)
         if args.hpn:
             identities = [apply_rule(ident, Rule.HPN) for ident in identities]
     else:
         identities = printed_identities(bundle, args.hpn)
-    obj, csv_text = identities_to_json_dict(identities), identities_to_csv(identities)
-    if not identities:
-        # an empty theorem family still names its bundle and targets: the base row's
-        base = [printed_identity(bundle, "sum")]
-        obj = {**identities_to_json_dict(base), "identities": []}
-        csv_text = identities_to_csv(base).partition("\n")[0] + "\n"
-    lines = [f"Identities on {bundle}", ""]
-    for ident in identities:
-        tag = "pure-kappa" if ident.is_pure_kappa else "carries curvature"
-        lines.append(f"[{ident.provenance}] ({tag})")
-        lines.append("  " + identity_to_latex(ident))
-    if args.emit_latex:
+    # an empty family still names its bundle and targets: the base row's
+    named = identities or [printed_identity(bundle, "sum")]
+
+    def to_json():
+        obj = identities_to_json_dict(named)
+        return obj if identities else {**obj, "identities": []}
+
+    def to_csv():
+        text = identities_to_csv(named)
+        return text if identities else text.partition("\n")[0] + "\n"
+
+    def to_md():
+        lines = [f"Identities on {bundle}", ""]
         for ident in identities:
-            print(identity_to_latex(ident))
-        return 0
-    _emit(args, obj, "\n".join(lines), csv_text)
+            tag = "pure-kappa" if ident.is_pure_kappa else "carries curvature"
+            lines += [f"[{ident.provenance}] ({tag})", "  " + identity_to_latex(ident)]
+        return "\n".join(lines)
+
+    _emit(
+        args.format, to_json, to_md, to_csv,
+        lambda: "".join(identity_to_latex(ident) + "\n" for ident in identities),
+    )
     return 0
 
 
@@ -222,51 +185,47 @@ def cmd_bound(args) -> int:
             closed = closed_form_bound(args.k, a, b, bundle.n, args.kappa_sign)
             if closed == result.bound:
                 result = result.replace(matched_closed_form="laplace-bound-table")
-    _emit(args, result.to_json_dict(), result.to_markdown())
+    _emit(args.format, result.to_json_dict, result.to_markdown)
     return 0 if certified else 4
 
 
 def cmd_vanish(args) -> int:
     analysis = twistor_kernel_analysis(args.k, args.n)
-    csv_text = "target,ratio\n" + "".join(
-        f"{N:+d};{nu:+d},{format_rational(v)}\n" for (N, nu), v in analysis.solved_ratios
-    )
-    _emit(args, analysis.to_json_dict(), analysis.to_markdown(), csv_text)
+    _emit(args.format, analysis.to_json_dict, analysis.to_markdown, analysis.to_csv)
     return 0
 
 
 def cmd_harmonic(args) -> int:
     signs = ["+", "-"] if args.kappa_sign == "both" else [args.kappa_sign]
-    obj = {"n": args.n, "classification": {}}
-    lines = [f"Bundles with zero Laplace bound at n={args.n}"]
-    csv_lines = ["kappa_sign,k,a,b"]
-    for sign in signs:
-        triples = harmonic_classification(args.n, sign)
-        obj["classification"][sign] = [list(t) for t in triples]
-        lines.append(f"kappa {sign}: " + ", ".join(f"(k={k},a={a},b={b})" for k, a, b in triples))
-        csv_lines += [f"{sign},{k},{a},{b}" for k, a, b in triples]
-    _emit(args, obj, "\n".join(lines), "\n".join(csv_lines) + "\n")
+    classes = {sign: harmonic_classification(args.n, sign) for sign in signs}
+
+    def to_md():
+        lines = [f"Bundles with zero Laplace bound at n={args.n}"]
+        for sign, triples in classes.items():
+            lines.append(f"kappa {sign}: " + ", ".join(f"(k={k},a={a},b={b})" for k, a, b in triples))
+        return "\n".join(lines)
+
+    _emit(
+        args.format,
+        lambda: {"n": args.n, "classification": {s: list(map(list, t)) for s, t in classes.items()}},
+        to_md,
+        lambda: "kappa_sign,k,a,b\n"
+        + "".join(f"{s},{k},{a},{b}\n" for s, triples in classes.items() for k, a, b in triples),
+    )
     return 0
 
 
 def cmd_hpn(args) -> int:
-    _, bound, expected = sweep_case((args.n, args.k, args.a, args.b, "+", True))
-    lam1, bound_value = expected * 2 * args.n, bound * 2 * args.n
-    obj = {
-        "n": args.n,
-        "k": args.k,
-        "a": args.a,
-        "b": args.b,
-        "first_eigenvalue": format_rational(lam1),
-        "lp_bound_at_kappa_2n": format_rational(bound_value),
-        "sharp": bound_value == lam1,
-    }
-    md = (
-        f"First eigenvalue on the projective model (kappa=2n): {lam1}\n"
-        f"LP bound evaluated at kappa=2n: {bound_value}\n"
-        f"sharp: {bound_value == lam1}"
+    n, k, a, b = args.n, args.k, args.a, args.b
+    _, bound, expected = sweep_case((n, k, a, b, "+", True))
+    lam1, lp = expected * 2 * n, bound * 2 * n
+    _emit(
+        args.format,
+        lambda: {"n": n, "k": k, "a": a, "b": b, "first_eigenvalue": format_rational(lam1),
+                 "lp_bound_at_kappa_2n": format_rational(lp), "sharp": lp == lam1},
+        lambda: f"First eigenvalue on the projective model (kappa=2n): {lam1}\n"
+        f"LP bound evaluated at kappa=2n: {lp}\nsharp: {lp == lam1}",
     )
-    _emit(args, obj, md)
     return 0
 
 
@@ -297,39 +256,32 @@ def cmd_sweep(args) -> int:
                 results = list(pool.map(sweep_case, cases))
         else:
             results = [sweep_case(c) for c in cases]
+        header = "n,k,a,b,kappa_sign,lp_bound,expected,match\n"
 
-        header = "n,k,a,b,kappa_sign,lp_bound,expected,match"
-        rows = []
-        mismatches = []
-        for (n, k, a, b, sign, _), lp, expected in results:
-            match = lp == expected
-            rows.append(
-                f"{n},{k},{a},{b},{sign},"
-                f"{format_rational(lp)},{format_rational(expected)},{int(match)}"
+        def body():
+            return "".join(
+                f"{n},{k},{a},{b},{sign},{format_rational(lp)},{format_rational(expected)},"
+                f"{int(lp == expected)}\n"
+                for (n, k, a, b, sign, _), lp, expected in results
             )
-            if not match:
-                mismatches.append((n, k, a, b, sign))
-        body = "".join(row + "\n" for row in rows)
-        csv_text = header + "\n" + body
+
         if args.csv:
             # the header goes only into a new or empty ledger
-            ledger.write(body if ledger.tell() else csv_text)
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-    elif args.format == "json":
-        sys.stdout.write(
-            canonical_json(
-                {
-                    "cases": len(results),
-                    "mismatches": [list(m) for m in mismatches],
-                }
-            )
-        )
-    else:
+            ledger.write(body() if ledger.tell() else header + body())
+    mismatches = [case[:5] for case, lp, expected in results if lp != expected]
+
+    def to_md():
         label = "first-eigenvalue comparison" if args.hpn else "closed-form comparison"
-        print(f"sweep ({label}): {len(results)} cases, {len(mismatches)} mismatches")
-        for m in mismatches:
-            print(f"  mismatch at n={m[0]} k={m[1]} a={m[2]} b={m[3]} sign {m[4]}")
+        lines = [f"sweep ({label}): {len(results)} cases, {len(mismatches)} mismatches"]
+        lines += [f"  mismatch at n={n} k={k} a={a} b={b} sign {s}" for n, k, a, b, s in mismatches]
+        return "\n".join(lines)
+
+    _emit(
+        args.format,
+        lambda: {"cases": len(results), "mismatches": list(map(list, mismatches))},
+        to_md,
+        lambda: header + body(),
+    )
     return 1 if mismatches else 0
 
 
@@ -356,6 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def add_format(p):
+        # bw's --emit-latex sets format too.  None (md) as the default, since the group
+        # check lets through a value that is the default object, as an interned "md" is
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--format", choices=("json", "md", "csv"), default=None)
+        return group
+
     def add_common(p, rho=True, k=False):
         p.add_argument("--n", type=_int_arg, required=True, help="Sp(n) rank, n >= 2")
         if rho:
@@ -364,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--b", type=_int_arg, default=None)
         if k:
             p.add_argument("--k", type=_int_arg, required=True, help="Sp(1) weight, k >= 0")
-        p.add_argument("--format", choices=("json", "md", "csv"), default="md")
+        return add_format(p)
 
     p = sub.add_parser("casimir", help="Casimir eigenvalues c_q, c_hat_q on V_rho")
     add_common(p)
@@ -380,14 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--b", type=_int_arg, required=True)
-    p.add_argument("--format", choices=("json", "md", "csv"), default="md")
+    add_format(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("bw", help="identity set over the gradient basis of a bundle")
-    add_common(p, k=True)
+    add_common(p, k=True).add_argument(
+        "--emit-latex", dest="format", action="store_const", const="latex",
+        help="one LaTeX identity per line, instead of --format",
+    )
     p.add_argument("--raw", action="store_true", help="emit the theorem families instead of the printed forms")
     p.add_argument("--hpn", action="store_true", help="drop all curvature contractions (projective-space mode)")
-    p.add_argument("--emit-latex", action="store_true")
     p.set_defaults(func=cmd_bw)
 
     p = sub.add_parser("bound", help="optimal LP bound certificate for an operator")
@@ -400,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vanish", help="twistor kernel system on S^(k+1)(H) (x) E")
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--k", type=_int_arg, required=True, help="twistor parameter, k >= 0")
-    p.add_argument("--format", choices=("json", "md", "csv"), default="md")
+    add_format(p)
     p.set_defaults(func=cmd_vanish)
 
     p = sub.add_parser("harmonic", help="bundles whose Laplace bound is exactly zero")
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--kappa-sign", choices=("+", "-", "both"), default="both")
-    p.add_argument("--format", choices=("json", "md", "csv"), default="md")
+    add_format(p)
     p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("hpn", help="compare LP bound with the projective-space first eigenvalue")
@@ -414,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--b", type=_int_arg, required=True)
-    p.add_argument("--format", choices=("json", "md", "csv"), default="md")
+    add_format(p)
     p.set_defaults(func=cmd_hpn)
 
     p = sub.add_parser("sweep", help="grid comparison of LP bounds against closed forms")
@@ -426,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hpn", action="store_true", help="compare with the HP^n first eigenvalue (k>=2, kappa>0)")
     p.add_argument("--csv", type=str, default=None, help="append results to this CSV ledger")
     p.add_argument("--jobs", type=_int_arg, default=1, help="worker processes, at most the CPU count")
-    p.add_argument("--format", choices=("json", "md", "csv"), default="md")
+    add_format(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("selftest", help="run the exact invariant corpus")

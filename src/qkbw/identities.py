@@ -596,16 +596,10 @@ def identities_to_json_dict(identities):
     if not identities:
         return {"targets": [], "identities": []}
     first = identities[0]
-    targets = [f"{N:+d},{nu:+d}" for N, nu in first.targets]
-    out = {
-        "n": first.bundle.n,
-        "k": first.bundle.k,
-        "rho": str(first.bundle.rho),
-        "targets": targets,
-        "identities": [],
-    }
-    for ident in identities:
-        out["identities"].append(
+    return {
+        **first.bundle.to_json_dict(),
+        "targets": [f"{N:+d},{nu:+d}" for N, nu in first.targets],
+        "identities": [
             {
                 "provenance": ident.provenance,
                 "coefficients": [format_rational(c) for _, c in ident.coeffs],
@@ -619,8 +613,9 @@ def identities_to_json_dict(identities):
                     for t in ident.curvature_terms
                 ],
             }
-        )
-    return out
+            for ident in identities
+        ],
+    }
 
 
 def identities_to_csv(identities) -> str:

@@ -131,6 +131,10 @@ class BundleLabel(Record):
     def __str__(self) -> str:
         return f"S^{self.k}(H) (x) V_({self.rho}) [n={self.n}]"
 
+    def to_json_dict(self):
+        """The label header of every JSON record on a bundle."""
+        return {"n": self.n, "k": self.k, "rho": str(self.rho)}
+
 
 def mu_shift(rho: SpnWeight, nu: int) -> SpnWeight:
     """Shift rho by mu_nu: +1 at position nu (nu > 0) or -1 at position -nu.
