@@ -26,8 +26,6 @@ from .bounds import (
 from .casimir import (
     CasimirReport,
     DecompositionTable,
-    FormulaDegeneracyError,
-    GradientTarget,
     casimir_eigenvalue,
     casimir_hat,
     casimir_report,

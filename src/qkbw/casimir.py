@@ -23,8 +23,9 @@ V_{rho+mu_nu} or 0 when not dominant; w_nu and dominance are read off the
 entries of rho, so only dominant shifts reach the Weyl oracle).  The
 identities and the recursion check read S_q, T_q and D as they are; only
 casimir_eigenvalue, casimir_hat and casimir_report make Fractions.  A
-bundle's DecompositionTable is that integer table; its GradientTarget
-Fraction views exist for output only.
+bundle's DecompositionTable is that integer table, and its JSON, markdown
+and CSV render straight from the rows.  The formula of w_nu lives in _weight
+only, and the Sp(1) shifts N with their weights W_N in _sp1_shifts only.
 
 Relative dimensions come from two routes: the Weyl dimension oracle (the
 source of truth, which tests each shifted weight's own dominance) and a
@@ -44,7 +45,6 @@ from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _ch
 from .weights import _check_shift, decompose_rho_tensor_E, lambda_ab_weight, mu_shift, weyl_dim
 
 __all__ = [
-    "FormulaDegeneracyError",
     "conformal_weight",
     "sp1_conformal_weight",
     "relative_dimension_weyl",
@@ -57,7 +57,6 @@ __all__ = [
     "verify_recursion",
     "CasimirReport",
     "casimir_report",
-    "GradientTarget",
     "DecompositionTable",
     "decompose_bundle",
     "lambda_ab_bundle",
@@ -65,10 +64,6 @@ __all__ = [
 
 # Fixed ceiling on casimir_report's q_max for every rank n (not tied to c_{2n}).
 DEFAULT_Q_CAP = 12
-
-
-class FormulaDegeneracyError(ArithmeticError):
-    """Two dominant summands share a translated conformal weight."""
 
 
 def conformal_weight(rho: SpnWeight, nu: int) -> Fraction:
@@ -90,15 +85,20 @@ def _weight(rho: SpnWeight, nu: int) -> int:
     return rho.entries[i - 1] - i + 2 * rho.n + 1
 
 
+def _sp1_shifts(k: int) -> tuple:
+    """The Sp(1) shifts with their conformal weights, in canonical order:
+    (N, W_N) = (1, -k), (-1, k + 2)."""
+    return (1, -k), (-1, k + 2)
+
+
 def sp1_conformal_weight(k: int, N: int) -> Fraction:
-    """Sp(1) conformal weight of the summand k+N:  W_1 = -k,  W_-1 = k+2."""
+    """Sp(1) conformal weight W_N of the summand k+N (see _sp1_shifts)."""
     k, N = index(k), index(N)
     _check_k(k)
-    if N == 1:
-        return Fraction(-k)
-    if N == -1:
-        return Fraction(k + 2)
-    raise ValueError(f"N must be +1 or -1, got {N}")
+    W = dict(_sp1_shifts(k)).get(N)
+    if W is None:
+        raise ValueError(f"N must be +1 or -1, got {N}")
+    return Fraction(W)
 
 
 def _dominant_shifts(rho: SpnWeight) -> list:
@@ -134,10 +134,10 @@ def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
     is one integer numerator over one integer denominator, returned as one
     Fraction.  Dominance is read off the entries of rho by the rule the
     summand table uses too (_dominant_shifts).  Reads neither the summand
-    table nor the Weyl oracle.  Returns 0 for a non-dominant target.  Raises
-    FormulaDegeneracyError if two dominant summands share a translated
-    weight (never observed for dominant pairs, but guarded rather than
-    silently dividing by zero).
+    table nor the Weyl oracle.  Returns 0 for a non-dominant target.  No
+    factor x_nu - x_nu' is 0: for dominant rho the 2n weights are pairwise
+    distinct, as w_j - w_i = (j - i) + (rho_i - rho_j) >= 1 for i < j (and
+    likewise for -j against -i), while w_i <= n - 1 < n + 1 <= w_-j.
     """
     rho.require_dominant()
     n = rho.n
@@ -155,10 +155,6 @@ def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
         if other == nu:
             continue
         y = 2 * _weight(rho, other) - shift
-        if y == x:
-            raise FormulaDegeneracyError(
-                f"degenerate translated weights at nu={nu}, nu'={other} for rho={rho}"
-            )
         num *= x + y
         den *= x - y
     return Fraction(num, den)
@@ -173,11 +169,10 @@ def _summands(rho: SpnWeight):
     are read off the entries of rho.  Raises NonDominantError for a
     non-dominant rho.
     """
-    e, n, dominant = rho.entries, rho.n, _dominant_shifts(rho)
-    weights = [i - r for i, r in enumerate(e)] + [r - i + 2 * n for i, r in enumerate(e)]
+    dominant = _dominant_shifts(rho)
     rows = [  # decompose_rho_tensor_E raises for a non-dominant rho before any weyl_dim
-        (nu, shifted, w, weyl_dim(shifted) if nu in dominant else 0)
-        for (nu, shifted), w in zip(decompose_rho_tensor_E(rho), weights)
+        (nu, shifted, _weight(rho, nu), weyl_dim(shifted) if nu in dominant else 0)
+        for nu, shifted in decompose_rho_tensor_E(rho)
     ]
     return weyl_dim(rho), tuple(rows)
 
@@ -370,34 +365,8 @@ def casimir_report(rho: SpnWeight, q_max: int = 4) -> CasimirReport:
     )
 
 
-class GradientTarget(Record):
-    """One summand (N, nu) of V_{k,rho} (x) (H (x) E) with its scalar data.
-
-    reldim is the nu-level relative dimension: positive exactly when
-    rho + mu_nu is dominant, regardless of whether k + N >= 0.
-    """
-
-    def __init__(
-        self,
-        N: int,
-        nu: int,
-        target_k: int,
-        target_rho: SpnWeight,
-        valid: bool,
-        w: Fraction,
-        w_hat: Fraction,
-        W: Fraction,
-        reldim: Fraction,
-    ):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "target_k", target_k)
-        object.__setattr__(self, "target_rho", target_rho)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w_hat", w_hat)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "reldim", reldim)
+# the JSON keys of one candidate of DecompositionTable._candidates, in its order
+_TARGET_KEYS = ("N", "nu", "k", "rho", "valid", "w", "w_hat", "W", "reldim")
 
 
 class DecompositionTable(Record):
@@ -411,29 +380,25 @@ class DecompositionTable(Record):
 
     @property
     def valid_rows(self) -> list:
-        """(N, nu, w, W) as ints per valid target, canonical order:
-        N = +1 then -1, with W = -k for N = +1 and k + 2 for N = -1."""
+        """(N, nu, w, W) as ints per valid target, in canonical order."""
         k = self.bundle.k
         return [
             (N, nu, w, W)
-            for N, W in ((1, -k), (-1, k + 2))
+            for N, W in _sp1_shifts(k)
             if k + N >= 0
             for nu, _, w, d in self.rows
             if d
         ]
 
-    @property
-    def targets(self) -> tuple:
-        """The GradientTarget views of all 4n candidates, for output only."""
+    def _candidates(self):
+        """(N, nu, k + N, rho + mu_nu, valid, w, w_hat, W, reldim) for all 4n
+        candidates in canonical order: w and W ints, w_hat and reldim
+        Fractions.  reldim is nu-level: d_nu / D whether or not k + N >= 0."""
         k, D, shift = self.bundle.k, self.dim, 2 * self.bundle.n + 1
-        return tuple(
-            GradientTarget(
-                N, nu, k + N, shifted, k + N >= 0 and d > 0, Fraction(w),
-                Fraction(2 * w - shift, 2), sp1_conformal_weight(k, N), Fraction(d, D),
-            )
-            for N in (1, -1)
-            for nu, shifted, w, d in self.rows
-        )
+        for N, W in _sp1_shifts(k):
+            for nu, shifted, w, d in self.rows:
+                valid = k + N >= 0 and d > 0
+                yield N, nu, k + N, shifted, valid, w, Fraction(2 * w - shift, 2), W, Fraction(d, D)
 
     @property
     def summand_count(self) -> int:
@@ -453,18 +418,8 @@ class DecompositionTable(Record):
             "parity_warning": self.bundle.parity_warning,
             "summand_count": self.summand_count,
             "targets": [
-                {
-                    "N": t.N,
-                    "nu": t.nu,
-                    "k": t.target_k,
-                    "rho": str(t.target_rho),
-                    "valid": t.valid,
-                    "w": format_rational(t.w),
-                    "w_hat": format_rational(t.w_hat),
-                    "W": format_rational(t.W),
-                    "reldim": format_rational(t.reldim),
-                }
-                for t in self.targets
+                dict(zip(_TARGET_KEYS, (N, nu, k, str(rho), valid, *map(format_rational, values))))
+                for N, nu, k, rho, valid, *values in self._candidates()
             ],
         }
 
@@ -485,10 +440,10 @@ class DecompositionTable(Record):
             "| N | nu | target (k, rho) | valid | w | w_hat | W | reldim |",
             "|---|----|-----------------|-------|---|-------|---|--------|",
         ]
-        for t in self.targets:
+        for N, nu, target_k, target_rho, valid, w, w_hat, W, reldim in self._candidates():
             lines.append(
-                f"| {t.N:+d} | {t.nu:+d} | ({t.target_k}, ({t.target_rho})) | "
-                f"{'yes' if t.valid else 'no'} | {t.w} | {t.w_hat} | {t.W} | {t.reldim} |"
+                f"| {N:+d} | {nu:+d} | ({target_k}, ({target_rho})) | "
+                f"{'yes' if valid else 'no'} | {w} | {w_hat} | {W} | {reldim} |"
             )
         return "\n".join(lines)
 

@@ -32,6 +32,7 @@ from .casimir import (
     table1_row,
 )
 from .identities import (
+    OPERATOR_NAMES,
     InconsistencyError,
     identities_to_csv,
     identities_to_json_dict,
@@ -47,15 +48,13 @@ from .selfcheck import run_suites, sweep_case, sweep_cases
 from .simplex import LPInfeasibleError, LPUnboundedError
 from .weights import BundleLabel, _parse_int, parse_weight
 
+# every operator by its own name, and four short aliases
 OPERATOR_ALIASES = {
+    **{name: name for name in OPERATOR_NAMES},
     "hodge": "hodge_laplacian",
-    "hodge_laplacian": "hodge_laplacian",
     "connection": "connection_laplacian",
-    "connection_laplacian": "connection_laplacian",
     "dirac": "dirac_squared",
-    "dirac_squared": "dirac_squared",
     "r1": "R1_endomorphism",
-    "R1_endomorphism": "R1_endomorphism",
 }
 
 

@@ -44,7 +44,7 @@ from .casimir import (
     closed_form_c2_lambda_ab,
     decompose_bundle,
 )
-from .rationals import format_rational, scaled
+from .rationals import csv_table, format_rational, scaled
 from .record import Record
 from .simplex import exact_rank
 from .weights import BundleLabel
@@ -619,7 +619,8 @@ def identities_to_json_dict(identities):
 
 
 def identities_to_csv(identities) -> str:
-    """Matrix export: one row per identity, columns = targets, kappa, curvature."""
+    """Matrix export: one row per identity, columns = targets, kappa, curvature;
+    the header quotes each B(N,nu) as csv_table quotes a cell holding a comma."""
     if not identities:
         return "provenance\n"
     keys = _curvature_keys(identities)
@@ -629,11 +630,10 @@ def identities_to_csv(identities) -> str:
         + ["kappa"]
         + [("Rhat^" if h else "R^") + str(p) for (h, p) in keys]
     )
-    lines = [",".join(header)]
-    for ident in identities:
-        row = [ident.provenance] + [format_rational(v) for v in ident.full_vector(keys)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return csv_table([
+        dict(zip(header, [ident.provenance, *map(format_rational, ident.full_vector(keys))]))
+        for ident in identities
+    ])
 
 
 def identity_to_latex(identity: BWIdentity) -> str:

@@ -17,6 +17,7 @@ from qkbw.casimir import (
     table1_row,
     verify_recursion,
 )
+from qkbw.rationals import parse_rational
 from qkbw.weights import BundleLabel, ParameterRangeError, SpnWeight, decompose_rho_tensor_E
 
 
@@ -205,16 +206,16 @@ class TestDecomposeBundle:
     def test_spec_case(self):
         bundle = BundleLabel(2, w(1, 1, 0))
         table = decompose_bundle(bundle)
-        assert len(table.targets) == 12
+        assert len(table.to_json_dict()["targets"]) == 12
         assert table.summand_count == 6
-        assert {(t.N, t.nu) for t in table.targets if t.valid} == {
+        assert {(N, nu) for N, nu, _, _ in table.valid_rows} == {
             (N, nu) for N in (1, -1) for nu in (1, 3, -2)
         }
 
     def test_k0_kills_lower(self):
         bundle = BundleLabel(0, w(1, 0))
         table = decompose_bundle(bundle)
-        assert all(t.N == 1 for t in table.targets if t.valid)
+        assert all(N == 1 for N, _, _, _ in table.valid_rows)
         assert table.summand_count == 3
 
     def test_ten_gradients(self):
@@ -224,12 +225,13 @@ class TestDecomposeBundle:
 
     def test_reldim_is_nu_level(self):
         bundle = BundleLabel(0, w(1, 0))
-        table = decompose_bundle(bundle)
-        lower = [t for t in table.targets if t.N == -1 and t.nu == 1][0]
-        assert not lower.valid
-        assert lower.reldim == Fraction(5, 2)
+        rows = decompose_bundle(bundle).to_json_dict()["targets"]
+        lower = [row for row in rows if row["N"] == -1 and row["nu"] == 1][0]
+        assert not lower["valid"]
+        assert lower["reldim"] == "5/2"
 
     def test_w_hat_invariant(self):
         bundle = lambda_ab_bundle(2, 2, 1, 3)
-        for t in decompose_bundle(bundle).targets:
-            assert t.w_hat == t.w - (bundle.n + Fraction(1, 2))
+        for row in decompose_bundle(bundle).to_json_dict()["targets"]:
+            w, w_hat = parse_rational(row["w"]), parse_rational(row["w_hat"])
+            assert w_hat == w - (bundle.n + Fraction(1, 2))

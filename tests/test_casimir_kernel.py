@@ -4,7 +4,10 @@
 sums and the per-(N, nu) decomposition loop as they were before every moment
 was read off one integer table: each term is a ``Fraction`` conformal weight
 times a ``Fraction`` relative dimension from the Weyl oracle, summed per q.
-They are kept here as a test-only reference.
+They are kept here as a test-only reference.  ``oracle_decompose`` builds
+each candidate as a ``Target`` of ``Fraction`` fields; the identity and LP
+oracles of other test modules read their targets from it, and the table's
+JSON rows and ``valid_rows`` are checked against it.
 
 ``oracle_product`` and ``oracle_verify_recursion`` are the product formula
 and the recursion check as they were before both were evaluated on
@@ -17,7 +20,9 @@ oracle and the code under test alike.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +31,6 @@ from hypothesis import strategies as st
 from qkbw import casimir, selfcheck
 from qkbw.casimir import (
     DEFAULT_Q_CAP,
-    FormulaDegeneracyError,
-    GradientTarget,
     casimir_eigenvalue,
     casimir_hat,
     casimir_report,
@@ -37,6 +40,7 @@ from qkbw.casimir import (
     sp1_conformal_weight,
     verify_recursion,
 )
+from qkbw.rationals import format_rational, parse_rational
 from qkbw.weights import (
     BundleLabel,
     NonDominantError,
@@ -78,15 +82,31 @@ def oracle_hat(rho, q) -> Fraction:
     )
 
 
+class Target(NamedTuple):
+    """One candidate summand (N, nu) of V_{k,rho} (x) (H (x) E) as Fractions."""
+
+    N: int
+    nu: int
+    target_k: int
+    target_rho: SpnWeight
+    valid: bool
+    w: Fraction
+    w_hat: Fraction
+    W: Fraction
+    reldim: Fraction
+
+
+@lru_cache(maxsize=None)  # the identity oracles read it once per identity
 def oracle_decompose(bundle):
-    """The targets of ``decompose_bundle``, rebuilt for every (N, nu) separately."""
+    """The 4n candidates of ``decompose_bundle``, rebuilt for every (N, nu)
+    separately, in canonical order."""
     rho, k = bundle.rho, bundle.k
     targets = []
     for N in (1, -1):
         for nu in nu_indices(rho.n):
             shifted = mu_shift(rho, nu)
             targets.append(
-                GradientTarget(
+                Target(
                     N=N,
                     nu=nu,
                     target_k=k + N,
@@ -99,6 +119,18 @@ def oracle_decompose(bundle):
                 )
             )
     return tuple(targets)
+
+
+def oracle_json_row(t):
+    """A Target as the JSON row that DecompositionTable.to_json_dict writes."""
+    return {
+        "N": t.N,
+        "nu": t.nu,
+        "k": t.target_k,
+        "rho": str(t.target_rho),
+        "valid": t.valid,
+        **{name: format_rational(getattr(t, name)) for name in ("w", "w_hat", "W", "reldim")},
+    }
 
 
 def conformal_weight_hat(rho, nu) -> Fraction:
@@ -128,10 +160,6 @@ def oracle_product(rho, nu) -> Fraction:
         if nu_other == nu:
             continue
         other = conformal_weight_hat(rho, nu_other)
-        if other == wh:
-            raise FormulaDegeneracyError(
-                f"degenerate translated weights at nu={nu}, nu'={nu_other} for rho={rho}"
-            )
         value *= (wh + other) / (wh - other)
     return value
 
@@ -204,11 +232,10 @@ def test_decompose_bundle_matches_oracle(rho, k):
     bundle = BundleLabel(k, rho)
     got = decompose_bundle(bundle)
     want = oracle_decompose(bundle)
-    assert got.bundle == bundle
-    assert len(got.targets) == len(want) == 4 * rho.n
-    for mine, theirs in zip(got.targets, want):
-        for field in GradientTarget._fields:
-            assert _same(getattr(mine, field), getattr(theirs, field)), (mine.N, mine.nu, field)
+    assert got.bundle == bundle and len(want) == 4 * rho.n
+    assert got.to_json_dict()["targets"] == [oracle_json_row(t) for t in want]
+    assert got.valid_rows == [(t.N, t.nu, t.w, t.W) for t in want if t.valid]
+    assert all(type(v) is int for row in got.valid_rows for v in row)
     c, ch = table_moments(got, 6)
     for q in range(7):
         assert _same(c[q], oracle_eigenvalue(rho, q)), q
@@ -218,12 +245,16 @@ def test_decompose_bundle_matches_oracle(rho, k):
 @settings(max_examples=60, deadline=None)
 @given(dominant_weights, st.integers(0, 4), st.integers(0, DEFAULT_Q_CAP))
 def test_integer_table_matches_its_views(rho, k, q):
+    """valid_rows and summand_count agree with the JSON rows that render the
+    same table, and the moment sums with casimir._moments."""
     table = decompose_bundle(BundleLabel(k, rho))
-    views = [t for t in table.targets if t.valid]
-    assert all(t.w.denominator == 1 and t.W.denominator == 1 for t in views)
-    assert table.valid_rows == [(t.N, t.nu, t.w.numerator, t.W.numerator) for t in views]
+    data = table.to_json_dict()
+    views = [row for row in data["targets"] if row["valid"]]
+    assert table.valid_rows == [
+        (row["N"], row["nu"], parse_rational(row["w"]), parse_rational(row["W"])) for row in views
+    ]
     assert all(type(v) is int for row in table.valid_rows for v in row)
-    assert table.summand_count == len(views)
+    assert table.summand_count == data["summand_count"] == len(views)
     assert (table.dim, table.c_sums(q), table.c_hat_sums(q)) == casimir._moments(rho, q)
 
 
@@ -298,20 +329,42 @@ def test_product_formula_dominance_rule(rho):
 
 
 def test_product_formula_degeneracy(monkeypatch):
-    # On rho = (1, 0) the dominant targets are nu = 1, 2, -1; give nu = 2 the
-    # weight of nu = 1, so their translated weights coincide.
+    """Two dominant summands sharing a translated weight cannot occur (see
+    test_translated_weights_are_pairwise_distinct); forced, the product
+    formula fails loudly with a zero denominator instead of returning a value.
+    On rho = (1, 0) the dominant targets are nu = 1, 2, -1; nu = 2 is given
+    the weight of nu = 1."""
     rho = SpnWeight((1, 0))
     weight = casimir._weight
     monkeypatch.setattr(casimir, "_weight", lambda r, nu: weight(r, 1 if nu == 2 else nu))
-    message = "degenerate translated weights at nu=1, nu'=2 for rho=1,0"
     for call in (relative_dimension_product, oracle_product):
-        with pytest.raises(FormulaDegeneracyError) as info:
-            call(rho, 1)
-        assert str(info.value) == message
-    with pytest.raises(FormulaDegeneracyError, match="at nu=2, nu'=1 "):
-        relative_dimension_product(rho, 2)
+        for nu in (1, 2):
+            with pytest.raises(ZeroDivisionError):
+                call(rho, nu)
     assert _same(relative_dimension_product(rho, -1), oracle_product(rho, -1))
     assert relative_dimension_product(rho, -2) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.lists(st.integers(0, 40), min_size=n, max_size=n).map(
+            lambda entries: SpnWeight(tuple(sorted(entries, reverse=True)))
+        )
+    )
+)
+def test_translated_weights_are_pairwise_distinct(rho):
+    """For dominant rho the 2n weights w_nu, so the odd x_nu = 2 w_nu - 2n - 1
+    of the product formula, are pairwise distinct: w_j - w_i >= 1 and
+    w_-i - w_-j >= 1 for i < j, and w_i <= n - 1 < n + 1 <= w_-j."""
+    n = rho.n
+    weights = {nu: casimir._weight(rho, nu) for nu in nu_indices(n)}
+    assert weights == {nu: oracle_weight(rho, nu) for nu in nu_indices(n)}
+    for i in range(1, n):
+        assert weights[i + 1] - weights[i] >= 1 and weights[-i] - weights[-i - 1] >= 1
+    assert max(weights[i] for i in range(1, n + 1)) <= n - 1
+    assert min(weights[-i] for i in range(1, n + 1)) >= n + 1
+    assert len({2 * w - 2 * n - 1 for w in weights.values()}) == 2 * n
 
 
 perturbations = st.lists(

@@ -194,7 +194,7 @@ class TestBwVerb:
             "n": 2, "k": 0, "rho": "0,0", "targets": ["+1,+1"], "identities": []
         }
         code, out, _ = run(capsys, *argv, "--format", "csv")
-        assert (code, out) == (0, "provenance,B(+1,+1),kappa\n")
+        assert (code, out) == (0, 'provenance,"B(+1,+1)",kappa\n')
 
     def test_csv(self, capsys):
         code, out, _ = run(

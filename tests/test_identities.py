@@ -62,7 +62,7 @@ def simplify_curvature(identity, rules):
 
 def conformal_exponents(bundle, target):
     """Conformal-covariance exponent pair of one gradient; the entries sum to -1."""
-    N, nu = (target.N, target.nu) if hasattr(target, "N") else target
+    N, nu = target
     w, W = conformal_weight(bundle.rho, nu), sp1_conformal_weight(bundle.k, N)
     inner = w / 2 + W / (2 * bundle.n)
     return (-inner - 1, inner)
@@ -420,8 +420,8 @@ class TestRankExtensionExperiment:
 class TestConformalExponents:
     def test_pair_sums_to_minus_one(self):
         bundle = lambda_ab_bundle(2, 2, 1, 3)
-        for t in [t for t in decompose_bundle(bundle).targets if t.valid]:
-            left, right = conformal_exponents(bundle, t)
+        for N, nu, _, _ in decompose_bundle(bundle).valid_rows:
+            left, right = conformal_exponents(bundle, (N, nu))
             assert left + right == -1
 
     def test_trivial_bundle(self):
@@ -448,7 +448,7 @@ class TestSerialization:
     def test_csv_header(self):
         bundle = lambda_ab_bundle(2, 1, 0, 2)
         csv = identities_to_csv([printed_identity(bundle, "bw1")])
-        assert csv.splitlines()[0].startswith("provenance,B(+1,+1)")
+        assert csv.splitlines()[0].startswith('provenance,"B(+1,+1)",')
         assert "R^1" in csv.splitlines()[0]
 
     def test_latex_contains_terms(self):

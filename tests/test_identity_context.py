@@ -4,9 +4,10 @@
 ``oracle_theorem_family``, ``oracle_simplify`` and ``oracle_pure_kappa`` are
 the identity builders as they were before the per-call context: every
 coefficient polynomial is evaluated in ``Fraction`` arithmetic on the
-``Fraction`` weights of each target, and the curvature rules run on fully
-built identities.  c_2 and c_4 are ``Fraction`` sums of w^q * reldim over
-the table's N = +1 targets; the property checks them against
+``Fraction`` weights of each target, read from
+``test_casimir_kernel.oracle_decompose``, and the curvature rules run on
+fully built identities.  c_2 and c_4 are ``Fraction`` sums of w^q * reldim
+over the N = +1 targets; the property checks them against
 ``casimir_eigenvalue`` and the closed forms.  The families take c_hat from
 ``casimir_hat`` and evaluate on ``w_hat``.  They are kept here as a
 test-only reference, and they build ``Reference`` tuples of Fractions, not
@@ -53,6 +54,8 @@ from qkbw.identities import (
 from qkbw.selfcheck import dominant_weights
 from qkbw.weights import BundleLabel, SpnWeight, lambda_ab_weight
 
+from test_casimir_kernel import oracle_decompose
+
 F = Fraction
 
 
@@ -71,7 +74,10 @@ class Reference(NamedTuple):
 
 
 def valid_targets(table):
-    return [t for t in table.targets if t.valid]
+    """The oracle's valid targets of the table's bundle over the shifts the
+    table holds (none for a hand-built table without rows)."""
+    held = {nu for nu, _, _, _ in table.rows}
+    return [t for t in oracle_decompose(table.bundle) if t.valid and t.nu in held]
 
 
 def oracle_merge(terms):

@@ -32,7 +32,6 @@ from qkbw.bounds import (
     _normalize_sign,
     lp_max_bound,
 )
-from qkbw.casimir import decompose_bundle
 from qkbw.identities import (
     OPERATOR_NAMES,
     BWIdentity,
@@ -44,6 +43,8 @@ from qkbw.identities import (
 from qkbw.selfcheck import dominant_weights as weights_up_to
 from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from qkbw.weights import BundleLabel, SpnWeight
+
+from test_casimir_kernel import oracle_decompose
 
 F = Fraction
 
@@ -57,7 +58,7 @@ def oracle_operator(name, bundle):
         "dirac_squared": lambda t: 1 + t.w + t.W / n,
         "R1_endomorphism": lambda t: t.w + t.W / n,
     }
-    targets = [t for t in decompose_bundle(bundle).targets if t.valid]
+    targets = [t for t in oracle_decompose(bundle) if t.valid]
     coeffs = tuple(((t.N, t.nu), formulas[name](t)) for t in targets)
     return SimpleNamespace(name=name, bundle=bundle, coeffs=coeffs, constant_kappa=F(0))
 

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkbw import cli
@@ -186,3 +186,60 @@ class TestParseRational:
 
     def test_returns_a_fraction(self):
         assert parse_rational("-3/4") == Fraction(-3, 4) and type(parse_rational("2/1")) is Fraction
+
+
+def test_decompose_markdown_rows_are_its_json_rows():
+    """Every dominant rho of entry sum <= 4, n = 2..5, k = 0..3 (parity-warning
+    and k = 0 bundles included): the markdown of decompose --k has the JSON's
+    count, warning and rows, each cell the JSON value in Fraction text."""
+    for rho in RHOS:
+        for k in range(4):
+            weight = ",".join(map(str, rho))
+            argv = ["decompose", "--n", str(len(rho)), "--rho", weight, "--k", str(k)]
+            code, md, _ = run(*argv)
+            _, obj, _ = run(*argv, "--format", "json")
+            data = json.loads(obj)
+            assert code == 0
+            lines = md.splitlines()
+            assert lines[0].endswith(f"(valid summands: {data['summand_count']})")
+            assert ("does not factor through" in lines[1]) == data["parity_warning"]
+            body = [line for line in lines if line[:3] in ("| +", "| -")]
+            cells = [[c.strip() for c in line.strip("|").split("|")] for line in body]
+            assert len(cells) == len(data["targets"]) == 4 * len(rho)
+            for got, row in zip(cells, data["targets"]):
+                assert got[:4] == [
+                    f"{row['N']:+d}", f"{row['nu']:+d}", f"({row['k']}, ({row['rho']}))",
+                    "yes" if row["valid"] else "no",
+                ]
+                values = [parse_rational(row[key]) for key in ("w", "w_hat", "W", "reldim")]
+                assert got[4:] == [str(v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.sampled_from(RHOS), k=st.integers(0, 3), raw=st.booleans(), hpn=st.booleans())
+@example(rho=(0, 0), k=0, raw=True, hpn=False)  # an empty family: the header alone
+def test_bw_csv_has_one_field_count_and_its_json_values(rho, k, raw, hpn):
+    """Every bw CSV form (printed, --hpn, --raw, an empty family) parses with
+    the csv module to one field count, and its cells are the JSON values."""
+    argv = ["bw", "--n", str(len(rho)), "--rho", ",".join(map(str, rho)), "--k", str(k)]
+    argv += ["--raw"] * raw + ["--hpn"] * hpn
+    code, text, _ = run(*argv, "--format", "csv")
+    _, obj, _ = run(*argv, "--format", "json")
+    assert code == 0
+    data = json.loads(obj)
+    header, rows = csv_rows(text)
+    targets = [f"B({t})" for t in data["targets"]]
+    assert header[: len(targets) + 2] == ["provenance", *targets, "kappa"]
+    curvature = header[len(targets) + 2 :]
+    assert all(len(row) == len(header) for row in rows)
+    assert len(rows) == len(data["identities"])
+    for row, ident in zip(rows, data["identities"]):
+        terms = {
+            ("Rhat^" if t["hatted"] else "R^") + str(t["power"]): t["coefficient"]
+            for t in ident["curvature"]
+        }
+        assert set(terms) <= set(curvature)
+        assert row == [
+            ident["provenance"], *ident["coefficients"], ident["kappa"],
+            *(terms.get(key, "0/1") for key in curvature),
+        ]

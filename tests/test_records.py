@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from qkbw.bounds import BoundCertificate, KernelAnalysis, NoCertificate, bound_for, twistor_kernel_analysis
-from qkbw.casimir import CasimirReport, DecompositionTable, GradientTarget, casimir_report, decompose_bundle
+from qkbw.casimir import CasimirReport, DecompositionTable, casimir_report, decompose_bundle
 from qkbw.identities import BWIdentity, CurvatureTerm, OperatorSpec, operator_coeffs, printed_identity
 from qkbw.selfcheck import SuiteResult
 from qkbw.weights import BundleLabel, NonDominantError, ParameterRangeError, SpnWeight
@@ -26,11 +26,6 @@ RECORDS = {
     SpnWeight: (lambda: SpnWeight((2, 1, 0)), ("entries",), {"entries": (2, 2, 0)}),
     BundleLabel: (lambda: BundleLabel(2, SpnWeight((2, 1, 0))), ("k", "rho"), {"k": 4}),
     CasimirReport: (lambda: casimir_report(SpnWeight((1, 0)), q_max=1), ("rho", "values"), {"values": ()}),
-    GradientTarget: (
-        lambda: decompose_bundle(ZERO).targets[0],
-        ("N", "nu", "target_k", "target_rho", "valid", "w", "w_hat", "W", "reldim"),
-        {"valid": False},
-    ),
     DecompositionTable: (lambda: decompose_bundle(ZERO), ("bundle", "dim", "rows"), {"dim": 2}),
     CurvatureTerm: (
         lambda: CurvatureTerm(power=1, hatted=False, coefficient=Fraction(1)),
@@ -150,11 +145,6 @@ def test_pickle_and_copy_round_trips(cls):
             lambda: casimir_report(SpnWeight((1, 0)), q_max=1),
             "CasimirReport(rho=SpnWeight((1,0)), values=((0, Fraction(4, 1), Fraction(4, 1)),"
             " (1, Fraction(0, 1), Fraction(-10, 1))))",
-        ),
-        (
-            lambda: decompose_bundle(ZERO).targets[0],
-            "GradientTarget(N=1, nu=1, target_k=1, target_rho=SpnWeight((1,0)), valid=True,"
-            " w=Fraction(0, 1), w_hat=Fraction(-5, 2), W=Fraction(0, 1), reldim=Fraction(4, 1))",
         ),
         (
             lambda: printed_identity(ZERO, "bw1"),
