@@ -20,12 +20,18 @@ d_nu) with reldim(nu) = d_nu / D and returns the integer sums
 
 Its rows are a weight's summand table (D = dim V_rho, d_nu = dim
 V_{rho+mu_nu} or 0 when not dominant; w_nu and dominance are read off the
-entries of rho, so only dominant shifts reach the Weyl oracle).  The
-identities and the recursion check read S_q, T_q and D as they are; only
-casimir_eigenvalue, casimir_hat and casimir_report make Fractions.  A
-bundle's DecompositionTable is that integer table, and its JSON, markdown
-and CSV render straight from the rows.  The formula of w_nu lives in _weight
-only, and the Sp(1) shifts N with their weights W_N in _sp1_shifts only.
+entries of rho, so only dominant shifts reach the Weyl oracle).  The table
+depends on rho alone: k, the operator, the curvature sign and hpn enter
+later, through the Sp(1) weights W_N and the identity rows.  So _summands
+computes it once per rho per process and keeps it in _tables, keyed by
+rho.entries; only dominant rho are stored, and like weights._dims the memo
+is unbounded.  Every moment, eigenvalue and decomposition on rho reads that
+one table.  The identities and the recursion check read S_q, T_q and D as
+they are; only casimir_eigenvalue, casimir_hat and casimir_report make
+Fractions.  A bundle's DecompositionTable is that integer table, and its
+JSON, markdown and CSV render straight from the rows.  The formula of w_nu
+lives in _weight only, and the Sp(1) shifts N with their weights W_N in
+_sp1_shifts only.
 
 Relative dimensions come from two routes: the Weyl dimension oracle (the
 source of truth, which tests each shifted weight's own dominance) and a
@@ -160,6 +166,10 @@ def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
     return Fraction(num, den)
 
 
+# Summand tables computed so far in this process, keyed by weight entries.
+_tables: dict = {}
+
+
 def _summands(rho: SpnWeight):
     """The summand table of V_rho (x) E: (D, rows).
 
@@ -168,13 +178,23 @@ def _summands(rho: SpnWeight):
     V_{rho+mu_nu}, or 0 when rho + mu_nu is not dominant; w_nu and dominance
     are read off the entries of rho.  Raises NonDominantError for a
     non-dominant rho.
+
+    Computed once per rho per process: the table does not depend on k, the
+    operator, the curvature sign or hpn, so it is kept in _tables under
+    rho.entries.  Only a rho that decompose_rho_tensor_E accepted is stored,
+    so a non-dominant rho raises on every call.  The memo is unbounded, like
+    weights._dims.
     """
+    table = _tables.get(rho.entries)
+    if table is not None:
+        return table
     dominant = _dominant_shifts(rho)
     rows = [  # decompose_rho_tensor_E raises for a non-dominant rho before any weyl_dim
         (nu, shifted, _weight(rho, nu), weyl_dim(shifted) if nu in dominant else 0)
         for nu, shifted in decompose_rho_tensor_E(rho)
     ]
-    return weyl_dim(rho), tuple(rows)
+    table = _tables[rho.entries] = weyl_dim(rho), tuple(rows)
+    return table
 
 
 def _moment_sums(rows, q_max: int, shift: int = 0):

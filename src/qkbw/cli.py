@@ -250,9 +250,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"cannot open the --csv ledger: {exc}") from None
     with ledger:
         if jobs > 1:
+            # the cases run in (n, a, b, k, sign) order, so contiguous chunks keep
+            # the cases of one rho together, and its summand table is built in one
+            # worker, or in two when a chunk boundary splits them
+            chunksize = max(1, len(cases) // (4 * jobs))
             # the attribute loads the pool module, which the other verbs never need
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(sweep_case, cases))
+                results = list(pool.map(sweep_case, cases, chunksize=chunksize))
         else:
             results = [sweep_case(c) for c in cases]
         header = "n,k,a,b,kappa_sign,lp_bound,expected,match\n"

@@ -17,6 +17,13 @@ compares ``Fraction`` sides, c_q = S_q / D and c_hat_q = T_q / (2^q D) built
 from the integer sums.  Both read the conformal weights and the moment sums
 through ``qkbw.casimir`` at call time, so a monkeypatch there reaches the
 oracle and the code under test alike.
+
+The summand table is the exception: ``casimir._summands`` keeps one table
+per rho for the whole process, in ``casimir._tables``.  A monkeypatch of
+``_weight``, or of anything else a table is built from, does not reach a
+table that is already cached, and a table built while the patch holds would
+outlive it.  So a test that patches what a table is built from also patches
+``casimir._tables`` to a fresh ``{}``.
 """
 
 from fractions import Fraction
@@ -336,6 +343,7 @@ def test_product_formula_degeneracy(monkeypatch):
     the weight of nu = 1."""
     rho = SpnWeight((1, 0))
     weight = casimir._weight
+    monkeypatch.setattr(casimir, "_tables", {})
     monkeypatch.setattr(casimir, "_weight", lambda r, nu: weight(r, 1 if nu == 2 else nu))
     for call in (relative_dimension_product, oracle_product):
         for nu in (1, 2):
@@ -425,3 +433,53 @@ def test_summand_table_matches_the_object_route():
             D, rows = casimir._summands(rho)
             assert D == weyl_dim(rho) and list(rows) == want, rho
             assert all(type(w) is int and type(d) is int for _, _, w, d in rows), rho
+
+
+MEMO_WEIGHTS = [rho for n in range(2, 6) for rho in selfcheck.dominant_weights(n, 4)]
+
+
+def test_memo_hit_equals_a_fresh_table(monkeypatch):
+    """On every dominant rho of entry sum <= 4 with n = 2..5, the cached table
+    is returned as the same object, and equals one built with an empty memo."""
+    hits = [casimir._summands(rho) for rho in MEMO_WEIGHTS]
+    assert all(casimir._summands(rho) is hit for rho, hit in zip(MEMO_WEIGHTS, hits))
+    monkeypatch.setattr(casimir, "_tables", {})
+    for rho, hit in zip(MEMO_WEIGHTS, hits):
+        fresh = casimir._summands(rho)
+        assert fresh is not hit and fresh == hit, rho
+    assert list(casimir._tables) == [rho.entries for rho in MEMO_WEIGHTS]
+
+
+def test_every_k_of_a_rho_shares_its_table():
+    rho = SpnWeight((2, 1, 0))
+    tables = [decompose_bundle(BundleLabel(k, rho)) for k in range(4)]
+    assert all(t.rows is tables[0].rows and t.dim == tables[0].dim for t in tables)
+
+
+def test_non_dominant_weight_is_never_stored(monkeypatch):
+    """A non-dominant rho raises on the first call and on the second, and
+    leaves the memo empty."""
+    monkeypatch.setattr(casimir, "_tables", {})
+    for entries in ((0, 1), (1, 2, 0), (1, -1)):
+        for _ in range(2):
+            with pytest.raises(NonDominantError):
+                casimir._summands(SpnWeight(entries))
+            with pytest.raises(NonDominantError):
+                casimir_eigenvalue(SpnWeight(entries), 2)
+    assert casimir._tables == {}
+
+
+def test_entries_read_through_index_share_one_table(monkeypatch):
+    monkeypatch.setattr(casimir, "_tables", {})
+    table = casimir._summands(SpnWeight((True, 0)))
+    assert casimir._summands(SpnWeight((1, 0))) is table
+    assert list(casimir._tables) == [(1, 0)]
+
+
+def test_relative_dimensions_do_not_read_the_memo(monkeypatch):
+    """The Weyl oracle and the product formula stay independent of the table:
+    with the memo gone, any read of it would raise."""
+    monkeypatch.setattr(casimir, "_tables", None)
+    for rho in MEMO_WEIGHTS:
+        for nu in nu_indices(rho.n):
+            assert relative_dimension_weyl(rho, nu) == relative_dimension_product(rho, nu), (rho, nu)

@@ -350,12 +350,14 @@ class TestSweepVerb:
         assert code == 2
         assert "--jobs" in err
 
-    @pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (None, None)])
-    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, cpus, workers):
-        started = []
+    @staticmethod
+    def serial_pool(monkeypatch, cpus):
+        """Stand in for the process pool on a machine with cpus CPUs; the
+        returned lists record each pool's size and each map's chunk size."""
+        started, chunks = [], []
 
         class SerialPool:
-            """Stands in for the process pool: records its size, maps in-process."""
+            """Maps in-process."""
 
             def __init__(self, max_workers):
                 started.append(max_workers)
@@ -366,15 +368,30 @@ class TestSweepVerb:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, items)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return started, chunks
+
+    @pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (None, None)])
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, cpus, workers):
+        started, _ = self.serial_pool(monkeypatch, cpus)
         code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0", "--jobs", "2")
         assert code == 0
         assert "0 mismatches" in out
         assert started == ([] if workers is None else [workers])
+
+    def test_pool_gets_contiguous_chunks(self, capsys, monkeypatch):
+        """Four chunks per worker, so the cases of one rho stay together."""
+        argv = ["sweep", "--n", "2..3", "--format", "csv"]
+        serial = run(capsys, *argv)
+        started, chunks = self.serial_pool(monkeypatch, 2)
+        assert run(capsys, *argv, "--jobs", "2") == serial
+        assert started == [2]
+        assert chunks == [len(sweep_cases(range(2, 4), "+-")) // 8]
 
 
 class TestSweepGrid:
