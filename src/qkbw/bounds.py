@@ -334,10 +334,14 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
 
 def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = False):
     """Rule-driven identity set, then lp_max_bound: a BoundCertificate, or a
-    NoCertificate when no rewriting exists over the identity span."""
-    table = decompose_bundle(bundle)
-    operator = operator_coeffs(operator_name, bundle, table=table)
-    return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn, table=table), kappa_sign)
+    NoCertificate when no rewriting exists over the identity span.
+
+    The operator row and the identity set do not depend on the sign, so both
+    come from their builders' per-process memos: both signs, every operator
+    of a bundle and every repeat of a bundle share them.  Each call still
+    solves its own LP and verifies its own certificate; no result is kept."""
+    operator = operator_coeffs(operator_name, bundle)
+    return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn), kappa_sign)
 
 
 def closed_form_bound(k: int, a: int, b: int, n: int, kappa_sign) -> Fraction:
@@ -558,7 +562,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
         if key not in valid_keys:
             raise ValueError(f"kernel target {key} is not a valid gradient target")
     unknown = [i for i, key in enumerate(valid_keys) if key not in kernel]
-    identities = pure_kappa_identities(bundle, table=table)
+    identities = pure_kappa_identities(bundle)
     # each identity times its denominator: values . ratios = kappa
     matrix = [[ident.values[i] for i in unknown] for ident in identities]
     rhs = [ident.kappa for ident in identities]

@@ -251,8 +251,9 @@ def cmd_sweep(args) -> int:
     with ledger:
         if jobs > 1:
             # the cases run in (n, a, b, k, sign) order, so contiguous chunks keep
-            # the cases of one rho together, and its summand table is built in one
-            # worker, or in two when a chunk boundary splits them
+            # the cases of one rho, and both signs of one bundle, together: the
+            # summand table, the operator row and the identity set are each built
+            # in one worker, or in two when a chunk boundary splits their cases
             chunksize = max(1, len(cases) // (4 * jobs))
             # the attribute loads the pool module, which the other verbs never need
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -11,7 +11,7 @@ quartic curvature part; they stay symbolic until a simplification rule
 eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
 
-Each call builds one private context for its bundle, which the operator
+Each build makes one private context for its bundle, which the operator
 rows read as well: the valid targets with integer conformal weights w and W,
 D = dim V_rho, and, once a row reads them, the shape and the integer moment
 sums S_q (c_q = S_q / D) or T_q (c_hat_q = T_q / (2^q D)), all off its
@@ -29,6 +29,14 @@ runs the rules on the table's curvature terms.  pure_kappa_identities (what
 the bound LP reads) runs none: only bw1 and bw2 carry terms, which the rules
 drop exactly under hpn or on a (1_a) shape, so it chooses its rows by that
 and evaluates only them.
+
+The identity set and an operator row depend on the bundle (and hpn) alone:
+the sign of kappa enters only the bound LP's right-hand side.  So
+pure_kappa_identities keeps each set in _identity_sets, keyed by (bundle,
+bool(hpn)), and operator_coeffs keeps each row in _operator_rows, keyed by
+(name, bundle), once per process, as casimir._tables keeps the summand
+tables; both memos are unbounded.  Only a call without ``table=`` reads or
+fills them: a call that passes a table builds from that table every time.
 """
 
 from __future__ import annotations
@@ -512,6 +520,11 @@ def printed_identities(bundle: BundleLabel, hpn: bool = False):
     ]
 
 
+# What the table-less calls built so far in this process (see the module docstring).
+_identity_sets: dict = {}
+_operator_rows: dict = {}
+
+
 def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     """The printed identities bw1..bw6 that survive the rules as pure-kappa rows.
 
@@ -519,8 +532,23 @@ def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     else _TERMLESS, and only those that exist on the bundle are built.
     Trivial rows are dropped; a row with zero coefficients but nonzero kappa
     side is a contradiction and raises.
+
+    The set does not depend on the sign of kappa, so a call without a table
+    builds it once per (bundle, bool(hpn)) per process and keeps it in
+    _identity_sets; each call returns a new list of the kept rows.  A call
+    with a table, which must be the bundle's own, builds from it and neither
+    reads nor fills the memo.  A build that raises stores nothing.
     """
-    ctx = _Context(bundle, table)
+    if table is not None:
+        return _pure_kappa(_Context(bundle, table), hpn)
+    key = (bundle, bool(hpn))
+    rows = _identity_sets.get(key)
+    if rows is None:
+        rows = _identity_sets[key] = tuple(_pure_kappa(_Context(bundle), hpn))
+    return list(rows)
+
+
+def _pure_kappa(ctx, hpn):
     out = []
     for _, build, exists in _RULED if hpn or (ctx.shape and ctx.shape[1] == 0) else _TERMLESS:
         if exists(ctx) is not None:
@@ -571,12 +599,28 @@ OPERATOR_NAMES = tuple(_OPERATORS)
 def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
     """Coefficient vector of a named operator over the valid targets of the
     identities' context: one integer row over 2n, in lowest terms over 1, n
-    or 2n.  A given table must be the bundle's own."""
+    or 2n.
+
+    The row does not depend on the sign of kappa, so a call without a table
+    builds it once per (name, bundle) per process and keeps the OperatorSpec
+    in _operator_rows.  A call with a table, which must be the bundle's own,
+    builds from it and neither reads nor fills the memo.  An unknown name
+    raises before the memo is read."""
     if name not in _OPERATORS:
         raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
-    n, value, ctx = bundle.n, _OPERATORS[name], _Context(bundle, table)
+    if table is not None:
+        return _operator_row(name, _Context(bundle, table))
+    key = (name, bundle)
+    row = _operator_rows.get(key)
+    if row is None:
+        row = _operator_rows[key] = _operator_row(name, _Context(bundle))
+    return row
+
+
+def _operator_row(name, ctx):
+    n, value = ctx.n, _OPERATORS[name]
     values = [value(n, w, W) for w, W in zip(ctx.w, ctx.W)]
-    return OperatorSpec(name, bundle, ctx.keys, values, 2 * n)
+    return OperatorSpec(name, ctx.bundle, ctx.keys, values, 2 * n)
 
 
 def independence_rank(identities) -> int:

@@ -19,11 +19,15 @@ through ``qkbw.casimir`` at call time, so a monkeypatch there reaches the
 oracle and the code under test alike.
 
 The summand table is the exception: ``casimir._summands`` keeps one table
-per rho for the whole process, in ``casimir._tables``.  A monkeypatch of
-``_weight``, or of anything else a table is built from, does not reach a
-table that is already cached, and a table built while the patch holds would
-outlive it.  So a test that patches what a table is built from also patches
-``casimir._tables`` to a fresh ``{}``.
+per rho for the whole process, in ``casimir._tables``, and the identity sets
+and operator rows that ``identities.pure_kappa_identities`` and
+``identities.operator_coeffs`` build without ``table=`` are kept the same
+way, in ``identities._identity_sets`` and ``identities._operator_rows``.  A
+monkeypatch of ``_weight``, or of anything else such an entry is built from,
+does not reach an entry that is already cached, and an entry built while the
+patch holds would outlive it.  So a test that patches what an entry is built
+from, and then calls a builder without ``table=``, takes the ``fresh_memos``
+fixture of ``conftest.py``, which swaps all three memos for fresh dicts.
 """
 
 from fractions import Fraction
@@ -335,7 +339,7 @@ def test_product_formula_dominance_rule(rho):
         assert (relative_dimension_product(rho, nu) > 0) == mu_shift(rho, nu).is_dominant, nu
 
 
-def test_product_formula_degeneracy(monkeypatch):
+def test_product_formula_degeneracy(monkeypatch, fresh_memos):
     """Two dominant summands sharing a translated weight cannot occur (see
     test_translated_weights_are_pairwise_distinct); forced, the product
     formula fails loudly with a zero denominator instead of returning a value.
@@ -343,7 +347,6 @@ def test_product_formula_degeneracy(monkeypatch):
     the weight of nu = 1."""
     rho = SpnWeight((1, 0))
     weight = casimir._weight
-    monkeypatch.setattr(casimir, "_tables", {})
     monkeypatch.setattr(casimir, "_weight", lambda r, nu: weight(r, 1 if nu == 2 else nu))
     for call in (relative_dimension_product, oracle_product):
         for nu in (1, 2):

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkbw import casimir, identities
+from qkbw import bounds, casimir, identities
 from qkbw.casimir import (
     DecompositionTable,
     casimir_eigenvalue,
@@ -36,6 +36,7 @@ from qkbw.casimir import (
 )
 from qkbw.identities import (
     HPN_RULES,
+    OPERATOR_NAMES,
     STANDARD_RULES,
     BWIdentity,
     CurvatureTerm,
@@ -46,6 +47,7 @@ from qkbw.identities import (
     apply_rule,
     identity_bochner1,
     identity_bochner2,
+    operator_coeffs,
     printed_identities,
     printed_identity,
     pure_kappa_identities,
@@ -549,3 +551,115 @@ def test_family_rows_reach_the_rank_as_ints(rho):
             terms = {t.key: t.coefficient for t in ident.curvature_terms}
             want = [*ident.coeff_map().values(), ident.kappa_coeff] + [terms.get(key, 0) for key in keys]
             assert ident.full_vector(keys) == want
+
+
+# The per-process memos of pure_kappa_identities and operator_coeffs.  Each
+# test starts them empty through the fresh_memos fixture of conftest.py.
+
+
+def test_memo_hit_and_miss_equal_a_build_from_the_table(fresh_memos):
+    """On every dominant rho of entry sum <= 4, n = 2..5, k = 0..4, hpn both
+    ways and all four operators, a table-less call equals a build from the
+    bundle's own table on the miss that fills the memo and on the hit after."""
+    bundles = [BundleLabel(k, rho) for rho in SMALL_WEIGHTS for k in range(5)]
+    for _ in ("miss", "hit"):
+        for bundle in bundles:
+            table = decompose_bundle(bundle)
+            for hpn in (False, True):
+                want = pure_kappa_identities(bundle, hpn, table=table)
+                assert pure_kappa_identities(bundle, hpn) == want, (bundle, hpn)
+            for name in OPERATOR_NAMES:
+                want = operator_coeffs(name, bundle, table=table)
+                assert operator_coeffs(name, bundle) == want, (bundle, name)
+    assert len(identities._identity_sets) == 2 * len(bundles)
+    assert len(identities._operator_rows) == len(OPERATOR_NAMES) * len(bundles)
+
+
+def test_hpn_is_keyed_by_its_truth_value(fresh_memos):
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    assert pure_kappa_identities(bundle, 1) == pure_kappa_identities(bundle, True)
+    assert pure_kappa_identities(bundle, 0) == pure_kappa_identities(bundle)
+    assert set(identities._identity_sets) == {(bundle, False), (bundle, True)}
+
+
+@pytest.mark.parametrize("memo_first", [False, True])
+def test_a_doctored_table_neither_reads_nor_fills_the_memo(fresh_memos, memo_first):
+    """A table without valid targets, labelled with the bundle, is built from
+    every time, before or after the table-less call has filled the memo."""
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    empty = DecompositionTable(bundle, 1, ())
+    table = decompose_bundle(bundle)
+    identity_want = pure_kappa_identities(bundle, True, table=table)
+    operator_want = operator_coeffs("hodge_laplacian", bundle, table=table)
+    assert identities._identity_sets == {} and identities._operator_rows == {}
+    if memo_first:
+        assert pure_kappa_identities(bundle, True) == identity_want
+        assert operator_coeffs("hodge_laplacian", bundle) == operator_want
+    kept = (dict(identities._identity_sets), dict(identities._operator_rows))
+    for _ in range(2):
+        with pytest.raises(InconsistencyError, match="identity bw3 reduced to 0 = kappa-multiple"):
+            pure_kappa_identities(bundle, True, table=empty)
+        assert operator_coeffs("hodge_laplacian", bundle, table=empty).targets == ()
+        assert (identities._identity_sets, identities._operator_rows) == kept
+    assert pure_kappa_identities(bundle, True) == identity_want
+    assert operator_coeffs("hodge_laplacian", bundle) == operator_want
+
+
+def test_mutating_a_returned_list_leaves_the_memo_unchanged(fresh_memos):
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    first = pure_kappa_identities(bundle)
+    want = list(first)
+    first.reverse()
+    first.append(None)
+    second = pure_kappa_identities(bundle)
+    assert second == want and second is not first
+    second.clear()
+    assert pure_kappa_identities(bundle) == want
+
+
+def test_an_unknown_operator_raises_and_stores_nothing(fresh_memos):
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    for name in ("laplacian", "Hodge_laplacian", ""):
+        for table in (None, decompose_bundle(bundle)):
+            with pytest.raises(ValueError, match="unknown operator"):
+                operator_coeffs(name, bundle, table=table)
+    assert identities._operator_rows == {}
+
+
+def test_a_build_that_raises_stores_nothing(monkeypatch, fresh_memos):
+    """With the bundle's table doctored to hold no valid target, the
+    table-less build raises on every call and keeps nothing; with the real
+    table back, the next call builds the real set."""
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    want = pure_kappa_identities(bundle, True, table=decompose_bundle(bundle))
+    with monkeypatch.context() as mp:
+        mp.setattr(identities, "decompose_bundle", lambda b: DecompositionTable(b, 1, ()))
+        for _ in range(2):
+            with pytest.raises(InconsistencyError):
+                pure_kappa_identities(bundle, True)
+        assert identities._identity_sets == {}
+    assert pure_kappa_identities(bundle, True) == want
+
+
+def test_bound_for_solves_and_verifies_on_every_call(monkeypatch, fresh_memos):
+    """Both signs of one bundle, twice each: the operator row and the identity
+    set are built once, on the first call, and every call runs its own LP and
+    its own certificate check."""
+    bundle = lambda_ab_bundle(2, 1, 0, 3)
+    counts = {"lp": 0, "verify": 0, "table": 0}
+
+    def counting(key, fn):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(bounds, "lp_max_bound", counting("lp", bounds.lp_max_bound))
+    monkeypatch.setattr(bounds.BoundCertificate, "verify", counting("verify", bounds.BoundCertificate.verify))
+    monkeypatch.setattr(identities, "decompose_bundle", counting("table", identities.decompose_bundle))
+    results = [bounds.bound_for("hodge_laplacian", bundle, sign) for sign in (1, -1, 1, -1)]
+    assert counts == {"lp": 4, "verify": 4, "table": 2}
+    assert [r.kappa_sign for r in results] == [1, -1, 1, -1]
+    assert results[0] == results[2] and results[0] is not results[2]
+    assert results[1] == results[3] and results[1] is not results[3]

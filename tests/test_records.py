@@ -38,7 +38,8 @@ RECORDS = {
         {"provenance": "bw2"},
     ),
     OperatorSpec: (
-        lambda: operator_coeffs("connection_laplacian", ZERO),
+        # a table-less call returns the kept row, so each instance is built from a table
+        lambda: operator_coeffs("connection_laplacian", ZERO, table=decompose_bundle(ZERO)),
         ("name", "bundle", "targets", "values", "denominator"),
         {"name": "dirac_squared"},
     ),
