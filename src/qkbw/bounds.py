@@ -309,7 +309,9 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     if m:
         tight = [i for i in range(t) if y[i] != 0]
         A_T, op_T = [A[i] for i in tight], [op[i] for i in tight]
-        lambdas = solve_linear_system(A_T, op_T)[0] if tight else None
+        # fewer tight rows than identities cannot fix lambda: the solve would
+        # return None, and it cannot raise, as the system is consistent
+        lambdas = solve_linear_system(A_T, op_T)[0] if len(tight) >= m else None
         if lambdas is None:
             lambdas = _l1_smallest(m, A_T, op_T, ())
             if any(r < 0 for r in _residuals(A, op, lambdas)[2]):

@@ -236,8 +236,9 @@ class _Context:
     Holds D = dim V_rho and the keys of the valid targets with their
     conformal weights w and W as ints, read off the bundle's integer
     decomposition table: ``table`` when given, which must be the bundle's
-    own, else a new one.  The (2_b,1_{a-b}) shape and the integer sums S_q
-    and T_q for q <= q_max are computed when a row first reads them.
+    own, else a new one.  The (2_b,1_{a-b}) shape, the integer sums S_q
+    and T_q for q <= q_max and the theorem family's alternating sums are
+    computed when a row first reads them.
     Nothing outlives the call.
     """
 
@@ -265,6 +266,23 @@ class _Context:
     @cached_property
     def T(self):
         return self.table.c_hat_sums(self.q_max)
+
+    @cached_property
+    def alternating(self):
+        """The theorem family's alternating sums, one int per target for each
+        m = -1..q_max: entry m + 1 holds the A_m with
+
+            sum_{p=0}^{m} (-1)^p c_hat_{m-p} w_hat^p = A_m / (D 2^m).
+
+        With c_hat_j = T_j / (D 2^j) and x = -2 w_hat = 2n + 1 - 2w, A_m is
+        sum_j T_j x^(m-j).  Horner's rule makes every m in one sweep from the
+        empty sum: A_{-1} = 0 and A_m = x A_{m-1} + T_m.
+        """
+        xs = [2 * self.n + 1 - 2 * w for w in self.w]
+        table = [[0] * len(xs)]
+        for t in self.T:
+            table.append([x * a + t for x, a in zip(xs, table[-1])])
+        return table
 
     def identity(self, provenance, values, denominator, kappa, kappa_den, terms=()) -> BWIdentity:
         """sum values / denominator * B = kappa / kappa_den * (scalar curvature),
@@ -304,32 +322,22 @@ def identity_bochner2(bundle: BundleLabel, q: int) -> BWIdentity:
     return _bochner2(ctx, q)
 
 
-def _alternating(ctx, m):
-    """sum_{p=0}^{m} (-1)^p c_hat_{m-p} w_hat^p = value / (D 2^m) per target.
-
-    With c_hat_j = T_j / (D 2^j) and x = -2 w_hat = 2n + 1 - 2w, the value
-    is the integer sum_j T_j x^(m-j).
-    """
-    T = ctx.T
-    xs = [2 * ctx.n + 1 - 2 * w for w in ctx.w]
-    return [sum(T[j] * x ** (m - j) for j in range(m + 1)) for x in xs]
-
-
 def _bochner1(ctx, q):
     # kappa side (c_hat_{2q+1} + (2n+1)/2 c_hat_{2q}) / (4n(n+2))
     n, m, D, T = ctx.n, 2 * q - 1, ctx.D, ctx.T
     kappa, kappa_den = T[2 * q + 1] + (2 * n + 1) * T[2 * q], (4 * n * (n + 2) * D) << 2 * q + 1
     terms = (CurvatureTerm(power=2 * q, hatted=True, coefficient=Fraction(2)),)
-    return ctx.identity(f"bochner1({q})", _alternating(ctx, m), D << m, kappa, kappa_den, terms)
+    return ctx.identity(f"bochner1({q})", ctx.alternating[m + 1], D << m, kappa, kappa_den, terms)
 
 
 def _bochner2(ctx, q):
-    # W (2 w_hat^(2q) - alternating) = 2 W (D x^(2q) - value) / (D 2^(2q)), x as above;
+    # W (2 w_hat^(2q) - alternating) = 2 W (D x^(2q) - value) / (D 2^(2q)), x and
+    # value as in _Context.alternating;
     # kappa side k(k+2) c_hat_{2q} / (4n(n+2))
     n, k, D = ctx.n, ctx.k, ctx.D
     values = [
         2 * W * (D * (2 * n + 1 - 2 * w) ** (2 * q) - a)
-        for w, W, a in zip(ctx.w, ctx.W, _alternating(ctx, 2 * q - 1))
+        for w, W, a in zip(ctx.w, ctx.W, ctx.alternating[2 * q])
     ]
     kappa_den = (4 * n * (n + 2) * D) << 2 * q
     return ctx.identity(f"bochner2({q})", values, D << 2 * q, k * (k + 2) * ctx.T[2 * q], kappa_den)

@@ -29,8 +29,9 @@ basis each iteration as c_j * d - sum c_B * rows[i][j], with the costs made
 integral by a positive lcm; the ratio test cross-multiplies.  So the pivot
 sequence, and the returned optimum, match a ``Fraction`` tableau pivot for
 pivot; the optimum is one Fraction, the basic integer costs times the final
-right-hand side over cost_scale * d.  Rank and solve run Gauss-Jordan with
-the same kernel.
+right-hand side over cost_scale * d.  solve_linear_system runs Gauss-Jordan
+with the same kernel; exact_rank eliminates forward only, each pivot on the
+rows not yet pivoted, as a rank needs no reduced rows above a pivot.
 """
 
 from __future__ import annotations
@@ -218,10 +219,25 @@ def _row_reduce(rows, ncols):
 
 
 def exact_rank(rows) -> int:
-    """Rank over Q of a list of Fraction rows (Gaussian elimination)."""
+    """Rank over Q of a list of Fraction rows, by forward elimination.
+
+    Each pivot runs _pivot on the rows not yet pivoted, so it clears only the
+    rows below it; the pivot row is then set aside.  The input rows are not
+    modified.
+    """
     work = _integer_rows(rows)
-    _, pivots = _row_reduce(work, len(work[0]) if work else 0)
-    return len(pivots)
+    d, rank = 1, 0
+    for c in range(len(work[0]) if work else 0):
+        pivot_row = next((i for i, row in enumerate(work) if row[c]), None)
+        if pivot_row is None:
+            continue
+        work[0], work[pivot_row] = work[pivot_row], work[0]
+        d = _pivot(work, d, 0, c)
+        work = work[1:]
+        rank += 1
+        if not work:
+            break
+    return rank
 
 
 def solve_linear_system(matrix, rhs):

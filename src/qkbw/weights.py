@@ -71,8 +71,9 @@ class SpnWeight(Record):
 
     @property
     def is_dominant(self) -> bool:
+        # one C-level comparison: the entries equal their own descending sort
         e = self.entries
-        return all(e[i] >= e[i + 1] for i in range(len(e) - 1)) and e[-1] >= 0
+        return e[-1] >= 0 and e == tuple(sorted(e, reverse=True))
 
     def total(self) -> int:
         return sum(self.entries)

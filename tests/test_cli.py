@@ -433,6 +433,26 @@ class TestSelftestVerb:
             "[PASS] projective-space sharpness: 28 cases, 0 failures",
         ]
 
+    def test_full_passes(self, capsys):
+        """The full corpus as `qkbw selftest` runs it: exit 0, and each suite
+        at its full limits with its case count."""
+        code, out, _ = run(capsys, "selftest")
+        assert code == 0
+        assert out.splitlines() == [
+            "[PASS] relative-dimension oracle equality: 318 cases, 0 failures",
+            "[PASS] five-row table reproduction: 100 cases, 0 failures",
+            "[PASS] Casimir identity suite: 396 cases, 0 failures",
+            "[PASS] degree-2/4 closed forms: 52 cases, 0 failures",
+            "[PASS] theorem rank check: 140 cases, 0 failures",
+            "[PASS] printed-form matching: 52 cases, 0 failures",
+            "[PASS] LP vs closed-form bounds: 518 cases, 0 failures",
+            "[PASS] connection-Laplacian LP agreement: 117 cases, 0 failures",
+            "[PASS] squared-Dirac bounds: 18 cases, 0 failures",
+            "[PASS] twistor vanishing system: 28 cases, 0 failures",
+            "[PASS] harmonic classification: 518 cases, 0 failures",
+            "[PASS] projective-space sharpness: 74 cases, 0 failures",
+        ]
+
 
 class TestJsonRoundTrips:
     CASES = [

@@ -537,6 +537,20 @@ def test_rule_table_matches_the_rule_pass(hpn):
             assert got == row_data(rule_pass_pure_kappa(bundle, hpn)), (rho, k)
 
 
+def test_alternating_table_equals_the_power_sums():
+    """The Horner table of the theorem family's alternating sums equals
+    sum_j T_j x^(m-j) with x = 2n + 1 - 2w for each m from -1 to q_max, on
+    every dominant rho of entry sum <= 4 (n = 2..5) and k = 0..4."""
+    for rho in SMALL_WEIGHTS:
+        for k in range(5):
+            ctx = identities._Context(BundleLabel(k, rho), q_max=11)
+            T, xs = ctx.T, [2 * ctx.n + 1 - 2 * w for w in ctx.w]
+            assert len(ctx.alternating) == ctx.q_max + 2
+            for m in range(-1, ctx.q_max + 1):
+                want = [sum(T[j] * x ** (m - j) for j in range(m + 1)) for x in xs]
+                assert ctx.alternating[m + 1] == want, (rho, k, m)
+
+
 @pytest.mark.parametrize("rho", [SpnWeight((3, 1, 0)), SpnWeight((2, 2, 1)), SpnWeight((4, 0))])
 def test_family_rows_reach_the_rank_as_ints(rho):
     """The theorem family's integer rows, hatted curvature columns included,

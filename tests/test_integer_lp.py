@@ -140,7 +140,7 @@ def oracle_lp_max_bound(operator, identities, kappa_sign, full_face=False):
         return [op - sum(a * l for a, l in zip(row, lambdas)) for op, row in zip(op_vec, rows)]
 
     lambdas = None
-    if tight:
+    if tight and len(tight) >= m:
         lambdas, _ = solve_linear_system(tight_rows, tight_op)
     if lambdas is None and full_face:
         lambdas = _oracle_l1_smallest(m, rows, op_vec, slack_rows)

@@ -31,6 +31,7 @@ from qkbw.identities import (
     pure_kappa_identities,
 )
 from qkbw.selfcheck import dominant_weights as weights_up_to
+from qkbw.selfcheck import sweep_cases
 from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize
 from qkbw.weights import BundleLabel, SpnWeight
 
@@ -288,6 +289,33 @@ def test_tie_break_path(label, calls):
         assert shapes[1][0] < t and shapes[1][1] == 2 * m
     if calls == 3:  # every target row
         assert shapes[2][0] == t
+
+
+def test_fewer_tight_rows_than_identities_skip_the_solve():
+    """lp_max_bound solves the tight rows only when there are at least as many
+    as identities; with fewer the rank is below m.  On every such system of
+    the 518-case Hodge grid n = 2..5, the solve it skips returns None."""
+    solved, skipped = [], []
+    real_solve, real_l1 = qkbw.bounds.solve_linear_system, qkbw.bounds._l1_smallest
+
+    def solve_spy(matrix, rhs):
+        solved.append((len(matrix), len(matrix[0])))
+        return real_solve(matrix, rhs)
+
+    def l1_spy(m, rows, rhs, slack_rows):
+        if not slack_rows and len(rows) < m:  # the tight rows, after a skipped solve
+            skipped.append((rows, rhs))
+        return real_l1(m, rows, rhs, slack_rows)
+
+    with mock.patch.object(qkbw.bounds, "solve_linear_system", solve_spy), mock.patch.object(
+        qkbw.bounds, "_l1_smallest", l1_spy
+    ):
+        for n, k, a, b, sign, _ in sweep_cases(range(2, 6), "+-"):
+            bound_for("hodge_laplacian", lambda_ab_bundle(k, a, b, n), sign)
+    assert all(rows >= m for rows, m in solved)
+    assert (len(solved), len(skipped)) == (162, 320)
+    for rows, rhs in skipped:
+        assert real_solve(rows, rhs)[0] is None
 
 
 @given(

@@ -312,6 +312,40 @@ def test_rank_and_solve_match_fraction_oracle(system):
     assert got == outcome(lambda: fraction_solve(matrix, rhs))
 
 
+@st.composite
+def family_shaped_rows(draw):
+    """Up to 7 rows of up to 18 entries, the shapes independence_rank sees
+    (family rows with kappa and curvature columns), of a chosen rank: int
+    rows or rows with Fractions, with zero columns, rows repeated, and
+    negative leading entries from the negative row weights."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 18))
+    r = draw(st.integers(0, min(m, n)))
+    entries = rationals if draw(st.booleans()) else st.integers(-40, 40)
+    base = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    rows = []
+    for _ in range(m):
+        weights = [draw(st.integers(-3, 3)) for _ in range(r)]
+        rows.append(
+            [0 if j in zero else sum(w * row[j] for w, row in zip(weights, base)) for j in range(n)]
+        )
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3)):
+        rows[i] = list(rows[j])
+    return rows
+
+
+@given(family_shaped_rows())
+@settings(max_examples=200, deadline=None)
+def test_rank_of_family_shapes_matches_fraction_oracle(rows):
+    """exact_rank equals the Gauss-Jordan oracle and leaves its input as it was:
+    all-int rows reach the elimination uncopied."""
+    before = [list(row) for row in rows]
+    inner = [id(row) for row in rows]
+    assert exact_rank(rows) == fraction_rank(rows)
+    assert rows == before and [id(row) for row in rows] == inner
+
+
 @pytest.mark.parametrize(
     "matrix, rhs, expected",
     [

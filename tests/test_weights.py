@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from qkbw.weights import (
     BundleLabel,
     NonDominantError,
     SpnWeight,
+    _shifted,
     decompose_rho_tensor_E,
     mu_shift,
     parse_weight,
@@ -70,6 +72,21 @@ class TestDominance:
     def test_require_dominant(self):
         with pytest.raises(NonDominantError):
             w(0, 1).require_dominant()
+
+    def test_one_comparison_matches_the_pairwise_definition(self):
+        """is_dominant on every weight with entries in -2..3 (n = 2..5), and on
+        each of its shifts built by _shifted, equals the pairwise test."""
+
+        def pairwise(e):
+            return all(e[i] >= e[i + 1] for i in range(len(e) - 1)) and e[-1] >= 0
+
+        for n in range(2, 6):
+            for entries in itertools.product(range(-2, 4), repeat=n):
+                assert SpnWeight(entries).is_dominant == pairwise(entries), entries
+                for i in range(n):
+                    for step in (1, -1):
+                        shifted = _shifted(entries, i, step)
+                        assert shifted.is_dominant == pairwise(shifted.entries), shifted
 
 
 class TestMuShift:
