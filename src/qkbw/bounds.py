@@ -60,10 +60,18 @@ __all__ = [
 
 
 def _normalize_sign(kappa_sign) -> int:
-    if kappa_sign in (1, "+"):
-        return 1
-    if kappa_sign in (-1, "-"):
-        return -1
+    """+1 or -1 from "+", "-" or an integer +-1 read through operator.index (so
+    True is 1); a float, a Fraction or a Decimal is not a sign, even when it
+    equals one."""
+    if isinstance(kappa_sign, str):
+        sign = {"+": 1, "-": -1}.get(kappa_sign)
+    else:
+        try:
+            sign = index(kappa_sign)
+        except TypeError:
+            sign = None
+    if sign in (1, -1):
+        return sign
     raise ValueError(f"kappa_sign must be '+' or '-', got {kappa_sign!r}")
 
 
@@ -230,7 +238,8 @@ def _l1_smallest(m, rows, rhs, slack_rows):
     _, x = simplex_maximize(
         [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(rows, slack_rows), rhs
     )
-    return [x[j] - x[m + j] for j in range(m)]
+    # columns j and m + j are opposite, so at most one of them is basic
+    return [x[j] or -x[m + j] for j in range(m)]
 
 
 def _residuals(A, op, lambdas):
@@ -305,19 +314,20 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
     value /= M
 
-    lambdas = []
+    lambdas, res = [], None
     if m:
-        tight = [i for i in range(t) if y[i] != 0]
+        tight = [i for i in range(t) if y[i]]
         A_T, op_T = [A[i] for i in tight], [op[i] for i in tight]
         # fewer tight rows than identities cannot fix lambda: the solve would
         # return None, and it cannot raise, as the system is consistent
         lambdas = solve_linear_system(A_T, op_T)[0] if len(tight) >= m else None
         if lambdas is None:
             lambdas = _l1_smallest(m, A_T, op_T, ())
-            if any(r < 0 for r in _residuals(A, op, lambdas)[2]):
-                slack_rows = [i for i in range(t) if y[i] == 0]
-                lambdas = _l1_smallest(m, A, op, slack_rows)
-    den, lams, residuals = _residuals(A, op, lambdas)
+            res = _residuals(A, op, lambdas)
+            if any(r < 0 for r in res[2]):
+                lambdas = _l1_smallest(m, A, op, [i for i in range(t) if not y[i]])
+                res = None
+    den, lams, residuals = res or _residuals(A, op, lambdas)
     residuals = [Fraction(r, M * den) for r in residuals]
     gain = Fraction(sum(map(mul, lams, kappa)), M * den)
     if gain != -value:

@@ -24,14 +24,19 @@ multiplies every artificial variable, and so the phase-1 objective, by the
 same L > 0, which keeps the sign of every reduced cost, and it leaves every
 ratio-test quotient in the same units.  (Scaling each row by its own factor
 would weight the artificials unevenly and could change the entering
-column.)  Reduced costs are recomputed from the cost vector and the current
-basis each iteration as c_j * d - sum c_B * rows[i][j], with the costs made
-integral by a positive lcm; the ratio test cross-multiplies.  So the pivot
-sequence, and the returned optimum, match a ``Fraction`` tableau pivot for
-pivot; the optimum is one Fraction, the basic integer costs times the final
-right-hand side over cost_scale * d.  solve_linear_system runs Gauss-Jordan
-with the same kernel; exact_rank eliminates forward only, each pivot on the
-rows not yet pivoted, as a rank needs no reduced rows above a pivot.
+column.)  No objective row is carried: each iteration prices the nonbasic
+columns in index order, in one plain loop, as d times the reduced cost,
+c_j * d - sum c_B * rows[i][j], and stops at the first positive one, which
+is the column Bland's rule enters; the ratio test cross-multiplies.  The
+costs are made integral by a positive lcm, cost_scale.  So the pivot
+sequence, and the returned optimum, match a ``Fraction`` tableau pivot
+for pivot; the optimum is one Fraction, the basic integer costs times the
+final right-hand side over cost_scale * d, and x builds a Fraction only for
+a nonzero basic value (every zero is one shared Fraction(0)).
+
+solve_linear_system runs Gauss-Jordan with the same kernel; exact_rank
+eliminates forward only, each pivot on the rows not yet pivoted, as a rank
+needs no reduced rows above a pivot.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ __all__ = [
     "exact_rank",
     "solve_linear_system",
 ]
+
+
+_ZERO = Fraction(0)
 
 
 class LPUnboundedError(ArithmeticError):
@@ -88,24 +96,26 @@ def _pivot(rows, d, r, c):
 def _bland_run(rows, d, basis, cost):
     """Maximize integer costs over the tableau rows / d in place; Bland's rule.
 
-    Rows are [coefficients..., rhs] with rhs >= 0 maintained.  Returns the
-    final d when no reduced cost is positive; raises LPUnboundedError if an
-    improving column has no positive entry.
+    Rows are [coefficients..., rhs] with rhs >= 0 maintained.  Pricing walks
+    the nonbasic columns in index order in one plain loop and stops at the
+    first positive reduced cost, so no objective row is carried.  Returns
+    the final d when no reduced cost is positive; raises LPUnboundedError if
+    an improving column has no positive entry.
     """
     ncols = len(cost)
     while True:
         basic = set(basis)
         weighted = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
         # d times the reduced cost r_j = c_j - c_B . column_j.
-        entering = next(
-            (
-                j
-                for j in range(ncols)
-                if j not in basic and cost[j] * d > sum(cb * row[j] for cb, row in weighted)
-            ),
-            -1,
-        )
-        if entering < 0:
+        for entering in range(ncols):
+            if entering in basic:
+                continue
+            r = cost[entering] * d
+            for cb, row in weighted:
+                r -= cb * row[entering]
+            if r > 0:
+                break
+        else:
             return d
         leaving = -1
         for i, row in enumerate(rows):
@@ -142,7 +152,7 @@ def simplex_maximize(objective, constraints, rhs):
     if m == 0:
         if any(c > 0 for c in objective):
             raise LPUnboundedError("no constraints and a positive objective entry")
-        return Fraction(0), [Fraction(0)] * n
+        return _ZERO, [_ZERO] * n
 
     if any(len(row) != n for row in constraints):
         raise ValueError("constraint row length does not match objective")
@@ -176,9 +186,10 @@ def simplex_maximize(objective, constraints, rhs):
     cost = scaled(objective, cost_scale)
     d = _bland_run(rows, d, basis, cost)
 
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for b, row in zip(basis, rows):
-        x[b] = Fraction(row[-1], d)
+        if row[-1]:
+            x[b] = Fraction(row[-1], d)
     value = sum(cost[b] * row[-1] for b, row in zip(basis, rows))
     return Fraction(value, cost_scale * d), x
 
@@ -259,7 +270,7 @@ def solve_linear_system(matrix, rhs):
         raise ArithmeticError("inconsistent linear system")
     if rank < n:
         return None, rank
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for row, col in zip(work, pivots):
         x[col] = Fraction(row[-1], d)
     return x, rank

@@ -24,14 +24,17 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkbw.bounds
 import qkbw.simplex
 from qkbw.bounds import (
     BoundCertificate,
     NoCertificate,
     _identity_ids,
     _normalize_sign,
+    bound_for,
     lp_max_bound,
 )
+from qkbw.casimir import lambda_ab_bundle
 from qkbw.identities import (
     OPERATOR_NAMES,
     BWIdentity,
@@ -41,6 +44,7 @@ from qkbw.identities import (
     pure_kappa_identities,
 )
 from qkbw.selfcheck import dominant_weights as weights_up_to
+from qkbw.selfcheck import sweep_cases
 from qkbw.simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from qkbw.weights import BundleLabel, SpnWeight
 
@@ -311,6 +315,51 @@ def test_synthetic_problems_match_fraction_oracle(problem, sign):
 @settings(max_examples=150, deadline=None)
 def test_synthetic_problems_keep_full_face_certificates(problem, sign):
     assert_full_face_certificate(*problem, sign)
+
+
+def tie_break_solutions(solve):
+    """(m, x) for every tie-break LP that solve() runs through _l1_smallest."""
+    seen = []
+    real_l1, real_simplex = qkbw.bounds._l1_smallest, qkbw.bounds.simplex_maximize
+
+    def l1_smallest(m, rows, rhs, slack_rows):
+        def simplex(*args):
+            value, x = real_simplex(*args)
+            seen.append((m, x))
+            return value, x
+
+        with mock.patch.object(qkbw.bounds, "simplex_maximize", simplex):
+            return real_l1(m, rows, rhs, slack_rows)
+
+    with mock.patch.object(qkbw.bounds, "_l1_smallest", l1_smallest):
+        try:
+            solve()
+        except InconsistencyError:
+            pass
+    return seen
+
+
+def assert_split_pairs_apart(seen):
+    """lambda_j = lambda+_j - lambda-_j, and at most one of the two is nonzero,
+    so _l1_smallest reads lambda_j as x[j] or -x[m + j]."""
+    for m, x in seen:
+        assert len(x) >= 2 * m
+        assert not any(x[j] and x[m + j] for j in range(m)), (m, x)
+
+
+def test_split_pairs_apart_on_the_sweep_grid():
+    seen = []
+    for n, k, a, b, sign, _ in sweep_cases(range(2, 6), (1, -1)):
+        bundle = lambda_ab_bundle(k, a, b, n)
+        seen += tie_break_solutions(lambda: bound_for("hodge_laplacian", bundle, sign))
+    assert seen
+    assert_split_pairs_apart(seen)
+
+
+@given(synthetic_problems(), st.sampled_from((1, -1)))
+@settings(max_examples=100, deadline=None)
+def test_split_pairs_apart_on_synthetic_problems(problem, sign):
+    assert_split_pairs_apart(tie_break_solutions(lambda: lp_max_bound(*problem, sign)))
 
 
 def verify_outcome(check, cert, operator, identities):

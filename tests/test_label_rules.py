@@ -7,9 +7,12 @@ integer out of range raises the message each entry has always raised, with
 its checks in the same order.  The oracles below name the class each entry
 raised before the rules moved to weights; the four label rules now all raise
 ParameterRangeError, a ValueError, so pytest.raises checks the subclass.
+A kappa sign is "+", "-" or an integer +-1 read the same way; anything else
+raises ValueError.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +26,9 @@ from qkbw.bounds import (
     closed_form_bound,
     connection_laplacian_bound,
     dirac_bound,
+    harmonic_classification,
     hpn_first_eigenvalue,
+    lp_max_bound,
     twistor_kernel_analysis,
 )
 from qkbw.casimir import (
@@ -39,7 +44,12 @@ from qkbw.casimir import (
     table1_row,
     verify_recursion,
 )
-from qkbw.identities import identity_bochner1, identity_bochner2
+from qkbw.identities import (
+    identity_bochner1,
+    identity_bochner2,
+    operator_coeffs,
+    pure_kappa_identities,
+)
 from qkbw.selfcheck import dominant_weights
 from qkbw.weights import (
     BundleLabel,
@@ -240,6 +250,43 @@ def test_bool_reads_as_int():
     label = BundleLabel(True, SpnWeight((1, 0)))
     assert label.k == 1 and type(label.k) is int
     assert str(label) == "S^1(H) (x) V_(1,0) [n=2]"
+
+
+SIGN_BUNDLE = BundleLabel(2, SpnWeight((2, 0)))
+SIGN_ENTRIES = {
+    "closed_form_bound": lambda sign: closed_form_bound(2, 2, 0, 2, sign),
+    "connection_laplacian_bound": lambda sign: connection_laplacian_bound(1, 1, 2, sign),
+    "harmonic_classification": lambda sign: harmonic_classification(2, sign),
+    "bound_for": lambda sign: qkbw.bound_for("hodge_laplacian", SIGN_BUNDLE, sign),
+    "lp_max_bound": lambda sign: lp_max_bound(
+        operator_coeffs("connection_laplacian", SIGN_BUNDLE),
+        pure_kappa_identities(SIGN_BUNDLE),
+        sign,
+    ),
+}
+SIGNS = (("+", "+"), ("-", "-"), (1, "+"), (-1, "-"), (True, "+"), (Idx(1), "+"), (Idx(-1), "-"))
+NOT_SIGNS = (
+    1.0, -1.0, Fraction(1), Fraction(-1), Decimal(1), Decimal(-1),
+    "1", "+1", "", "both", 0, 2, -2, False, Idx(0), None,
+)
+
+
+@pytest.mark.parametrize("call", SIGN_ENTRIES.values(), ids=SIGN_ENTRIES)
+def test_kappa_sign_is_plus_minus_or_an_integer_unit(call):
+    """"+", "-" and +-1 through operator.index (True is 1) are the signs; a
+    float, a Fraction or a Decimal that equals one is not."""
+    for given, sign in SIGNS:
+        assert call(given) == call(sign)
+    for value in NOT_SIGNS:
+        _raises(lambda: call(value), (ValueError, f"kappa_sign must be '+' or '-', got {value!r}"))
+
+
+@pytest.mark.parametrize("given, sign", [(True, 1), (Idx(-1), -1)])
+def test_certificates_record_the_sign_as_an_int(given, sign):
+    cert = qkbw.bound_for("hodge_laplacian", SIGN_BUNDLE, given)
+    assert cert.kappa_sign == sign and type(cert.kappa_sign) is int
+    same = qkbw.bound_for("hodge_laplacian", SIGN_BUNDLE, sign)
+    assert cert.to_json_dict() == same.to_json_dict()
 
 
 ORDER_BUNDLE = BundleLabel(1, SpnWeight((1, 0)))

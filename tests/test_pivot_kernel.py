@@ -9,7 +9,9 @@ every choice exactly as the rational one does.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -259,6 +261,59 @@ def test_inequality_lps_with_tied_ratios(problem):
     m, n = len(A), len(c)
     constraints = [row + [F(int(i == j)) for j in range(m)] for i, row in enumerate(A)]
     assert_same_lp(c + [F(0)] * m, constraints, b[:m])
+
+
+small_ints = st.one_of(st.just(0), st.integers(-6, 6))
+
+
+@st.composite
+def int_bound_lps(draw):
+    """All-int LPs of the two shapes the bound solves, where the solver takes
+    every entry as it is (cost_scale 1, rows unscaled).
+
+    The dual of lp_max_bound: max -op.y s.t. A^T y = kappa, y >= 0, one row
+    per identity (up to 8) and one column per target (up to 10).  The tie-break of
+    _l1_smallest: max -sum(lambda+ + lambda-) over the rows [A | -A | slack],
+    one row per target, with a slack column on some of them.  Identities
+    repeat, so the rank falls short; zeros are common, so ratios tie; half of
+    the right-hand sides are met by a drawn point, so the LP is feasible.
+    """
+    m = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 10))
+    identities = [[draw(small_ints) for _ in range(t)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        source = draw(st.sampled_from(identities))
+        identities.append([draw(st.sampled_from((1, -1, 2))) * v for v in source])
+    m = len(identities)
+    A = [[row[i] for row in identities] for i in range(t)]
+    feasible = draw(st.booleans())
+    if draw(st.booleans()):
+        op = [draw(small_ints) for _ in range(t)]
+        y0 = [draw(st.integers(0, 3)) for _ in range(t)]
+        kappa = [sum(map(mul, row, y0)) if feasible else draw(small_ints) for row in identities]
+        return [-o for o in op], identities, kappa
+    slack = sorted(draw(st.sets(st.integers(0, t - 1), max_size=6)))
+    lam0 = [draw(small_ints) for _ in range(m)]
+    op = [
+        sum(map(mul, row, lam0)) + (draw(st.integers(0, 3)) if i in slack else 0)
+        if feasible
+        else draw(small_ints)
+        for i, row in enumerate(A)
+    ]
+    rows = [row + [-v for v in row] + [int(i == s) for s in slack] for i, row in enumerate(A)]
+    return [-1] * (2 * m) + [0] * len(slack), rows, op
+
+
+@given(int_bound_lps())
+@settings(max_examples=200, deadline=None)
+def test_int_bound_lps_match_fraction_oracle(problem):
+    """An all-int LP pivots and ends as the Fraction tableau does, with a
+    Fraction value and Fraction x, and as the same LP written in Fractions."""
+    c, A, b = problem
+    assert all(type(v) is int for v in chain(c, b, *A))
+    got = assert_same_lp(c, A, b)
+    as_fractions = ([F(v) for v in c], [[F(v) for v in row] for row in A], [F(v) for v in b])
+    assert kernel_simplex(*as_fractions) == (got, kernel_simplex(c, A, b)[1])
 
 
 def test_negative_drive_out_pivot():
