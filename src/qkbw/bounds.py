@@ -28,11 +28,11 @@ from fractions import Fraction
 from math import lcm
 from operator import index, mul
 
-from .casimir import decompose_bundle
 from .identities import (
     InconsistencyError,
     MixedBundleError,
     OperatorSpec,
+    _context,
     operator_coeffs,
     pure_kappa_identities,
 )
@@ -349,8 +349,8 @@ def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = F
     NoCertificate when no rewriting exists over the identity span.
 
     The operator row and the identity set do not depend on the sign, so both
-    come from their builders' per-process memos: both signs, every operator
-    of a bundle and every repeat of a bundle share them.  Each call still
+    come from the bundle's per-process context: both signs, every operator of
+    a bundle and every repeat of a bundle share them.  Each call still
     solves its own LP and verifies its own certificate; no result is kept."""
     operator = operator_coeffs(operator_name, bundle)
     return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn), kappa_sign)
@@ -567,8 +567,7 @@ def kernel_analysis(bundle: BundleLabel, kernel_set) -> KernelAnalysis:
     system yields ``undetermined`` verdicts with the deficit reported, and an
     inconsistent one raises (it would signal an identity-generation bug).
     """
-    table = decompose_bundle(bundle)
-    valid_keys = [(N, nu) for N, nu, _, _ in table.valid_rows]
+    valid_keys = _context(bundle).keys
     kernel = tuple(kernel_set)
     for key in kernel:
         if key not in valid_keys:

@@ -11,14 +11,13 @@ quartic curvature part; they stay symbolic until a simplification rule
 eliminates or rewrites them.  An identity with no curvature terms left is
 "pure kappa" and can feed the bound optimizer.
 
-Each build makes one private context for its bundle, which the operator
-rows read as well: the valid targets with integer conformal weights w and W,
-D = dim V_rho, and, once a row reads them, the shape and the integer moment
-sums S_q (c_q = S_q / D) or T_q (c_hat_q = T_q / (2^q D)), all off its
-integer decomposition table.  Every builder writes its B side as ints over
-one denominator and its kappa side as one int over another; the context puts
-both over their lcm, and the identity keeps that integer row in lowest
-terms, as an OperatorSpec holds one.  The Fraction views coeffs,
+Every row is built from a private context of its bundle: the valid targets
+with integer conformal weights w and W, D = dim V_rho, and, once a row reads
+them, the shape and the integer moment sums S_q (c_q = S_q / D) or T_q
+(c_hat_q = T_q / (2^q D)), all off its integer decomposition table.  Every
+builder writes its B side as ints over one denominator and its kappa side as
+one int over another; the context puts both over their lcm, and the identity
+keeps that integer row in lowest terms, as an OperatorSpec holds one.  The Fraction views coeffs,
 coeff_map() and kappa_coeff are built on each read.
 
 The printed identities, the base row "sum" and bw1..bw6, are one table: per
@@ -30,13 +29,14 @@ the bound LP reads) runs none: only bw1 and bw2 carry terms, which the rules
 drop exactly under hpn or on a (1_a) shape, so it chooses its rows by that
 and evaluates only them.
 
-The identity set and an operator row depend on the bundle (and hpn) alone:
-the sign of kappa enters only the bound LP's right-hand side.  So
-pure_kappa_identities keeps each set in _identity_sets, keyed by (bundle,
-bool(hpn)), and operator_coeffs keeps each row in _operator_rows, keyed by
-(name, bundle), once per process, as casimir._tables keeps the summand
-tables; both memos are unbounded.  Only a call without ``table=`` reads or
-fills them: a call that passes a table builds from that table every time.
+The identity sets and the operator rows depend on the bundle (and hpn) alone:
+the sign of kappa enters only the bound LP's right-hand side.  So _contexts
+keeps one context per bundle per process, as casimir._tables keeps the
+summand tables, and that context keeps the pure-kappa sets without and with
+hpn and each operator row once built; printed_identity, printed_identities
+and bounds.kernel_analysis read it too.  The memo is unbounded.  The theorem
+family and the two generating families build a context of their own, sized
+to their q, and keep nothing.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
-from .casimir import (
-    DecompositionTable,
-    closed_form_c2_lambda_ab,
-    decompose_bundle,
-)
+from .casimir import closed_form_c2_lambda_ab, decompose_bundle
 from .rationals import csv_table, format_rational, scaled
 from .record import Record
 from .simplex import exact_rank
@@ -231,22 +227,19 @@ def _curvature_keys(identities):
 
 
 class _Context:
-    """Per-call data of one bundle, shared by the rows built in that call.
+    """The data of one bundle that its rows read.
 
     Holds D = dim V_rho and the keys of the valid targets with their
     conformal weights w and W as ints, read off the bundle's integer
-    decomposition table: ``table`` when given, which must be the bundle's
-    own, else a new one.  The (2_b,1_{a-b}) shape, the integer sums S_q
-    and T_q for q <= q_max and the theorem family's alternating sums are
-    computed when a row first reads them.
-    Nothing outlives the call.
+    decomposition table.  The (2_b,1_{a-b}) shape, the integer sums S_q
+    and T_q for q <= q_max, the theorem family's alternating sums and the
+    pure-kappa identity sets are computed when first read; operator_rows
+    holds each operator row once built.  The context that _context keeps
+    lives as long as the process; one built for a family lives for the call.
     """
 
-    def __init__(self, bundle: BundleLabel, table: DecompositionTable = None, q_max=4):
-        if table is None:
-            table = decompose_bundle(bundle)
-        elif table.bundle != bundle:
-            raise MixedBundleError(f"the table is of {table.bundle}, not of {bundle}")
+    def __init__(self, bundle: BundleLabel, q_max=4):
+        table = decompose_bundle(bundle)
         valid = table.valid_rows
         self.bundle, self.table = bundle, table
         self.n, self.k, self.D = bundle.n, bundle.k, table.dim
@@ -254,6 +247,15 @@ class _Context:
         self.w = [w for _, _, w, _ in valid]
         self.W = [W for _, _, _, W in valid]
         self.q_max = q_max
+        self.operator_rows = {}
+
+    @cached_property
+    def pure_kappa(self):
+        return _pure_kappa(self, False)
+
+    @cached_property
+    def pure_kappa_hpn(self):
+        return _pure_kappa(self, True)
 
     @cached_property
     def shape(self):
@@ -441,7 +443,7 @@ def printed_identity(bundle: BundleLabel, id: str) -> BWIdentity:
     if id not in _PRINTED:
         raise ValueError(f"unknown printed identity {id!r}; expected one of {tuple(_PRINTED)}")
     terms, build, exists = _PRINTED[id]
-    ctx = _Context(bundle)
+    ctx = _context(bundle)
     _require(exists, ctx)
     return build(ctx, terms)
 
@@ -453,10 +455,10 @@ def theorem_family(bundle: BundleLabel):
     q = 0..floor(N/4 - 1/2); k = 0: even family q = 1..floor(N/2).
     Always floor(N/2) identities in total.  One context serves the family.
     """
-    table = decompose_bundle(bundle)
-    count = table.summand_count
+    ctx = _Context(bundle)
+    count = ctx.table.summand_count
     q1_max = count // 2 if bundle.k == 0 else count // 4
-    ctx = _Context(bundle, table, 2 * q1_max + 1)
+    ctx.q_max = 2 * q1_max + 1  # set before any sum is read
     family = [_bochner1(ctx, q) for q in range(1, q1_max + 1)]
     if bundle.k != 0:
         family += [_bochner2(ctx, q) for q in range((count - 2) // 4 + 1)]
@@ -519,7 +521,7 @@ def printed_identities(bundle: BundleLabel, hpn: bool = False):
     """The base row, then the printed identities bw1..bw6 that exist on the
     bundle, the rules (B+A, plus C in hpn mode) applied to the table's terms
     before any coefficient is evaluated: what ``qkbw bw`` prints."""
-    ctx = _Context(bundle)
+    ctx = _context(bundle)
     rules = HPN_RULES if hpn else STANDARD_RULES
     return [
         build(ctx, _simplified_terms(terms, rules, ctx.shape, ctx.n))
@@ -528,12 +530,19 @@ def printed_identities(bundle: BundleLabel, hpn: bool = False):
     ]
 
 
-# What the table-less calls built so far in this process (see the module docstring).
-_identity_sets: dict = {}
-_operator_rows: dict = {}
+# The context of each bundle built so far in this process (see the module docstring).
+_contexts: dict = {}
 
 
-def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
+def _context(bundle: BundleLabel) -> _Context:
+    """The bundle's kept context; a build that raises keeps nothing."""
+    ctx = _contexts.get(bundle)
+    if ctx is None:
+        ctx = _contexts[bundle] = _Context(bundle)
+    return ctx
+
+
+def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False):
     """The printed identities bw1..bw6 that survive the rules as pure-kappa rows.
 
     No rule runs: the rows are all of bw1..bw6 under hpn or on a (1_a) shape,
@@ -541,19 +550,13 @@ def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False, table=None):
     Trivial rows are dropped; a row with zero coefficients but nonzero kappa
     side is a contradiction and raises.
 
-    The set does not depend on the sign of kappa, so a call without a table
-    builds it once per (bundle, bool(hpn)) per process and keeps it in
-    _identity_sets; each call returns a new list of the kept rows.  A call
-    with a table, which must be the bundle's own, builds from it and neither
-    reads nor fills the memo.  A build that raises stores nothing.
+    The set does not depend on the sign of kappa, so it is built once per
+    bundle and truth value of hpn per process and kept in the bundle's
+    context; each call returns a new list of the kept rows.  A build that
+    raises stores nothing.
     """
-    if table is not None:
-        return _pure_kappa(_Context(bundle, table), hpn)
-    key = (bundle, bool(hpn))
-    rows = _identity_sets.get(key)
-    if rows is None:
-        rows = _identity_sets[key] = tuple(_pure_kappa(_Context(bundle), hpn))
-    return list(rows)
+    ctx = _context(bundle)
+    return list(ctx.pure_kappa_hpn if hpn else ctx.pure_kappa)
 
 
 def _pure_kappa(ctx, hpn):
@@ -569,7 +572,7 @@ def _pure_kappa(ctx, hpn):
                 )
             continue
         out.append(ident)
-    return out
+    return tuple(out)
 
 
 class OperatorSpec(_Row, Record):
@@ -604,24 +607,20 @@ _OPERATORS = {
 OPERATOR_NAMES = tuple(_OPERATORS)
 
 
-def operator_coeffs(name: str, bundle: BundleLabel, table=None) -> OperatorSpec:
+def operator_coeffs(name: str, bundle: BundleLabel) -> OperatorSpec:
     """Coefficient vector of a named operator over the valid targets of the
     identities' context: one integer row over 2n, in lowest terms over 1, n
     or 2n.
 
-    The row does not depend on the sign of kappa, so a call without a table
-    builds it once per (name, bundle) per process and keeps the OperatorSpec
-    in _operator_rows.  A call with a table, which must be the bundle's own,
-    builds from it and neither reads nor fills the memo.  An unknown name
-    raises before the memo is read."""
+    The row does not depend on the sign of kappa, so it is built once per
+    (name, bundle) per process and kept in the bundle's context.  An unknown
+    name raises before any context is read."""
     if name not in _OPERATORS:
         raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
-    if table is not None:
-        return _operator_row(name, _Context(bundle, table))
-    key = (name, bundle)
-    row = _operator_rows.get(key)
+    ctx = _context(bundle)
+    row = ctx.operator_rows.get(name)
     if row is None:
-        row = _operator_rows[key] = _operator_row(name, _Context(bundle))
+        row = ctx.operator_rows[name] = _operator_row(name, ctx)
     return row
 
 

@@ -8,13 +8,12 @@ from qkbw import casimir, identities
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Swap the per-process memos for empty dicts for one test: the summand
-    tables of ``casimir._tables`` and the identity sets and operator rows of
-    ``identities._identity_sets`` and ``identities._operator_rows``.
+    tables of ``casimir._tables`` and the bundle contexts of
+    ``identities._contexts``, which hold the identity sets and operator rows.
 
-    A test that patches what a memo entry is built from, and then calls a
-    builder without ``table=``, takes this fixture: no entry built before the
-    patch serves it, and none built under the patch outlives it.
+    A test that patches what a memo entry is built from, or counts what a
+    build reads, takes this fixture: no entry built before the patch serves
+    it, and none built under the patch outlives it.
     """
     monkeypatch.setattr(casimir, "_tables", {})
-    monkeypatch.setattr(identities, "_identity_sets", {})
-    monkeypatch.setattr(identities, "_operator_rows", {})
+    monkeypatch.setattr(identities, "_contexts", {})

@@ -19,15 +19,15 @@ through ``qkbw.casimir`` at call time, so a monkeypatch there reaches the
 oracle and the code under test alike.
 
 The summand table is the exception: ``casimir._summands`` keeps one table
-per rho for the whole process, in ``casimir._tables``, and the identity sets
-and operator rows that ``identities.pure_kappa_identities`` and
-``identities.operator_coeffs`` build without ``table=`` are kept the same
-way, in ``identities._identity_sets`` and ``identities._operator_rows``.  A
-monkeypatch of ``_weight``, or of anything else such an entry is built from,
-does not reach an entry that is already cached, and an entry built while the
-patch holds would outlive it.  So a test that patches what an entry is built
-from, and then calls a builder without ``table=``, takes the ``fresh_memos``
-fixture of ``conftest.py``, which swaps all three memos for fresh dicts.
+per rho for the whole process, in ``casimir._tables``, and
+``identities._contexts`` keeps one context per bundle the same way, with the
+identity sets and operator rows that ``identities.pure_kappa_identities``
+and ``identities.operator_coeffs`` return.  A monkeypatch of ``_weight``, or
+of anything else such an entry is built from, does not reach an entry that
+is already cached, and an entry built while the patch holds would outlive
+it.  So a test that patches what an entry is built from takes the
+``fresh_memos`` fixture of ``conftest.py``, which swaps both memos for fresh
+dicts.
 """
 
 from fractions import Fraction

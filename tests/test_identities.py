@@ -357,20 +357,6 @@ class TestOperators:
             with pytest.raises(ValueError, match="values for 10 targets"):
                 spec.replace(values=values)
 
-    def test_a_table_of_another_bundle_is_refused(self):
-        # both bundles have n = 2: rows of the one would silently stand for the other
-        bundle, other = BundleLabel(2, SpnWeight((1, 0))), BundleLabel(1, SpnWeight((2, 1)))
-        table = decompose_bundle(other)
-        for build in (
-            lambda: operator_coeffs("hodge_laplacian", bundle, table=table),
-            lambda: pure_kappa_identities(bundle, table=table),
-        ):
-            with pytest.raises(MixedBundleError, match="the table is of"):
-                build()
-        own = operator_coeffs("hodge_laplacian", other, table=table)
-        assert own == operator_coeffs("hodge_laplacian", other)
-        assert pure_kappa_identities(other, table=table) == pure_kappa_identities(other)
-
 
 class TestRank:
     def test_duplicate_identity_does_not_raise_rank(self):

@@ -349,13 +349,9 @@ def test_identities_match_oracle(rho, k, hpn):
         assert oracle_moment(table, q) == casimir_eigenvalue(rho, q)
         if shape is not None:
             assert oracle_moment(table, q) == closed_form(shape[0], shape[1], rho.n)
-    _assert_same_outcome(
-        _outcome(pure_kappa_identities, bundle, hpn), _outcome(oracle_pure_kappa, bundle, hpn, table)
-    )
-    _assert_same_outcome(
-        _outcome(pure_kappa_identities, bundle, hpn, table),
-        _outcome(oracle_pure_kappa, bundle, hpn, table),
-    )
+    want = _outcome(oracle_pure_kappa, bundle, hpn, table)
+    for _ in range(2):  # the kept set on the call after the first
+        _assert_same_outcome(_outcome(pure_kappa_identities, bundle, hpn), want)
     _assert_same_outcome(printed_identities(bundle, hpn)[1:], oracle_printed(bundle, hpn, table))
     pairs = [
         ("bw1", oracle_bw1),
@@ -434,17 +430,22 @@ def test_printed_table_follows_the_existence_rules(rho, k, hpn):
             printed_identity(bundle, id)
 
 
+def _empty_table(bundle):
+    """A summand table of the bundle without valid targets."""
+    return DecompositionTable(bundle, 1, ())
+
+
 @pytest.mark.parametrize("hpn", [False, True])
-def test_zero_row_with_kappa_side_raises(hpn):
+def test_zero_row_with_kappa_side_raises(monkeypatch, fresh_memos, hpn):
     """A table without valid targets leaves bw3 as 0 = kappa-multiple."""
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    empty = DecompositionTable(bundle, 1, ())
-    want = _outcome(oracle_pure_kappa, bundle, hpn, empty)
+    want = _outcome(oracle_pure_kappa, bundle, hpn, _empty_table(bundle))
     assert want == (InconsistencyError, "identity bw3 reduced to 0 = kappa-multiple")
-    assert _outcome(pure_kappa_identities, bundle, hpn, empty) == want
+    monkeypatch.setattr(identities, "decompose_bundle", _empty_table)
+    assert _outcome(pure_kappa_identities, bundle, hpn) == want
 
 
-def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch):
+def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch, fresh_memos):
     calls = []
     real = casimir._moment_sums
 
@@ -454,12 +455,15 @@ def test_moments_are_computed_once_and_only_when_a_row_reads_them(monkeypatch):
 
     monkeypatch.setattr(casimir, "_moment_sums", spy)
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    table = decompose_bundle(bundle)
     printed_identity(bundle, "sum")
     printed_identity(bundle, "bw3")
     assert calls == []
-    # bw3..bw6 survive the rules; bw4, bw5 and bw6 share one list of c_q
-    assert len(pure_kappa_identities(bundle, table=table)) == 4
+    # bw3..bw6 survive the rules; bw4, bw5 and bw6 share one list of c_q,
+    # and so do the hpn set and the printed rows, off the bundle's kept context
+    assert len(pure_kappa_identities(bundle)) == 4
+    assert calls == [0]
+    assert len(pure_kappa_identities(bundle, True)) == 6
+    printed_identities(bundle)
     assert calls == [0]
     calls.clear()
     theorem_family(bundle)  # the families read c_hat_q only
@@ -567,54 +571,65 @@ def test_family_rows_reach_the_rank_as_ints(rho):
             assert ident.full_vector(keys) == want
 
 
-# The per-process memos of pure_kappa_identities and operator_coeffs.  Each
-# test starts them empty through the fresh_memos fixture of conftest.py.
+# The per-process memo of bundle contexts that pure_kappa_identities and
+# operator_coeffs read.  Each test starts it empty through the fresh_memos
+# fixture of conftest.py.
 
 
 def test_memo_hit_and_miss_equal_a_build_from_the_table(fresh_memos):
     """On every dominant rho of entry sum <= 4, n = 2..5, k = 0..4, hpn both
-    ways and all four operators, a table-less call equals a build from the
-    bundle's own table on the miss that fills the memo and on the hit after."""
+    ways and all four operators, a call equals a build on a new context of
+    the bundle's own table, on the miss that fills the memo and on the hit
+    after."""
     bundles = [BundleLabel(k, rho) for rho in SMALL_WEIGHTS for k in range(5)]
     for _ in ("miss", "hit"):
         for bundle in bundles:
-            table = decompose_bundle(bundle)
+            ctx = identities._Context(bundle)
             for hpn in (False, True):
-                want = pure_kappa_identities(bundle, hpn, table=table)
+                want = list(identities._pure_kappa(ctx, hpn))
                 assert pure_kappa_identities(bundle, hpn) == want, (bundle, hpn)
             for name in OPERATOR_NAMES:
-                want = operator_coeffs(name, bundle, table=table)
+                want = identities._operator_row(name, ctx)
                 assert operator_coeffs(name, bundle) == want, (bundle, name)
-    assert len(identities._identity_sets) == 2 * len(bundles)
-    assert len(identities._operator_rows) == len(OPERATOR_NAMES) * len(bundles)
+    assert list(identities._contexts) == bundles
+    for ctx in identities._contexts.values():
+        assert {"pure_kappa", "pure_kappa_hpn"} <= set(vars(ctx))
+        assert list(ctx.operator_rows) == list(OPERATOR_NAMES)
 
 
 def test_hpn_is_keyed_by_its_truth_value(fresh_memos):
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    assert pure_kappa_identities(bundle, 1) == pure_kappa_identities(bundle, True)
-    assert pure_kappa_identities(bundle, 0) == pure_kappa_identities(bundle)
-    assert set(identities._identity_sets) == {(bundle, False), (bundle, True)}
+    assert len(pure_kappa_identities(bundle, True)) > len(pure_kappa_identities(bundle))
+    for yes, no in ((1, 0), ("yes", ""), ([0], [])):
+        assert pure_kappa_identities(bundle, yes) == pure_kappa_identities(bundle, True)
+        assert pure_kappa_identities(bundle, no) == pure_kappa_identities(bundle)
+    assert list(identities._contexts) == [bundle]
 
 
 @pytest.mark.parametrize("memo_first", [False, True])
-def test_a_doctored_table_neither_reads_nor_fills_the_memo(fresh_memos, memo_first):
-    """A table without valid targets, labelled with the bundle, is built from
-    every time, before or after the table-less call has filled the memo."""
+def test_a_doctored_table_neither_reads_nor_fills_the_memo(monkeypatch, fresh_memos, memo_first):
+    """A table without valid targets in place of the bundle's own: once the
+    bundle's context is kept, no call reads it, and the kept rows are
+    returned; before, the identity set built from it raises on every call
+    and is not kept."""
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    empty = DecompositionTable(bundle, 1, ())
-    table = decompose_bundle(bundle)
-    identity_want = pure_kappa_identities(bundle, True, table=table)
-    operator_want = operator_coeffs("hodge_laplacian", bundle, table=table)
-    assert identities._identity_sets == {} and identities._operator_rows == {}
-    if memo_first:
-        assert pure_kappa_identities(bundle, True) == identity_want
-        assert operator_coeffs("hodge_laplacian", bundle) == operator_want
-    kept = (dict(identities._identity_sets), dict(identities._operator_rows))
-    for _ in range(2):
-        with pytest.raises(InconsistencyError, match="identity bw3 reduced to 0 = kappa-multiple"):
-            pure_kappa_identities(bundle, True, table=empty)
-        assert operator_coeffs("hodge_laplacian", bundle, table=empty).targets == ()
-        assert (identities._identity_sets, identities._operator_rows) == kept
+    identity_want = pure_kappa_identities(bundle, True)
+    operator_want = operator_coeffs("hodge_laplacian", bundle)
+    if not memo_first:
+        identities._contexts.clear()
+    read = []
+    with monkeypatch.context() as mp:
+        mp.setattr(identities, "decompose_bundle", lambda b: read.append(b) or _empty_table(b))
+        for _ in range(2):
+            if memo_first:
+                assert pure_kappa_identities(bundle, True) == identity_want
+                assert operator_coeffs("hodge_laplacian", bundle) == operator_want
+            else:
+                with pytest.raises(InconsistencyError, match="identity bw3 reduced to 0 = kappa-multiple"):
+                    pure_kappa_identities(bundle, True)
+                assert "pure_kappa_hpn" not in vars(identities._contexts[bundle])
+    assert read == ([] if memo_first else [bundle])
+    identities._contexts.clear()
     assert pure_kappa_identities(bundle, True) == identity_want
     assert operator_coeffs("hodge_laplacian", bundle) == operator_want
 
@@ -632,27 +647,65 @@ def test_mutating_a_returned_list_leaves_the_memo_unchanged(fresh_memos):
 
 
 def test_an_unknown_operator_raises_and_stores_nothing(fresh_memos):
+    """An unknown name raises before any context is read: it keeps no
+    context for a cold bundle and no row in a kept one."""
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    for name in ("laplacian", "Hodge_laplacian", ""):
-        for table in (None, decompose_bundle(bundle)):
+    for warm in (False, True):
+        for name in ("laplacian", "Hodge_laplacian", ""):
             with pytest.raises(ValueError, match="unknown operator"):
-                operator_coeffs(name, bundle, table=table)
-    assert identities._operator_rows == {}
+                operator_coeffs(name, bundle)
+        if not warm:
+            assert identities._contexts == {}
+            operator_coeffs("hodge_laplacian", bundle)
+    assert list(identities._contexts[bundle].operator_rows) == ["hodge_laplacian"]
 
 
 def test_a_build_that_raises_stores_nothing(monkeypatch, fresh_memos):
-    """With the bundle's table doctored to hold no valid target, the
-    table-less build raises on every call and keeps nothing; with the real
-    table back, the next call builds the real set."""
+    """A table build that raises keeps no context, and an identity-set build
+    that raises keeps no set in the bundle's context: each raises again on
+    the next call, and once the cause is gone the real set is built."""
     bundle = lambda_ab_bundle(2, 2, 1, 3)
-    want = pure_kappa_identities(bundle, True, table=decompose_bundle(bundle))
-    with monkeypatch.context() as mp:
-        mp.setattr(identities, "decompose_bundle", lambda b: DecompositionTable(b, 1, ()))
-        for _ in range(2):
-            with pytest.raises(InconsistencyError):
-                pure_kappa_identities(bundle, True)
-        assert identities._identity_sets == {}
+    want = pure_kappa_identities(bundle, True)
+    identities._contexts.clear()
+
+    def fail(*args):
+        raise InconsistencyError("doctored")
+
+    for name in ("decompose_bundle", "_pure_kappa"):
+        with monkeypatch.context() as mp:
+            mp.setattr(identities, name, fail)
+            for _ in range(2):
+                with pytest.raises(InconsistencyError, match="doctored"):
+                    pure_kappa_identities(bundle, True)
+            if name == "decompose_bundle":
+                assert identities._contexts == {}
+            else:
+                assert "pure_kappa_hpn" not in vars(identities._contexts[bundle])
     assert pure_kappa_identities(bundle, True) == want
+    assert list(identities._contexts) == [bundle]
+
+
+def test_every_reader_of_a_cold_bundle_shares_one_table(monkeypatch, fresh_memos):
+    """printed_identities, pure_kappa_identities with hpn both ways, the four
+    operator rows and kernel_analysis of one bundle build one summand table
+    between them, and a second round builds none."""
+    bundle = BundleLabel(1, SpnWeight((1, 0)))
+    built = []
+    init = DecompositionTable.__init__
+
+    def counting(self, label, *rest):
+        built.append(label)
+        init(self, label, *rest)
+
+    monkeypatch.setattr(DecompositionTable, "__init__", counting)
+    for _ in range(2):
+        printed_identities(bundle)
+        for hpn in (False, True):
+            pure_kappa_identities(bundle, hpn)
+        for name in OPERATOR_NAMES:
+            operator_coeffs(name, bundle)
+        bounds.kernel_analysis(bundle, bounds.TWISTOR_KERNEL)
+        assert built == [bundle]
 
 
 def test_bound_for_solves_and_verifies_on_every_call(monkeypatch, fresh_memos):
@@ -673,7 +726,7 @@ def test_bound_for_solves_and_verifies_on_every_call(monkeypatch, fresh_memos):
     monkeypatch.setattr(bounds.BoundCertificate, "verify", counting("verify", bounds.BoundCertificate.verify))
     monkeypatch.setattr(identities, "decompose_bundle", counting("table", identities.decompose_bundle))
     results = [bounds.bound_for("hodge_laplacian", bundle, sign) for sign in (1, -1, 1, -1)]
-    assert counts == {"lp": 4, "verify": 4, "table": 2}
+    assert counts == {"lp": 4, "verify": 4, "table": 1}
     assert [r.kappa_sign for r in results] == [1, -1, 1, -1]
     assert results[0] == results[2] and results[0] is not results[2]
     assert results[1] == results[3] and results[1] is not results[3]

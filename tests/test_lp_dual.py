@@ -200,8 +200,8 @@ def test_outcome_keeps_no_solver_frames(case, cause, message):
 @pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
 def test_outcome_exit_code(case, cause, message, monkeypatch, capsys):
     operator, identities = case
-    monkeypatch.setattr(qkbw.bounds, "operator_coeffs", lambda name, bundle, table=None: operator)
-    monkeypatch.setattr(qkbw.bounds, "pure_kappa_identities", lambda bundle, hpn=False, table=None: identities)
+    monkeypatch.setattr(qkbw.bounds, "operator_coeffs", lambda name, bundle: operator)
+    monkeypatch.setattr(qkbw.bounds, "pure_kappa_identities", lambda bundle, hpn=False: identities)
     code = main(["bound", "--n", "2", "--k", "1", "--rho", "0,0", "--kappa-sign", "+"])
     out, err = capsys.readouterr()
     if cause is LPInfeasibleError:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkbw import identities
 from qkbw.bounds import BoundCertificate, KernelAnalysis, NoCertificate, bound_for, twistor_kernel_analysis
 from qkbw.casimir import CasimirReport, DecompositionTable, casimir_report, decompose_bundle
 from qkbw.identities import BWIdentity, CurvatureTerm, OperatorSpec, operator_coeffs, printed_identity
@@ -38,8 +39,8 @@ RECORDS = {
         {"provenance": "bw2"},
     ),
     OperatorSpec: (
-        # a table-less call returns the kept row, so each instance is built from a table
-        lambda: operator_coeffs("connection_laplacian", ZERO, table=decompose_bundle(ZERO)),
+        # operator_coeffs returns the kept row, so each instance is built on a new context
+        lambda: identities._operator_row("connection_laplacian", identities._Context(ZERO)),
         ("name", "bundle", "targets", "values", "denominator"),
         {"name": "dirac_squared"},
     ),
