@@ -34,15 +34,17 @@ for pivot; the optimum is one Fraction, the basic integer costs times the
 final right-hand side over cost_scale * d, and x builds a Fraction only for
 a nonzero basic value (every zero is one shared Fraction(0)).
 
-solve_linear_system runs Gauss-Jordan with the same kernel; exact_rank
-eliminates forward only, each pivot on the rows not yet pivoted, as a rank
-needs no reduced rows above a pivot.
+exact_rank and solve_linear_system share one forward elimination with the
+same kernel, _eliminate: each pivot runs on the rows not yet pivoted, so no
+row above a pivot is reduced.  The rank is the number of pivots; a
+determined solve back-substitutes in integers through the pivot rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .rationals import scaled
 
@@ -207,48 +209,34 @@ def _integer_rows(rows):
     return [scaled(row, scale) for row in rows]
 
 
-def _row_reduce(rows, ncols):
-    """Gauss-Jordan on integer rows in place over the first ncols columns.
-
-    Returns (d, pivots): rows[i] / d is the reduced row whose leading column
-    is pivots[i], and the rows from len(pivots) on are zero in the first
-    ncols columns.
+def _eliminate(work, ncols):
+    """Forward elimination of the int rows work over their first ncols
+    columns: each pivot runs _pivot on the rows not yet pivoted, then sets
+    its row aside.  Returns (d, pivots, rest): the last pivot's d, the rows
+    set aside in pivot order, and the rows never pivoted, zero in the first
+    ncols columns.  A pivot row u has u[c] = d_u > 0 in its pivot column c,
+    d_u the d its pivot returned.
     """
     d = 1
     pivots = []
     for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        d = _pivot(rows, d, r, c)
-        pivots.append(c)
-    return d, pivots
-
-
-def exact_rank(rows) -> int:
-    """Rank over Q of a list of Fraction rows, by forward elimination.
-
-    Each pivot runs _pivot on the rows not yet pivoted, so it clears only the
-    rows below it; the pivot row is then set aside.  The input rows are not
-    modified.
-    """
-    work = _integer_rows(rows)
-    d, rank = 1, 0
-    for c in range(len(work[0]) if work else 0):
         pivot_row = next((i for i, row in enumerate(work) if row[c]), None)
         if pivot_row is None:
             continue
         work[0], work[pivot_row] = work[pivot_row], work[0]
         d = _pivot(work, d, 0, c)
+        pivots.append(work[0])
         work = work[1:]
-        rank += 1
         if not work:
             break
-    return rank
+    return d, pivots, work
+
+
+def exact_rank(rows) -> int:
+    """Rank over Q of a list of Fraction rows: the number of pivots of one
+    forward elimination, _eliminate.  The input rows are not modified."""
+    work = _integer_rows(rows)
+    return len(_eliminate(work, len(work[0]) if work else 0)[1])
 
 
 def solve_linear_system(matrix, rhs):
@@ -258,19 +246,26 @@ def solve_linear_system(matrix, rhs):
     determined (rank == number of unknowns) and consistent; x is None when
     the solution is not unique (rank deficit).  Raises ArithmeticError on an
     inconsistent system.
+
+    When the rank is the number n of unknowns, pivot i of _eliminate is in
+    column i and the back-substitution runs in integers, with X = d*x:
+    X_i = (d*u_i[-1] - sum_{j>i} u_ij*X_j) // u_ii.  Every division
+    is exact: d is |det| of the n pivot rows (the Bareiss leading-minor
+    property), so d*x is integral by Cramer's rule.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if len(rhs) != m:
         raise ValueError("rhs length does not match the matrix rows")
     work = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
-    d, pivots = _row_reduce(work, n)
+    d, pivots, rest = _eliminate(work, n)
     rank = len(pivots)
-    if any(row[-1] for row in work[rank:]):
+    if any(row[-1] for row in rest):
         raise ArithmeticError("inconsistent linear system")
     if rank < n:
         return None, rank
-    x = [_ZERO] * n
-    for row, col in zip(work, pivots):
-        x[col] = Fraction(row[-1], d)
-    return x, rank
+    X = [0] * n
+    for i in reversed(range(n)):
+        u = pivots[i]
+        X[i] = (d * u[-1] - sum(map(mul, u[i + 1 : n], X[i + 1 :]))) // u[i]
+    return [Fraction(v, d) for v in X], rank

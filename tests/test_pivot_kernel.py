@@ -8,6 +8,7 @@ column) sequence, since Bland's rule over one uniformly scaled tableau makes
 every choice exactly as the rational one does.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -18,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkbw.bounds
 import qkbw.simplex
+from qkbw.bounds import bound_for, twistor_kernel_analysis
+from qkbw.casimir import lambda_ab_bundle
+from qkbw.selfcheck import sweep_cases
 from qkbw.simplex import (
     LPInfeasibleError,
     LPUnboundedError,
@@ -341,9 +346,10 @@ def test_negative_drive_out_pivot():
 
 @st.composite
 def linear_systems(draw):
-    """(matrix, rhs) with a chosen rank; rhs consistent or perturbed."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 5))
+    """(matrix, rhs) with a chosen rank; rhs consistent or perturbed.  Up to 6
+    unknowns (the hpn identity set has 6 rows) and up to 10 rows."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 10))
     r = draw(st.integers(0, min(m, n)))
     base = [[draw(rationals) for _ in range(n)] for _ in range(r)]
     matrix = []
@@ -365,6 +371,31 @@ def test_rank_and_solve_match_fraction_oracle(system):
     assert exact_rank(matrix) == fraction_rank(matrix)
     got = outcome(lambda: solve_linear_system(matrix, rhs))
     assert got == outcome(lambda: fraction_solve(matrix, rhs))
+
+
+def test_the_package_solves_match_fraction_oracle():
+    """Every solve the package makes on the 518-case Hodge grid n = 2..5,
+    with and without hpn, and on the twistor systems k = 0..6, n = 2..7 matches
+    the Gauss-Jordan oracle: 1 x 1 and 4 x 4 tight-row systems on the grid,
+    6 x 3 kernel systems on the twistor bundles, each determined."""
+    calls = []
+    real = qkbw.bounds.solve_linear_system
+
+    def spy(matrix, rhs):
+        calls.append((matrix, rhs, real(matrix, rhs)))
+        return calls[-1][2]
+
+    with mock.patch.object(qkbw.bounds, "solve_linear_system", spy):
+        for n, k, a, b, sign, _ in sweep_cases(range(2, 6), "+-"):
+            for hpn in (False, True):
+                bound_for("hodge_laplacian", lambda_ab_bundle(k, a, b, n), sign, hpn=hpn)
+        for k in range(7):
+            for n in range(2, 8):
+                twistor_kernel_analysis(k, n)
+    shapes = Counter((len(matrix), len(matrix[0])) for matrix, _, _ in calls)
+    assert shapes == {(1, 1): 152, (4, 4): 66, (6, 3): 42}
+    for matrix, rhs, got in calls:
+        assert got[0] is not None and got == fraction_solve(matrix, rhs)
 
 
 @st.composite
