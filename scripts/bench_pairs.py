@@ -1,15 +1,16 @@
 """Alternating parent/change pairs of perfbench/run.py, summarised as one BENCH_<label>.json.
 
     python3 scripts/bench_pairs.py --parent ../qkbw-parent --change . \\
-        --workload algebra --workload lp-grid --seed 5 --pairs 10 \\
+        --workload lp-grid:10 --workload algebra --seed 5 --pairs 5 \\
         --label summand_table --claim "cases_per_s rises" \\
         --parent-commit e76b550 --traced
 
 Each side runs the recorded command, perfbench/run.py with --seconds 8 and
 --trace 0, in a fresh process from its own checkout.  Pair i runs the parent
 first when i is even and the change first when i is odd.  --workload may be
-given more than once; the workloads run one after another, each with --pairs
-pairs, and each gets its own section under "workloads".  With --traced, one
+given more than once; the workloads run one after another, and each gets its
+own section under "workloads".  A workload written NAME:PAIRS runs PAIRS
+pairs; one written NAME alone runs --pairs pairs.  With --traced, one
 --trace 1 run per side follows the pairs of each workload.  Every entry under
 "runs" and "traced" is the last line of run.py's standard output, parsed and
 otherwise unmodified.
@@ -56,6 +57,17 @@ def run_side(checkout, command):
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"wrong run in {checkout}: {' '.join(command)}: {json.dumps(result)}")
     return result
+
+
+def workload_pairs(spec, default):
+    """(name, pairs) of a --workload NAME:PAIRS, or (name, default) of a NAME
+    alone.  ValueError unless the pairs are an integer of at least 2, the
+    fewest that give quartiles."""
+    name, colon, count = spec.partition(":")
+    pairs = (int(count) if count.isdigit() else None) if colon else default
+    if not name or pairs is None or pairs < 2:
+        raise ValueError(f"--workload {spec!r}: give a name and at least 2 pairs, NAME:PAIRS or --pairs")
+    return name, pairs
 
 
 def pair_order(pair):
@@ -111,9 +123,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True, action="append", help="repeat for more workloads")
+    parser.add_argument(
+        "--workload", required=True, action="append",
+        help="NAME or NAME:PAIRS; repeat for more workloads",
+    )
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int, help="pairs of each workload given without :PAIRS")
     parser.add_argument("--label", required=True)
     parser.add_argument("--claim", required=True)
     parser.add_argument("--parent-commit", required=True)
@@ -121,8 +136,10 @@ def main(argv=None):
     parser.add_argument("--traced", action="store_true", help="add one --trace 1 run per side")
     parser.add_argument("--out", help="output file (default BENCH_<label>.json)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
+    try:
+        workloads = [workload_pairs(spec, args.pairs) for spec in args.workload]
+    except ValueError as exc:
+        parser.error(str(exc))
     checkouts = {"parent": args.parent, "change": args.change}
     end_to_end = json.loads(SPEC.read_text())["end_to_end"]
 
@@ -143,10 +160,10 @@ def main(argv=None):
         "machine": args.machine,
         "workloads": {},
     }
-    for workload in args.workload:
+    for workload, pairs in workloads:
         command = run_command(workload, args.seed, 0)
         traced_command = run_command(workload, args.seed, 1)
-        runs = collect(args.pairs, lambda side: run(side, command))
+        runs = collect(pairs, lambda side: run(side, command))
         section = {"command": " ".join(command)}
         if args.traced:
             section["traced_command"] = " ".join(traced_command)

@@ -38,7 +38,7 @@ from .identities import (
 )
 from .rationals import format_rational, scaled
 from .record import Record
-from .simplex import LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
+from .simplex import _ZERO, LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
 from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_rank
 
 __all__ = [
@@ -126,21 +126,23 @@ class BoundCertificate(Record):
         keys = tuple(key for key, _ in self.residuals)
         if any(row.targets != keys for row in (operator, *used)):
             raise InconsistencyError("residual targets differ from the operator's or an identity's")
-        for key, value in self.residuals:
-            if value < 0:
-                raise InconsistencyError(f"negative residual at {key}: {value}")
         lams, res = [v for _, v in self.multipliers], [v for _, v in self.residuals]
-        P, R = lcm(*(v.denominator for v in lams)), lcm(*(v.denominator for v in res))
-        D, Q = operator.denominator, lcm(*(ident.denominator for ident in used))
+        R = lcm(*(v.denominator for v in res))
+        res_ints = scaled(res, R)
+        for key, value, r in zip(keys, res, res_ints):
+            if r < 0:
+                raise InconsistencyError(f"negative residual at {key}: {value}")
+        P, D = lcm(*(v.denominator for v in lams)), operator.denominator
+        Q = lcm(*(ident.denominator for ident in used))
         weights = [lam * (Q // ident.denominator) for lam, ident in zip(scaled(lams, P), used)]
-        combined = [0] * len(res)
-        for weight, ident in zip(weights, used):
-            combined = [c + weight * v for c, v in zip(combined, ident.values)]
-        for key, c, o, r in zip(keys, combined, operator.values, scaled(res, R)):
-            if c * D * R != (o * R - r * D) * P * Q:  # o / D - r / R == c / (P * Q)
+        columns = zip(*(ident.values for ident in used)) if used else [()] * len(keys)
+        DR, PQ = D * R, P * Q
+        for key, column, o, r in zip(keys, columns, operator.values, res_ints):
+            # o / D - r / R == c / (P * Q), c the column's combination
+            if sum(map(mul, weights, column)) * DR != (o * R - r * D) * PQ:
                 raise InconsistencyError(f"reconstruction fails at {key}")
         kappa = sum(map(mul, weights, (ident.kappa for ident in used)))
-        if kappa * self.bound.denominator != self.bound.numerator * P * Q:
+        if kappa * self.bound.denominator != self.bound.numerator * PQ:
             raise InconsistencyError("bound does not match multiplier combination")
 
     def to_json_dict(self):
@@ -216,8 +218,8 @@ def _integer_problem(operator, identities, sign):
     of the denominators of all the entries."""
     M = lcm(operator.denominator, *(ident.denominator for ident in identities))
     scales = [M // ident.denominator for ident in identities]
-    rows = [[s * v for v in ident.values] for s, ident in zip(scales, identities)]
-    A = [[row[i] for row in rows] for i in range(len(operator.values))]
+    rows = [[s * v for v in i.values] if s > 1 else i.values for s, i in zip(scales, identities)]
+    A = list(map(list, zip(*rows))) if rows else [[] for _ in operator.values]
     op = [M // operator.denominator * v for v in operator.values]
     return rows, A, op, [sign * s * ident.kappa for s, ident in zip(scales, identities)], M
 
@@ -312,7 +314,6 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         raise InconsistencyError(
             "unbounded bound optimum; identity generation is inconsistent"
         ) from LPUnboundedError("the dual LP is infeasible and the primal is feasible")
-    value /= M
 
     lambdas, res = [], None
     if m:
@@ -328,9 +329,10 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
                 lambdas = _l1_smallest(m, A, op, [i for i in range(t) if not y[i]])
                 res = None
     den, lams, residuals = res or _residuals(A, op, lambdas)
-    residuals = [Fraction(r, M * den) for r in residuals]
-    gain = Fraction(sum(map(mul, lams, kappa)), M * den)
-    if gain != -value:
+    residuals = [Fraction(r, M * den) if r else _ZERO for r in residuals]
+    # the dual optimum is value / M, and the primal one gain / (M * den)
+    gain = sum(map(mul, lams, kappa))
+    if gain * value.denominator != -value.numerator * den:
         raise InconsistencyError("primal and dual optima differ")
     cert = BoundCertificate(
         bundle=operator.bundle,
@@ -338,7 +340,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         kappa_sign=sign,
         multipliers=tuple(zip(_identity_ids(identities), lambdas)),
         residuals=tuple(zip(operator.targets, residuals)),
-        bound=sign * gain,
+        bound=Fraction(sign * gain, M * den),
     )
     cert.verify(operator, identities)
     return cert

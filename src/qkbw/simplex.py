@@ -28,11 +28,12 @@ column.)  No objective row is carried: each iteration prices the nonbasic
 columns in index order, in one plain loop, as d times the reduced cost,
 c_j * d - sum c_B * rows[i][j], and stops at the first positive one, which
 is the column Bland's rule enters; the ratio test cross-multiplies.  The
-costs are made integral by a positive lcm, cost_scale.  So the pivot
-sequence, and the returned optimum, match a ``Fraction`` tableau pivot
-for pivot; the optimum is one Fraction, the basic integer costs times the
-final right-hand side over cost_scale * d, and x builds a Fraction only for
-a nonzero basic value (every zero is one shared Fraction(0)).
+costs are the objective times a positive lcm, cost_scale, or the objective
+itself (cost_scale = 1) when every entry is an int, a bool not counted.  So
+the pivot sequence, and the returned optimum, match a ``Fraction`` tableau
+pivot for pivot; the optimum, summed as x is built, is one Fraction: the
+basic integer costs times the final right-hand side over cost_scale * d.
+x holds a Fraction only for a nonzero basic value (one shared zero else).
 
 exact_rank and solve_linear_system share one forward elimination with the
 same kernel, _eliminate: each pivot runs on the rows not yet pivoted, so no
@@ -150,9 +151,14 @@ def simplex_maximize(objective, constraints, rhs):
     n = len(objective)
     if len(rhs) != m:
         raise ValueError("rhs length does not match the constraint rows")
-    objective = [_rational(c) for c in objective]
+    if set(map(type, objective)) <= {int}:
+        cost, cost_scale = objective, 1
+    else:
+        objective = [_rational(c) for c in objective]
+        cost_scale = lcm(*(c.denominator for c in objective))
+        cost = scaled(objective, cost_scale)
     if m == 0:
-        if any(c > 0 for c in objective):
+        if any(c > 0 for c in cost):
             raise LPUnboundedError("no constraints and a positive objective entry")
         return _ZERO, [_ZERO] * n
 
@@ -160,10 +166,13 @@ def simplex_maximize(objective, constraints, rhs):
         raise ValueError("constraint row length does not match objective")
     # Phase 1: artificial basis, drive sum of artificials to zero.
     rows = []
+    unit = [0] * m
     for i, row in enumerate(_integer_rows([[*row, b] for row, b in zip(constraints, rhs)])):
         if row[-1] < 0:
             row = [-v for v in row]
-        rows.append(row[:-1] + [int(i == j) for j in range(m)] + row[-1:])
+        unit[i] = 1
+        rows.append(row[:-1] + unit + row[-1:])
+        unit[i] = 0
     basis = list(range(n, n + m))
     d = _bland_run(rows, 1, basis, [0] * n + [-1] * m)
     if any(b >= n and row[-1] for b, row in zip(basis, rows)):
@@ -184,15 +193,13 @@ def simplex_maximize(objective, constraints, rhs):
         del basis[i]
     rows = [row[:n] + row[-1:] for row in rows]
 
-    cost_scale = lcm(*(c.denominator for c in objective))
-    cost = scaled(objective, cost_scale)
     d = _bland_run(rows, d, basis, cost)
 
-    x = [_ZERO] * n
+    x, value = [_ZERO] * n, 0
     for b, row in zip(basis, rows):
         if row[-1]:
             x[b] = Fraction(row[-1], d)
-    value = sum(cost[b] * row[-1] for b, row in zip(basis, rows))
+            value += cost[b] * row[-1]
     return Fraction(value, cost_scale * d), x
 
 

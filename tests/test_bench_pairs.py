@@ -99,3 +99,53 @@ def test_each_workload_gets_its_own_section(tmp_path, monkeypatch):
         assert section["summary"] == script.summarise(section["runs"], end_to_end)
         value = line(workload)["metrics"]["cases_per_s"]["value"]
         assert section["summary"]["cases_per_s"]["parent_median"] == value
+
+
+def test_a_workload_may_name_its_own_pair_count(tmp_path, monkeypatch):
+    script = load_script()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = {m["name"]: {"value": 1.0} for m in end_to_end}
+    good = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+    commands = []
+
+    def run_command(workload, seed, trace):
+        commands.append(workload)
+        return printing(good)
+
+    monkeypatch.setattr(script, "run_command", run_command)
+    out = tmp_path / "BENCH_counts.json"
+    script.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "lp-grid:3",
+                 "--workload", "algebra", "--seed", "1", "--pairs", "2", "--label", "counts",
+                 "--claim", "none", "--parent-commit", "0", "--out", str(out)])
+    bench = json.loads(out.read_text())
+    assert commands == ["lp-grid", "lp-grid", "algebra", "algebra"]
+    assert list(bench["workloads"]) == ["lp-grid", "algebra"]
+    for workload, pairs in (("lp-grid", 3), ("algebra", 2)):
+        section = bench["workloads"][workload]
+        assert len(section["runs"]) == 2 * pairs
+        assert {s["pairs"] for s in section["summary"].values()} == {pairs}
+
+
+SPECS = [
+    ("lp-grid:10", None, ("lp-grid", 10)),
+    ("lp-grid:4", 2, ("lp-grid", 4)),
+    ("algebra", 5, ("algebra", 5)),
+]
+
+
+@pytest.mark.parametrize("spec, default, want", SPECS, ids=[spec for spec, _, _ in SPECS])
+def test_workload_pairs_reads_name_and_count(spec, default, want):
+    assert load_script().workload_pairs(spec, default) == want
+
+
+@pytest.mark.parametrize("workload", ["lp-grid", "lp-grid:1", "lp-grid:", "lp-grid:x", ":4", "lp-grid:-3"])
+def test_a_workload_without_two_pairs_is_a_usage_error(workload, tmp_path, monkeypatch):
+    script = load_script()
+    monkeypatch.setattr(script, "run_command", lambda *args: pytest.fail("no run may start"))
+    out = tmp_path / "BENCH_none.json"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", workload,
+                     "--seed", "1", "--label", "none", "--claim", "none", "--parent-commit", "0",
+                     "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()

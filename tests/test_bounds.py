@@ -182,7 +182,8 @@ class TestLP:
 
 class TestVerifyRejectsMalformedCertificates:
     """n = 3, k = 2, rho = (2,1,0), Hodge, kappa > 0: a valid certificate
-    with one field changed so that the values still add up."""
+    with one field changed, so that the values still add up, or, in the last
+    two tests, so that a residual or the bound is off."""
 
     bundle = BundleLabel(2, SpnWeight((2, 1, 0)))
 
@@ -224,6 +225,84 @@ class TestVerifyRejectsMalformedCertificates:
         moved = [i.replace(bundle=BundleLabel(4, SpnWeight((3, 3, 1)))) for i in identities]
         with pytest.raises(InconsistencyError, match="identity on another bundle"):
             cert.verify(operator, moved)
+
+    def test_residual_raised_by_one(self):
+        key = operator_coeffs("hodge_laplacian", self.bundle).targets[-1]
+
+        def raise_last(residuals):
+            *rest, (last, value) = residuals
+            assert last == key
+            return (*rest, (last, value + 1))
+
+        with pytest.raises(InconsistencyError) as exc:
+            self._verify("residuals", raise_last)
+        assert str(exc.value) == f"reconstruction fails at {key}"
+
+    def test_bound_raised_by_one_millionth(self):
+        with pytest.raises(InconsistencyError) as exc:
+            self._verify("bound", lambda bound: bound + F(1, 10**6))
+        assert str(exc.value) == "bound does not match multiplier combination"
+
+
+class TestVerifyRejectsNegativeResiduals:
+    """A certificate that adds up at every target and in its bound, but whose
+    first multiplier moved so far that residuals went negative: only the
+    sign check can refuse it."""
+
+    bundle = BundleLabel(2, SpnWeight((2, 1, 0)))
+
+    def test_negative_residual_that_adds_up(self):
+        operator = operator_coeffs("hodge_laplacian", self.bundle)
+        identities = pure_kappa_identities(self.bundle)
+        cert = lp_max_bound(operator, identities, "+")
+        (first, lam), *rest = cert.multipliers
+        assert first == identities[0].provenance
+        column = identities[0].coeff_map()
+        key, value = next((key, v) for key, v in cert.residuals if column[key])
+        t = (value + 1) / column[key]  # moves this residual to -1
+        moved = cert.replace(
+            multipliers=((first, lam + t), *rest),
+            residuals=tuple((k, v - t * column[k]) for k, v in cert.residuals),
+            bound=cert.bound + t * identities[0].kappa_coeff,
+        )
+        negative = [(k, v) for k, v in moved.residuals if v < 0]
+        assert (key, F(-1)) in negative
+        with pytest.raises(InconsistencyError) as exc:
+            moved.verify(operator, identities)
+        assert str(exc.value) == "negative residual at {}: {}".format(*negative[0])
+        op, columns = operator.coeff_map(), [ident.coeff_map() for ident in identities]
+        for k, r in moved.residuals:
+            assert op[k] - r == sum(v * c[k] for (_, v), c in zip(moved.multipliers, columns))
+        assert moved.bound == sum(
+            v * ident.kappa_coeff for (_, v), ident in zip(moved.multipliers, identities)
+        )
+
+
+class TestPrimalAndDualOptimaMustAgree:
+    """lp_max_bound with every optimum of the solver moved by 1/10**6, so that
+    the dual optimum no longer equals the primal one."""
+
+    bundle = BundleLabel(2, SpnWeight((2, 1, 0)))
+
+    def test_a_dual_optimum_off_by_one_millionth_raises(self, monkeypatch):
+        import qkbw.bounds
+
+        operator = operator_coeffs("hodge_laplacian", self.bundle)
+        identities = pure_kappa_identities(self.bundle)
+        cert = lp_max_bound(operator, identities, "+")
+        assert cert.bound is not None
+        cert.verify(operator, identities)
+        real = qkbw.bounds.simplex_maximize
+
+        def off(objective, constraints, rhs):
+            value, x = real(objective, constraints, rhs)
+            return value + F(1, 10**6), x
+
+        monkeypatch.setattr(qkbw.bounds, "simplex_maximize", off)
+        with pytest.raises(InconsistencyError, match="^primal and dual optima differ$"):
+            lp_max_bound(operator, identities, "+")
+        monkeypatch.undo()
+        assert lp_max_bound(operator, identities, "+") == cert
 
 
 def _assert_rewriting(bundle, operator_name, residuals, bound):

@@ -176,6 +176,32 @@ def test_ints_bools_and_fractions_stay_exact():
     assert exact_rank([[True, 2], [1, 2]]) == 1
 
 
+OBJECTIVES = {
+    "bool": ([True, True, False, False], [1, 1, 0, 0]),
+    "int-and-Fraction": ([F(3), 2, F(0), 0], [3, 2, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("objective, ints", OBJECTIVES.values(), ids=OBJECTIVES)
+def test_an_objective_not_all_int_gives_the_answer_of_its_ints(objective, ints):
+    # x + y <= 4, x + 3y <= 6 with slacks, as in test_textbook
+    constraints, rhs = [[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6]
+    value, x = simplex_maximize(objective, constraints, rhs)
+    assert (value, x) == simplex_maximize(ints, constraints, rhs)
+    assert all(type(v) is F for v in (value, *x))
+
+
+def test_no_constraints_check_the_objective_first():
+    for bad in ([-1.0], [1.0], [0, Decimal("-1")]):
+        with pytest.raises(TypeError):
+            simplex_maximize(bad, [], [])
+    with pytest.raises(LPUnboundedError):
+        simplex_maximize([-1, 2], [], [])
+    assert simplex_maximize([F(-1, 2), F(0)], [], []) == (0, [0, 0])
+    value, x = simplex_maximize([F(-1, 2), F(0)], [], [])
+    assert all(type(v) is F for v in (value, *x))
+
+
 RAGGED = {
     "rank-short-first-row": lambda: exact_rank([[1], [0, 1]]),
     "rank-short-second-row": lambda: exact_rank([[0, 1], [1]]),
