@@ -26,12 +26,16 @@ later, through the Sp(1) weights W_N and the identity rows.  So _summands
 computes it once per rho per process and keeps it in _tables, keyed by
 rho.entries; only dominant rho are stored, and like weights._dims the memo
 is unbounded.  Every moment, eigenvalue and decomposition on rho reads that
-one table.  The identities and the recursion check read S_q, T_q and D as
-they are; only casimir_eigenvalue, casimir_hat and casimir_report make
-Fractions.  A bundle's DecompositionTable is that integer table, and its
-JSON, markdown and CSV render straight from the rows.  The formula of w_nu
-lives in _weight only, and the Sp(1) shifts N with their weights W_N in
-_sp1_shifts only.
+one table, and the table's rows keep their sums S_0..S_Q and T_0..T_Q,
+Q = max(DEFAULT_Q_CAP, 2n + 1), each computed on the first read (_sums), so
+that every reader of the weight, whatever its k, slices one computation;
+a higher q is computed and not kept.  The identities and the recursion
+check read S_q, T_q and D as they are; only casimir_eigenvalue, casimir_hat
+and casimir_report make Fractions.  A bundle's DecompositionTable is that
+integer table, and its JSON, markdown and CSV render straight from the
+rows; a table built from other rows computes the sums of its own.  The
+formula of w_nu lives in _weight only, and the Sp(1) shifts N with their
+weights W_N in _sp1_shifts only.
 
 Relative dimensions come from two routes: the Weyl dimension oracle (the
 source of truth, which tests each shifted weight's own dominance) and a
@@ -166,6 +170,13 @@ def relative_dimension_product(rho: SpnWeight, nu: int) -> Fraction:
     return Fraction(num, den)
 
 
+class _Rows(tuple):
+    """The rows of a kept summand table.  q_cap = max(DEFAULT_Q_CAP, 2n + 1) is
+    the highest q that casimir_report and theorem_family read; kept holds the
+    moment sums [S_0..S_{q_cap}] and [T_0..T_{q_cap}] under their shift, once
+    _sums has computed them."""
+
+
 # Summand tables computed so far in this process, keyed by weight entries.
 _tables: dict = {}
 
@@ -183,17 +194,20 @@ def _summands(rho: SpnWeight):
     operator, the curvature sign or hpn, so it is kept in _tables under
     rho.entries.  Only a rho that decompose_rho_tensor_E accepted is stored,
     so a non-dominant rho raises on every call.  The memo is unbounded, like
-    weights._dims.
+    weights._dims.  rows is a _Rows, equal to the plain tuple of its rows,
+    that also keeps the moment sums S_0..S_Q and T_0..T_Q once a reader asks
+    for them (see _sums); clearing _tables clears them too.
     """
     table = _tables.get(rho.entries)
     if table is not None:
         return table
     dominant = _dominant_shifts(rho)
-    rows = [  # decompose_rho_tensor_E raises for a non-dominant rho before any weyl_dim
+    rows = _Rows(  # decompose_rho_tensor_E raises for a non-dominant rho before any weyl_dim
         (nu, shifted, _weight(rho, nu), weyl_dim(shifted) if nu in dominant else 0)
         for nu, shifted in decompose_rho_tensor_E(rho)
-    ]
-    table = _tables[rho.entries] = weyl_dim(rho), tuple(rows)
+    )
+    rows.q_cap, rows.kept = max(DEFAULT_Q_CAP, 2 * rho.n + 1), {}
+    table = _tables[rho.entries] = weyl_dim(rho), rows
     return table
 
 
@@ -210,11 +224,23 @@ def _moment_sums(rows, q_max: int, shift: int = 0):
     return sums
 
 
+def _sums(rows, q_max: int, shift: int = 0) -> list:
+    """_moment_sums(rows, q_max, shift).  The rows of a kept table compute
+    their sums up to q_cap on the first read, keep them and return a slice;
+    a read above q_cap, and any other rows, compute and keep nothing."""
+    if type(rows) is not _Rows or q_max > rows.q_cap:
+        return _moment_sums(rows, q_max, shift)
+    sums = rows.kept.get(shift)
+    if sums is None:
+        sums = rows.kept[shift] = _moment_sums(rows, rows.q_cap, shift)
+    return sums[: q_max + 1]
+
+
 def _moments(rho: SpnWeight, q_max: int):
     """(D, [S_0..S_{q_max}], [T_0..T_{q_max}]) from one summand table, so that
     c_q = S_q / D and c_hat_q = T_q / (2^q D)."""
     D, rows = _summands(rho)
-    return D, _moment_sums(rows, q_max), _moment_sums(rows, q_max, 2 * rho.n + 1)
+    return D, _sums(rows, q_max), _sums(rows, q_max, 2 * rho.n + 1)
 
 
 def _nonnegative(value, name):
@@ -229,14 +255,14 @@ def casimir_eigenvalue(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the q-th Casimir trace on V_rho (Weyl-oracle reldims)."""
     q = _nonnegative(q, "q")
     D, rows = _summands(rho)
-    return Fraction(_moment_sums(rows, q)[q], D)
+    return Fraction(_sums(rows, q)[q], D)
 
 
 def casimir_hat(rho: SpnWeight, q: int) -> Fraction:
     """Eigenvalue of the translated q-th Casimir trace on V_rho."""
     q = _nonnegative(q, "q")
     D, rows = _summands(rho)
-    return Fraction(_moment_sums(rows, q, 2 * rho.n + 1)[q], D << q)
+    return Fraction(_sums(rows, q, 2 * rho.n + 1)[q], D << q)
 
 
 def closed_form_c2_lambda_ab(a: int, b: int, n: int) -> Fraction:
@@ -426,11 +452,11 @@ class DecompositionTable(Record):
 
     def c_sums(self, q_max: int) -> list:
         """[S_0..S_{q_max}] off the integer rows: c_q = S_q / dim."""
-        return _moment_sums(self.rows, q_max)
+        return _sums(self.rows, q_max)
 
     def c_hat_sums(self, q_max: int) -> list:
         """[T_0..T_{q_max}] off the integer rows: c_hat_q = T_q / (2^q dim)."""
-        return _moment_sums(self.rows, q_max, 2 * self.bundle.n + 1)
+        return _sums(self.rows, q_max, 2 * self.bundle.n + 1)
 
     def to_json_dict(self):
         return {

@@ -232,9 +232,10 @@ class _Context:
     Holds D = dim V_rho and the keys of the valid targets with their
     conformal weights w and W as ints, read off the bundle's integer
     decomposition table.  The (2_b,1_{a-b}) shape, the integer sums S_q
-    and T_q for q <= q_max, the theorem family's alternating sums and the
-    pure-kappa identity sets are computed when first read; operator_rows
-    holds each operator row once built.  The context that _context keeps
+    and T_q for q <= q_max (sliced from those the table's rows keep), the
+    theorem family's alternating sums and the pure-kappa identity sets are
+    computed when first read; operator_rows holds each operator row once
+    built.  The context that _context keeps
     lives as long as the process; one built for a family lives for the call.
     """
 
@@ -456,7 +457,7 @@ def theorem_family(bundle: BundleLabel):
     Always floor(N/2) identities in total.  One context serves the family.
     """
     ctx = _Context(bundle)
-    count = ctx.table.summand_count
+    count = len(ctx.keys)
     q1_max = count // 2 if bundle.k == 0 else count // 4
     ctx.q_max = 2 * q1_max + 1  # set before any sum is read
     family = [_bochner1(ctx, q) for q in range(1, q1_max + 1)]

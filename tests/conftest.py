@@ -8,8 +8,9 @@ from qkbw import casimir, identities
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Swap the per-process memos for empty dicts for one test: the summand
-    tables of ``casimir._tables`` and the bundle contexts of
-    ``identities._contexts``, which hold the identity sets and operator rows.
+    tables of ``casimir._tables``, with the moment sums their rows keep, and
+    the bundle contexts of ``identities._contexts``, which hold the identity
+    sets and operator rows.
 
     A test that patches what a memo entry is built from, or counts what a
     build reads, takes this fixture: no entry built before the patch serves

@@ -19,7 +19,8 @@ through ``qkbw.casimir`` at call time, so a monkeypatch there reaches the
 oracle and the code under test alike.
 
 The summand table is the exception: ``casimir._summands`` keeps one table
-per rho for the whole process, in ``casimir._tables``, and
+per rho for the whole process, in ``casimir._tables``, whose rows keep the
+moment sums once read, and
 ``identities._contexts`` keeps one context per bundle the same way, with the
 identity sets and operator rows that ``identities.pure_kappa_identities``
 and ``identities.operator_coeffs`` return.  A monkeypatch of ``_weight``, or
@@ -51,6 +52,7 @@ from qkbw.casimir import (
     sp1_conformal_weight,
     verify_recursion,
 )
+from qkbw.identities import pure_kappa_identities, theorem_family
 from qkbw.rationals import format_rational, parse_rational
 from qkbw.weights import (
     BundleLabel,
@@ -486,3 +488,92 @@ def test_relative_dimensions_do_not_read_the_memo(monkeypatch):
     for rho in MEMO_WEIGHTS:
         for nu in nu_indices(rho.n):
             assert relative_dimension_weyl(rho, nu) == relative_dimension_product(rho, nu), (rho, nu)
+
+
+def test_every_reader_of_a_weight_computes_its_sums_once(monkeypatch, fresh_memos):
+    """The recursion check, the report, both eigenvalues, the theorem family
+    of k = 0..3 and the pure-kappa sets of k = 1, 2 on one rho compute S once
+    and T once, up to q_cap = max(DEFAULT_Q_CAP, 2n + 1), off its kept table.
+    A read above q_cap computes once more and leaves the kept sums as they
+    were."""
+    calls = []
+    real = casimir._moment_sums
+
+    def spy(rows, q_max, shift=0):
+        calls.append((shift, q_max))
+        return real(rows, q_max, shift)
+
+    monkeypatch.setattr(casimir, "_moment_sums", spy)
+    rho = SpnWeight((2, 1, 0))
+    q_cap, shift = max(DEFAULT_Q_CAP, 2 * rho.n + 1), 2 * rho.n + 1
+    assert verify_recursion(rho, 6) == []
+    casimir_report(rho, 6)
+    casimir_eigenvalue(rho, 4)
+    casimir_hat(rho, 5)
+    for k in range(4):
+        theorem_family(BundleLabel(k, rho))
+    for k in (1, 2):
+        pure_kappa_identities(BundleLabel(k, rho))
+    assert calls == [(0, q_cap), (shift, q_cap)]
+    _, rows = casimir._summands(rho)
+    kept = {s: list(sums) for s, sums in rows.kept.items()}
+    assert kept == {0: real(tuple(rows), q_cap), shift: real(tuple(rows), q_cap, shift)}
+    D = weyl_dim(rho)
+    assert casimir_eigenvalue(rho, q_cap + 1) == F(real(tuple(rows), q_cap + 1)[-1], D)
+    assert calls[2:] == [(0, q_cap + 1)]
+    assert rows.kept == kept
+
+
+# each reader of the sums with the largest q it takes
+SUM_READERS = {"moments": 20, "eigenvalue": 20, "hat": 20, "c_sums": 20, "c_hat_sums": 20,
+               "report": DEFAULT_Q_CAP}
+
+
+def read_sums(reader, rho, q):
+    """What one reader returns for rho and q, as (S, T) lists where it reads both."""
+    if reader == "moments":
+        return casimir._moments(rho, q)[1:]
+    if reader == "eigenvalue":
+        return casimir_eigenvalue(rho, q)
+    if reader == "hat":
+        return casimir_hat(rho, q)
+    if reader == "report":
+        return casimir_report(rho, q).values
+    table = decompose_bundle(BundleLabel(1, rho))
+    return getattr(table, reader)(q)
+
+
+def want_sums(reader, rho, q, rows):
+    """The same read computed with _moment_sums on a fresh tuple of the rows."""
+    S, T = casimir._moment_sums(rows, q), casimir._moment_sums(rows, q, 2 * rho.n + 1)
+    D = weyl_dim(rho)
+    if reader == "moments":
+        return S, T
+    if reader == "eigenvalue":
+        return F(S[q], D)
+    if reader == "hat":
+        return F(T[q], D << q)
+    if reader == "report":
+        return tuple((p, F(S[p], D), F(T[p], D << p)) for p in range(q + 1))
+    return S if reader == "c_sums" else T
+
+
+@st.composite
+def dominant_rho(draw):
+    n = draw(st.integers(2, 6))
+    entries = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return SpnWeight(sorted(entries, reverse=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_rho(), st.lists(st.tuples(st.sampled_from(list(SUM_READERS)), st.integers(0, 20)),
+                                 max_size=12))
+def test_kept_sums_equal_the_sums_of_a_fresh_tuple(rho, reads):
+    """In any order of reads with q <= 20, from an empty memo, every value
+    equals the one computed from a fresh tuple of the table's rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(casimir, "_tables", {})
+        rows = tuple(casimir._summands(rho)[1])
+        for reader, q in reads:
+            q = min(q, SUM_READERS[reader])
+            assert read_sums(reader, rho, q) == want_sums(reader, rho, q, rows), (reader, q)
