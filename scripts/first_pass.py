@@ -10,15 +10,20 @@ side, in bench_pairs.py's order (the parent first in even rounds).  The
 process imports qkbw from its checkout's src/ and the workload from its
 perfbench/bench_workloads.py, writing no bytecode there, builds the seed's
 cases and runs them twice in the order built, timing each pass and checking
-its results after it, as perfbench/run.py does.  It prints one JSON line:
-the two pass times in ms, the number of failed cases and the outcome digest
-(sha256 of the sorted outcome lines, as perfbench/run.py hashes them).
+its results after it, as perfbench/run.py does.  A gc.callbacks hook counts
+the generation-2 (full) collections that start and end inside each timed
+pass, and the ms they take.  It prints one JSON line: the two pass times in
+ms, each pass's full collections and their ms, the number of failed cases
+and the outcome digest (sha256 of the sorted outcome lines, as
+perfbench/run.py hashes them).
 
 The summary gives, per side and pass, the median and quartiles in ms
-(bench_pairs.py's statistics), the number of rounds in which the change's
-first pass was faster, and the digest, which must be one and the same on
-both sides.  A round with failed cases, or a second digest, stops the script
-with an error.  Standard library only.
+(bench_pairs.py's statistics) and the medians of the full collections and
+their ms, so a first-pass difference that one moved collection makes shows
+apart from one the code makes; then the number of rounds in which the
+change's first pass was faster, and the digest, which must be one and the
+same on both sides.  A round with failed cases, or a second digest, stops
+the script with an error.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -34,16 +40,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import SIDES, _stats, collect  # noqa: E402
 
 PASSES = ("first_ms", "second_ms")
+# Per pass, the generation-2 collections inside it and their total ms.
+COLLECTIONS = ("first_gc2", "first_gc2_ms", "second_gc2", "second_gc2_ms")
 
 # Run with the checkout as working directory: python -c CHILD WORKLOAD SEED.
 CHILD = r"""
-import hashlib, json, sys, time
+import gc, hashlib, json, sys, time
 sys.dont_write_bytecode = True
 sys.path[:0] = ["src", "perfbench"]
 from bench_workloads import WORKLOADS
 
 workload = WORKLOADS[sys.argv[1]]
 cases = workload.build(int(sys.argv[2]))
+full = []  # ms of each generation-2 collection while a pass runs
+started = None
+
+
+def on_gc(phase, info):
+    global started
+    if info["generation"] == 2 and full is not None:
+        if phase == "start":
+            started = time.perf_counter()
+        elif started is not None:
+            full.append((time.perf_counter() - started) * 1000)
+            started = None
 
 
 def run(case):
@@ -53,19 +73,21 @@ def run(case):
         return exc
 
 
-times, outcomes, failed = [], set(), 0
-for _ in range(2):
+gc.callbacks.append(on_gc)
+result, outcomes, failed = {}, set(), 0
+for name in ("first", "second"):
+    full, started = [], None
     start = time.perf_counter()
     raws = [run(case) for case in cases]
-    times.append((time.perf_counter() - start) * 1000)
+    result[name + "_ms"] = (time.perf_counter() - start) * 1000
+    result[name + "_gc2"], result[name + "_gc2_ms"], full = len(full), sum(full), None
     for case, raw in zip(cases, raws):  # checked outside the timed pass, and not kept past it
         checked = workload.check(case, raw)
         outcomes.add(checked.outcome)
         failed += not checked.ok
     del raws
 text = "\n".join(sorted(outcomes)) + "\n"
-print(json.dumps({"first_ms": times[0], "second_ms": times[1], "failed": failed,
-                  "digest": hashlib.sha256(text.encode()).hexdigest()}))
+print(json.dumps({**result, "failed": failed, "digest": hashlib.sha256(text.encode()).hexdigest()}))
 """
 
 
@@ -97,6 +119,10 @@ def summarise(runs):
         side: {p: dict(zip(("median", "quartiles"), _stats([r[side][p] for r in rounds]))) for p in PASSES}
         for side in SIDES
     }
+    for side in SIDES:
+        summary[side]["gc2_medians"] = {
+            c: round(statistics.median(r[side][c] for r in rounds), 4) for c in COLLECTIONS
+        }
     summary["change_faster_first"] = sum(r["change"]["first_ms"] < r["parent"]["first_ms"] for r in rounds)
     summary["rounds"] = len(rounds)
     summary["digest"] = digests.pop()
@@ -125,6 +151,11 @@ def main(argv=None):
         for p in PASSES:
             s = summary[side][p]
             print(f"{args.workload} {side:<6} {p:<9} median {s['median']} quartiles {s['quartiles']}")
+        c = summary[side]["gc2_medians"]
+        print(
+            f"{args.workload} {side:<6} full collections (medians): first pass {c['first_gc2']}"
+            f" ({c['first_gc2_ms']} ms), second pass {c['second_gc2']} ({c['second_gc2_ms']} ms)"
+        )
         print(f"{args.workload} {side:<6} digest {summary['digest']}")
     print(f"change first pass faster in {summary['change_faster_first']}/{summary['rounds']} rounds")
     return 0

@@ -16,10 +16,13 @@ tie-break picks them in three steps: none without identities, the
 L1-smallest solution of the tight rows alone when it keeps every residual
 nonnegative, and the L1-smallest point of the whole optimal face otherwise
 (see lp_max_bound).  The LP reads the integer rows of the operator and the
-identities, brought to their one common denominator.  The certificate holds
-Fractions, and BoundCertificate.verify checks it against those integer rows
-by cross-multiplication.  When the span admits no rewriting at all, the
-result is a NoCertificate instead.
+identities, brought to their one common denominator.  That integer problem
+does not depend on the sign of kappa, so for a bundle context's own operator
+row and pure-kappa set it is built once per process and kept in the context,
+per (operator, hpn); every other input is checked and built on each call.
+The certificate holds Fractions, and BoundCertificate.verify checks it
+against those integer rows by cross-multiplication.  When the span admits no
+rewriting at all, the result is a NoCertificate instead.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .identities import (
     MixedBundleError,
     OperatorSpec,
     _context,
+    _kept_context,
     operator_coeffs,
     pure_kappa_identities,
 )
@@ -210,18 +214,43 @@ def _identity_ids(identities):
     return ids
 
 
-def _integer_problem(operator, identities, sign):
-    """(rows, A, op, kappa, M): the identity rows, their transpose A (one row
-    per target, each empty when there is no identity), the operator and sign
-    * kappa of each identity, as ints over one common denominator M.  Every
-    row is in lowest terms, so M, the lcm of the row denominators, is the lcm
-    of the denominators of all the entries."""
+def _integer_problem(operator, identities):
+    """(rows, A, op, kappa, M, ids): the identity rows, their transpose A (one
+    row per target, each empty when there is no identity), the operator and
+    the kappa side of each identity for kappa > 0, as ints over one common
+    denominator M, and the identities' multiplier ids.  Every row is in
+    lowest terms, so M, the lcm of the row denominators, is the lcm of the
+    denominators of all the entries.  Raises MixedBundleError unless every
+    identity lives on the operator's bundle and targets, and ValueError for
+    one that is not pure kappa."""
+    for ident in identities:
+        if ident.bundle != operator.bundle or ident.targets != operator.targets:
+            raise MixedBundleError("identities and operator must live on one bundle")
+        if not ident.is_pure_kappa:
+            raise ValueError(f"identity {ident.provenance} is not pure kappa")
     M = lcm(operator.denominator, *(ident.denominator for ident in identities))
     scales = [M // ident.denominator for ident in identities]
     rows = [[s * v for v in i.values] if s > 1 else i.values for s, i in zip(scales, identities)]
     A = list(map(list, zip(*rows))) if rows else [[] for _ in operator.values]
     op = [M // operator.denominator * v for v in operator.values]
-    return rows, A, op, [sign * s * ident.kappa for s, ident in zip(scales, identities)], M
+    kappa = [s * ident.kappa for s, ident in zip(scales, identities)]
+    return rows, A, op, kappa, M, _identity_ids(identities)
+
+
+def _bound_problem(operator, identities):
+    """_integer_problem of the operator and the identities, kept in the
+    bundle's context when they are its own objects (see lp_max_bound)."""
+    ctx = _kept_context(operator.bundle)
+    hpn = None
+    if ctx is not None and ctx.operator_rows.get(operator.name) is operator:
+        hpn = ctx.kept_set(identities)
+    if hpn is None:
+        return _integer_problem(operator, identities)
+    key = (operator.name, hpn)
+    problem = ctx.bound_problems.get(key)
+    if problem is None:
+        problem = ctx.bound_problems[key] = _integer_problem(operator, identities)
+    return problem
 
 
 def _split_rows(rows, slack_rows):
@@ -283,6 +312,18 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     is an exact simplex with Bland's rule over the canonically ordered
     variables.
 
+    The integer problem (the rows over M, their transpose, op, the kappa
+    column for kappa > 0, M and the multiplier ids) is kept in the bundle's
+    context, built and checked once per (operator, hpn), when the inputs are
+    that context's own objects, as bound_for passes them: the operator is
+    its row of that name itself, and the identities are the members of its
+    pure-kappa set without or with hpn, in order, compared with is.  The
+    context is looked up on each call.  kappa < 0 negates the kappa column.
+    Any other input, equal copies included, is checked and built on this
+    call, and nothing is kept for it.  Raises MixedBundleError unless every
+    identity lives on the operator's bundle and targets, and ValueError for
+    one that is not pure kappa.
+
     Returns a NoCertificate when no nonnegative rewriting exists: the dual
     LP is unbounded, or the dual and the primal are both infeasible.  Raises
     InconsistencyError only for a contradiction: an unbounded optimum (the
@@ -290,12 +331,9 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     that differ, or a certificate that fails BoundCertificate.verify.
     """
     sign = _normalize_sign(kappa_sign)
-    for ident in identities:
-        if ident.bundle != operator.bundle or ident.targets != operator.targets:
-            raise MixedBundleError("identities and operator must live on one bundle")
-        if not ident.is_pure_kappa:
-            raise ValueError(f"identity {ident.provenance} is not pure kappa")
-    rows, A, op, kappa, M = _integer_problem(operator, identities, sign)
+    rows, A, op, kappa, M, ids = _bound_problem(operator, identities)
+    if sign < 0:
+        kappa = [-v for v in kappa]
     m, t = len(identities), len(op)
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
@@ -338,7 +376,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
         bundle=operator.bundle,
         operator=operator.name,
         kappa_sign=sign,
-        multipliers=tuple(zip(_identity_ids(identities), lambdas)),
+        multipliers=tuple(zip(ids, lambdas)),
         residuals=tuple(zip(operator.targets, residuals)),
         bound=Fraction(sign * gain, M * den),
     )
@@ -350,10 +388,11 @@ def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = F
     """Rule-driven identity set, then lp_max_bound: a BoundCertificate, or a
     NoCertificate when no rewriting exists over the identity span.
 
-    The operator row and the identity set do not depend on the sign, so both
-    come from the bundle's per-process context: both signs, every operator of
-    a bundle and every repeat of a bundle share them.  Each call still
-    solves its own LP and verifies its own certificate; no result is kept."""
+    The operator row, the identity set and the integer problem built from
+    them do not depend on the sign, so all three come from the bundle's
+    per-process context: both signs and every repeat of a bundle share them,
+    and every operator shares the identity set.  Each call still solves its
+    own LP and verifies its own certificate; no result is kept."""
     operator = operator_coeffs(operator_name, bundle)
     return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn), kappa_sign)
 

@@ -5,9 +5,11 @@ only that form: md (the default) or json; csv for every verb but bound and
 hpn; and for bw, --emit-latex, which excludes --format.  casimir, decompose
 and table1 write their CSV from their JSON rows.
 
-Exit codes: 0 success, 1 a `sweep` found a mismatch, 2 parameter/validation
+Exit codes: 0 success, 1 a `sweep` found a mismatch (a grid case with no
+certificate is one, its LP bound printed as none), 2 parameter/validation
 error, 3 internal inconsistency (an InconsistencyError: an LP went unbounded
-or an identity system contradicted itself, which signals a generator bug
+or an identity system contradicted itself, or `hpn` found no certificate
+where the first eigenvalue gives a bound, which signals a generator bug
 rather than bad user input), 4 `bound` returned a NoCertificate: no
 nonnegative rewriting of the operator exists over the identity span, a
 legitimate result, reported with `bound: null` and the reason.
@@ -217,6 +219,10 @@ def cmd_harmonic(args) -> int:
 def cmd_hpn(args) -> int:
     n, k, a, b = args.n, args.k, args.a, args.b
     _, bound, expected = sweep_case((n, k, a, b, "+", True))
+    if bound is None:  # lambda_1 / (2n) is a bound, so the LP must certify one
+        raise InconsistencyError(
+            "no certificate over the hpn identity span, where lambda_1 / (2n) is a bound"
+        )
     lam1, lp = expected * 2 * n, bound * 2 * n
     _emit(
         args.format,
@@ -264,7 +270,8 @@ def cmd_sweep(args) -> int:
 
         def body():
             return "".join(
-                f"{n},{k},{a},{b},{sign},{format_rational(lp)},{format_rational(expected)},"
+                f"{n},{k},{a},{b},{sign},{'none' if lp is None else format_rational(lp)},"
+                f"{format_rational(expected)},"
                 f"{int(lp == expected)}\n"
                 for (n, k, a, b, sign, _), lp, expected in results
             )
@@ -272,17 +279,20 @@ def cmd_sweep(args) -> int:
         if args.csv:
             # the header goes only into a new or empty ledger
             ledger.write(body() if ledger.tell() else header + body())
-    mismatches = [case[:5] for case, lp, expected in results if lp != expected]
+    mismatches = [(case[:5], lp) for case, lp, expected in results if lp != expected]
 
     def to_md():
         label = "first-eigenvalue comparison" if args.hpn else "closed-form comparison"
         lines = [f"sweep ({label}): {len(results)} cases, {len(mismatches)} mismatches"]
-        lines += [f"  mismatch at n={n} k={k} a={a} b={b} sign {s}" for n, k, a, b, s in mismatches]
+        lines += [
+            f"  mismatch at n={n} k={k} a={a} b={b} sign {s}" + (": lp bound none" if lp is None else "")
+            for (n, k, a, b, s), lp in mismatches
+        ]
         return "\n".join(lines)
 
     _emit(
         args.format,
-        lambda: {"cases": len(results), "mismatches": list(map(list, mismatches))},
+        lambda: {"cases": len(results), "mismatches": [list(case) for case, _ in mismatches]},
         to_md,
         lambda: header + body(),
     )

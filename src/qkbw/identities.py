@@ -34,9 +34,13 @@ the sign of kappa enters only the bound LP's right-hand side.  So _contexts
 keeps one context per bundle per process, as casimir._tables keeps the
 summand tables, and that context keeps the pure-kappa sets without and with
 hpn and each operator row once built; printed_identity, printed_identities
-and bounds.kernel_analysis read it too.  The memo is unbounded.  The theorem
-family and the two generating families build a context of their own, sized
-to their q, and keep nothing.
+and bounds.kernel_analysis read it too.  It also keeps the integer problem
+that bounds.lp_max_bound builds from one of its operator rows and one of its
+pure-kappa sets, per (operator name, hpn); lp_max_bound recognises those
+inputs by identity (_Context.kept_set) and looks the context up through
+_kept_context on each call, which builds nothing.  The memo is unbounded.
+The theorem family and the two generating families build a context of their
+own, sized to their q, and keep nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import index
+from operator import index, is_
 
 from .casimir import closed_form_c2_lambda_ab, decompose_bundle
 from .rationals import csv_table, format_rational, scaled
@@ -235,7 +239,9 @@ class _Context:
     and T_q for q <= q_max (sliced from those the table's rows keep), the
     theorem family's alternating sums and the pure-kappa identity sets are
     computed when first read; operator_rows holds each operator row once
-    built.  The context that _context keeps
+    built, and bound_problems the integer bound problem that
+    bounds.lp_max_bound builds from one of those rows and one pure-kappa
+    set, keyed by (operator name, hpn).  The context that _context keeps
     lives as long as the process; one built for a family lives for the call.
     """
 
@@ -249,6 +255,7 @@ class _Context:
         self.W = [W for _, _, _, W in valid]
         self.q_max = q_max
         self.operator_rows = {}
+        self.bound_problems = {}
 
     @cached_property
     def pure_kappa(self):
@@ -286,6 +293,17 @@ class _Context:
         for t in self.T:
             table.append([x * a + t for x, a in zip(xs, table[-1])])
         return table
+
+    def kept_set(self, identities):
+        """hpn when identities are the members of the built pure-kappa set
+        without or with hpn, in order, compared with is; else None.  Builds
+        no set."""
+        built = vars(self)
+        for hpn, name in ((False, "pure_kappa"), (True, "pure_kappa_hpn")):
+            kept = built.get(name)
+            if kept is not None and len(kept) == len(identities) and all(map(is_, kept, identities)):
+                return hpn
+        return None
 
     def identity(self, provenance, values, denominator, kappa, kappa_den, terms=()) -> BWIdentity:
         """sum values / denominator * B = kappa / kappa_den * (scalar curvature),
@@ -541,6 +559,11 @@ def _context(bundle: BundleLabel) -> _Context:
     if ctx is None:
         ctx = _contexts[bundle] = _Context(bundle)
     return ctx
+
+
+def _kept_context(bundle: BundleLabel):
+    """The bundle's kept context, or None: nothing is built."""
+    return _contexts.get(bundle)
 
 
 def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False):

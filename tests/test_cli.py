@@ -1,11 +1,14 @@
+import concurrent.futures
+import functools
 import json
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 from qkbw import cli, selfcheck
 from qkbw.bounds import NoCertificate
-from qkbw.casimir import relative_dimension_weyl
+from qkbw.casimir import lambda_ab_bundle, relative_dimension_weyl
 from qkbw.cli import main
 from qkbw.selfcheck import suite_lp_agreement, sweep_cases
 from qkbw.weights import SpnWeight, mu_shift
@@ -289,24 +292,82 @@ class TestSweepVerb:
         assert len(failures) == 2 * len(sweep_cases([2], "+"))
         assert "LP 7/64 != closed form 99 at k=1 a=0 b=0 n=2 sign +" in failures
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "--n", "2", "--k", "1", "--a", "0", "--b", "0"],
-            ["sweep", "--n", "2", "--k", "2", "--a", "0", "--b", "0", "--hpn"],
-            ["hpn", "--n", "2", "--k", "2", "--a", "0", "--b", "0"],
-        ],
-    )
-    def test_missing_grid_certificate_exits_3(self, capsys, monkeypatch, argv):
-        # every grid bound has a closed form, so no certificate is a contradiction
+    @staticmethod
+    def missing_at(monkeypatch, missing):
+        """selfcheck.bound_for with a NoCertificate for the bundle of each
+        (k, a, b, n) in missing, for either sign; the real bound elsewhere."""
+        real = selfcheck.bound_for
+        bundles = {lambda_ab_bundle(*kabn) for kabn in missing}
         reason = "no nonnegative rewriting of hodge_laplacian exists over this identity span"
 
-        def missing(name, bundle, sign, hpn=False):
-            return NoCertificate(bundle, name, 1, reason)
+        def bound_for(name, bundle, sign, hpn=False):
+            if bundle in bundles:
+                return NoCertificate(bundle, name, 1 if sign == "+" else -1, reason)
+            return real(name, bundle, sign, hpn=hpn)
 
-        monkeypatch.setattr(selfcheck, "bound_for", missing)
+        monkeypatch.setattr(selfcheck, "bound_for", bound_for)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
+    def test_missing_grid_certificate_is_a_mismatch(self, capsys, monkeypatch, jobs):
+        """Every grid case has a closed form, so a case with no certificate is
+        a mismatch: its LP bound reads none, and the sweep exits 1.  Only that
+        case's rows differ from the passing sweep's; with --jobs 2 the pool
+        forks, so its workers see the patched bound_for."""
+        argv = ["sweep", "--n", "2", "--k", "1", "--a", "0..1", "--b", "0", "--jobs", jobs]
+        passing = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("md", "csv", "json")}
+        assert {code for code, _, _ in passing.values()} == {0}
+        self.missing_at(monkeypatch, [(1, 0, 0, 2)])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(
+            cli.concurrent.futures, "ProcessPoolExecutor",
+            functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork),
+        )
+
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (3, "", f"internal inconsistency: {reason}\n")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "sweep (closed-form comparison): 4 cases, 2 mismatches",
+            "  mismatch at n=2 k=1 a=0 b=0 sign +: lp bound none",
+            "  mismatch at n=2 k=1 a=0 b=0 sign -: lp bound none",
+        ]
+        assert passing["md"][1] == "sweep (closed-form comparison): 4 cases, 0 mismatches\n"
+
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (1, "")
+        rows, want = out.splitlines(), passing["csv"][1].splitlines()
+        assert rows[0] == want[0] == "n,k,a,b,kappa_sign,lp_bound,expected,match"
+        assert rows[1:3] == ["2,1,0,0,+,none,7/64,0", "2,1,0,0,-,none,-9/64,0"]
+        assert rows[3:] == want[3:]
+        assert [row.rsplit(",", 1)[0] for row in want[1:3]] == [
+            "2,1,0,0,+,7/64,7/64", "2,1,0,0,-,-9/64,-9/64"
+        ]
+
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"cases": 4, "mismatches": [[2, 1, 0, 0, "+"], [2, 1, 0, 0, "-"]]}
+        assert json.loads(passing["json"][1]) == {"cases": 4, "mismatches": []}
+
+    def test_missing_hpn_certificate_is_a_mismatch_and_fails_the_suites(self, capsys, monkeypatch):
+        self.missing_at(monkeypatch, [(2, 0, 0, 2)])
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "2", "--a", "0..1", "--b", "0", "--hpn")
+        assert code == 1
+        assert out.splitlines()[1:] == ["  mismatch at n=2 k=2 a=0 b=0 sign +: lp bound none"]
+        assert suite_lp_agreement(n_max=2).failures == (
+            "LP none != closed form 1/4 at k=2 a=0 b=0 n=2 sign +",
+            "LP none != closed form -1/8 at k=2 a=0 b=0 n=2 sign -",
+        )
+        assert selfcheck.suite_hpn(n_max=2).failures == ("hpn bound none != lambda_1 1 at k=2 a=0 b=0 n=2",)
+
+    def test_missing_hpn_certificate_exits_3_in_the_hpn_verb(self, capsys, monkeypatch):
+        # lambda_1 / (2n) is a bound on the grid, so no certificate is a contradiction
+        self.missing_at(monkeypatch, [(2, 0, 0, 2)])
+        code, out, err = run(capsys, "hpn", "--n", "2", "--k", "2", "--a", "0", "--b", "0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal inconsistency: no certificate over the hpn identity span,"
+            " where lambda_1 / (2n) is a bound\n"
+        )
 
     def test_filters_are_parsed_before_the_grid(self, capsys):
         """--k was read only for a in range, so a bad --k passed as "no cases"."""

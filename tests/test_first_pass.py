@@ -1,5 +1,6 @@
 """scripts/first_pass.py: its summary, its refusal of failed cases and of
-digests that differ, and one real child process on a stand-in checkout."""
+digests that differ, and real child processes on a stand-in checkout, one of
+whose passes makes a full garbage collection."""
 
 import importlib.util
 import statistics
@@ -19,11 +20,17 @@ def load_script():
 
 
 def rounds(parent_first, change_first, digest="d"):
-    """Run entries as collect makes them, second passes a tenth of the first."""
+    """Run entries as collect makes them, second passes a tenth of the first;
+    the parent's first pass makes one full collection of a tenth of its time
+    in even rounds, and the change's second pass one of 1 ms in every round."""
     runs = []
     for i, (p, c) in enumerate(zip(parent_first, change_first)):
         for side, ms in (("parent", p), ("change", c)):
             result = {"first_ms": ms, "second_ms": ms / 10, "failed": 0, "digest": digest}
+            first = side == "parent" and i % 2 == 0
+            second = side == "change"
+            result.update(first_gc2=int(first), first_gc2_ms=ms / 10 if first else 0,
+                          second_gc2=int(second), second_gc2_ms=1.0 if second else 0)
             runs.append({"pair": i, "side": side, "first": "parent", "result": result})
     return runs
 
@@ -37,6 +44,13 @@ def test_summary_gives_each_side_and_pass_its_median_and_quartiles():
             q = statistics.quantiles(xs, n=4)
             want = {"median": round(statistics.median(xs), 4), "quartiles": [round(q[0], 4), round(q[2], 4)]}
             assert summary[side][name] == want, (side, name)
+    # the parent collects in rounds 0, 2 and 4: 17.0, 0, 16.8, 0 and 17.1 ms
+    assert summary["parent"]["gc2_medians"] == {
+        "first_gc2": 1, "first_gc2_ms": 16.8, "second_gc2": 0, "second_gc2_ms": 0
+    }
+    assert summary["change"]["gc2_medians"] == {
+        "first_gc2": 0, "first_gc2_ms": 0, "second_gc2": 1, "second_gc2_ms": 1.0
+    }
     assert summary["change_faster_first"] == 4
     assert summary["rounds"] == 5
     assert summary["digest"] == "d"
@@ -50,7 +64,10 @@ def test_digests_that_differ_raise():
 
 
 STAND_IN = """
+    import gc
     from dataclasses import dataclass
+
+    COLLECTED = []
 
     @dataclass
     class Checked:
@@ -66,6 +83,8 @@ STAND_IN = """
     def run(case):
         if case == 3:
             raise ValueError("three")
+        if case == 4 and not COLLECTED:
+            COLLECTED.append(gc.collect())  # one full collection, in the first pass
         return case * case
 
     def check(case, raw):
@@ -88,8 +107,11 @@ def test_a_child_runs_two_passes_of_the_checkout_and_writes_no_bytecode(tmp_path
             script.run_side(tmp_path, "squares", 5)
     else:
         result = script.run_side(tmp_path, "squares", 5)
-        assert set(result) == {"first_ms", "second_ms", "failed", "digest"}
+        assert set(result) == {"first_ms", "second_ms", "failed", "digest", *script.COLLECTIONS}
         assert result["failed"] == 0 and result["first_ms"] >= 0 and result["second_ms"] >= 0
-        assert result == dict(script.run_side(tmp_path, "squares", 5), first_ms=result["first_ms"],
-                              second_ms=result["second_ms"])
+        assert (result["first_gc2"], result["second_gc2"], result["second_gc2_ms"]) == (1, 0, 0)
+        assert 0 < result["first_gc2_ms"] <= result["first_ms"]
+        times = ("first_ms", "second_ms", "first_gc2_ms")
+        again = script.run_side(tmp_path, "squares", 5)
+        assert result == dict(again, **{t: result[t] for t in times})
     assert not (tmp_path / "perfbench" / "__pycache__").exists()
