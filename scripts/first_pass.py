@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -92,12 +91,10 @@ print(json.dumps({**result, "failed": failed, "digest": hashlib.sha256(text.enco
 
 
 def run_side(checkout, workload, seed):
-    """The JSON line of one fresh CHILD process in checkout, with no Weyl file
-    cache; RuntimeError when a case failed."""
-    env = dict(os.environ)
-    env.pop("QKBW_CACHE_DIR", None)
+    """The JSON line of one fresh CHILD process in checkout; RuntimeError when
+    a case failed."""
     command = [sys.executable, "-c", CHILD, workload, str(seed)]
-    out = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if result["failed"]:
         raise RuntimeError(f"wrong run in {checkout}: {workload} seed {seed}: {json.dumps(result)}")

@@ -15,14 +15,20 @@ from the tight targets.  When those do not fix them, an L1-smallest
 tie-break picks them in three steps: none without identities, the
 L1-smallest solution of the tight rows alone when it keeps every residual
 nonnegative, and the L1-smallest point of the whole optimal face otherwise
-(see lp_max_bound).  The LP reads the integer rows of the operator and the
-identities, brought to their one common denominator.  That integer problem
-does not depend on the sign of kappa, so for a bundle context's own operator
-row and pure-kappa set it is built once per process and kept in the context,
-per (operator, hpn); every other input is checked and built on each call.
-The certificate holds Fractions, and BoundCertificate.verify checks it
-against those integer rows by cross-multiplication.  When the span admits no
-rewriting at all, the result is a NoCertificate instead.
+(see lp_max_bound).  The dual LP's constraint rows and right-hand side are
+the identities alone, as ints over the lcm Q of their denominators; the
+operator is only its objective.  The tie-break and the residuals read the
+identity columns and the operator as ints over one common denominator M.
+None of it depends on the sign of kappa, so for a bundle context's own
+operator row and pure-kappa set it is built once per process and kept in
+the context: the dual rows once per hpn, shared by every operator, and the
+rest per (operator, hpn).  The kept dual rows keep the simplex start that
+phase 1 leaves for each sign as well, so a later bound on the same bundle,
+hpn and sign, under any operator, runs phase 2 alone.  Every other input is
+checked and built on each call.  The certificate holds Fractions, and
+BoundCertificate.verify checks it against those integer rows by
+cross-multiplication.  When the span admits no rewriting at all, the result
+is a NoCertificate instead.
 """
 
 from __future__ import annotations
@@ -42,7 +48,14 @@ from .identities import (
 )
 from .rationals import format_rational, scaled
 from .record import Record
-from .simplex import _ZERO, LPInfeasibleError, LPUnboundedError, simplex_maximize, solve_linear_system
+from .simplex import (
+    _ZERO,
+    LPInfeasibleError,
+    LPUnboundedError,
+    _KeptRows,
+    simplex_maximize,
+    solve_linear_system,
+)
 from .weights import BundleLabel, ParameterRangeError, SpnWeight, _check_ab, _check_rank
 
 __all__ = [
@@ -214,32 +227,46 @@ def _identity_ids(identities):
     return ids
 
 
-def _integer_problem(operator, identities):
-    """(rows, A, op, kappa, M, ids): the identity rows, their transpose A (one
-    row per target, each empty when there is no identity), the operator and
-    the kappa side of each identity for kappa > 0, as ints over one common
-    denominator M, and the identities' multiplier ids.  Every row is in
-    lowest terms, so M, the lcm of the row denominators, is the lcm of the
-    denominators of all the entries.  Raises MixedBundleError unless every
-    identity lives on the operator's bundle and targets, and ValueError for
-    one that is not pure kappa."""
+def _dual_problem(identities):
+    """(rows, kappa, Q): the identity rows and the kappa side of each for
+    kappa > 0, as ints over Q, the lcm of the identity denominators: the
+    constraint rows and the right-hand side of the dual LP, which no
+    operator changes."""
+    Q = lcm(*(ident.denominator for ident in identities))
+    scales = [Q // ident.denominator for ident in identities]
+    rows = [list(map(s.__mul__, i.values)) if s > 1 else i.values for s, i in zip(scales, identities)]
+    return rows, [s * ident.kappa for s, ident in zip(scales, identities)], Q
+
+
+def _integer_problem(operator, identities, dual=None):
+    """(dual, A, op, M, ids): the dual problem (_dual_problem of the
+    identities unless given), the transpose A of its rows (one row per
+    target, each empty when there is no identity) and the operator as ints
+    over one common denominator M, and the identities' multiplier ids.
+    Every row is in lowest terms, so M, the lcm of the row denominators, is
+    the lcm of the denominators of all the entries, and a multiple of Q.
+    Raises MixedBundleError unless every identity lives on the operator's
+    bundle and targets, and ValueError for one that is not pure kappa."""
     for ident in identities:
         if ident.bundle != operator.bundle or ident.targets != operator.targets:
             raise MixedBundleError("identities and operator must live on one bundle")
         if not ident.is_pure_kappa:
             raise ValueError(f"identity {ident.provenance} is not pure kappa")
-    M = lcm(operator.denominator, *(ident.denominator for ident in identities))
-    scales = [M // ident.denominator for ident in identities]
-    rows = [[s * v for v in i.values] if s > 1 else i.values for s, i in zip(scales, identities)]
-    A = list(map(list, zip(*rows))) if rows else [[] for _ in operator.values]
+    if dual is None:
+        dual = _dual_problem(identities)
+    rows, _, Q = dual
+    M = lcm(operator.denominator, Q)
+    f = M // Q
+    A = [list(map(f.__mul__, column)) for column in zip(*rows)] if rows else [[] for _ in operator.values]
     op = [M // operator.denominator * v for v in operator.values]
-    kappa = [s * ident.kappa for s, ident in zip(scales, identities)]
-    return rows, A, op, kappa, M, _identity_ids(identities)
+    return dual, A, op, M, _identity_ids(identities)
 
 
 def _bound_problem(operator, identities):
     """_integer_problem of the operator and the identities, kept in the
-    bundle's context when they are its own objects (see lp_max_bound)."""
+    bundle's context when they are its own objects (see lp_max_bound): per
+    (operator, hpn), over one dual problem per hpn whose rows keep the
+    simplex start of each right-hand side."""
     ctx = _kept_context(operator.bundle)
     hpn = None
     if ctx is not None and ctx.operator_rows.get(operator.name) is operator:
@@ -249,7 +276,11 @@ def _bound_problem(operator, identities):
     key = (operator.name, hpn)
     problem = ctx.bound_problems.get(key)
     if problem is None:
-        problem = ctx.bound_problems[key] = _integer_problem(operator, identities)
+        dual = ctx.bound_duals.get(hpn)
+        if dual is None:
+            rows, kappa, Q = _dual_problem(identities)
+            dual = ctx.bound_duals[hpn] = _KeptRows(rows), kappa, Q
+        problem = ctx.bound_problems[key] = _integer_problem(operator, identities, dual)
     return problem
 
 
@@ -312,17 +343,24 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     is an exact simplex with Bland's rule over the canonically ordered
     variables.
 
-    The integer problem (the rows over M, their transpose, op, the kappa
-    column for kappa > 0, M and the multiplier ids) is kept in the bundle's
-    context, built and checked once per (operator, hpn), when the inputs are
-    that context's own objects, as bound_for passes them: the operator is
-    its row of that name itself, and the identities are the members of its
+    The dual's constraint rows are the identity rows over Q, the lcm of the
+    identity denominators, and its right-hand side their kappa sides over Q,
+    negated for kappa < 0: the rows over M divided by the one positive
+    factor M / Q, which changes no Bland pivot and no y.  The integer
+    problem is kept in the bundle's context when the inputs are that
+    context's own objects, as bound_for passes them: the operator is its
+    row of that name itself, and the identities are the members of its
     pure-kappa set without or with hpn, in order, compared with is.  The
-    context is looked up on each call.  kappa < 0 negates the kappa column.
-    Any other input, equal copies included, is checked and built on this
-    call, and nothing is kept for it.  Raises MixedBundleError unless every
-    identity lives on the operator's bundle and targets, and ValueError for
-    one that is not pure kappa.
+    dual rows, kappa and Q are then built once per hpn and shared by every
+    operator; the transpose over M, op, M and the multiplier ids are built
+    and checked once per (operator, hpn).  The kept dual rows keep what
+    phase 1 leaves for each sign, so a later call on the same bundle, hpn
+    and sign runs phase 2 alone, pivot for pivot as a fresh call's phase 2;
+    the tie-break LPs and verify still run on every call.  The context is
+    looked up on each call.  Any other input, equal copies included, is
+    checked and built on this call, and nothing is kept for it.  Raises
+    MixedBundleError unless every identity lives on the operator's bundle
+    and targets, and ValueError for one that is not pure kappa.
 
     Returns a NoCertificate when no nonnegative rewriting exists: the dual
     LP is unbounded, or the dual and the primal are both infeasible.  Raises
@@ -331,7 +369,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     that differ, or a certificate that fails BoundCertificate.verify.
     """
     sign = _normalize_sign(kappa_sign)
-    rows, A, op, kappa, M, ids = _bound_problem(operator, identities)
+    (rows, kappa, Q), A, op, M, ids = _bound_problem(operator, identities)
     if sign < 0:
         kappa = [-v for v in kappa]
     m, t = len(identities), len(op)
@@ -369,7 +407,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     den, lams, residuals = res or _residuals(A, op, lambdas)
     residuals = [Fraction(r, M * den) if r else _ZERO for r in residuals]
     # the dual optimum is value / M, and the primal one gain / (M * den)
-    gain = sum(map(mul, lams, kappa))
+    gain = M // Q * sum(map(mul, lams, kappa))
     if gain * value.denominator != -value.numerator * den:
         raise InconsistencyError("primal and dual optima differ")
     cert = BoundCertificate(
@@ -391,8 +429,9 @@ def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = F
     The operator row, the identity set and the integer problem built from
     them do not depend on the sign, so all three come from the bundle's
     per-process context: both signs and every repeat of a bundle share them,
-    and every operator shares the identity set.  Each call still solves its
-    own LP and verifies its own certificate; no result is kept."""
+    and every operator shares the identity set and the dual rows.  Phase 1
+    of the dual LP runs once per bundle, hpn and sign; each call still runs
+    its own phase 2, tie-break and verify.  No result is kept."""
     operator = operator_coeffs(operator_name, bundle)
     return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn), kappa_sign)
 

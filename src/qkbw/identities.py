@@ -36,9 +36,11 @@ summand tables, and that context keeps the pure-kappa sets without and with
 hpn and each operator row once built; printed_identity, printed_identities
 and bounds.kernel_analysis read it too.  It also keeps the integer problem
 that bounds.lp_max_bound builds from one of its operator rows and one of its
-pure-kappa sets, per (operator name, hpn); lp_max_bound recognises those
-inputs by identity (_Context.kept_set) and looks the context up through
-_kept_context on each call, which builds nothing.  The memo is unbounded.
+pure-kappa sets, per (operator name, hpn), over the dual LP's rows, which
+every operator shares per hpn and which keep the LP's phase-1 start per sign;
+lp_max_bound recognises those inputs by identity (_Context.kept_set) and
+looks the context up through _kept_context on each call, which builds
+nothing.  The memo is unbounded.
 The theorem family and the two generating families build a context of their
 own, sized to their q, and keep nothing.
 """
@@ -241,8 +243,12 @@ class _Context:
     computed when first read; operator_rows holds each operator row once
     built, and bound_problems the integer bound problem that
     bounds.lp_max_bound builds from one of those rows and one pure-kappa
-    set, keyed by (operator name, hpn).  The context that _context keeps
-    lives as long as the process; one built for a family lives for the call.
+    set, keyed by (operator name, hpn).  bound_duals holds, per hpn, the
+    dual LP's rows and kappa side that every operator's problem shares: the
+    identities over the lcm of their denominators, the rows a
+    simplex._KeptRows that keeps the LP's phase-1 start for each sign.  The
+    context that _context keeps lives as long as the process; one built for
+    a family lives for the call.
     """
 
     def __init__(self, bundle: BundleLabel, q_max=4):
@@ -256,6 +262,7 @@ class _Context:
         self.q_max = q_max
         self.operator_rows = {}
         self.bound_problems = {}
+        self.bound_duals = {}
 
     @cached_property
     def pure_kappa(self):

@@ -35,6 +35,15 @@ pivot for pivot; the optimum, summed as x is built, is one Fraction: the
 basic integer costs times the final right-hand side over cost_scale * d.
 x holds a Fraction only for a nonzero basic value (one shared zero else).
 
+Phase 1 and the drive-out of the artificials read the constraint rows and
+the rhs, never the objective.  So rows handed in as a _KeptRows keep, per
+rhs, the start they leave: the tableau over the structural columns, its d
+and its basis, or the LPInfeasibleError phase 1 raised.  The first call with
+an rhs pivots as a plain call does; every later call with that rhs, under
+any objective of the rows' width, runs phase 2 alone, on a copy of the kept
+start, and so pivots as the phase 2 of a plain call.  Any other rows run
+both phases on every call.
+
 exact_rank and solve_linear_system share one forward elimination with the
 same kernel, _eliminate: each pivot runs on the rows not yet pivoted, so no
 row above a pivot is reduced.  The rank is the number of pivots; a
@@ -67,6 +76,19 @@ class LPUnboundedError(ArithmeticError):
 
 class LPInfeasibleError(ArithmeticError):
     """The LP constraint set is empty."""
+
+
+class _KeptRows(tuple):
+    """Constraint rows that keep, per right-hand side, what phase 1 leaves:
+    the start of _phase_one, or the LPInfeasibleError it raised.  starts is
+    keyed by the tuple of the rhs entries; simplex_maximize fills it, through
+    _kept_start, on the first call with that rhs and runs only phase 2, on a
+    copy, on every later one.  Equal to the plain tuple of its rows."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.starts = {}
+        return self
 
 
 def _rational(v):
@@ -145,7 +167,9 @@ def simplex_maximize(objective, constraints, rhs):
     rhs become the tableau through _integer_rows.  Returns
     ``(value, x)`` with x a list of Fractions.  Raises LPInfeasibleError or
     LPUnboundedError accordingly.  Deterministic: Bland's rule with the
-    given variable ordering.
+    given variable ordering.  Constraints given as a _KeptRows run phase 1
+    once per rhs (see the module docstring); the lengths, the objective and
+    the rhs are still checked on every call.
     """
     m = len(constraints)
     n = len(objective)
@@ -164,7 +188,27 @@ def simplex_maximize(objective, constraints, rhs):
 
     if any(len(row) != n for row in constraints):
         raise ValueError("constraint row length does not match objective")
-    # Phase 1: artificial basis, drive sum of artificials to zero.
+    if type(constraints) is _KeptRows:
+        rows, d, basis = _kept_start(constraints, rhs, n)
+    else:
+        rows, d, basis = _phase_one(constraints, rhs, n)
+    d = _bland_run(rows, d, basis, cost)
+
+    x, value = [_ZERO] * n, 0
+    for b, row in zip(basis, rows):
+        if row[-1]:
+            x[b] = Fraction(row[-1], d)
+            value += cost[b] * row[-1]
+    return Fraction(value, cost_scale * d), x
+
+
+def _phase_one(constraints, rhs, n):
+    """(rows, d, basis): the tableau rows / d over the n structural columns
+    and the rhs, with its basis, once phase 1 has driven the artificials to
+    zero and out of the basis (a row with no nonzero structural entry left
+    is dropped).  Raises LPInfeasibleError when phase 1 cannot drive them to
+    zero."""
+    m = len(constraints)
     rows = []
     unit = [0] * m
     for i, row in enumerate(_integer_rows([[*row, b] for row, b in zip(constraints, rhs)])):
@@ -191,16 +235,30 @@ def simplex_maximize(objective, constraints, rhs):
     for i in sorted(drop_rows, reverse=True):
         del rows[i]
         del basis[i]
-    rows = [row[:n] + row[-1:] for row in rows]
+    return [row[:n] + row[-1:] for row in rows], d, basis
 
-    d = _bland_run(rows, d, basis, cost)
 
-    x, value = [_ZERO] * n, 0
-    for b, row in zip(basis, rows):
-        if row[-1]:
-            x[b] = Fraction(row[-1], d)
-            value += cost[b] * row[-1]
-    return Fraction(value, cost_scale * d), x
+def _kept_start(constraints, rhs, n):
+    """_phase_one of the kept rows and the rhs, run on the first call with
+    that rhs and kept in constraints.starts under its entries, as is the
+    LPInfeasibleError it raised, which every later call raises again.
+    Returns a copy: _pivot replaces rows and never changes one, so phase 2
+    on the copy leaves the kept start as it was."""
+    key = tuple(rhs)
+    if not set(map(type, key)) <= {int}:
+        key = tuple(map(_rational, key))
+    start = constraints.starts.get(key)
+    if start is None:
+        try:
+            start = _phase_one(constraints, rhs, n)
+        except LPInfeasibleError as exc:
+            # a fresh error: the raised one's traceback holds the tableau
+            start = LPInfeasibleError(*exc.args)
+        constraints.starts[key] = start
+    if type(start) is LPInfeasibleError:
+        raise LPInfeasibleError(*start.args)
+    rows, d, basis = start
+    return list(rows), d, list(basis)
 
 
 def _integer_rows(rows):

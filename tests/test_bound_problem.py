@@ -1,17 +1,20 @@
-"""The integer bound problem that each bundle's context keeps per (operator, hpn).
+"""The integer bound problem that each bundle's context keeps per (operator, hpn),
+and the dual rows it shares per hpn, which keep the simplex start of each sign.
 
 lp_max_bound reads a kept problem only for the context's own operator row and
 the members of one of its built pure-kappa sets, in order; any other input is
-checked and built on each call.  Either way the LP, the certificate and its
-repr are the same.
+checked and built on each call.  Every operator of one hpn reads one dual
+problem, whose rows keep one phase-1 start per right-hand side, that is per
+sign of kappa.  Either way the LP, the certificate and its repr are the same.
 """
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qkbw import bounds, identities
+from qkbw import bounds, identities, simplex
 from qkbw.bounds import bound_for, lp_max_bound
 from qkbw.casimir import lambda_ab_bundle
 from qkbw.identities import (
@@ -48,9 +51,9 @@ def count_builds(monkeypatch):
     builds = [0]
     build = bounds._integer_problem
 
-    def spy(operator, rows):
+    def spy(operator, rows, dual=None):
         builds[0] += 1
-        return build(operator, rows)
+        return build(operator, rows, dual)
 
     monkeypatch.setattr(bounds, "_integer_problem", spy)
     return builds
@@ -83,8 +86,10 @@ def test_one_build_per_bundle_in_a_grid_pass_and_none_in_the_next(monkeypatch, f
         for n, k, a, b, sign, _ in GRID:
             bound_for("hodge_laplacian", lambda_ab_bundle(k, a, b, n), sign)
         assert builds == [259], passes
-    kept = [ctx.bound_problems for ctx in identities._contexts.values()]
+    contexts = identities._contexts.values()
+    kept = [ctx.bound_problems for ctx in contexts]
     assert len(kept) == 259 and all(list(problems) == [("hodge_laplacian", False)] for problems in kept)
+    assert all(ctx.bound_problems[("hodge_laplacian", False)][0] is ctx.bound_duals[False] for ctx in contexts)
 
 
 def test_inputs_that_are_not_the_contexts_own_build_their_own_problem(monkeypatch, fresh_memos):
@@ -151,3 +156,71 @@ def test_mixed_rows_and_curvature_still_raise(fresh_memos):
     with pytest.raises(ValueError, match="is not pure kappa"):
         lp_max_bound(operator, [curved, *rows[1:]], "+")
     assert list(identities._contexts[bundle].bound_problems) == [("hodge_laplacian", False)]
+
+
+def count_starts(monkeypatch):
+    """Count the phase-1 runs on kept rows; the returned list holds the count."""
+    starts = [0]
+    phase_one = simplex._phase_one
+
+    def spy(constraints, rhs, n):
+        starts[0] += type(constraints) is simplex._KeptRows
+        return phase_one(constraints, rhs, n)
+
+    monkeypatch.setattr(simplex, "_phase_one", spy)
+    return starts
+
+
+def kept_starts(ctx):
+    """{(hpn, rhs): start} over the context's dual rows."""
+    return {(hpn, rhs): start for hpn, dual in ctx.bound_duals.items() for rhs, start in dual[0].starts.items()}
+
+
+def test_operators_share_one_start_per_hpn_and_sign(monkeypatch, fresh_memos):
+    """hodge and connection on one bundle read one dual problem per hpn, and
+    its rows keep one start per sign; each certificate equals the one that a
+    fresh context gives."""
+    bundle = lambda_ab_bundle(2, 2, 1, 3)
+    names = ("hodge_laplacian", "connection_laplacian")
+    assert len(pure_kappa_identities(bundle)) < len(pure_kappa_identities(bundle, hpn=True))
+    starts = count_starts(monkeypatch)
+    warm = {}
+    for _ in range(2):
+        for sign in "+-":
+            for hpn in (False, True):
+                for name in names:
+                    warm[name, sign, hpn] = bound_for(name, bundle, sign, hpn=hpn)
+    assert starts == [4]
+    ctx = identities._contexts[bundle]
+    assert ctx.bound_duals.keys() == {False, True}
+    for hpn, (rows, kappa, _) in ctx.bound_duals.items():
+        assert type(rows) is simplex._KeptRows
+        assert rows.starts.keys() == {tuple(kappa), tuple(-v for v in kappa)}
+        assert all(ctx.bound_problems[name, hpn][0] is ctx.bound_duals[hpn] for name in names)
+    assert ctx.bound_duals[False][0] is not ctx.bound_duals[True][0]
+    for (name, sign, hpn), cert in warm.items():
+        with mock.patch.dict(identities._contexts, clear=True):
+            assert repr(bound_for(name, bundle, sign, hpn=hpn)) == repr(cert), (name, sign, hpn)
+
+
+def test_one_lp_general_pass_builds_224_starts_and_the_next_none(monkeypatch, fresh_memos):
+    """The 1,120 bounds of an lp-general pass (140 bundles, 2 operators, 2
+    signs, each case twice) run phase 1 once per bundle and sign: 224 starts,
+    as 28 of the bundles have no pure-kappa identity, so their LP has no row
+    and no phase 1.  The next pass runs none, and certifies as the first."""
+    bundles = pool_bundles()
+    cases = [
+        (name, bundle, sign)
+        for bundle in bundles
+        for name in ("hodge_laplacian", "connection_laplacian")
+        for sign in "+-"
+    ] * 2
+    starts = count_starts(monkeypatch)
+    first = [bound_for(*case) for case in cases]
+    assert starts == [224]
+    assert sum(not pure_kappa_identities(bundle) for bundle in bundles) == 28
+    kept = {bundle: kept_starts(ctx) for bundle, ctx in identities._contexts.items()}
+    assert sum(map(len, kept.values())) == 224
+    assert [bound_for(*case) for case in cases] == first
+    assert starts == [224]
+    assert all(kept_starts(identities._contexts[bundle]) == starts_of for bundle, starts_of in kept.items())

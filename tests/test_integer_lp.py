@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkbw.bounds
+import qkbw.identities
 import qkbw.simplex
 from qkbw.bounds import (
     BoundCertificate,
@@ -226,14 +227,18 @@ dominant_weights = st.integers(2, 6).flatmap(
 )
 @settings(max_examples=150, deadline=None)
 def test_real_bundles_match_fraction_oracle(rho, k, name, sign, hpn):
+    """Each example runs on fresh contexts, so that the dual LP's phase 1 runs
+    too: a context keeps the start it leaves per (hpn, sign), and a later
+    call logs only its phase-2 pivots."""
     bundle = BundleLabel(k, rho)
-    operator = operator_coeffs(name, bundle)
-    want_operator = oracle_operator(name, bundle)
-    for field in ("name", "bundle", "coeffs", "constant_kappa"):
-        assert getattr(operator, field) == getattr(want_operator, field)
-    assert all(type(c) is F for _, c in operator.coeffs)
-    identities = pure_kappa_identities(bundle, hpn=hpn)
-    assert_same_bound(operator, identities, sign, want_operator)
+    with mock.patch.dict(qkbw.identities._contexts, clear=True):
+        operator = operator_coeffs(name, bundle)
+        want_operator = oracle_operator(name, bundle)
+        for field in ("name", "bundle", "coeffs", "constant_kappa"):
+            assert getattr(operator, field) == getattr(want_operator, field)
+        assert all(type(c) is F for _, c in operator.coeffs)
+        identities = pure_kappa_identities(bundle, hpn=hpn)
+        assert_same_bound(operator, identities, sign, want_operator)
 
 
 @given(

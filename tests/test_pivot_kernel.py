@@ -321,6 +321,77 @@ def test_int_bound_lps_match_fraction_oracle(problem):
     assert kernel_simplex(*as_fractions) == (got, kernel_simplex(c, A, b)[1])
 
 
+def phase_one_pivots(constraints, rhs, n):
+    """The (row, column) pivots of phase 1 and the drive-out alone."""
+    log = []
+    real = qkbw.simplex._pivot
+
+    def spy(rows, d, r, c):
+        log.append((r, c))
+        return real(rows, d, r, c)
+
+    with mock.patch.object(qkbw.simplex, "_pivot", spy):
+        try:
+            qkbw.simplex._phase_one(constraints, rhs, n)
+        except LPInfeasibleError:
+            pass
+    return log
+
+
+def kept_starts(rows):
+    """A copy of each kept start's rows, d and basis, or its error."""
+    return {
+        rhs: start if isinstance(start, Exception) else ([list(row) for row in start[0]], *start[1:])
+        for rhs, start in rows.starts.items()
+    }
+
+
+@st.composite
+def kept_row_lps(draw):
+    """An LP of equality_lps or int_bound_lps, feasible, infeasible or
+    unbounded, with a second objective of the same length."""
+    c, A, b = draw(st.one_of(equality_lps(), int_bound_lps()))
+    return c, [draw(small_ints) for _ in c], A, b
+
+
+@given(kept_row_lps())
+@settings(max_examples=200, deadline=None)
+def test_kept_rows_keep_one_start_per_rhs(problem):
+    """The first call on kept rows is the plain call, pivot for pivot; a
+    second objective with the same rhs gives what a fresh plain call gives
+    and logs only its phase-2 pivots; another rhs, the other sign of a
+    nonzero one, runs phase 1 for a start of its own; and a third call
+    finds the first start as it was kept, and pivots as the second did."""
+    c, c2, A, b = problem
+    rows = qkbw.simplex._KeptRows(A)
+    assert rows == tuple(A)
+    assert_same_lp(c, rows, b)
+    assert list(rows.starts) == [tuple(b)]
+    kept = kept_starts(rows)
+    phase_one = phase_one_pivots(A, b, len(c))
+    fresh, fresh_log = kernel_simplex(c2, A, b)
+    assert fresh_log[: len(phase_one)] == phase_one
+    second = kernel_simplex(c2, rows, b)
+    assert second == (fresh, fresh_log[len(phase_one) :])
+    other = [-v for v in b] if any(b) else [1] * len(b)
+    assert_same_lp(c2, rows, other)
+    assert rows.starts.keys() == {tuple(b), tuple(other)}
+    assert kernel_simplex(c2, rows, b) == second
+    assert kept_starts(rows)[tuple(b)] == kept[tuple(b)]
+
+
+def test_kept_rows_check_every_call():
+    """A start kept for an rhs serves no rhs or objective that a plain call
+    rejects: a float rhs equal to the kept one, or another objective length."""
+    rows = qkbw.simplex._KeptRows([[F(1), F(2)]])
+    assert simplex_maximize([-1, -1], rows, [1]) == (F(-1, 2), [F(0), F(1, 2)])
+    with pytest.raises(TypeError):
+        simplex_maximize([-1, -1], rows, [1.0])
+    with pytest.raises(ValueError):
+        simplex_maximize([-1], rows, [1])
+    assert list(rows.starts) == [(1,)]
+
+
 def test_negative_drive_out_pivot():
     # Phase 1 enters x2 on row 2, which leaves the first artificial basic at
     # zero; driving it out pivots on the -1 in row 1, so the integer tableau
