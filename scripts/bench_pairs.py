@@ -10,15 +10,19 @@ Each side runs the recorded command, perfbench/run.py with --seconds 8 and
 first when i is even and the change first when i is odd.  --workload may be
 given more than once; the workloads run one after another, and each gets its
 own section under "workloads".  A workload written NAME:PAIRS runs PAIRS
-pairs; one written NAME alone runs --pairs pairs.  With --traced, one
---trace 1 run per side follows the pairs of each workload.  Every entry under
-"runs" and "traced" is the last line of run.py's standard output, parsed and
-otherwise unmodified.
+pairs; one written NAME alone runs --pairs pairs.  With --traced, three
+--trace 1 runs per side follow the pairs of each workload, in the same
+alternating order, as one traced run per side can move a layer's self_ms by
+10-20% from noise alone.  Every entry under "runs" and "traced" is the last
+line of run.py's standard output, parsed and otherwise unmodified.
 
 A section's "summary" block gives, for each end-to-end metric of
 BENCHMARK.json, the median and the quartiles of each side
 (statistics.quantiles with n=4, the default exclusive method), rounded to four
-decimals, and the number of pairs in which the change was better.  The file
+decimals, and the number of pairs in which the change was better.  With
+--traced, its "traced_summary" block gives, for each per-layer metric of
+BENCHMARK.json that every traced run reports, the median and the min-max of
+each side, rounded alike.  The file
 goes to the current directory, or to --out.  A run that reports "correct"
 false or failed cases stops the script with an error, and no file is written.
 (Files written before --workload could repeat hold one workload's command,
@@ -38,6 +42,7 @@ from pathlib import Path
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
 SECONDS = 8
+TRACED_RUNS = 3
 
 
 def run_command(workload, seed, trace):
@@ -119,6 +124,24 @@ def summarise(runs, end_to_end):
     return summary
 
 
+def traced_summary(traced, per_layer):
+    """Per metric of per_layer (BENCHMARK.json's list) that every traced run
+    reports: the median and the [min, max] of each side."""
+    summary = {}
+    for metric in per_layer:
+        name = metric["name"]
+        if not all(name in entry["result"]["metrics"] for entry in traced):
+            continue
+        row = {"unit": metric["unit"], "better": metric["better"]}
+        for side in SIDES:
+            values = [e["result"]["metrics"][name]["value"] for e in traced if e["side"] == side]
+            row[f"{side}_median"] = round(statistics.median(values), 4)
+            row[f"{side}_range"] = [round(min(values), 4), round(max(values), 4)]
+        row["runs"] = len(traced) // len(SIDES)
+        summary[name] = row
+    return summary
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -133,7 +156,7 @@ def main(argv=None):
     parser.add_argument("--claim", required=True)
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--machine", default=f"{platform.system()}, Python {platform.python_version()}")
-    parser.add_argument("--traced", action="store_true", help="add one --trace 1 run per side")
+    parser.add_argument("--traced", action="store_true", help=f"add {TRACED_RUNS} --trace 1 runs per side")
     parser.add_argument("--out", help="output file (default BENCH_<label>.json)")
     args = parser.parse_args(argv)
     try:
@@ -141,7 +164,8 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
     checkouts = {"parent": args.parent, "change": args.change}
-    end_to_end = json.loads(SPEC.read_text())["end_to_end"]
+    spec = json.loads(SPEC.read_text())
+    end_to_end = spec["end_to_end"]
 
     def run(side, command):
         result = run_side(checkouts[side], command)
@@ -154,8 +178,8 @@ def main(argv=None):
         "parent_commit": args.parent_commit,
         "method": (
             "each side runs from its own checkout; pairs alternate which side runs first"
-            " (even pairs parent first); every entry under runs and traced is the unmodified"
-            " last line of perfbench/run.py"
+            " (even pairs parent first), and traced runs alternate alike; every entry under runs"
+            " and traced is the unmodified last line of perfbench/run.py"
         ),
         "machine": args.machine,
         "workloads": {},
@@ -170,7 +194,9 @@ def main(argv=None):
         section["summary"] = summarise(runs, end_to_end)
         section["runs"] = runs
         if args.traced:
-            section["traced"] = [{"side": side, "result": run(side, traced_command)} for side in SIDES]
+            traced = collect(TRACED_RUNS, lambda side: run(side, traced_command))
+            section["traced_summary"] = traced_summary(traced, spec["per_layer"])
+            section["traced"] = traced
         record["workloads"][workload] = section
     out = Path(args.out or f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -15,26 +15,37 @@ from the tight targets.  When those do not fix them, an L1-smallest
 tie-break picks them in three steps: none without identities, the
 L1-smallest solution of the tight rows alone when it keeps every residual
 nonnegative, and the L1-smallest point of the whole optimal face otherwise
-(see lp_max_bound).  The dual LP's constraint rows and right-hand side are
-the identities alone, as ints over the lcm Q of their denominators; the
-operator is only its objective.  The tie-break and the residuals read the
-identity columns and the operator as ints over one common denominator M.
-None of it depends on the sign of kappa, so for a bundle context's own
-operator row and pure-kappa set it is built once per process and kept in
-the context: the dual rows once per hpn, shared by every operator, and the
-rest per (operator, hpn).  The kept dual rows keep the simplex start that
-phase 1 leaves for each sign as well, so a later bound on the same bundle,
-hpn and sign, under any operator, runs phase 2 alone.  Every other input is
-checked and built on each call.  The certificate holds Fractions, and
-BoundCertificate.verify checks it against those integer rows by
+(see lp_max_bound).  The certificate holds Fractions, and
+BoundCertificate.verify checks it against the integer rows by
 cross-multiplication.  When the span admits no rewriting at all, the result
 is a NoCertificate instead.
+
+What is kept.  The identities depend on the bundle (and hpn) alone, and the
+operator enters the LP only as the dual objective and the values the
+tie-break and the residuals read.  So the identity side of the LP,
+_identity_side, is everything the LP reads but the operator: the dual's
+constraint rows and kappa side (the right-hand side for kappa > 0) as ints
+over the lcm Q of the identity denominators, the transpose A of the rows
+over M = lcm(Q, 2n), M, and the multiplier ids.  Every built-in operator
+row is over 2n in lowest terms, so its denominator divides M and one A
+serves every operator; another operator scales A and M on its own call.
+When the identities equal one of the pure-kappa sets of the operator
+bundle's context, member by member in order (_Context.kept_set), and the
+operator lives on that context's targets, the side is built once per
+process and kept in the context, one per hpn (_Context.bound_sides); its
+dual rows are a simplex._KeptRows, which keeps the simplex start that
+phase 1 leaves for each sign, so a later bound on the same bundle, hpn and
+sign, under any operator, runs phase 2 alone.  The context is looked up on
+each call and never built here.  Every other input is checked and built on
+its call, and nothing is kept for it.  Nothing is kept per operator or per
+sign but that start, and no result is kept: each bound runs its own
+phase 2, tie-break and verify.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import index, mul
 
 from .identities import (
@@ -227,61 +238,42 @@ def _identity_ids(identities):
     return ids
 
 
-def _dual_problem(identities):
-    """(rows, kappa, Q): the identity rows and the kappa side of each for
-    kappa > 0, as ints over Q, the lcm of the identity denominators: the
-    constraint rows and the right-hand side of the dual LP, which no
-    operator changes."""
+def _identity_side(identities, n, t):
+    """(rows, kappa, Q, A, M, ids), the identity side of the bound LP (see the
+    module docstring) on a bundle of rank n with t targets: the identity rows
+    as a _KeptRows and the kappa side of each for kappa > 0, as ints over Q,
+    the lcm of the identity denominators; the transpose A of the rows over
+    M = lcm(Q, 2n), one row per target, each empty when there is no
+    identity; and the multiplier ids."""
     Q = lcm(*(ident.denominator for ident in identities))
     scales = [Q // ident.denominator for ident in identities]
     rows = [list(map(s.__mul__, i.values)) if s > 1 else i.values for s, i in zip(scales, identities)]
-    return rows, [s * ident.kappa for s, ident in zip(scales, identities)], Q
-
-
-def _integer_problem(operator, identities, dual=None):
-    """(dual, A, op, M, ids): the dual problem (_dual_problem of the
-    identities unless given), the transpose A of its rows (one row per
-    target, each empty when there is no identity) and the operator as ints
-    over one common denominator M, and the identities' multiplier ids.
-    Every row is in lowest terms, so M, the lcm of the row denominators, is
-    the lcm of the denominators of all the entries, and a multiple of Q.
-    Raises MixedBundleError unless every identity lives on the operator's
-    bundle and targets, and ValueError for one that is not pure kappa."""
-    for ident in identities:
-        if ident.bundle != operator.bundle or ident.targets != operator.targets:
-            raise MixedBundleError("identities and operator must live on one bundle")
-        if not ident.is_pure_kappa:
-            raise ValueError(f"identity {ident.provenance} is not pure kappa")
-    if dual is None:
-        dual = _dual_problem(identities)
-    rows, _, Q = dual
-    M = lcm(operator.denominator, Q)
+    M = lcm(Q, 2 * n)
     f = M // Q
-    A = [list(map(f.__mul__, column)) for column in zip(*rows)] if rows else [[] for _ in operator.values]
-    op = [M // operator.denominator * v for v in operator.values]
-    return dual, A, op, M, _identity_ids(identities)
+    A = [list(map(f.__mul__, column)) for column in zip(*rows)] if rows else [[] for _ in range(t)]
+    kappa = [s * ident.kappa for s, ident in zip(scales, identities)]
+    return _KeptRows(rows), kappa, Q, A, M, _identity_ids(identities)
 
 
-def _bound_problem(operator, identities):
-    """_integer_problem of the operator and the identities, kept in the
-    bundle's context when they are its own objects (see lp_max_bound): per
-    (operator, hpn), over one dual problem per hpn whose rows keep the
-    simplex start of each right-hand side."""
+def _bound_side(operator, identities):
+    """The identity side for lp_max_bound: the one kept in the operator
+    bundle's context for one of its pure-kappa sets, built there on the
+    first call, or one built on this call for any other input, which raises
+    MixedBundleError unless every identity lives on the operator's bundle
+    and targets, and ValueError for one that is not pure kappa."""
     ctx = _kept_context(operator.bundle)
-    hpn = None
-    if ctx is not None and ctx.operator_rows.get(operator.name) is operator:
-        hpn = ctx.kept_set(identities)
+    hpn = ctx.kept_set(identities) if ctx is not None and operator.targets == ctx.keys else None
     if hpn is None:
-        return _integer_problem(operator, identities)
-    key = (operator.name, hpn)
-    problem = ctx.bound_problems.get(key)
-    if problem is None:
-        dual = ctx.bound_duals.get(hpn)
-        if dual is None:
-            rows, kappa, Q = _dual_problem(identities)
-            dual = ctx.bound_duals[hpn] = _KeptRows(rows), kappa, Q
-        problem = ctx.bound_problems[key] = _integer_problem(operator, identities, dual)
-    return problem
+        for ident in identities:
+            if ident.bundle != operator.bundle or ident.targets != operator.targets:
+                raise MixedBundleError("identities and operator must live on one bundle")
+            if not ident.is_pure_kappa:
+                raise ValueError(f"identity {ident.provenance} is not pure kappa")
+        return _identity_side(identities, operator.bundle.n, len(operator.targets))
+    side = ctx.bound_sides.get(hpn)
+    if side is None:
+        side = ctx.bound_sides[hpn] = _identity_side(identities, ctx.n, len(ctx.keys))
+    return side
 
 
 def _split_rows(rows, slack_rows):
@@ -304,12 +296,14 @@ def _l1_smallest(m, rows, rhs, slack_rows):
     return [x[j] or -x[m + j] for j in range(m)]
 
 
-def _residuals(A, op, lambdas):
+def _residuals(A, s, values, lambdas):
     """(den, lams, r): lambdas as ints lams over den, and the residuals
-    op - A lambda as ints r over M * den."""
+    op - A lambda as ints r over M * den, with op = s * values the operator
+    over M."""
     den = lcm(*(v.denominator for v in lambdas))
     lams = scaled(lambdas, den)
-    return den, lams, [o * den - sum(map(mul, row, lams)) for o, row in zip(op, A)]
+    sd = s * den
+    return den, lams, [sd * v - sum(map(mul, row, lams)) for v, row in zip(values, A)]
 
 
 def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertificate | NoCertificate:
@@ -343,22 +337,11 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     is an exact simplex with Bland's rule over the canonically ordered
     variables.
 
-    The dual's constraint rows are the identity rows over Q, the lcm of the
-    identity denominators, and its right-hand side their kappa sides over Q,
-    negated for kappa < 0: the rows over M divided by the one positive
-    factor M / Q, which changes no Bland pivot and no y.  The integer
-    problem is kept in the bundle's context when the inputs are that
-    context's own objects, as bound_for passes them: the operator is its
-    row of that name itself, and the identities are the members of its
-    pure-kappa set without or with hpn, in order, compared with is.  The
-    dual rows, kappa and Q are then built once per hpn and shared by every
-    operator; the transpose over M, op, M and the multiplier ids are built
-    and checked once per (operator, hpn).  The kept dual rows keep what
-    phase 1 leaves for each sign, so a later call on the same bundle, hpn
-    and sign runs phase 2 alone, pivot for pivot as a fresh call's phase 2;
-    the tie-break LPs and verify still run on every call.  The context is
-    looked up on each call.  Any other input, equal copies included, is
-    checked and built on this call, and nothing is kept for it.  Raises
+    The dual reads the identity side of the module docstring, kept or built
+    for this call, with the kappa side negated for kappa < 0.  Its objective
+    is minus the operator's values over their own denominator D: a positive
+    factor on the objective changes no Bland pivot and no y.  op, the
+    operator over M, is formed only where a value is read.  Raises
     MixedBundleError unless every identity lives on the operator's bundle
     and targets, and ValueError for one that is not pure kappa.
 
@@ -369,20 +352,25 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     that differ, or a certificate that fails BoundCertificate.verify.
     """
     sign = _normalize_sign(kappa_sign)
-    (rows, kappa, Q), A, op, M, ids = _bound_problem(operator, identities)
+    rows, kappa, Q, A, M, ids = _bound_side(operator, identities)
+    values, D = operator.values, operator.denominator
+    if M % D:
+        f = D // gcd(M, D)
+        A, M = [list(map(f.__mul__, row)) for row in A], M * f
+    s = M // D
     if sign < 0:
         kappa = [-v for v in kappa]
-    m, t = len(identities), len(op)
+    m, t = len(identities), len(values)
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
     try:
-        value, y = simplex_maximize([-o for o in op], rows, kappa)
+        value, y = simplex_maximize([-v for v in values], rows, kappa)
     except LPUnboundedError:
         return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
     except LPInfeasibleError as dual_exc:
         # The primal is unbounded or infeasible; a feasibility LP tells which.
         try:
-            simplex_maximize([0] * (2 * m + t), _split_rows(A, range(t)), op)
+            simplex_maximize([0] * (2 * m + t), _split_rows(A, range(t)), [s * v for v in values])
         except LPInfeasibleError:
             return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
         # the kept error's context must not hold the solver's tableau
@@ -394,21 +382,22 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     lambdas, res = [], None
     if m:
         tight = [i for i in range(t) if y[i]]
-        A_T, op_T = [A[i] for i in tight], [op[i] for i in tight]
+        A_T, op_T = [A[i] for i in tight], [s * values[i] for i in tight]
         # fewer tight rows than identities cannot fix lambda: the solve would
         # return None, and it cannot raise, as the system is consistent
         lambdas = solve_linear_system(A_T, op_T)[0] if len(tight) >= m else None
         if lambdas is None:
             lambdas = _l1_smallest(m, A_T, op_T, ())
-            res = _residuals(A, op, lambdas)
+            res = _residuals(A, s, values, lambdas)
             if any(r < 0 for r in res[2]):
+                op = [s * v for v in values]
                 lambdas = _l1_smallest(m, A, op, [i for i in range(t) if not y[i]])
                 res = None
-    den, lams, residuals = res or _residuals(A, op, lambdas)
+    den, lams, residuals = res or _residuals(A, s, values, lambdas)
     residuals = [Fraction(r, M * den) if r else _ZERO for r in residuals]
-    # the dual optimum is value / M, and the primal one gain / (M * den)
+    # the dual optimum is value / D, and the primal one gain / (M * den)
     gain = M // Q * sum(map(mul, lams, kappa))
-    if gain * value.denominator != -value.numerator * den:
+    if gain * value.denominator != -value.numerator * den * s:
         raise InconsistencyError("primal and dual optima differ")
     cert = BoundCertificate(
         bundle=operator.bundle,
@@ -424,14 +413,9 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
 
 def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = False):
     """Rule-driven identity set, then lp_max_bound: a BoundCertificate, or a
-    NoCertificate when no rewriting exists over the identity span.
-
-    The operator row, the identity set and the integer problem built from
-    them do not depend on the sign, so all three come from the bundle's
-    per-process context: both signs and every repeat of a bundle share them,
-    and every operator shares the identity set and the dual rows.  Phase 1
-    of the dual LP runs once per bundle, hpn and sign; each call still runs
-    its own phase 2, tie-break and verify.  No result is kept."""
+    NoCertificate when no rewriting exists over the identity span.  The
+    operator row and the identity set are the bundle's kept ones, so the
+    LP reads the kept identity side (see the module docstring)."""
     operator = operator_coeffs(operator_name, bundle)
     return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn), kappa_sign)
 

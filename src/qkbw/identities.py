@@ -34,13 +34,9 @@ the sign of kappa enters only the bound LP's right-hand side.  So _contexts
 keeps one context per bundle per process, as casimir._tables keeps the
 summand tables, and that context keeps the pure-kappa sets without and with
 hpn and each operator row once built; printed_identity, printed_identities
-and bounds.kernel_analysis read it too.  It also keeps the integer problem
-that bounds.lp_max_bound builds from one of its operator rows and one of its
-pure-kappa sets, per (operator name, hpn), over the dual LP's rows, which
-every operator shares per hpn and which keep the LP's phase-1 start per sign;
-lp_max_bound recognises those inputs by identity (_Context.kept_set) and
-looks the context up through _kept_context on each call, which builds
-nothing.  The memo is unbounded.
+and bounds.kernel_analysis read it too.  It also keeps the bound LP's
+identity side, one per hpn, as the bounds module docstring states.  The memo
+is unbounded.
 The theorem family and the two generating families build a context of their
 own, sized to their q, and keep nothing.
 """
@@ -51,7 +47,7 @@ import enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import index, is_
+from operator import index
 
 from .casimir import closed_form_c2_lambda_ab, decompose_bundle
 from .rationals import csv_table, format_rational, scaled
@@ -241,14 +237,9 @@ class _Context:
     and T_q for q <= q_max (sliced from those the table's rows keep), the
     theorem family's alternating sums and the pure-kappa identity sets are
     computed when first read; operator_rows holds each operator row once
-    built, and bound_problems the integer bound problem that
-    bounds.lp_max_bound builds from one of those rows and one pure-kappa
-    set, keyed by (operator name, hpn).  bound_duals holds, per hpn, the
-    dual LP's rows and kappa side that every operator's problem shares: the
-    identities over the lcm of their denominators, the rows a
-    simplex._KeptRows that keeps the LP's phase-1 start for each sign.  The
-    context that _context keeps lives as long as the process; one built for
-    a family lives for the call.
+    built, and bound_sides the bound LP's identity side per hpn (see the
+    bounds module docstring).  The context that _context keeps lives as long
+    as the process; one built for a family lives for the call.
     """
 
     def __init__(self, bundle: BundleLabel, q_max=4):
@@ -261,8 +252,7 @@ class _Context:
         self.W = [W for _, _, _, W in valid]
         self.q_max = q_max
         self.operator_rows = {}
-        self.bound_problems = {}
-        self.bound_duals = {}
+        self.bound_sides = {}
 
     @cached_property
     def pure_kappa(self):
@@ -302,13 +292,14 @@ class _Context:
         return table
 
     def kept_set(self, identities):
-        """hpn when identities are the members of the built pure-kappa set
-        without or with hpn, in order, compared with is; else None.  Builds
-        no set."""
-        built = vars(self)
+        """hpn when identities equal the built pure-kappa set without or with
+        hpn, member by member in order (tuple ==, which short-cuts on
+        identical members), the set without hpn first, so where the two sets
+        are equal (on a (1_a) shape) it answers False; else None.  Builds no
+        set."""
+        built, identities = vars(self), tuple(identities)
         for hpn, name in ((False, "pure_kappa"), (True, "pure_kappa_hpn")):
-            kept = built.get(name)
-            if kept is not None and len(kept) == len(identities) and all(map(is_, kept, identities)):
+            if built.get(name) == identities:
                 return hpn
         return None
 

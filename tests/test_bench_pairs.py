@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: its summary of each committed BENCH file, the pair
-order, and its refusal of a run that reports wrong results."""
+order, the traced runs and their summary, and its refusal of a run that
+reports wrong results."""
 
 import importlib.util
 import json
@@ -20,13 +21,16 @@ def load_script():
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_summary_of_the_committed_runs_is_the_committed_summary(path):
-    """Each workload section, or the top level of a one-workload file."""
+    """Each workload section, or the top level of a one-workload file, and
+    the traced summary of a file that has one."""
     bench = json.loads(path.read_text())
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sections = list(bench["workloads"].values()) if "workloads" in bench else [bench]
     assert sections
     for section in sections:
-        assert load_script().summarise(section["runs"], end_to_end) == section["summary"]
+        assert load_script().summarise(section["runs"], spec["end_to_end"]) == section["summary"]
+        if "traced_summary" in section:
+            assert load_script().traced_summary(section["traced"], spec["per_layer"]) == section["traced_summary"]
 
 
 def test_pairs_alternate_and_keep_each_result_as_returned():
@@ -149,3 +153,45 @@ def test_a_workload_without_two_pairs_is_a_usage_error(workload, tmp_path, monke
                      "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_traced_runs_alternate_three_per_side_and_are_summarised(tmp_path, monkeypatch):
+    """--traced adds three --trace 1 runs per side after the pairs, in pair
+    order, and traced_summary gives each per-layer metric's median and
+    min-max per side; a metric that a traced run lacks is left out."""
+    script = load_script()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    layer = spec["per_layer"][0]["name"]
+    calls = []
+
+    def run_side(checkout, command):
+        trace = command[command.index("--trace") + 1]
+        calls.append((checkout, trace))
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        if trace == "1":
+            # parent runs read 10, 30, 20; change runs read 5, 6, 4
+            value = {"parent": [10, 30, 20], "change": [5, 6, 4]}[checkout]
+            metrics[layer] = {"value": value[sum(c == (checkout, "1") for c in calls) - 1]}
+            if len(calls) < 8:  # the first three traced runs alone report the last metric
+                metrics[spec["per_layer"][-1]["name"]] = {"value": 0}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(script, "run_side", run_side)
+    out = tmp_path / "BENCH_traced.json"
+    script.main(["--parent", "parent", "--change", "change", "--workload", "lp-grid", "--seed", "1",
+                 "--pairs", "2", "--label", "traced", "--claim", "none", "--parent-commit", "0",
+                 "--traced", "--out", str(out)])
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [(side, "0") for side in sides[:4]] + [(side, "1") for side in sides]
+    section = json.loads(out.read_text())["workloads"]["lp-grid"]
+    assert [(e["pair"], e["side"]) for e in section["traced"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change"),
+    ]
+    summary = section["traced_summary"]
+    assert summary == script.traced_summary(section["traced"], spec["per_layer"])
+    assert list(summary) == [layer]
+    assert summary[layer] == {
+        "unit": spec["per_layer"][0]["unit"], "better": spec["per_layer"][0]["better"],
+        "parent_median": 20, "parent_range": [10, 30],
+        "change_median": 5, "change_range": [4, 6], "runs": 3,
+    }
