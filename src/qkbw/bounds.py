@@ -39,7 +39,9 @@ sign, under any operator, runs phase 2 alone.  The context is looked up on
 each call and never built here.  Every other input is checked and built on
 its call, and nothing is kept for it.  Nothing is kept per operator or per
 sign but that start, and no result is kept: each bound runs its own
-phase 2, tie-break and verify.
+phase 2, tie-break and verify.  The tie-break LPs start from a basis their
+own rows hold, with no artificial or only a few, and keep the optimum that
+start reaches only when it is provably their only one (_l1_smallest).
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ from .simplex import (
     LPInfeasibleError,
     LPUnboundedError,
     _KeptRows,
+    _mirror_start,
+    _phase_one,
+    _unique_optimum,
     simplex_maximize,
     solve_linear_system,
 )
@@ -288,10 +293,25 @@ def _split_rows(rows, slack_rows):
 
 def _l1_smallest(m, rows, rhs, slack_rows):
     """The L1-smallest lambda with rows . lambda = rhs on the rows outside
-    slack_rows and <= rhs on those: exact simplex, Bland's rule."""
-    _, x = simplex_maximize(
-        [-1] * (2 * m) + [0] * len(slack_rows), _split_rows(rows, slack_rows), rhs
-    )
+    slack_rows and <= rhs on those: exact simplex, Bland's rule.
+
+    Phase 2 starts with no artificial where it can: with no slack row, from
+    simplex._mirror_start; else each slack row with rhs >= 0 starts on its
+    slack column, and phase 1 puts artificials on the other rows alone.  Its
+    optimum is kept when simplex._unique_optimum proves it the only one, as
+    it is then the one simplex_maximize's two-phase run returns; otherwise,
+    or when the rows are dependent and no start is built, that run decides.
+    An LP with no feasible lambda raises LPInfeasibleError either way."""
+    split = _split_rows(rows, slack_rows)
+    cost = [-1] * (2 * m) + [0] * len(slack_rows)
+    if slack_rows:
+        slack_columns = {s: 2 * m + j for j, s in enumerate(slack_rows)}
+        start = _phase_one(split, rhs, len(cost), slack_columns)
+    else:
+        start = _mirror_start(split, rhs, m)
+    x = _unique_optimum(start, cost) if start else None
+    if x is None:
+        _, x = simplex_maximize(cost, split, rhs)
     # columns j and m + j are opposite, so at most one of them is basic
     return [x[j] or -x[m + j] for j in range(m)]
 
@@ -327,15 +347,23 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     2. else the L1-smallest solution of A_T lambda = op_T alone, an LP with
        |T| rows and 2m columns, is taken if every residual op - A lambda is
        nonnegative.  It then lies on the optimal face and is L1-smallest on
-       a set that contains the face;
+       a set that contains the face.  Its start needs no phase 1: each
+       tight row in order pivots on its first nonzero lambda column, and a
+       row whose value comes out negative takes the mirror column -A_j;
     3. else (a slack residual went negative) the L1-smallest lambda on the
-       optimal face itself, an LP with one row per target.
+       optimal face itself, an LP with one row per target.  A slack row
+       with op_i >= 0 starts on its slack column, and phase 1 puts
+       artificials on the tight rows and the other slack rows alone.
 
     So the multipliers equal those the optimal-face LP of step 3 picks on
     its own wherever the L1-smallest point of the optimal face is unique;
     elsewhere they are still a deterministic L1-smallest choice.  Each LP
     is an exact simplex with Bland's rule over the canonically ordered
-    variables.
+    variables.  The optimum that Bland's phase 2 reaches from the start of
+    step 2 or 3 is kept only when every nonbasic reduced cost there is
+    negative: it is then the LP's only optimum, and so the vertex that
+    simplex_maximize's two-phase run returns.  Otherwise, and where no start
+    is built (dependent tight rows), that run decides.
 
     The dual reads the identity side of the module docstring, kept or built
     for this call, with the kappa side negated for kappa < 0.  Its objective

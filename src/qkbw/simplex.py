@@ -44,6 +44,14 @@ any objective of the rows' width, runs phase 2 alone, on a copy of the kept
 start, and so pivots as the phase 2 of a plain call.  Any other rows run
 both phases on every call.
 
+A caller that holds a feasible start of its own may skip phase 1, or give
+_phase_one the columns that can start some rows, so that only the other
+rows get an artificial; _mirror_start builds one for rows whose columns
+come in mirrored pairs.  _unique_optimum runs phase 2 from such a start and
+returns its optimum only when every nonbasic reduced cost there is
+negative: the optimum is then the LP's only one, and so the one that
+simplex_maximize returns from its own start.
+
 exact_rank and solve_linear_system share one forward elimination with the
 same kernel, _eliminate: each pivot runs on the rows not yet pivoted, so no
 row above a pivot is reduced.  The rank is the number of pivots; a
@@ -202,23 +210,38 @@ def simplex_maximize(objective, constraints, rhs):
     return Fraction(value, cost_scale * d), x
 
 
-def _phase_one(constraints, rhs, n):
+def _phase_one(constraints, rhs, n, starts=None):
     """(rows, d, basis): the tableau rows / d over the n structural columns
     and the rhs, with its basis, once phase 1 has driven the artificials to
     zero and out of the basis (a row with no nonzero structural entry left
     is dropped).  Raises LPInfeasibleError when phase 1 cannot drive them to
-    zero."""
+    zero.
+
+    starts maps a row index to a structural column that is zero on every
+    other row.  A row whose column is 1 in its integer row, with a rhs >= 0,
+    starts basic in that column; every other row gets an artificial, in row
+    order.  With no starts, every row gets one."""
     m = len(constraints)
-    rows = []
-    unit = [0] * m
-    for i, row in enumerate(_integer_rows([[*row, b] for row, b in zip(constraints, rhs)])):
-        if row[-1] < 0:
-            row = [-v for v in row]
-        unit[i] = 1
-        rows.append(row[:-1] + unit + row[-1:])
-        unit[i] = 0
-    basis = list(range(n, n + m))
-    d = _bland_run(rows, 1, basis, [0] * n + [-1] * m)
+    int_rows = _integer_rows([[*row, b] for row, b in zip(constraints, rhs)])
+    starts = starts or {}
+    basis = []
+    for i, row in enumerate(int_rows):
+        c = starts.get(i)
+        basis.append(c if c is not None and row[c] == 1 and row[-1] >= 0 else None)
+    k = basis.count(None)
+    rows, unit, a = [], [0] * k, 0
+    for i, row in enumerate(int_rows):
+        if basis[i] is None:
+            if row[-1] < 0:
+                row = [-v for v in row]
+            basis[i] = n + a
+            unit[a] = 1
+            rows.append(row[:-1] + unit + row[-1:])
+            unit[a] = 0
+            a += 1
+        else:
+            rows.append(row[:-1] + unit + row[-1:])
+    d = _bland_run(rows, 1, basis, [0] * n + [-1] * k)
     if any(b >= n and row[-1] for b, row in zip(basis, rows)):
         raise LPInfeasibleError("artificial variables cannot be driven to zero")
 
@@ -259,6 +282,52 @@ def _kept_start(constraints, rhs, n):
         raise LPInfeasibleError(*start.args)
     rows, d, basis = start
     return list(rows), d, list(basis)
+
+
+def _mirror_start(constraints, rhs, m):
+    """A feasible start (rows, d, basis) with no phase 1 for rows whose
+    column m + j is minus column j, for every j < m: each row in order
+    pivots on its first nonzero column below m, and then each row whose
+    basic value came out negative is negated and takes the mirror column
+    instead.  None when a row has no nonzero entry below m left: the rows
+    are dependent."""
+    rows = _integer_rows([[*row, b] for row, b in zip(constraints, rhs)])
+    d, basis = 1, []
+    for i in range(len(rows)):
+        row = rows[i]
+        c = next((j for j in range(m) if row[j]), None)
+        if c is None:
+            return None
+        d = _pivot(rows, d, i, c)
+        basis.append(c)
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            rows[i] = [-v for v in row]
+            basis[i] += m
+    return rows, d, basis
+
+
+def _unique_optimum(start, cost):
+    """x at the optimum that phase 2 reaches from the feasible start, a
+    (rows, d, basis) over the columns of cost, when every nonbasic reduced
+    cost there is negative; else None.  Such an optimum is the LP's only
+    one, so simplex_maximize returns the same x from its own start."""
+    rows, d, basis = start
+    d = _bland_run(rows, d, basis, cost)
+    basic = set(basis)
+    weighted = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
+    for j in range(len(cost)):
+        if j not in basic:
+            r = cost[j] * d
+            for cb, row in weighted:
+                r -= cb * row[j]
+            if r >= 0:
+                return None
+    x = [_ZERO] * len(cost)
+    for b, row in zip(basis, rows):
+        if row[-1]:
+            x[b] = Fraction(row[-1], d)
+    return x
 
 
 def _integer_rows(rows):

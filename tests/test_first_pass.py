@@ -1,6 +1,7 @@
 """scripts/first_pass.py: its summary, its refusal of failed cases and of
 digests that differ, and real child processes on a stand-in checkout, one of
-whose passes makes a full garbage collection."""
+whose passes makes a full garbage collection, and whose stand-in
+qkbw.simplex._pivot the counting child counts."""
 
 import importlib.util
 import statistics
@@ -35,9 +36,17 @@ def rounds(parent_first, change_first, digest="d"):
     return runs
 
 
+def counts(digest="d"):
+    """One counting run per side: the parent pivots 400 and 300 times, the change 350 and 300."""
+    return {
+        "parent": {"first_pivots": 400, "second_pivots": 300, "digest": digest},
+        "change": {"first_pivots": 350, "second_pivots": 300, "digest": "d"},
+    }
+
+
 def test_summary_gives_each_side_and_pass_its_median_and_quartiles():
     parent, change = [170.0, 172.0, 168.0, 175.0, 171.0], [164.0, 166.0, 169.0, 163.0, 165.0]
-    summary = load_script().summarise(rounds(parent, change))
+    summary = load_script().summarise(rounds(parent, change), counts())
     for side, values in (("parent", parent), ("change", change)):
         for name, scale in (("first_ms", 1), ("second_ms", 10)):
             xs = [v / scale for v in values]
@@ -51,6 +60,8 @@ def test_summary_gives_each_side_and_pass_its_median_and_quartiles():
     assert summary["change"]["gc2_medians"] == {
         "first_gc2": 0, "first_gc2_ms": 0, "second_gc2": 1, "second_gc2_ms": 1.0
     }
+    assert summary["parent"]["pivots"] == {"first_pivots": 400, "second_pivots": 300}
+    assert summary["change"]["pivots"] == {"first_pivots": 350, "second_pivots": 300}
     assert summary["change_faster_first"] == 4
     assert summary["rounds"] == 5
     assert summary["digest"] == "d"
@@ -60,12 +71,31 @@ def test_digests_that_differ_raise():
     runs = rounds([1.0, 2.0], [1.0, 2.0])
     runs[3]["result"] = dict(runs[3]["result"], digest="e")
     with pytest.raises(RuntimeError, match="digests differ"):
-        load_script().summarise(runs)
+        load_script().summarise(runs, counts())
+    # a counting run whose outcomes differ from the timed runs'
+    with pytest.raises(RuntimeError, match="digests differ"):
+        load_script().summarise(rounds([1.0, 2.0], [1.0, 2.0]), counts(digest="e"))
 
+
+# A stand-in qkbw.simplex: solve pivots n times on the first call with n.
+STAND_IN_SIMPLEX = """
+    SOLVED = set()
+
+    def _pivot(rows, d, r, c):
+        return d
+
+    def solve(n):
+        if n not in SOLVED:
+            SOLVED.add(n)
+            for _ in range(n):
+                _pivot(None, 1, 0, 0)
+"""
 
 STAND_IN = """
     import gc
     from dataclasses import dataclass
+
+    import qkbw.simplex
 
     COLLECTED = []
 
@@ -85,6 +115,7 @@ STAND_IN = """
             raise ValueError("three")
         if case == 4 and not COLLECTED:
             COLLECTED.append(gc.collect())  # one full collection, in the first pass
+        qkbw.simplex.solve(case)
         return case * case
 
     def check(case, raw):
@@ -98,7 +129,9 @@ STAND_IN = """
 def test_a_child_runs_two_passes_of_the_checkout_and_writes_no_bytecode(tmp_path, ok):
     """A stand-in checkout whose workload raises on one case: the child counts
     that case as failed in both passes, unless its check forgives it."""
-    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "qkbw").mkdir(parents=True)
+    (tmp_path / "src" / "qkbw" / "__init__.py").write_text("")
+    (tmp_path / "src" / "qkbw" / "simplex.py").write_text(textwrap.dedent(STAND_IN_SIMPLEX))
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "bench_workloads.py").write_text(textwrap.dedent(STAND_IN.format(ok=ok)))
     script = load_script()
@@ -114,4 +147,11 @@ def test_a_child_runs_two_passes_of_the_checkout_and_writes_no_bytecode(tmp_path
         times = ("first_ms", "second_ms", "first_gc2_ms")
         again = script.run_side(tmp_path, "squares", 5)
         assert result == dict(again, **{t: result[t] for t in times})
+        # the counting child: 1 + 2 + 4 pivots in the first pass (case 3
+        # raises first), none in the second, and the same outcomes
+        counted = script.run_side(tmp_path, "squares", 5, count_pivots=True)
+        assert (counted["first_pivots"], counted["second_pivots"]) == (7, 0)
+        assert set(counted) == set(result) | set(script.PIVOTS)
+        assert counted["digest"] == result["digest"]
     assert not (tmp_path / "perfbench" / "__pycache__").exists()
+    assert not (tmp_path / "src" / "qkbw" / "__pycache__").exists()

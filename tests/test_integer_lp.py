@@ -172,27 +172,47 @@ def oracle_lp_max_bound(operator, identities, kappa_sign, full_face=False):
 
 
 def outcome(solve):
-    """(("cert", json, exact values), ("no-certificate", result) or ("error", class,
-    message, cause class), pivots)."""
-    pivots = []
+    """(result, pivots, tie_breaks): result is ("cert", json, exact values),
+    ("no-certificate", result) or ("error", class, message, cause class);
+    pivots are the (row, column) pivots made outside the tie-break LPs, and
+    tie_breaks the (m, rows, slack rows, lambda) of each tie-break LP.  A
+    tie-break is compared by the lambda it returns, not by its pivots: the
+    integer code starts it where the oracle runs phase 1."""
+    pivots, tie_breaks, inside = [], [], []
     real = qkbw.simplex._pivot
 
     def spy(rows, d, r, c):
-        pivots.append((r, c))
+        if not inside:
+            pivots.append((r, c))
         return real(rows, d, r, c)
 
-    with mock.patch.object(qkbw.simplex, "_pivot", spy):
+    def tracked(l1_smallest):
+        def run(m, rows, rhs, slack_rows):
+            inside.append(True)
+            try:
+                lambdas = l1_smallest(m, rows, rhs, slack_rows)
+            finally:
+                inside.pop()
+            assert all(type(v) is F for v in lambdas)
+            tie_breaks.append((m, len(rows), len(slack_rows), lambdas))
+            return lambdas
+
+        return run
+
+    with mock.patch.object(qkbw.simplex, "_pivot", spy), mock.patch.object(
+        qkbw.bounds, "_l1_smallest", tracked(qkbw.bounds._l1_smallest)
+    ), mock.patch.dict(globals(), _oracle_l1_smallest=tracked(_oracle_l1_smallest)):
         try:
             cert = solve()
         except Exception as exc:
-            return ("error", type(exc), str(exc), type(exc.__cause__)), pivots
+            return ("error", type(exc), str(exc), type(exc.__cause__)), pivots, tie_breaks
     if cert.bound is None:
         assert type(cert) is NoCertificate
-        return ("no-certificate", cert), pivots
+        return ("no-certificate", cert), pivots, tie_breaks
     exact = (cert.bound, cert.multipliers, cert.residuals)
     assert all(type(v) is F for v in (cert.bound, *dict(cert.multipliers).values()))
     assert all(type(v) is F for _, v in cert.residuals)
-    return ("cert", cert.to_json_dict(), exact), pivots
+    return ("cert", cert.to_json_dict(), exact), pivots, tie_breaks
 
 
 def assert_same_bound(operator, identities, sign, oracle_operator_spec=None):
@@ -206,8 +226,8 @@ def assert_same_bound(operator, identities, sign, oracle_operator_spec=None):
 
 def assert_full_face_certificate(operator, identities, sign):
     """The certificate (or error) equals that of the full-face tie-break."""
-    got, _ = outcome(lambda: lp_max_bound(operator, identities, sign))
-    want, _ = outcome(lambda: oracle_lp_max_bound(operator, identities, sign, full_face=True))
+    got, *_ = outcome(lambda: lp_max_bound(operator, identities, sign))
+    want, *_ = outcome(lambda: oracle_lp_max_bound(operator, identities, sign, full_face=True))
     assert got == want
 
 
@@ -322,18 +342,63 @@ def test_synthetic_problems_keep_full_face_certificates(problem, sign):
     assert_full_face_certificate(*problem, sign)
 
 
+def test_a_tied_face_goes_to_the_two_phase_run():
+    """Operator (1, 0, 0, -1), identities i0 = (0, 0, 0, -1) and i1 = (1, 0, 0,
+    -1), every kappa 0: no target is tight, and the face LP's L1 optimum is
+    not unique, as lambda = (1, 0) and (0, 1) both have L1 norm 1.  Its start
+    without artificials ends at (1, 0) with a zero reduced cost, so the face
+    LP goes to simplex_maximize, which picks (0, 1), for either sign."""
+    keys = [(1, 1), (-1, 1), (1, 2), (-1, 2)]
+    operator = OperatorSpec("synthetic", BUNDLE, keys, [1, 0, 0, -1], 1)
+    identities = [
+        BWIdentity(BUNDLE, keys, values, 0, 1, (), name)
+        for name, values in (("i0", [0, 0, 0, -1]), ("i1", [1, 0, 0, -1]))
+    ]
+    real_unique, real_simplex = qkbw.bounds._unique_optimum, qkbw.bounds.simplex_maximize
+    for sign in (1, -1):
+        kept, runs = [], []
+
+        def unique(start, cost):
+            x = real_unique(start, cost)
+            kept.append(x is not None)
+            return x
+
+        def simplex(*args):
+            runs.append(len(args[1]))
+            return real_simplex(*args)
+
+        with mock.patch.object(qkbw.bounds, "_unique_optimum", unique), mock.patch.object(
+            qkbw.bounds, "simplex_maximize", simplex
+        ):
+            cert = lp_max_bound(operator, identities, sign)
+        assert (kept, runs) == ([True, False], [2, 4])  # the dual, then the face LP
+        assert cert.multipliers == (("i0", 0), ("i1", 1)) and cert.bound == 0
+        assert_same_bound(operator, identities, sign)
+        assert_full_face_certificate(operator, identities, sign)
+
+
 def tie_break_solutions(solve):
-    """(m, x) for every tie-break LP that solve() runs through _l1_smallest."""
+    """(m, x) for every tie-break LP that solve() runs through _l1_smallest: the
+    x that _unique_optimum keeps, or else the x of the simplex_maximize run."""
     seen = []
-    real_l1, real_simplex = qkbw.bounds._l1_smallest, qkbw.bounds.simplex_maximize
+    real_l1 = qkbw.bounds._l1_smallest
+    real_unique, real_simplex = qkbw.bounds._unique_optimum, qkbw.bounds.simplex_maximize
 
     def l1_smallest(m, rows, rhs, slack_rows):
+        def unique(start, cost):
+            x = real_unique(start, cost)
+            if x is not None:
+                seen.append((m, x))
+            return x
+
         def simplex(*args):
             value, x = real_simplex(*args)
             seen.append((m, x))
             return value, x
 
-        with mock.patch.object(qkbw.bounds, "simplex_maximize", simplex):
+        with mock.patch.object(qkbw.bounds, "_unique_optimum", unique), mock.patch.object(
+            qkbw.bounds, "simplex_maximize", simplex
+        ):
             return real_l1(m, rows, rhs, slack_rows)
 
     with mock.patch.object(qkbw.bounds, "_l1_smallest", l1_smallest):

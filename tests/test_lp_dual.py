@@ -258,37 +258,44 @@ def golden_certificate(bundle, operator, sign):
     return line
 
 
-# (k, a, b, n) of a Hodge bound with kappa +, and the simplex_maximize calls
-# it makes: the dual LP, then the tie-break steps of lp_max_bound.
+# (k, a, b, n) of a Hodge bound with kappa +, and the tie-break steps of
+# lp_max_bound it takes, one _l1_smallest call each.
 TIE_BREAK_PATHS = [
-    ((0, 0, 0, 2), 1),  # no pure-kappa identity: no face LP
-    ((0, 1, 0, 2), 2),  # the L1-smallest point on the tight rows is on the face
-    ((1, 1, 0, 2), 3),  # that point breaks a slack row: the full face LP runs
+    ((0, 0, 0, 2), 0),  # no pure-kappa identity: no tie-break LP
+    ((0, 1, 0, 2), 1),  # the L1-smallest point on the tight rows is on the face
+    ((1, 1, 0, 2), 2),  # that point breaks a slack row: the full face LP runs
 ]
 
 
-@pytest.mark.parametrize("label, calls", TIE_BREAK_PATHS, ids=["m0", "tight-rows", "full-face"])
-def test_tie_break_path(label, calls):
-    shapes = []  # (rows, columns) of each LP
-    real = qkbw.bounds.simplex_maximize
+@pytest.mark.parametrize("label, steps", TIE_BREAK_PATHS, ids=["m0", "tight-rows", "full-face"])
+def test_tie_break_path(label, steps):
+    lps, shapes = [], []  # (rows, columns) of each simplex_maximize LP and each tie-break LP
+    real_simplex, real_l1 = qkbw.bounds.simplex_maximize, qkbw.bounds._l1_smallest
 
-    def spy(*args):
-        shapes.append((len(args[1]), len(args[0])))
-        return real(*args)
+    def simplex_spy(*args):
+        lps.append((len(args[1]), len(args[0])))
+        return real_simplex(*args)
+
+    def l1_spy(m, rows, rhs, slack_rows):
+        shapes.append((len(rows), 2 * m + len(slack_rows)))
+        return real_l1(m, rows, rhs, slack_rows)
 
     bundle = lambda_ab_bundle(*label)
-    with mock.patch.object(qkbw.bounds, "simplex_maximize", spy):
+    with mock.patch.object(qkbw.bounds, "simplex_maximize", simplex_spy), mock.patch.object(
+        qkbw.bounds, "_l1_smallest", l1_spy
+    ):
         cert = bound_for("hodge_laplacian", bundle, "+")
-    assert len(shapes) == calls
+    assert len(shapes) == steps
     assert cert.to_json_dict() == golden_certificate(bundle, "hodge_laplacian", "+")
     m, t = len(cert.multipliers), len(cert.residuals)
-    assert shapes[0] == (m, t)  # the dual
-    if calls == 1:
+    # the dual alone: each tie-break LP here has a unique optimum, kept from its own start
+    assert lps == [(m, t)]
+    if steps == 0:
         assert m == 0
-    if calls >= 2:  # the tight rows only, in split multipliers
-        assert shapes[1][0] < t and shapes[1][1] == 2 * m
-    if calls == 3:  # every target row
-        assert shapes[2][0] == t
+    if steps >= 1:  # the tight rows only, in split multipliers
+        assert shapes[0][0] < t and shapes[0][1] == 2 * m
+    if steps == 2:  # every target row
+        assert shapes[1][0] == t
 
 
 def test_fewer_tight_rows_than_identities_skip_the_solve():

@@ -272,31 +272,33 @@ small_ints = st.one_of(st.just(0), st.integers(-6, 6))
 
 
 @st.composite
-def int_bound_lps(draw):
-    """All-int LPs of the two shapes the bound solves, where the solver takes
-    every entry as it is (cost_scale 1, rows unscaled).
-
-    The dual of lp_max_bound: max -op.y s.t. A^T y = kappa, y >= 0, one row
-    per identity (up to 8) and one column per target (up to 10).  The tie-break of
-    _l1_smallest: max -sum(lambda+ + lambda-) over the rows [A | -A | slack],
-    one row per target, with a slack column on some of them.  Identities
-    repeat, so the rank falls short; zeros are common, so ratios tie; half of
-    the right-hand sides are met by a drawn point, so the LP is feasible.
-    """
-    m = draw(st.integers(1, 6))
+def bound_identities(draw):
+    """Identity rows of the bound LP: up to 6 drawn over up to 10 targets, then
+    up to two copies of drawn ones, as they are, mirrored or doubled, so the
+    rank falls short; zeros are common, so ratios tie."""
     t = draw(st.integers(1, 10))
-    identities = [[draw(small_ints) for _ in range(t)] for _ in range(m)]
+    identities = [[draw(small_ints) for _ in range(t)] for _ in range(draw(st.integers(1, 6)))]
     for _ in range(draw(st.integers(0, 2))):
         source = draw(st.sampled_from(identities))
         identities.append([draw(st.sampled_from((1, -1, 2))) * v for v in source])
-    m = len(identities)
+    return identities
+
+
+def split_rows(A, slack):
+    """The rows [A | -A | slack] of the tie-break LP, a slack column on each row in slack."""
+    return [row + [-v for v in row] + [int(i == s) for s in slack] for i, row in enumerate(A)]
+
+
+@st.composite
+def l1_lps(draw):
+    """(m, A, op, slack): the tie-break LP of _l1_smallest over bound_identities,
+    A one row per target, with a slack column on the rows in slack.  Half of
+    the right-hand sides are met by a drawn lambda, with each slack row's
+    residual drawn >= 0, so the LP is feasible."""
+    identities = draw(bound_identities())
+    m, t = len(identities), len(identities[0])
     A = [[row[i] for row in identities] for i in range(t)]
     feasible = draw(st.booleans())
-    if draw(st.booleans()):
-        op = [draw(small_ints) for _ in range(t)]
-        y0 = [draw(st.integers(0, 3)) for _ in range(t)]
-        kappa = [sum(map(mul, row, y0)) if feasible else draw(small_ints) for row in identities]
-        return [-o for o in op], identities, kappa
     slack = sorted(draw(st.sets(st.integers(0, t - 1), max_size=6)))
     lam0 = [draw(small_ints) for _ in range(m)]
     op = [
@@ -305,8 +307,30 @@ def int_bound_lps(draw):
         else draw(small_ints)
         for i, row in enumerate(A)
     ]
-    rows = [row + [-v for v in row] + [int(i == s) for s in slack] for i, row in enumerate(A)]
-    return [-1] * (2 * m) + [0] * len(slack), rows, op
+    return m, A, op, slack
+
+
+@st.composite
+def int_bound_lps(draw):
+    """All-int LPs of the two shapes the bound solves, where the solver takes
+    every entry as it is (cost_scale 1, rows unscaled).
+
+    The dual of lp_max_bound: max -op.y s.t. A^T y = kappa, y >= 0, one row
+    per identity (up to 8) and one column per target (up to 10); half of its
+    kappa sides are met by a drawn y >= 0, so the LP is feasible.  The
+    tie-break of _l1_smallest: max -sum(lambda+ + lambda-) over the rows
+    [A | -A | slack] of l1_lps.
+    """
+    if draw(st.booleans()):
+        identities = draw(bound_identities())
+        t = len(identities[0])
+        feasible = draw(st.booleans())
+        op = [draw(small_ints) for _ in range(t)]
+        y0 = [draw(st.integers(0, 3)) for _ in range(t)]
+        kappa = [sum(map(mul, row, y0)) if feasible else draw(small_ints) for row in identities]
+        return [-o for o in op], identities, kappa
+    m, A, op, slack = draw(l1_lps())
+    return [-1] * (2 * m) + [0] * len(slack), split_rows(A, slack), op
 
 
 @given(int_bound_lps())
@@ -319,6 +343,45 @@ def test_int_bound_lps_match_fraction_oracle(problem):
     got = assert_same_lp(c, A, b)
     as_fractions = ([F(v) for v in c], [[F(v) for v in row] for row in A], [F(v) for v in b])
     assert kernel_simplex(*as_fractions) == (got, kernel_simplex(c, A, b)[1])
+
+
+def test_l1_smallest_keeps_only_a_unique_optimum():
+    """On every l1_lps draw, bounds._l1_smallest returns the lambda of
+    fraction_simplex's two-phase run, or raises as that run does.  Its start
+    without artificials ends at an optimum, and the optimum is kept only
+    when every nonbasic reduced cost there is negative, which makes it the
+    only one; any other draw goes to simplex_maximize.  Both ways are taken,
+    and the kept one on both shapes: with and without slack rows."""
+    taken = Counter()
+
+    @given(l1_lps())
+    @settings(max_examples=300, deadline=None)
+    def check(problem):
+        m, A, op, slack = problem
+        cost = [F(-1)] * (2 * m) + [F(0)] * len(slack)
+        split = [[F(v) for v in row] for row in split_rows(A, slack)]
+
+        def two_phase():
+            x = fraction_simplex(cost, split, [F(v) for v in op], [])[1]
+            return [x[j] - x[m + j] for j in range(m)]
+
+        fallbacks = []
+        real = qkbw.bounds.simplex_maximize
+
+        def spy(*args):
+            fallbacks.append(args)
+            return real(*args)
+
+        with mock.patch.object(qkbw.bounds, "simplex_maximize", spy):
+            got = outcome(lambda: qkbw.bounds._l1_smallest(m, A, op, slack))
+        assert got == outcome(two_phase)
+        if isinstance(got, list):
+            assert all(type(v) is F for v in got)
+        taken["fallback" if fallbacks else "kept", bool(slack)] += 1
+
+    check()
+    assert taken["kept", False] and taken["kept", True], taken
+    assert taken["fallback", False] + taken["fallback", True], taken
 
 
 def phase_one_pivots(constraints, rhs, n):
