@@ -296,11 +296,11 @@ def _l1_smallest(m, rows, rhs, slack_rows):
     slack_rows and <= rhs on those: exact simplex, Bland's rule.
 
     Phase 2 starts with no artificial where it can: with no slack row, from
-    simplex._mirror_start; else each slack row with rhs >= 0 starts on its
-    slack column, and phase 1 puts artificials on the other rows alone.  Its
-    optimum is kept when simplex._unique_optimum proves it the only one, as
-    it is then the one simplex_maximize's two-phase run returns; otherwise,
-    or when the rows are dependent and no start is built, that run decides.
+    simplex._mirror_start, which drops a dependent row; else each slack row
+    with rhs >= 0 starts on its slack column, and phase 1 puts artificials
+    on the other rows alone.  Its optimum is kept when
+    simplex._unique_optimum proves it the only one, as it is then the one
+    simplex_maximize's two-phase run returns; otherwise that run decides.
     An LP with no feasible lambda raises LPInfeasibleError either way."""
     split = _split_rows(rows, slack_rows)
     cost = [-1] * (2 * m) + [0] * len(slack_rows)
@@ -309,7 +309,7 @@ def _l1_smallest(m, rows, rhs, slack_rows):
         start = _phase_one(split, rhs, len(cost), slack_columns)
     else:
         start = _mirror_start(split, rhs, m)
-    x = _unique_optimum(start, cost) if start else None
+    x = _unique_optimum(start, cost)
     if x is None:
         _, x = simplex_maximize(cost, split, rhs)
     # columns j and m + j are opposite, so at most one of them is basic
@@ -348,8 +348,9 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
        |T| rows and 2m columns, is taken if every residual op - A lambda is
        nonnegative.  It then lies on the optimal face and is L1-smallest on
        a set that contains the face.  Its start needs no phase 1: each
-       tight row in order pivots on its first nonzero lambda column, and a
-       row whose value comes out negative takes the mirror column -A_j;
+       tight row in order pivots on its first nonzero lambda column, a row
+       with none left is dropped as dependent, and a row whose value comes
+       out negative takes the mirror column -A_j;
     3. else (a slack residual went negative) the L1-smallest lambda on the
        optimal face itself, an LP with one row per target.  A slack row
        with op_i >= 0 starts on its slack column, and phase 1 puts
@@ -362,8 +363,7 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     variables.  The optimum that Bland's phase 2 reaches from the start of
     step 2 or 3 is kept only when every nonbasic reduced cost there is
     negative: it is then the LP's only optimum, and so the vertex that
-    simplex_maximize's two-phase run returns.  Otherwise, and where no start
-    is built (dependent tight rows), that run decides.
+    simplex_maximize's two-phase run returns; otherwise that run decides.
 
     The dual reads the identity side of the module docstring, kept or built
     for this call, with the kappa side negated for kappa < 0.  Its objective

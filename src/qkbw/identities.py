@@ -334,10 +334,10 @@ def identity_bochner2(bundle: BundleLabel, q: int) -> BWIdentity:
     targets are absent), so that case is rejected.
     """
     q = index(q)
-    ctx = _Context(bundle, q_max=2 * q)
-    _require(_k_nonzero, ctx)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
+    ctx = _Context(bundle, q_max=2 * q)
+    _require(_k_nonzero, ctx)
     return _bochner2(ctx, q)
 
 

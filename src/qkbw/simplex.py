@@ -35,22 +35,27 @@ pivot for pivot; the optimum, summed as x is built, is one Fraction: the
 basic integer costs times the final right-hand side over cost_scale * d.
 x holds a Fraction only for a nonzero basic value (one shared zero else).
 
-Phase 1 and the drive-out of the artificials read the constraint rows and
-the rhs, never the objective.  So rows handed in as a _KeptRows keep, per
-rhs, the start they leave: the tableau over the structural columns, its d
-and its basis, or the LPInfeasibleError phase 1 raised.  The first call with
-an rhs pivots as a plain call does; every later call with that rhs, under
-any objective of the rows' width, runs phase 2 alone, on a copy of the kept
-start, and so pivots as the phase 2 of a plain call.  Any other rows run
+Phase 1 ends in _drive_in: each row whose artificial is still basic, at
+zero, pivots on its first nonzero structural entry, and a row with none is
+dropped.  Phase 1 and the drive-in read the constraint rows and the rhs,
+never the objective.  So rows handed in as a _KeptRows keep, per rhs, the
+feasible start they leave: the tableau over the structural columns, its d
+and its basis.  The first call with an rhs pivots as a plain call does;
+every later call with that rhs, under any objective of the rows' width,
+runs phase 2 alone, on a copy of the kept start, and so pivots as the
+phase 2 of a plain call.  An rhs whose phase 1 raises LPInfeasibleError
+keeps nothing and runs phase 1 again on every call.  Any other rows run
 both phases on every call.
 
 A caller that holds a feasible start of its own may skip phase 1, or give
 _phase_one the columns that can start some rows, so that only the other
-rows get an artificial; _mirror_start builds one for rows whose columns
-come in mirrored pairs.  _unique_optimum runs phase 2 from such a start and
-returns its optimum only when every nonbasic reduced cost there is
+rows get an artificial.  _mirror_start builds one for rows whose columns
+come in mirrored pairs, through the same _drive_in: a dependent row is
+dropped, and one that contradicts the others raises LPInfeasibleError.
+_unique_optimum runs phase 2 from such a start and returns its optimum only
+when _bland_run's last pricing pass found every nonbasic reduced cost
 negative: the optimum is then the LP's only one, and so the one that
-simplex_maximize returns from its own start.
+simplex_maximize returns from its own start.  Both read x through _vertex.
 
 exact_rank and solve_linear_system share one forward elimination with the
 same kernel, _eliminate: each pivot runs on the rows not yet pivoted, so no
@@ -87,11 +92,11 @@ class LPInfeasibleError(ArithmeticError):
 
 
 class _KeptRows(tuple):
-    """Constraint rows that keep, per right-hand side, what phase 1 leaves:
-    the start of _phase_one, or the LPInfeasibleError it raised.  starts is
-    keyed by the tuple of the rhs entries; simplex_maximize fills it, through
-    _kept_start, on the first call with that rhs and runs only phase 2, on a
-    copy, on every later one.  Equal to the plain tuple of its rows."""
+    """Constraint rows that keep, per right-hand side, the feasible start
+    _phase_one leaves.  starts is keyed by the tuple of the rhs entries;
+    simplex_maximize fills it, through _kept_start, on the first call with
+    that rhs and runs only phase 2, on a copy, on every later one.  An
+    infeasible rhs is never kept.  Equal to the plain tuple of its rows."""
 
     def __new__(cls, rows):
         self = super().__new__(cls, rows)
@@ -132,13 +137,15 @@ def _bland_run(rows, d, basis, cost):
     Rows are [coefficients..., rhs] with rhs >= 0 maintained.  Pricing walks
     the nonbasic columns in index order in one plain loop and stops at the
     first positive reduced cost, so no objective row is carried.  Returns
-    the final d when no reduced cost is positive; raises LPUnboundedError if
-    an improving column has no positive entry.
+    (d, strict) when no reduced cost is positive: the final d, and whether
+    every nonbasic reduced cost is negative, read off the last pricing pass.
+    Raises LPUnboundedError if an improving column has no positive entry.
     """
     ncols = len(cost)
     while True:
         basic = set(basis)
         weighted = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
+        strict = True
         # d times the reduced cost r_j = c_j - c_B . column_j.
         for entering in range(ncols):
             if entering in basic:
@@ -146,10 +153,12 @@ def _bland_run(rows, d, basis, cost):
             r = cost[entering] * d
             for cb, row in weighted:
                 r -= cb * row[entering]
-            if r > 0:
-                break
+            if r >= 0:
+                if r:
+                    break
+                strict = False
         else:
-            return d
+            return d, strict
         leaving = -1
         for i, row in enumerate(rows):
             e = row[entering]
@@ -200,28 +209,35 @@ def simplex_maximize(objective, constraints, rhs):
         rows, d, basis = _kept_start(constraints, rhs, n)
     else:
         rows, d, basis = _phase_one(constraints, rhs, n)
-    d = _bland_run(rows, d, basis, cost)
+    d = _bland_run(rows, d, basis, cost)[0]
+    x, value = _vertex(rows, d, basis, cost)
+    return Fraction(value, cost_scale * d), x
 
-    x, value = [_ZERO] * n, 0
+
+def _vertex(rows, d, basis, cost):
+    """(x, value) at the basis of the tableau rows / d: x a Fraction only for
+    a nonzero basic value (one shared zero else), and value the sum of the
+    basic integer costs times the final right-hand side."""
+    x, value = [_ZERO] * len(cost), 0
     for b, row in zip(basis, rows):
         if row[-1]:
             x[b] = Fraction(row[-1], d)
             value += cost[b] * row[-1]
-    return Fraction(value, cost_scale * d), x
+    return x, value
 
 
 def _phase_one(constraints, rhs, n, starts=None):
     """(rows, d, basis): the tableau rows / d over the n structural columns
     and the rhs, with its basis, once phase 1 has driven the artificials to
-    zero and out of the basis (a row with no nonzero structural entry left
-    is dropped).  Raises LPInfeasibleError when phase 1 cannot drive them to
+    zero and _drive_in has put a structural column in the place of each
+    artificial still basic (a row with no nonzero structural entry left is
+    dropped).  Raises LPInfeasibleError when phase 1 cannot drive them to
     zero.
 
     starts maps a row index to a structural column that is zero on every
     other row.  A row whose column is 1 in its integer row, with a rhs >= 0,
     starts basic in that column; every other row gets an artificial, in row
     order.  With no starts, every row gets one."""
-    m = len(constraints)
     int_rows = _integer_rows([[*row, b] for row, b in zip(constraints, rhs)])
     starts = starts or {}
     basis = []
@@ -241,65 +257,56 @@ def _phase_one(constraints, rhs, n, starts=None):
             a += 1
         else:
             rows.append(row[:-1] + unit + row[-1:])
-    d = _bland_run(rows, 1, basis, [0] * n + [-1] * k)
+    d = _bland_run(rows, 1, basis, [0] * n + [-1] * k)[0]
     if any(b >= n and row[-1] for b, row in zip(basis, rows)):
         raise LPInfeasibleError("artificial variables cannot be driven to zero")
+    return _drive_in([row[:n] + row[-1:] for row in rows], d, basis, n)
 
-    # Remove artificials from the basis (pivot out, or drop redundant rows).
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if rows[i][j]), None)
-            if pivot_col is None:
-                drop_rows.append(i)
-            else:
-                d = _pivot(rows, d, i, pivot_col)
-                basis[i] = pivot_col
-    for i in sorted(drop_rows, reverse=True):
-        del rows[i]
-        del basis[i]
-    return [row[:n] + row[-1:] for row in rows], d, basis
+
+def _drive_in(rows, d, basis, n):
+    """(rows, d, basis) once every row whose basis entry is n or more, not a
+    column below n, has pivoted on its first nonzero entry below n, in row
+    order.  A row with no such entry is dropped when its rhs is zero, and
+    raises LPInfeasibleError when it is not.  Pivots on other rows only
+    scale such a row, so it stays as it was found.  Updates rows and basis
+    in place and returns the kept ones."""
+    for i, b in enumerate(basis):
+        if b >= n:
+            c = next((j for j in range(n) if rows[i][j]), None)
+            if c is not None:
+                d = _pivot(rows, d, i, c)
+                basis[i] = c
+            elif rows[i][-1]:
+                raise LPInfeasibleError("a row with no nonzero coefficient has a nonzero rhs")
+    kept = [i for i, b in enumerate(basis) if b < n]
+    return [rows[i] for i in kept], d, [basis[i] for i in kept]
 
 
 def _kept_start(constraints, rhs, n):
     """_phase_one of the kept rows and the rhs, run on the first call with
-    that rhs and kept in constraints.starts under its entries, as is the
-    LPInfeasibleError it raised, which every later call raises again.
-    Returns a copy: _pivot replaces rows and never changes one, so phase 2
-    on the copy leaves the kept start as it was."""
+    that rhs and kept in constraints.starts under its entries when it
+    returns; an rhs whose phase 1 raises keeps nothing and runs it again on
+    every call.  Returns a copy: _pivot replaces rows and never changes one,
+    so phase 2 on the copy leaves the kept start as it was."""
     key = tuple(rhs)
     if not set(map(type, key)) <= {int}:
         key = tuple(map(_rational, key))
     start = constraints.starts.get(key)
     if start is None:
-        try:
-            start = _phase_one(constraints, rhs, n)
-        except LPInfeasibleError as exc:
-            # a fresh error: the raised one's traceback holds the tableau
-            start = LPInfeasibleError(*exc.args)
-        constraints.starts[key] = start
-    if type(start) is LPInfeasibleError:
-        raise LPInfeasibleError(*start.args)
+        start = constraints.starts[key] = _phase_one(constraints, rhs, n)
     rows, d, basis = start
     return list(rows), d, list(basis)
 
 
 def _mirror_start(constraints, rhs, m):
     """A feasible start (rows, d, basis) with no phase 1 for rows whose
-    column m + j is minus column j, for every j < m: each row in order
-    pivots on its first nonzero column below m, and then each row whose
-    basic value came out negative is negated and takes the mirror column
-    instead.  None when a row has no nonzero entry below m left: the rows
-    are dependent."""
+    column m + j is minus column j, for every j < m: _drive_in pivots each
+    row in order on its first nonzero column below m, and then each row
+    whose basic value came out negative is negated and takes the mirror
+    column instead.  _drive_in drops a dependent row, or raises
+    LPInfeasibleError for one that contradicts the others."""
     rows = _integer_rows([[*row, b] for row, b in zip(constraints, rhs)])
-    d, basis = 1, []
-    for i in range(len(rows)):
-        row = rows[i]
-        c = next((j for j in range(m) if row[j]), None)
-        if c is None:
-            return None
-        d = _pivot(rows, d, i, c)
-        basis.append(c)
+    rows, d, basis = _drive_in(rows, 1, [m] * len(rows), m)
     for i, row in enumerate(rows):
         if row[-1] < 0:
             rows[i] = [-v for v in row]
@@ -313,21 +320,8 @@ def _unique_optimum(start, cost):
     cost there is negative; else None.  Such an optimum is the LP's only
     one, so simplex_maximize returns the same x from its own start."""
     rows, d, basis = start
-    d = _bland_run(rows, d, basis, cost)
-    basic = set(basis)
-    weighted = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
-    for j in range(len(cost)):
-        if j not in basic:
-            r = cost[j] * d
-            for cb, row in weighted:
-                r -= cb * row[j]
-            if r >= 0:
-                return None
-    x = [_ZERO] * len(cost)
-    for b, row in zip(basis, rows):
-        if row[-1]:
-            x[b] = Fraction(row[-1], d)
-    return x
+    d, strict = _bland_run(rows, d, basis, cost)
+    return _vertex(rows, d, basis, cost)[0] if strict else None
 
 
 def _integer_rows(rows):

@@ -107,6 +107,13 @@ class TestFamilies:
             with pytest.raises(InapplicableIdentityError):
                 printed_identity(BundleLabel(0, w(1, 0)), id)
 
+    def test_bochner2_checks_q_before_the_bundle(self):
+        # as identity_bochner1 does: a negative q is the error on any bundle,
+        # the k = 0 one included
+        for k, rho in ((0, w(1, 1)), (1, w(1, 0))):
+            with pytest.raises(ValueError, match="q must be nonnegative, got -1"):
+                identity_bochner2(BundleLabel(k, rho), -1)
+
     def test_bochner1_q1_scales_first_moment(self):
         bundle = lambda_ab_bundle(1, 1, 0, 2)
         raw = identity_bochner1(bundle, 1)

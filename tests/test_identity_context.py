@@ -188,10 +188,10 @@ def oracle_bochner1(bundle, q, table):
 
 
 def oracle_bochner2(bundle, q, table):
-    if bundle.k == 0:
-        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
+    if bundle.k == 0:
+        raise InapplicableIdentityError("family is vacuous on k = 0 bundles")
     n, k = bundle.n, bundle.k
     ch = [casimir_hat(bundle.rho, p) for p in range(2 * q + 1)]
 

@@ -48,10 +48,13 @@ def _fraction_pivot(tableau, basis, row, col, log):
 
 
 def _fraction_bland_run(tableau, basis, cost, log):
+    """Bland's rule on the Fraction tableau; at the optimum, returns whether
+    some nonbasic reduced cost there is 0."""
     ncols = len(cost)
     while True:
         basic_cost = [cost[b] for b in basis]
         entering = -1
+        reduced = []
         for j in range(ncols):
             if j in basis:
                 continue
@@ -59,8 +62,9 @@ def _fraction_bland_run(tableau, basis, cost, log):
             if rj > 0:
                 entering = j
                 break
+            reduced.append(rj)
         if entering < 0:
-            return
+            return 0 in reduced
         leaving = -1
         best_ratio = None
         for i, r in enumerate(tableau):
@@ -78,8 +82,10 @@ def _fraction_bland_run(tableau, basis, cost, log):
         _fraction_pivot(tableau, basis, leaving, entering, log)
 
 
-def fraction_simplex(objective, constraints, rhs, log):
-    """The two-phase Bland-rule simplex on a Fraction tableau; pivots go to log."""
+def fraction_simplex(objective, constraints, rhs, log, ties=None):
+    """The two-phase Bland-rule simplex on a Fraction tableau; pivots go to log,
+    and to ties, when given, whether phase 2 ends with a nonbasic reduced
+    cost of 0."""
     m = len(constraints)
     n = len(objective)
     objective = [Fraction(c) for c in objective]
@@ -117,7 +123,9 @@ def fraction_simplex(objective, constraints, rhs, log):
         del tableau[i]
         del basis[i]
     tableau = [row[:n] + [row[-1]] for row in tableau]
-    _fraction_bland_run(tableau, basis, objective, log)
+    tied = _fraction_bland_run(tableau, basis, objective, log)
+    if ties is not None:
+        ties.append(tied)
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         x[b] = tableau[i][-1]
@@ -187,14 +195,25 @@ def kernel_simplex(objective, constraints, rhs):
 
 
 def assert_same_lp(objective, constraints, rhs):
-    log = []
-    expected = outcome(lambda: fraction_simplex(objective, constraints, rhs, log))
-    got, pivots = kernel_simplex(objective, constraints, rhs)
+    """simplex_maximize ends and pivots as fraction_simplex does; at an
+    optimum, the strict flag of its last _bland_run, phase 2's, holds
+    exactly when no nonbasic reduced cost at the oracle's optimum is 0."""
+    log, ties, runs = [], [], []
+    expected = outcome(lambda: fraction_simplex(objective, constraints, rhs, log, ties))
+    real = qkbw.simplex._bland_run
+
+    def spy(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    with mock.patch.object(qkbw.simplex, "_bland_run", spy):
+        got, pivots = kernel_simplex(objective, constraints, rhs)
     assert got == expected
     assert pivots == log
     if isinstance(got, tuple):
         assert type(got[0]) is type(expected[0])
         assert all(type(v) is Fraction for v in got[1])
+        assert runs[-1][1] == (not ties[-1])
     return got
 
 
@@ -384,8 +403,43 @@ def test_l1_smallest_keeps_only_a_unique_optimum():
     assert taken["fallback", False] + taken["fallback", True], taken
 
 
+# (A, op, kept): tight rows A of the tie-break with a dependent row, and the
+# number of rows _mirror_start keeps, or None where a row contradicts the rest.
+DEPENDENT_TIGHT_ROWS = {
+    "repeated": ([[1, -1], [2, -2]], [3, 6], 1),
+    "sum-of-two": ([[1, 2], [0, 1], [1, 3]], [-2, 1, -1], 2),
+    "zero-row": ([[1, 2], [0, 0], [0, 1]], [1, 0, 1], 2),
+    "zero-row-nonzero-rhs": ([[1, 2], [0, 0]], [1, 5], None),
+    "repeated-other-rhs": ([[1, 2], [2, 4]], [1, 3], None),
+}
+
+
+@pytest.mark.parametrize("A, op, kept", DEPENDENT_TIGHT_ROWS.values(), ids=DEPENDENT_TIGHT_ROWS)
+def test_mirror_start_drops_a_dependent_row(A, op, kept):
+    """_mirror_start's drive-in drops a tight row that other rows repeat and
+    raises LPInfeasibleError for a row that comes out zero with a nonzero
+    rhs; _l1_smallest on such rows returns the lambda of simplex_maximize's
+    two-phase run, or raises as that run does."""
+    m = len(A[0])
+    split, cost = split_rows(A, ()), [-1] * (2 * m)
+    start = outcome(lambda: qkbw.simplex._mirror_start(split, op, m))
+    if kept is None:
+        assert start is LPInfeasibleError
+    else:
+        rows, d, basis = start
+        assert len(rows) == len(basis) == kept
+        assert all(row[-1] >= 0 for row in rows)
+
+    def two_phase():
+        x = simplex_maximize(cost, split, op)[1]
+        return [x[j] - x[m + j] for j in range(m)]
+
+    assert outcome(lambda: qkbw.bounds._l1_smallest(m, A, op, ())) == outcome(two_phase)
+
+
 def phase_one_pivots(constraints, rhs, n):
-    """The (row, column) pivots of phase 1 and the drive-out alone."""
+    """(pivots, feasible): the (row, column) pivots of phase 1 and the
+    drive-in alone, and whether phase 1 returned a start."""
     log = []
     real = qkbw.simplex._pivot
 
@@ -397,16 +451,13 @@ def phase_one_pivots(constraints, rhs, n):
         try:
             qkbw.simplex._phase_one(constraints, rhs, n)
         except LPInfeasibleError:
-            pass
-    return log
+            return log, False
+    return log, True
 
 
 def kept_starts(rows):
-    """A copy of each kept start's rows, d and basis, or its error."""
-    return {
-        rhs: start if isinstance(start, Exception) else ([list(row) for row in start[0]], *start[1:])
-        for rhs, start in rows.starts.items()
-    }
+    """A copy of each kept start's rows, d and basis."""
+    return {rhs: ([list(row) for row in kept], d, list(basis)) for rhs, (kept, d, basis) in rows.starts.items()}
 
 
 @st.composite
@@ -424,23 +475,26 @@ def test_kept_rows_keep_one_start_per_rhs(problem):
     second objective with the same rhs gives what a fresh plain call gives
     and logs only its phase-2 pivots; another rhs, the other sign of a
     nonzero one, runs phase 1 for a start of its own; and a third call
-    finds the first start as it was kept, and pivots as the second did."""
+    finds the first start as it was kept, and pivots as the second did.  An
+    rhs whose phase 1 raises LPInfeasibleError keeps nothing, so every call
+    with it runs phase 1 again and logs the pivots of a plain call."""
     c, c2, A, b = problem
     rows = qkbw.simplex._KeptRows(A)
     assert rows == tuple(A)
     assert_same_lp(c, rows, b)
-    assert list(rows.starts) == [tuple(b)]
+    phase_one, feasible = phase_one_pivots(A, b, len(c))
+    assert list(rows.starts) == [tuple(b)] * feasible
     kept = kept_starts(rows)
-    phase_one = phase_one_pivots(A, b, len(c))
     fresh, fresh_log = kernel_simplex(c2, A, b)
     assert fresh_log[: len(phase_one)] == phase_one
     second = kernel_simplex(c2, rows, b)
-    assert second == (fresh, fresh_log[len(phase_one) :])
+    assert second == (fresh, fresh_log[len(phase_one) * feasible :])
     other = [-v for v in b] if any(b) else [1] * len(b)
     assert_same_lp(c2, rows, other)
-    assert rows.starts.keys() == {tuple(b), tuple(other)}
+    other_feasible = phase_one_pivots(A, other, len(c))[1]
+    assert rows.starts.keys() == {key for key, ok in ((tuple(b), feasible), (tuple(other), other_feasible)) if ok}
     assert kernel_simplex(c2, rows, b) == second
-    assert kept_starts(rows)[tuple(b)] == kept[tuple(b)]
+    assert kept_starts(rows).get(tuple(b)) == kept.get(tuple(b))
 
 
 def test_kept_rows_check_every_call():

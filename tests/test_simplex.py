@@ -2,7 +2,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkbw.simplex import (
@@ -91,27 +91,43 @@ def inequality_lp(draw):
     return A, b, c
 
 
+# Boxing every variable to [0, U] keeps a bounded LP's optimum when U is at
+# least every vertex coordinate: |det| <= 8^3 * 12 = 6144 by Hadamard, as the
+# columns of A have norm <= 8 and b has norm <= 12.  An unbounded LP has an
+# integer extreme ray r with c.r >= 1 and entries up to the 3 x 3 minors of
+# A, |minor| <= 332, so its boxed optimum, concave in U, grows by at least
+# U / 332 from U to 2U.
+BOX = 8192
+
+
 @given(inequality_lp())
+@example(([[-1, 1, 1, 0], [2, -2, -3, 1], [1, 0, -3, -1]], [1, 1, 1], [-1, 0, 4, 0]))
 @settings(max_examples=120, deadline=None)
 def test_against_float_solver(problem):
+    """HiGHS may report an unbounded LP as status 2, 3 or 4 ("model_status is
+    Unknown", as for the example, unbounded along x = (t - 1, 0, t, 0)), so
+    it solves the LP boxed to [0, BOX] and to [0, 2 BOX] instead, which is
+    feasible at x = 0 and bounded: the LP is unbounded exactly when the boxed
+    optimum grows with the box."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     A, b, c = problem
     m, n = len(A), len(A[0])
     # standard form with slack variables; x = 0 is always feasible
     constraints = [row + [int(i == j) for j in range(m)] for i, row in enumerate(A)]
     objective = c + [0] * m
-    ref = scipy_optimize.linprog(
-        [-v for v in c], A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs"
-    )
-    if ref.status in (2, 3):
-        # x = 0 is always feasible here, so a status-2 report from HiGHS is
-        # its primal-or-dual-infeasible ambiguity for an unbounded problem.
+
+    def boxed(U):
+        ref = scipy_optimize.linprog([-v for v in c], A_ub=A, b_ub=b, bounds=[(0, U)] * n, method="highs")
+        assert ref.status == 0
+        return -ref.fun
+
+    low, high = boxed(BOX), boxed(2 * BOX)
+    if high - low > 1:
         with pytest.raises(LPUnboundedError):
             simplex_maximize(objective, constraints, b)
         return
-    assert ref.status == 0
     value, x = simplex_maximize(objective, constraints, b)
-    assert abs(float(value) - (-ref.fun)) < 1e-7
+    assert abs(float(value) - low) < 1e-7
     # exact feasibility of our solution
     assert all(v >= 0 for v in x)
     for i, row in enumerate(A):
