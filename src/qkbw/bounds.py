@@ -26,28 +26,28 @@ tie-break and the residuals read.  So the identity side of the LP,
 _identity_side, is everything the LP reads but the operator: the dual's
 constraint rows and kappa side (the right-hand side for kappa > 0) as ints
 over the lcm Q of the identity denominators, the transpose A of the rows
-over M = lcm(Q, 2n), M, and the multiplier ids.  Every built-in operator
-row is over 2n in lowest terms, so its denominator divides M and one A
-serves every operator; another operator scales A and M on its own call.
-When the identities equal one of the pure-kappa sets of the operator
-bundle's context, member by member in order (_Context.kept_set), and the
-operator lives on that context's targets, the side is built once per
-process and kept in the context, one per hpn (_Context.bound_sides); its
-dual rows are a simplex._KeptRows, which keeps the simplex start that
-phase 1 leaves for each sign, so a later bound on the same bundle, hpn and
-sign, under any operator, runs phase 2 alone.  The context is looked up on
-each call and never built here.  Every other input is checked and built on
-its call, and nothing is kept for it.  Nothing is kept per operator or per
-sign but that start, and no result is kept: each bound runs its own
-phase 2, tie-break and verify.  The tie-break LPs start from a basis their
-own rows hold, with no artificial or only a few, and keep the optimum that
-start reaches only when it is provably their only one (_l1_smallest).
+over M = lcm(Q, 2n, D), M, the multiplier ids, and a dict for the dual's
+phase-1 start of each sign.  D is the operator's denominator; every
+built-in operator row is over a divisor of 2n, so M = lcm(Q, 2n) for each,
+and one side serves every built-in operator.  bound_for keeps one side per
+hpn in the bundle's context (_Context.bound_sides), built on the first call
+from the context's pure-kappa set; where the sets without and with hpn are
+equal, as on a (1_a) shape, one side serves both.  _solve runs the dual's
+phase 1 for a sign on the first call that needs it and keeps the start in
+the side, so a later bound on the same bundle, hpn and sign, under any
+operator, runs phase 2 alone (simplex_maximize's start); a phase 1 that
+raises LPInfeasibleError keeps nothing.  lp_max_bound checks its input and
+builds a side on every call, and nothing is kept for it.  Nothing is kept
+per operator, and no result is kept: each bound runs its own phase 2,
+tie-break and verify.  The tie-break LPs start from a basis their own rows
+hold, with no artificial or only a few, and keep the optimum that start
+reaches only when it is provably their only one (_l1_smallest).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import index, mul
 
 from .identities import (
@@ -55,7 +55,6 @@ from .identities import (
     MixedBundleError,
     OperatorSpec,
     _context,
-    _kept_context,
     operator_coeffs,
     pure_kappa_identities,
 )
@@ -65,7 +64,6 @@ from .simplex import (
     _ZERO,
     LPInfeasibleError,
     LPUnboundedError,
-    _KeptRows,
     _mirror_start,
     _phase_one,
     _unique_optimum,
@@ -243,42 +241,22 @@ def _identity_ids(identities):
     return ids
 
 
-def _identity_side(identities, n, t):
-    """(rows, kappa, Q, A, M, ids), the identity side of the bound LP (see the
-    module docstring) on a bundle of rank n with t targets: the identity rows
-    as a _KeptRows and the kappa side of each for kappa > 0, as ints over Q,
-    the lcm of the identity denominators; the transpose A of the rows over
-    M = lcm(Q, 2n), one row per target, each empty when there is no
-    identity; and the multiplier ids."""
+def _identity_side(identities, operator):
+    """(rows, kappa, Q, A, M, ids, starts), the identity side of the bound LP
+    (see the module docstring) for identities on the operator's bundle and
+    targets: the identity rows and the kappa side of each for kappa > 0, as
+    ints over Q, the lcm of the identity denominators; the transpose A of
+    the rows over M = lcm(Q, 2n, D), D the operator's denominator, one row
+    per target, each empty when there is no identity; the multiplier ids;
+    and an empty dict for the dual's phase-1 start of each sign."""
     Q = lcm(*(ident.denominator for ident in identities))
     scales = [Q // ident.denominator for ident in identities]
     rows = [list(map(s.__mul__, i.values)) if s > 1 else i.values for s, i in zip(scales, identities)]
-    M = lcm(Q, 2 * n)
+    M = lcm(Q, 2 * operator.bundle.n, operator.denominator)
     f = M // Q
-    A = [list(map(f.__mul__, column)) for column in zip(*rows)] if rows else [[] for _ in range(t)]
+    A = [list(map(f.__mul__, column)) for column in zip(*rows)] if rows else [[] for _ in operator.targets]
     kappa = [s * ident.kappa for s, ident in zip(scales, identities)]
-    return _KeptRows(rows), kappa, Q, A, M, _identity_ids(identities)
-
-
-def _bound_side(operator, identities):
-    """The identity side for lp_max_bound: the one kept in the operator
-    bundle's context for one of its pure-kappa sets, built there on the
-    first call, or one built on this call for any other input, which raises
-    MixedBundleError unless every identity lives on the operator's bundle
-    and targets, and ValueError for one that is not pure kappa."""
-    ctx = _kept_context(operator.bundle)
-    hpn = ctx.kept_set(identities) if ctx is not None and operator.targets == ctx.keys else None
-    if hpn is None:
-        for ident in identities:
-            if ident.bundle != operator.bundle or ident.targets != operator.targets:
-                raise MixedBundleError("identities and operator must live on one bundle")
-            if not ident.is_pure_kappa:
-                raise ValueError(f"identity {ident.provenance} is not pure kappa")
-        return _identity_side(identities, operator.bundle.n, len(operator.targets))
-    side = ctx.bound_sides.get(hpn)
-    if side is None:
-        side = ctx.bound_sides[hpn] = _identity_side(identities, ctx.n, len(ctx.keys))
-    return side
+    return rows, kappa, Q, A, M, _identity_ids(identities), {}
 
 
 def _split_rows(rows, slack_rows):
@@ -365,13 +343,13 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     negative: it is then the LP's only optimum, and so the vertex that
     simplex_maximize's two-phase run returns; otherwise that run decides.
 
-    The dual reads the identity side of the module docstring, kept or built
-    for this call, with the kappa side negated for kappa < 0.  Its objective
-    is minus the operator's values over their own denominator D: a positive
-    factor on the objective changes no Bland pivot and no y.  op, the
-    operator over M, is formed only where a value is read.  Raises
-    MixedBundleError unless every identity lives on the operator's bundle
-    and targets, and ValueError for one that is not pure kappa.
+    The dual reads an identity side of the module docstring, built for this
+    call, with the kappa side negated for kappa < 0.  Its objective is minus
+    the operator's values over their own denominator D: a positive factor
+    on the objective changes no Bland pivot and no y.  op, the operator
+    over M, is formed only where a value is read.  Raises MixedBundleError
+    unless every identity lives on the operator's bundle and targets, and
+    ValueError for one that is not pure kappa.
 
     Returns a NoCertificate when no nonnegative rewriting exists: the dual
     LP is unbounded, or the dual and the primal are both infeasible.  Raises
@@ -380,11 +358,20 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     that differ, or a certificate that fails BoundCertificate.verify.
     """
     sign = _normalize_sign(kappa_sign)
-    rows, kappa, Q, A, M, ids = _bound_side(operator, identities)
+    for ident in identities:
+        if ident.bundle != operator.bundle or ident.targets != operator.targets:
+            raise MixedBundleError("identities and operator must live on one bundle")
+        if not ident.is_pure_kappa:
+            raise ValueError(f"identity {ident.provenance} is not pure kappa")
+    return _solve(operator, identities, sign, _identity_side(identities, operator))
+
+
+def _solve(operator, identities, sign, side):
+    """lp_max_bound's LP for the sign +-1 on side, the identity side of the
+    operator and identities.  The dual's phase 1 runs on the first call for
+    the sign and its start is kept in side, unless it raises."""
+    rows, kappa, Q, A, M, ids, starts = side
     values, D = operator.values, operator.denominator
-    if M % D:
-        f = D // gcd(M, D)
-        A, M = [list(map(f.__mul__, row)) for row in A], M * f
     s = M // D
     if sign < 0:
         kappa = [-v for v in kappa]
@@ -392,7 +379,10 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
     no_rewriting = f"no nonnegative rewriting of {operator.name} exists over this identity span"
 
     try:
-        value, y = simplex_maximize([-v for v in values], rows, kappa)
+        start = starts.get(sign)
+        if start is None and rows:
+            start = starts[sign] = _phase_one(rows, kappa, t)
+        value, y = simplex_maximize([-v for v in values], rows, kappa, start=start)
     except LPUnboundedError:
         return NoCertificate(operator.bundle, operator.name, sign, no_rewriting)
     except LPInfeasibleError as dual_exc:
@@ -440,12 +430,23 @@ def lp_max_bound(operator: OperatorSpec, identities, kappa_sign) -> BoundCertifi
 
 
 def bound_for(operator_name: str, bundle: BundleLabel, kappa_sign, hpn: bool = False):
-    """Rule-driven identity set, then lp_max_bound: a BoundCertificate, or a
-    NoCertificate when no rewriting exists over the identity span.  The
-    operator row and the identity set are the bundle's kept ones, so the
-    LP reads the kept identity side (see the module docstring)."""
+    """Rule-driven identity set, then the LP of lp_max_bound: a
+    BoundCertificate, or a NoCertificate when no rewriting exists over the
+    identity span.  The operator row and the identity set are the bundle's
+    kept ones, so the LP reads the identity side kept in the bundle's
+    context for hpn (see the module docstring)."""
     operator = operator_coeffs(operator_name, bundle)
-    return lp_max_bound(operator, pure_kappa_identities(bundle, hpn=hpn), kappa_sign)
+    identities = pure_kappa_identities(bundle, hpn=hpn)
+    sign = _normalize_sign(kappa_sign)
+    sides = _context(bundle).bound_sides
+    side = sides.get(hpn)
+    if side is None:
+        # where the sets without and with hpn are equal, one side serves both
+        side = sides.get(not hpn)
+        if side is None or identities != pure_kappa_identities(bundle, hpn=not hpn):
+            side = _identity_side(identities, operator)
+        sides[hpn] = side
+    return _solve(operator, identities, sign, side)
 
 
 def closed_form_bound(k: int, a: int, b: int, n: int, kappa_sign) -> Fraction:

@@ -237,9 +237,10 @@ class _Context:
     and T_q for q <= q_max (sliced from those the table's rows keep), the
     theorem family's alternating sums and the pure-kappa identity sets are
     computed when first read; operator_rows holds each operator row once
-    built, and bound_sides the bound LP's identity side per hpn (see the
-    bounds module docstring).  The context that _context keeps lives as long
-    as the process; one built for a family lives for the call.
+    built.  bound_sides is the bound LP's store, filled and read by
+    bounds.bound_for alone (see the bounds module docstring).  The context
+    that _context keeps lives as long as the process; one built for a
+    family lives for the call.
     """
 
     def __init__(self, bundle: BundleLabel, q_max=4):
@@ -290,18 +291,6 @@ class _Context:
         for t in self.T:
             table.append([x * a + t for x, a in zip(xs, table[-1])])
         return table
-
-    def kept_set(self, identities):
-        """hpn when identities equal the built pure-kappa set without or with
-        hpn, member by member in order (tuple ==, which short-cuts on
-        identical members), the set without hpn first, so where the two sets
-        are equal (on a (1_a) shape) it answers False; else None.  Builds no
-        set."""
-        built, identities = vars(self), tuple(identities)
-        for hpn, name in ((False, "pure_kappa"), (True, "pure_kappa_hpn")):
-            if built.get(name) == identities:
-                return hpn
-        return None
 
     def identity(self, provenance, values, denominator, kappa, kappa_den, terms=()) -> BWIdentity:
         """sum values / denominator * B = kappa / kappa_den * (scalar curvature),
@@ -557,11 +546,6 @@ def _context(bundle: BundleLabel) -> _Context:
     if ctx is None:
         ctx = _contexts[bundle] = _Context(bundle)
     return ctx
-
-
-def _kept_context(bundle: BundleLabel):
-    """The bundle's kept context, or None: nothing is built."""
-    return _contexts.get(bundle)
 
 
 def pure_kappa_identities(bundle: BundleLabel, hpn: bool = False):

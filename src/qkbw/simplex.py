@@ -38,14 +38,11 @@ x holds a Fraction only for a nonzero basic value (one shared zero else).
 Phase 1 ends in _drive_in: each row whose artificial is still basic, at
 zero, pivots on its first nonzero structural entry, and a row with none is
 dropped.  Phase 1 and the drive-in read the constraint rows and the rhs,
-never the objective.  So rows handed in as a _KeptRows keep, per rhs, the
-feasible start they leave: the tableau over the structural columns, its d
-and its basis.  The first call with an rhs pivots as a plain call does;
-every later call with that rhs, under any objective of the rows' width,
-runs phase 2 alone, on a copy of the kept start, and so pivots as the
-phase 2 of a plain call.  An rhs whose phase 1 raises LPInfeasibleError
-keeps nothing and runs phase 1 again on every call.  Any other rows run
-both phases on every call.
+never the objective.  So the (rows, d, basis) that _phase_one returns for
+some rows and rhs is a feasible start for every objective of the rows'
+width: simplex_maximize(..., start=it) runs phase 2 alone, on a copy, and
+so pivots as the phase 2 of a plain call.  Whether a start is kept, and for
+how long, is the caller's choice.
 
 A caller that holds a feasible start of its own may skip phase 1, or give
 _phase_one the columns that can start some rows, so that only the other
@@ -89,19 +86,6 @@ class LPUnboundedError(ArithmeticError):
 
 class LPInfeasibleError(ArithmeticError):
     """The LP constraint set is empty."""
-
-
-class _KeptRows(tuple):
-    """Constraint rows that keep, per right-hand side, the feasible start
-    _phase_one leaves.  starts is keyed by the tuple of the rhs entries;
-    simplex_maximize fills it, through _kept_start, on the first call with
-    that rhs and runs only phase 2, on a copy, on every later one.  An
-    infeasible rhs is never kept.  Equal to the plain tuple of its rows."""
-
-    def __new__(cls, rows):
-        self = super().__new__(cls, rows)
-        self.starts = {}
-        return self
 
 
 def _rational(v):
@@ -177,16 +161,17 @@ def _bland_run(rows, d, basis, cost):
         basis[leaving] = entering
 
 
-def simplex_maximize(objective, constraints, rhs):
+def simplex_maximize(objective, constraints, rhs, *, start=None):
     """Solve  max objective . x  subject to  constraints @ x = rhs,  x >= 0.
 
     All inputs are sequences of Fractions (or ints); the constraint rows and
     rhs become the tableau through _integer_rows.  Returns
     ``(value, x)`` with x a list of Fractions.  Raises LPInfeasibleError or
     LPUnboundedError accordingly.  Deterministic: Bland's rule with the
-    given variable ordering.  Constraints given as a _KeptRows run phase 1
-    once per rhs (see the module docstring); the lengths, the objective and
-    the rhs are still checked on every call.
+    given variable ordering.  start, a (rows, d, basis) that _phase_one
+    returned for these constraints and this rhs, skips phase 1: phase 2
+    runs on a copy and leaves start as it was (see the module docstring).
+    The lengths, the objective and the rhs are checked either way.
     """
     m = len(constraints)
     n = len(objective)
@@ -205,10 +190,14 @@ def simplex_maximize(objective, constraints, rhs):
 
     if any(len(row) != n for row in constraints):
         raise ValueError("constraint row length does not match objective")
-    if type(constraints) is _KeptRows:
-        rows, d, basis = _kept_start(constraints, rhs, n)
-    else:
-        rows, d, basis = _phase_one(constraints, rhs, n)
+    if start is None:
+        start = _phase_one(constraints, rhs, n)
+    elif not set(map(type, rhs)) <= {int}:
+        list(map(_rational, rhs))  # not read, but it raises where phase 1 would
+    # _pivot replaces rows and never changes one, so phase 2 on a shallow copy
+    # leaves start as it was
+    rows, d, basis = start
+    rows, basis = list(rows), list(basis)
     d = _bland_run(rows, d, basis, cost)[0]
     x, value = _vertex(rows, d, basis, cost)
     return Fraction(value, cost_scale * d), x
@@ -282,22 +271,6 @@ def _drive_in(rows, d, basis, n):
     return [rows[i] for i in kept], d, [basis[i] for i in kept]
 
 
-def _kept_start(constraints, rhs, n):
-    """_phase_one of the kept rows and the rhs, run on the first call with
-    that rhs and kept in constraints.starts under its entries when it
-    returns; an rhs whose phase 1 raises keeps nothing and runs it again on
-    every call.  Returns a copy: _pivot replaces rows and never changes one,
-    so phase 2 on the copy leaves the kept start as it was."""
-    key = tuple(rhs)
-    if not set(map(type, key)) <= {int}:
-        key = tuple(map(_rational, key))
-    start = constraints.starts.get(key)
-    if start is None:
-        start = constraints.starts[key] = _phase_one(constraints, rhs, n)
-    rows, d, basis = start
-    return list(rows), d, list(basis)
-
-
 def _mirror_start(constraints, rhs, m):
     """A feasible start (rows, d, basis) with no phase 1 for rows whose
     column m + j is minus column j, for every j < m: _drive_in pivots each
@@ -330,7 +303,7 @@ def _integer_rows(rows):
     ValueError for rows of unequal length."""
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("row length does not match the first row")
-    if all(type(v) is int for row in rows for v in row):
+    if all(set(map(type, row)) <= {int} for row in rows):
         return list(rows)
     rows = [[_rational(v) for v in row] for row in rows]
     scale = lcm(*(v.denominator for row in rows for v in row))

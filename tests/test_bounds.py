@@ -294,8 +294,8 @@ class TestPrimalAndDualOptimaMustAgree:
         cert.verify(operator, identities)
         real = qkbw.bounds.simplex_maximize
 
-        def off(objective, constraints, rhs):
-            value, x = real(objective, constraints, rhs)
+        def off(objective, constraints, rhs, *, start=None):
+            value, x = real(objective, constraints, rhs, start=start)
             return value + F(1, 10**6), x
 
         monkeypatch.setattr(qkbw.bounds, "simplex_maximize", off)

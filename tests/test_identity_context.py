@@ -722,7 +722,7 @@ def test_bound_for_solves_and_verifies_on_every_call(monkeypatch, fresh_memos):
 
         return spy
 
-    monkeypatch.setattr(bounds, "lp_max_bound", counting("lp", bounds.lp_max_bound))
+    monkeypatch.setattr(bounds, "_solve", counting("lp", bounds._solve))
     monkeypatch.setattr(bounds.BoundCertificate, "verify", counting("verify", bounds.BoundCertificate.verify))
     monkeypatch.setattr(identities, "decompose_bundle", counting("table", identities.decompose_bundle))
     results = [bounds.bound_for("hodge_laplacian", bundle, sign) for sign in (1, -1, 1, -1)]

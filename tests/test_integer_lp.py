@@ -363,9 +363,9 @@ def test_a_tied_face_goes_to_the_two_phase_run():
             kept.append(x is not None)
             return x
 
-        def simplex(*args):
+        def simplex(*args, **kwargs):
             runs.append(len(args[1]))
-            return real_simplex(*args)
+            return real_simplex(*args, **kwargs)
 
         with mock.patch.object(qkbw.bounds, "_unique_optimum", unique), mock.patch.object(
             qkbw.bounds, "simplex_maximize", simplex
@@ -391,8 +391,8 @@ def tie_break_solutions(solve):
                 seen.append((m, x))
             return x
 
-        def simplex(*args):
-            value, x = real_simplex(*args)
+        def simplex(*args, **kwargs):
+            value, x = real_simplex(*args, **kwargs)
             seen.append((m, x))
             return value, x
 

@@ -198,7 +198,9 @@ def test_outcome_keeps_no_solver_frames(case, cause, message):
 
 
 @pytest.mark.parametrize("case, cause, message", OUTCOMES, ids=OUTCOME_IDS)
-def test_outcome_exit_code(case, cause, message, monkeypatch, capsys):
+def test_outcome_exit_code(case, cause, message, monkeypatch, capsys, fresh_memos):
+    # bound_for builds the side of its LP from the doctored rows on the CLI
+    # bundle's fresh context, so no side from another case serves it
     operator, identities = case
     monkeypatch.setattr(qkbw.bounds, "operator_coeffs", lambda name, bundle: operator)
     monkeypatch.setattr(qkbw.bounds, "pure_kappa_identities", lambda bundle, hpn=False: identities)
@@ -272,9 +274,9 @@ def test_tie_break_path(label, steps):
     lps, shapes = [], []  # (rows, columns) of each simplex_maximize LP and each tie-break LP
     real_simplex, real_l1 = qkbw.bounds.simplex_maximize, qkbw.bounds._l1_smallest
 
-    def simplex_spy(*args):
+    def simplex_spy(*args, **kwargs):
         lps.append((len(args[1]), len(args[0])))
-        return real_simplex(*args)
+        return real_simplex(*args, **kwargs)
 
     def l1_spy(m, rows, rhs, slack_rows):
         shapes.append((len(rows), 2 * m + len(slack_rows)))

@@ -180,7 +180,7 @@ def outcome(solve):
         return type(exc)
 
 
-def kernel_simplex(objective, constraints, rhs):
+def kernel_simplex(objective, constraints, rhs, start=None):
     """(outcome, pivots) of simplex_maximize, recording each (row, column) pivot."""
     log = []
     real = qkbw.simplex._pivot
@@ -190,7 +190,7 @@ def kernel_simplex(objective, constraints, rhs):
         return real(rows, d, r, c)
 
     with mock.patch.object(qkbw.simplex, "_pivot", spy):
-        result = outcome(lambda: simplex_maximize(objective, constraints, rhs))
+        result = outcome(lambda: simplex_maximize(objective, constraints, rhs, start=start))
     return result, log
 
 
@@ -455,58 +455,61 @@ def phase_one_pivots(constraints, rhs, n):
     return log, True
 
 
-def kept_starts(rows):
-    """A copy of each kept start's rows, d and basis."""
-    return {rhs: ([list(row) for row in kept], d, list(basis)) for rhs, (kept, d, basis) in rows.starts.items()}
+def copied(start):
+    """A copy of a start's rows, d and basis."""
+    rows, d, basis = start
+    return [list(row) for row in rows], d, list(basis)
 
 
 @st.composite
-def kept_row_lps(draw):
+def two_objective_lps(draw):
     """An LP of equality_lps or int_bound_lps, feasible, infeasible or
     unbounded, with a second objective of the same length."""
     c, A, b = draw(st.one_of(equality_lps(), int_bound_lps()))
     return c, [draw(small_ints) for _ in c], A, b
 
 
-@given(kept_row_lps())
+@given(two_objective_lps())
 @settings(max_examples=200, deadline=None)
-def test_kept_rows_keep_one_start_per_rhs(problem):
-    """The first call on kept rows is the plain call, pivot for pivot; a
-    second objective with the same rhs gives what a fresh plain call gives
-    and logs only its phase-2 pivots; another rhs, the other sign of a
-    nonzero one, runs phase 1 for a start of its own; and a third call
-    finds the first start as it was kept, and pivots as the second did.  An
-    rhs whose phase 1 raises LPInfeasibleError keeps nothing, so every call
-    with it runs phase 1 again and logs the pivots of a plain call."""
+def test_phase_two_from_a_phase_one_start_pivots_as_a_plain_call(problem):
+    """From the start that _phase_one returns for the rows and the rhs,
+    simplex_maximize gives what a plain call gives under either objective,
+    and logs only the plain call's phase-2 pivots.  It leaves the start as
+    it was given, so a second call from it pivots as the first.  An rhs
+    whose phase 1 raises LPInfeasibleError gives no start, and a plain call
+    with it raises the same."""
     c, c2, A, b = problem
-    rows = qkbw.simplex._KeptRows(A)
-    assert rows == tuple(A)
-    assert_same_lp(c, rows, b)
     phase_one, feasible = phase_one_pivots(A, b, len(c))
-    assert list(rows.starts) == [tuple(b)] * feasible
-    kept = kept_starts(rows)
-    fresh, fresh_log = kernel_simplex(c2, A, b)
-    assert fresh_log[: len(phase_one)] == phase_one
-    second = kernel_simplex(c2, rows, b)
-    assert second == (fresh, fresh_log[len(phase_one) * feasible :])
-    other = [-v for v in b] if any(b) else [1] * len(b)
-    assert_same_lp(c2, rows, other)
-    other_feasible = phase_one_pivots(A, other, len(c))[1]
-    assert rows.starts.keys() == {key for key, ok in ((tuple(b), feasible), (tuple(other), other_feasible)) if ok}
-    assert kernel_simplex(c2, rows, b) == second
-    assert kept_starts(rows).get(tuple(b)) == kept.get(tuple(b))
+    if not feasible:
+        assert kernel_simplex(c, A, b)[0] is LPInfeasibleError
+        return
+    start = qkbw.simplex._phase_one(A, b, len(c))
+    kept = copied(start)
+    for objective in (c, c2):
+        plain, plain_log = kernel_simplex(objective, A, b)
+        assert plain_log[: len(phase_one)] == phase_one
+        for _ in range(2):
+            assert kernel_simplex(objective, A, b, start) == (plain, plain_log[len(phase_one) :])
+            assert copied(start) == kept
 
 
-def test_kept_rows_check_every_call():
-    """A start kept for an rhs serves no rhs or objective that a plain call
-    rejects: a float rhs equal to the kept one, or another objective length."""
-    rows = qkbw.simplex._KeptRows([[F(1), F(2)]])
-    assert simplex_maximize([-1, -1], rows, [1]) == (F(-1, 2), [F(0), F(1, 2)])
+def test_a_start_checks_every_call():
+    """A start serves no rhs or objective that a plain call rejects: a float
+    rhs equal to the start's, another objective length, a float objective
+    entry or another rhs length."""
+    rows = [[F(1), F(2)]]
+    start = qkbw.simplex._phase_one(rows, [1], 2)
+    kept = copied(start)
+    assert simplex_maximize([-1, -1], rows, [1], start=start) == (F(-1, 2), [F(0), F(1, 2)])
     with pytest.raises(TypeError):
-        simplex_maximize([-1, -1], rows, [1.0])
+        simplex_maximize([-1, -1], rows, [1.0], start=start)
+    with pytest.raises(TypeError):
+        simplex_maximize([-1.0, -1], rows, [1], start=start)
     with pytest.raises(ValueError):
-        simplex_maximize([-1], rows, [1])
-    assert list(rows.starts) == [(1,)]
+        simplex_maximize([-1], rows, [1], start=start)
+    with pytest.raises(ValueError):
+        simplex_maximize([-1, -1], rows, [1, 1], start=start)
+    assert copied(start) == kept
 
 
 def test_negative_drive_out_pivot():
